@@ -18,7 +18,8 @@ import sys
 from .geometry import DomainProduct, GridSizeError
 from .poly import CoefficientStream, Poly
 from .universal import Certificate, plan_from_scenario, run_construction
-from .verify import PredicateSpec, catalog_poly, predicate_record, verify_certificate
+from .verify import (VARIANTS, PredicateSpec, catalog_poly, predicate_record,
+                     verify_certificate)
 
 VERBOSE = os.environ.get("TAYLORLAB_VERBOSE", "") not in ("", "0")
 
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-factor certificate grid density override")
     pc.add_argument("--seed", type=int, default=None,
                     help="seed recorded in the certificate header")
-    pc.add_argument("--variant", choices=("plain", "strong", "infty"),
+    pc.add_argument("--variant", choices=VARIANTS,
                     default=None, help="override the scenario variant")
     pc.add_argument("--fixed-center", type=_parse_center, default=None,
                     metavar="RE,IM,...",
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("specs", help="spec batch JSON path")
     pp.add_argument("--density", type=int, default=None,
                     help="per-factor grid density override")
-    pp.add_argument("--variant", choices=("plain", "strong", "infty"),
+    pp.add_argument("--variant", choices=VARIANTS,
                     default=None, help="force one variant on every spec")
     pp.add_argument("--fixed-center", type=_parse_center, default=None,
                     metavar="RE,IM,...",

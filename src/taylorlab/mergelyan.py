@@ -107,7 +107,6 @@ class FitResult:
     cond: float
     n_columns: int
     converged: bool
-    method: str = "lstsq"
 
 
 def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
@@ -248,7 +247,7 @@ def _residuals(task, Q: Poly, grids) -> list:
     return out
 
 
-def fit(task: ApproxTask, method: str = "lstsq") -> FitResult:
+def fit(task: ApproxTask) -> FitResult:
     """Sweep the budgets and return the first fit inside tolerance.
 
     Residuals are measured on an independent grid at twice the sampling
@@ -256,8 +255,6 @@ def fit(task: ApproxTask, method: str = "lstsq") -> FitResult:
     numbers include reconstruction rounding.  If no budget converges the
     best attempt is returned with converged = False.
     """
-    if method not in ("lstsq", "mgs"):
-        raise ValueError("method must be lstsq or mgs")
     r, d, k = task.r, task.d, task.r + task.d
     grids = _task_grids(task)
     verif = _task_grids(task, density=2)
@@ -317,12 +314,8 @@ def fit(task: ApproxTask, method: str = "lstsq") -> FitResult:
         ncols = math.comb(budget + k, k)
         A = A_full[:, :ncols]
         colscale = np.maximum(np.abs(A).max(axis=0), 1e-300)
-        if method == "lstsq":
-            coefs_hat, _, _, svals = np.linalg.lstsq(
-                A / colscale, b, rcond=1e-12)
-            cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-        else:
-            coefs_hat, cond = _mgs_solve(A / colscale, b)
+        coefs_hat, _, _, svals = np.linalg.lstsq(A / colscale, b, rcond=1e-12)
+        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
         coefs = coefs_hat / colscale
         Q = _assemble(task, gammas[:ncols], coefs, scales, pref_poly)
         piece_res = _residuals(task, Q, verif)
@@ -330,7 +323,7 @@ def fit(task: ApproxTask, method: str = "lstsq") -> FitResult:
         history.append((budget, res))
         converged = all(r <= t for r, t in zip(piece_res, tols))
         cand = FitResult(Q, budget, res, piece_res, list(history), cond,
-                         ncols, converged, method)
+                         ncols, converged)
         # prefer the budget that best satisfies the per-piece tolerances
         score = max(r / t for r, t in zip(piece_res, tols))
         if score < best_score:
@@ -341,49 +334,3 @@ def fit(task: ApproxTask, method: str = "lstsq") -> FitResult:
     best.residual_history = history
     return best
 
-
-def _mgs_solve(A: np.ndarray, b: np.ndarray):
-    """Least squares through modified Gram-Schmidt with reorthogonalization.
-
-    Builds an orthonormal basis for the column span on the sample grid (the
-    discrete analogue of an orthogonal-polynomial recurrence), projects b,
-    and back-substitutes.  Columns that collapse under orthogonalization
-    are dropped from the solve and get zero coefficients.  The returned
-    condition number is that of the orthonormalized system."""
-    n, m = A.shape
-    Q = np.zeros((n, m), dtype=complex)
-    R = np.zeros((m, m), dtype=complex)
-    alive = np.ones(m, dtype=bool)
-    for j in range(m):
-        v = A[:, j].copy()
-        norm0 = np.linalg.norm(v) or 1.0
-        for _ in range(2):
-            for i in range(j):
-                if not alive[i]:
-                    continue
-                s = Q[:, i].conj() @ v
-                R[i, j] += s
-                v -= s * Q[:, i]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-13 * norm0:
-            alive[j] = False
-            R[j, j] = 1.0
-            continue
-        R[j, j] = nrm
-        Q[:, j] = v / nrm
-    y = Q.conj().T @ b
-    coefs = np.zeros(m, dtype=complex)
-    for j in range(m - 1, -1, -1):
-        if not alive[j]:
-            continue
-        s = y[j] - R[j, j + 1:] @ coefs[j + 1:]
-        coefs[j] = s / R[j, j]
-    live = Q[:, alive]
-    cond = float(np.linalg.cond(live)) if live.size else 1.0
-    return coefs, cond
-
-
-def fit_with_scaling(task: ApproxTask) -> FitResult:
-    """fit() through the orthogonalizing recurrence instead of plain
-    truncated SVD; same sweep, better-conditioned solve."""
-    return fit(task, method="mgs")

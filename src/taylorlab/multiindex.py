@@ -377,6 +377,8 @@ class IndexSet:
             raise ValueError(f"malformed index-set tag {tag!r}")
         if parts[1] == "all":
             return cls("all")
+        if len(parts) < 3:
+            raise ValueError(f"index-set tag {tag!r} is missing its values")
         if parts[1] == "arith":
             a, b = (int(x) for x in parts[2].split(","))
             return cls("arith", a=a, b=b)

@@ -240,35 +240,6 @@ class Poly:
             total += c * powv(w, 0, we) * powv(z, self.r, ze)
         return total
 
-    def eval_points(self, pts: np.ndarray) -> np.ndarray:
-        """Values on an (n, r+d) array of joint (w, z) points."""
-        pts = np.asarray(pts, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.r + self.d:
-            raise ValueError(f"point array must be (n, {self.r + self.d})")
-        n = pts.shape[0]
-        out = np.zeros(n, dtype=complex)
-        cache: dict[tuple[int, int], np.ndarray] = {}
-
-        def col(ci: int, e: int) -> np.ndarray:
-            key = (ci, e)
-            got = cache.get(key)
-            if got is None:
-                got = pts[:, ci] ** e
-                cache[key] = got
-            return got
-
-        # canonical term order, see eval
-        for (we, ze), c in sorted(self.terms.items()):
-            acc = np.full(n, c, dtype=complex)
-            for i, e in enumerate(we):
-                if e:
-                    acc = acc * col(i, e)
-            for i, e in enumerate(ze):
-                if e:
-                    acc = acc * col(self.r + i, e)
-            out += acc
-        return out
-
     def eval_product(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Values on the product grid: result[i, j] = p(W[i], Z[j]).
 

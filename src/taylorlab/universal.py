@@ -29,19 +29,18 @@ from dataclasses import dataclass
 from .geometry import (
     DomainProduct,
     ProductCompact,
-    center_grid,
     compact_from_json,
     enumerate_Tm,
     exhaustion_M,
-    sup_norm,
 )
+from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
 from .mergelyan import fit, glue_target
-from .multiindex import Enumeration, IndexSet, SparseIndexError, family_Fl
-from .poly import CoefficientStream, Poly, partial_sum
+from .multiindex import Enumeration, IndexSet, SparseIndexError
+from .poly import CoefficientStream, Poly
+from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
+from .verify import VARIANTS, measure_stage, variant_ops
 
 CERT_FORMAT = "taylorlab-certificate-v1"
-
-VARIANTS = ("plain", "strong", "infty")
 
 _Z_DENSITY = {1: 400, 2: 80, 3: 24}
 _W_DENSITY = {1: 32, 2: 10}
@@ -69,10 +68,15 @@ class StageRequest:
         if i0 is None:
             raise ValueError("the outer compact needs a flagged factor that "
                              "stays off the domain")
-        if not self.tolerance > 0:
-            raise ValueError("stage tolerance must be positive")
-        if not self.budgets or sorted(self.budgets) != list(self.budgets):
-            raise ValueError("stage budgets must be a nonempty ascending list")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError("stage tolerance must be positive and finite")
+        b = self.budgets
+        if (not isinstance(b, list) or not b
+                or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
+                       for v in b)
+                or sorted(b) != b):
+            raise ValueError("stage budgets must be a nonempty ascending "
+                             f"list of natural numbers, got {b!r}")
 
         # sampled separation checks; the fit would quietly produce garbage
         # on geometry that violates them
@@ -118,12 +122,6 @@ class StagePlan:
     seed: int = 0
     cert_density: int = 0
 
-    def ops(self):
-        if self.variant == "plain" or self.l == 0:
-            return []
-        return [op for op in family_Fl(self.r, self.domain.dim, self.l)
-                if not op.is_identity]
-
 
 def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
                 w_compact=None, variant="plain", l=0, fixed_center=True,
@@ -160,6 +158,9 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("derivative order bound must be a natural number")
     if r < 0:
         raise ValueError("parameter count must be a natural number")
+    if cert_density < 0:
+        raise ValueError("certificate density must be a natural number, "
+                         f"got {cert_density}")
     if r > 0 and (w_compact is None or w_compact.dim != r):
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
@@ -220,10 +221,9 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     """
     enum, center, r = stream.enum, stream.center, stream.r
     frontier = stream.frontier
+    degs = _stream_degrees(stream) or [0] * stream.d
     if frontier >= 0:
-        degs = _stream_degrees(stream) or [0] * stream.d
-        e = sum(degs) + 1
-        e = max(e, sum(enum.unrank(frontier)) + 1)
+        e = max(sum(degs) + 1, sum(enum.unrank(frontier)) + 1)
     else:
         e = 0
 
@@ -242,7 +242,8 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         piece_tols = [req.tolerance, req.tolerance]
     task = glue_target(
         pieces, i0, req.budgets, max(piece_tols),
-        r=r, w_compact=plan.w_compact, derivative_orders=tuple(plan.ops()),
+        r=r, w_compact=plan.w_compact,
+        derivative_orders=variant_ops(plan.variant, r, stream.d, plan.l)[1],
         prefactor=(i0, c0, e), piece_tolerances=list(piece_tols))
     res = fit(task)
 
@@ -257,10 +258,6 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         cp.terms = terms
         coeffs[enum.rank(ze)] = cp
 
-    degs = [0] * stream.d
-    prev = _stream_degrees(stream)
-    if prev is not None:
-        degs = prev
     q_degs = shifted.z_degrees()
     if q_degs is not None:
         degs = [max(a, v) for a, v in zip(degs, q_degs)]
@@ -273,6 +270,8 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
             f"after the capture rank {capture}") from exc
 
     stream.append_block(f"stage-{stage_id}", coeffs, lam)
+    # graded enumeration: the top stored rank has the top total degree
+    top = max((max(b.coeffs) for b in stream.blocks if b.coeffs), default=None)
 
     # the rank-lambda truncation must reproduce the stream exactly; this is
     # the F-side of the stage predicate at the reference center, and by the
@@ -299,9 +298,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         "target": req.target.to_json(),
         "outer": req.outer.to_json(),
         "inner": req.inner.to_json(),
-        "max_degree": max(sum(enum.unrank(k)) for b in stream.blocks
-                          for k in b.coeffs) if any(
-                              b.coeffs for b in stream.blocks) else 0,
+        "max_degree": sum(enum.unrank(top)) if top is not None else 0,
     }
 
 
@@ -358,24 +355,6 @@ class Certificate:
                             repr(s["f_side_error"]), s["max_degree"]])
 
 
-def _cert_grids(plan: StagePlan, K: ProductCompact):
-    nz = plan.cert_density or _Z_DENSITY.get(K.dim, 12)
-    zg = K.sample(n_per_factor=nz)
-    wg = None
-    nw = 0
-    if plan.r > 0:
-        nw = _W_DENSITY.get(plan.r, 6)
-        wg = plan.w_compact.sample(n_per_factor=nw)
-    return zg, wg, nz, nw
-
-
-def _sup_with_ops(delta: Poly, zg, wg, ops) -> float:
-    worst = sup_norm(delta, zg, wg)
-    for op in ops:
-        worst = max(worst, sup_norm(delta.diff(op), zg, wg))
-    return worst
-
-
 def run_construction(plan: StagePlan):
     """Run every stage, then measure and certify the finished stream.
 
@@ -396,33 +375,20 @@ def run_construction(plan: StagePlan):
             break
 
     final = stream.poly()
-    ops = plan.ops()
-    e_ops = ops if plan.variant == "strong" else []
-    f_ops = ops if plan.variant in ("strong", "infty") else []
-
+    e_ops, f_ops = variant_ops(plan.variant, plan.r, plan.domain.dim, plan.l)
+    nz = plan.cert_density or _Z_DENSITY.get(plan.domain.dim, 12)
+    nw = _W_DENSITY.get(plan.r, 6) if plan.r > 0 else 0
+    wg = plan.w_compact.sample(n_per_factor=nw) if plan.r > 0 else None
     for req, rec in zip(plan.requests, records):
-        zT, wg, nz, nw = _cert_grids(plan, req.outer)
-        zM, _, _, _ = _cert_grids(plan, req.inner)
-        P_t = stream.partial_sum(rec["lambda"])
-        rec["e_side_error"] = _sup_with_ops(P_t - req.target, zT, wg, e_ops)
-        rec["f_side_error"] = _sup_with_ops(P_t - final, zM, wg, f_ops)
+        got = measure_stage(stream, rec["lambda"], req.target, req.outer,
+                            req.inner, nz, wg, e_ops, f_ops,
+                            not plan.fixed_center)
+        rec["density"] = {"nz_per_factor": nz, "nw_per_factor": nw,
+                          "nz_points": got.pop("nz_points"),
+                          "nw_points": len(wg.points) if wg else 0}
+        rec.update(got)
         rec["pass_e"] = rec["e_side_error"] <= req.tolerance
         rec["pass_f"] = rec["f_side_error"] <= req.tolerance
-        rec["density"] = {"nz_per_factor": nz, "nw_per_factor": nw,
-                          "nz_points": len(zT.points),
-                          "nw_points": len(wg.points) if wg else 0}
-        if not plan.fixed_center:
-            centers = center_grid(req.inner)
-            ve = vf = 0.0
-            for zeta in centers:
-                S = partial_sum(final, zeta, rec["lambda"], plan.enum)
-                ve = max(ve, _sup_with_ops(S - req.target, zT, wg, e_ops))
-                vf = max(vf, _sup_with_ops(S - final, zM, wg, f_ops))
-            rec["varying_center"] = {
-                "n_centers": len(centers),
-                "e_side_error": ve,
-                "f_side_error": vf,
-            }
 
     header = {
         "format": CERT_FORMAT,

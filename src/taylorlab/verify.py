@@ -10,6 +10,11 @@ polynomial with rational coefficients" through one documented pairing,
 slice_AD_residual gives a cheap non-holomorphy indicator for function
 tables on product compacts, and verify_certificate replays a finished
 certificate against its coefficient stream.
+
+This module also holds the stage-measurement kernel (sup_ops,
+center_sups, variant_ops, measure_stage) that the predicates, the
+certificate replay and the construction in universal all share, so a
+certificate is written and re-checked by the same code.
 """
 
 from __future__ import annotations
@@ -74,6 +79,68 @@ def catalog_poly(j: int, r: int = 0, d: int = 1) -> Poly:
             continue
         m = joint.unrank(t)
         out = out + Poly.monomial(r, d, m[:r], m[r:], coeff)
+    return out
+
+
+# ------------------------------------------------------ measurement kernel
+
+
+def variant_ops(variant: str, r: int, d: int, l: int):
+    """(E-side ops, F-side ops) of a variant with derivative order bound l.
+
+    strong takes the order-l family on both sides, infty on the F-side
+    only, plain on neither; l = 0 means no derivatives either way.
+    """
+    ops = family_Fl(r, d, l) if variant != "plain" and l > 0 else []
+    return (ops if variant == "strong" else []), ops
+
+
+def sup_ops(delta: Poly, zg, wg, ops) -> float:
+    """Sampled sup of |delta| and of |D delta| over the non-identity ops."""
+    worst = sup_norm(delta, zg, wg)
+    for op in ops:
+        if not op.is_identity:
+            worst = max(worst, sup_norm(delta.diff(op), zg, wg))
+    return worst
+
+
+def center_sups(f: Poly, centers, n: int, enum: Enumeration, sides) -> list:
+    """Worst sup over expansion centers, one value per side.
+
+    Each center gets one rank-n partial sum S of f; a side is a tuple
+    (target, z-grid, w-grid, ops) and measures sup_ops(S - target).
+    """
+    worst = [0.0] * len(sides)
+    for zeta in centers:
+        S = partial_sum(f, zeta, n, enum)
+        worst = [max(v, sup_ops(S - target, zg, wg, ops))
+                 for v, (target, zg, wg, ops) in zip(worst, sides)]
+    return worst
+
+
+def measure_stage(stream: CoefficientStream, lam: int, target: Poly,
+                  outer: ProductCompact, inner: ProductCompact, nz: int, wg,
+                  e_ops, f_ops, varying: bool) -> dict:
+    """Stage errors of the rank-lam truncation of a stream.
+
+    E-side: sup against the stage target on `outer`; F-side: sup against
+    the whole stream on `inner`; both grids take nz points per factor and
+    share the w-grid wg.  With `varying`, the same two sups are also maxed
+    over the center grid of `inner` ("varying_center").  "nz_points" is the
+    size of the outer grid.
+    """
+    zT = outer.sample(n_per_factor=nz)
+    zM = inner.sample(n_per_factor=nz)
+    final = stream.poly()
+    sides = [(target, zT, wg, e_ops), (final, zM, wg, f_ops)]
+    P = stream.partial_sum(lam)
+    e, fv = (sup_ops(P - t, zg, w, ops) for t, zg, w, ops in sides)
+    out = {"e_side_error": e, "f_side_error": fv, "nz_points": len(zT.points)}
+    if varying:
+        centers = center_grid(inner)
+        ve, vf = center_sups(final, centers, lam, stream.enum, sides)
+        out["varying_center"] = {"n_centers": len(centers),
+                                 "e_side_error": ve, "f_side_error": vf}
     return out
 
 
@@ -154,6 +221,9 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     """
     if kind not in ("E", "F"):
         raise ValueError(f"predicate kind must be 'E' or 'F', got {kind!r}")
+    if density < 0:
+        raise ValueError(
+            f"grid density must be a natural number, got {density}")
     closed = spec.variant == "infty"
     nz = density or _Z_DENSITY.get(domain.dim, 8)
     if kind == "E":
@@ -184,23 +254,6 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     return centers, wg, zg, info
 
 
-def _ops_for(kind: str, spec: PredicateSpec, r: int, d: int):
-    if spec.variant == "plain":
-        return []
-    if spec.variant == "strong" or kind == "F":
-        return family_Fl(r, d, spec.l)
-    return []
-
-
-def _sup_ops(delta: Poly, zg, wg, ops) -> float:
-    worst = sup_norm(delta, zg, wg)
-    for op in ops:
-        if op.is_identity:
-            continue
-        worst = max(worst, sup_norm(delta.diff(op), zg, wg))
-    return worst
-
-
 def _run_predicate(kind, f, spec, domain, w_domain, density, enum,
                    catalog, centers):
     if enum is None:
@@ -218,11 +271,9 @@ def _run_predicate(kind, f, spec, domain, w_domain, density, enum,
         centers = grid_centers
     else:
         info = dict(info, n_centers=len(centers))
-    ops = _ops_for(kind, spec, f.r, f.d)
-    worst = 0.0
-    for zeta in centers:
-        S = partial_sum(f, zeta, spec.n, enum)
-        worst = max(worst, _sup_ops(S - target, zg, wg, ops))
+    e_ops, f_ops = variant_ops(spec.variant, f.r, f.d, spec.l or 0)
+    ops = e_ops if kind == "E" else f_ops
+    (worst,) = center_sups(f, centers, spec.n, enum, [(target, zg, wg, ops)])
     return worst < 1.0 / spec.s, worst, info
 
 
@@ -350,42 +401,27 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
     if not cert.stages:
         return True
 
-    r, d = int(h["r"]), int(h["d"])
-    variant = h.get("variant", "plain")
-    l = int(h.get("l", 0) or 0)
-    ops = family_Fl(r, d, l) if variant != "plain" and l > 0 else []
-    e_ops = ops if variant == "strong" else []
-    f_ops = ops if variant in ("strong", "infty") else []
+    e_ops, f_ops = variant_ops(h.get("variant", "plain"), int(h["r"]),
+                               int(h["d"]), int(h.get("l", 0) or 0))
     wj = h.get("w_compact")
     w_compact = ProductCompact.from_json(wj) if wj else None
-    final = stream.poly()
 
     for rec in cert.stages:
-        outer = ProductCompact.from_json(rec["outer"])
-        inner = ProductCompact.from_json(rec["inner"])
-        target = Poly.from_json(rec["target"])
-        nz = int(rec["density"]["nz_per_factor"])
         nw = int(rec["density"]["nw_per_factor"])
-        zT = outer.sample(n_per_factor=nz)
-        zM = inner.sample(n_per_factor=nz)
-        wg = w_compact.sample(n_per_factor=nw) if w_compact else None
-        P = stream.partial_sum(int(rec["lambda"]))
-        e = _sup_ops(P - target, zT, wg, e_ops)
-        fv = _sup_ops(P - final, zM, wg, f_ops)
-        tol = float(rec["tolerance"])
-        if abs(e - rec["e_side_error"]) > 1e-12 or e > tol:
-            return False
-        if abs(fv - rec["f_side_error"]) > 1e-12 or fv > tol:
-            return False
         vc = rec.get("varying_center")
+        got = measure_stage(
+            stream, int(rec["lambda"]), Poly.from_json(rec["target"]),
+            ProductCompact.from_json(rec["outer"]),
+            ProductCompact.from_json(rec["inner"]),
+            int(rec["density"]["nz_per_factor"]),
+            w_compact.sample(n_per_factor=nw) if w_compact else None,
+            e_ops, f_ops, vc is not None)
+        pairs = [(got, rec)]
         if vc is not None:
-            ve = vf = 0.0
-            for zeta in center_grid(inner):
-                S = partial_sum(final, zeta, int(rec["lambda"]), stream.enum)
-                ve = max(ve, _sup_ops(S - target, zT, wg, e_ops))
-                vf = max(vf, _sup_ops(S - final, zM, wg, f_ops))
-            if abs(ve - vc["e_side_error"]) > 1e-12 or ve > tol:
-                return False
-            if abs(vf - vc["f_side_error"]) > 1e-12 or vf > tol:
-                return False
+            pairs.append((got["varying_center"], vc))
+        tol = float(rec["tolerance"])
+        for new, old in pairs:
+            for key in ("e_side_error", "f_side_error"):
+                if abs(new[key] - old[key]) > 1e-12 or new[key] > tol:
+                    return False
     return True

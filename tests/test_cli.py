@@ -69,6 +69,35 @@ def test_schema_violation_is_exit_2(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("budgets", "abc"),
+    ("budgets", [8.5]),
+    ("budgets", [-3]),
+    ("tolerance", float("inf")),
+    ("mu", "mu:arith"),
+], ids=["budgets-string", "budgets-fraction", "budgets-negative",
+        "tolerance-infinite", "mu-without-values"])
+def test_malformed_scenario_field_is_exit_2(tmp_path, capsys, field, value):
+    data = json.load(open(os.path.join(SCEN, "alternating_three.json")))
+    if field == "mu":
+        data["mu"] = value
+    else:
+        data["stages"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["construct", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "rejected" in err and "Traceback" not in err
+
+
+def test_negative_density_is_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
+                 "--density", "-5"]) == 2
+    assert "density" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_infeasible_tolerance_leaves_a_failing_certificate(tmp_path):
     scen = _scenario(tmp_path, stages=[{
         "target": {"constant": [1.0, 0.0]},
@@ -215,6 +244,13 @@ def test_predicates_report_shape_and_values(tmp_path, capsys):
         assert abs(r["achieved"] - 0.25) < 1e-12
         assert r["grid_density"]["nz_per_factor"] == 64
         assert set(r) == {"spec", "achieved", "pass", "grid_density"}
+
+
+def test_predicates_negative_density_is_exit_2(tmp_path, capsys):
+    specs = [{"predicate": "F", "p": 1, "s": 3, "n": 1}]
+    assert main(["predicates", _zsq_path(tmp_path),
+                 _specs_path(tmp_path, specs), "--density", "-3"]) == 2
+    assert "density" in capsys.readouterr().err
 
 
 def test_predicates_empty_batch(tmp_path, capsys):

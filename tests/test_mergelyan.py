@@ -1,5 +1,5 @@
 """Gluing-fit tests: exact reproduction, the two-disk indicator demo,
-divisor constraints, derivative matching and the orthogonalized solver."""
+divisor constraints and derivative matching."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from taylorlab.geometry import Disk, GridSizeError, ProductCompact, Rectangle
-from taylorlab.mergelyan import ApproxTask, FitResult, fit, fit_with_scaling, glue_target
+from taylorlab.mergelyan import ApproxTask, FitResult, fit, glue_target
 from taylorlab.multiindex import DiffOp, family_Fl
 from taylorlab.poly import Poly
 
@@ -37,7 +37,8 @@ def test_exact_reproduction_single_piece():
         res = fit(task)
         assert res.converged
         pts = np.array(random_point(rng, 40, 1.0)).reshape(-1, 1) + 0.3
-        vals = res.poly.eval_points(pts) - g.eval_points(pts)
+        W = np.zeros((1, 0))
+        vals = res.poly.eval_product(W, pts) - g.eval_product(W, pts)
         scale = 1 + max(abs(g.eval((), (z[0],))) for z in pts)
         assert np.abs(vals).max() <= 1e-9 * scale
 
@@ -140,28 +141,8 @@ def test_derivative_matching_glued():
     # the reported residual bounds the derivative mismatch too
     dz = DiffOp((1,))
     grid = ProductCompact([Disk(2.0, 0.25)]).sample(n_per_factor=257)
-    dvals = res.poly.diff(dz).eval_points(grid.points)
+    dvals = res.poly.diff(dz).eval_product(np.zeros((1, 0)), grid.points)
     assert np.abs(dvals).max() <= 4 * res.residual + 1e-12
-
-
-# --------------------------------------------------------------- solver
-
-
-def test_mgs_matches_lstsq():
-    raw = fit(two_disk_task())
-    mgs = fit_with_scaling(two_disk_task())
-    assert mgs.method == "mgs"
-    assert mgs.cond <= raw.cond
-    assert mgs.residual <= 10 * raw.residual
-    assert mgs.converged
-
-
-def test_mgs_exact_reproduction():
-    rng = np.random.default_rng(31)
-    g = random_poly(rng, 0, 1, max_deg=5, nterms=4)
-    task = ApproxTask([_disk_piece(0.0, 1.0, g)], [5], tolerance=1e-8)
-    res = fit_with_scaling(task)
-    assert res.residual <= 1e-9 * (1 + g.coeff_norm())
 
 
 # ------------------------------------------------------------ validation

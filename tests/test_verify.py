@@ -31,8 +31,8 @@ from taylorlab.verify import (
     predicate_grids,
     predicate_record,
     slice_AD_residual,
+    sup_ops,
     verify_certificate,
-    _sup_ops,
 )
 
 from util import oracle_eval, oracle_partial_sum_value, random_poly
@@ -193,8 +193,8 @@ def test_identity_restricted_family_is_the_plain_sup():
     centers, wg, zg, _ = predicate_grids("F", spec, UNIT_DISK)
     from taylorlab.poly import partial_sum
     delta = partial_sum(f, ORIGIN, spec.n, Enumeration(1, "graded-lex")) - f
-    only_id = _sup_ops(delta, zg, wg, [DiffOp.identity(1)])
-    plain = _sup_ops(delta, zg, wg, [])
+    only_id = sup_ops(delta, zg, wg, [DiffOp.identity(1)])
+    plain = sup_ops(delta, zg, wg, [])
     assert only_id == plain
 
 
@@ -360,6 +360,37 @@ def test_certificate_tampering_is_detected():
     forged = Certificate.from_json(data)
     forged.stored_hash = forged.sha256
     assert not verify_certificate(stream, forged)
+
+
+@pytest.mark.parametrize("variant, l, fixed_center, n_stages, tampered", [
+    ("plain", 0, False, 1, ("varying_center", "e_side_error")),
+    ("strong", 1, True, 1, ("e_side_error",)),
+    # two stages, so that the first F-side (a derivative sup) is nonzero
+    ("infty", 1, True, 2, ("f_side_error",)),
+])
+def test_variant_certificates_replay_and_catch_tampering(
+        variant, l, fixed_center, n_stages, tampered):
+    outer = ProductCompact([Disk(2.5 + 0j, 0.15)], disjoint_factor=0)
+    reqs = [StageRequest(Poly.constant((-1.0) ** s, 0, 1), outer,
+                         ProductCompact([Disk(0j, 0.5 + 0.1 * s)]), 1e-1,
+                         [12, 16, 24, 32])
+            for s in range(n_stages)]
+    stream, cert = run_construction(plan_stages(
+        UNIT_DISK, reqs, variant=variant, l=l, fixed_center=fixed_center))
+    assert cert.summary["all_pass"]
+    stream2 = CoefficientStream.from_json(json.loads(json.dumps(
+        stream.to_json(), sort_keys=True)))
+    data = json.loads(json.dumps(cert.to_json(), sort_keys=True))
+    assert verify_certificate(stream2, Certificate.from_json(data))
+
+    entry = data["stages"][0]
+    for key in tampered[:-1]:
+        entry = entry[key]
+    assert entry[tampered[-1]] > 0
+    entry[tampered[-1]] *= 1.5
+    forged = Certificate.from_json(data)
+    forged.stored_hash = forged.sha256
+    assert not verify_certificate(stream2, forged)
 
 
 def test_certificate_empty_is_vacuous():
