@@ -26,6 +26,19 @@ import numpy as np
 from .multiindex import tuple_pair, tuple_unpair
 
 MAX_GRID_POINTS = 10_000_000
+MIN_CURVE_POINTS = 4                 # per curve, at any density
+
+# Samples per factor when no density is given, by use and side; entry i is
+# for a side of dimension i + 1, the last one for every larger dimension.
+DEFAULT_DENSITY = {
+    ("fit", "z"): (400, 96, 28, 12), ("fit", "w"): (48, 12, 8),
+    ("certificate", "z"): (400, 80, 24, 12), ("certificate", "w"): (32, 10, 6),
+    ("predicate", "z"): (128, 16, 8), ("predicate", "w"): (16, 8, 6)}
+
+
+def default_density(use: str, side: str, dim: int) -> int:
+    counts = DEFAULT_DENSITY[use, side]
+    return counts[min(dim, len(counts)) - 1]
 
 
 class GridSizeError(ValueError):
@@ -68,7 +81,8 @@ class PlanarCompact:
                     raise ValueError("spacing must be positive")
                 k = max(1, math.ceil(length / h))
             else:
-                k = max(4, math.ceil(n * length / max(total_len, 1e-300)))
+                k = max(MIN_CURVE_POINTS,
+                        math.ceil(n * length / max(total_len, 1e-300)))
             if k > MAX_GRID_POINTS:
                 raise GridSizeError(
                     f"curve sampling would produce {k} points (cap {MAX_GRID_POINTS})")

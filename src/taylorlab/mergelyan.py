@@ -7,12 +7,18 @@ multiple of (z_i0 - c)^e.  The divisor is baked into the fit basis, so the
 least squares problem ranges over the cofactor only and the returned
 polynomial vanishes at c to the requested order by construction.
 
-Numerics: basis columns are products of per-coordinate scaled monomials
-(x_j / s_j)^g_j with s_j the largest sampled magnitude of coordinate j, so
-on the grid every monomial column has unit sup and the Vandermonde growth
-stays tied to the budget, not the domain radius.  Columns are rescaled to
-unit max before the solve and the truncated-SVD solution (lstsq with a hard
-rcond) absorbs whatever rank deficiency the clustered samples produce.
+Numerics: columns are products of per-coordinate scaled monomials
+(x_j / s_j)^g_j, s_j the largest sampled |x_j|, so each has unit sup on the
+grid.  Sample grids are tensor products of axis samples (w axes, then z
+axes) and columns, divisor and derivatives split by axis, so each block of
+rows is a column subset of a Kronecker product of per-axis matrices; the
+dense (w, z) design is never formed.  Per budget every axis but the one
+with the fewest samples is replaced by the R of its QR and the rhs by Q^H
+times it, an orthonormal change of rows that keeps the dense problem's
+minimizer and singular values (factoring the smallest axis too costs more
+than the solver's own QR).  Columns are scaled to their dense maxima and
+lstsq with a hard rcond truncates the SVD.  Residuals are still measured
+through the assembled polynomial on a grid twice as dense.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 from .geometry import (
     GridSizeError,
     ProductCompact,
+    default_density,
     enclosing_disk,
     sampled_min_distance,
 )
@@ -39,14 +46,6 @@ def _monomials_upto(k: int, budget: int):
     enum = Enumeration(k, "graded-lex")
     count = math.comb(budget + k, k)
     return [enum.unrank(i) for i in range(count)]
-
-
-def _auto_z_count(d: int) -> int:
-    return {1: 400, 2: 96, 3: 28}.get(d, 12)
-
-
-def _auto_w_count(r: int) -> int:
-    return {1: 48, 2: 12}.get(r, 8)
 
 
 @dataclass
@@ -160,63 +159,39 @@ def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
 
 
 def _task_grids(task: ApproxTask, density: int = 1):
-    """Per-piece (W, Z) sample columns at the task's density."""
-    d = task.d
-    nz = (task.n_per_factor or _auto_z_count(d)) * density
-    if task.r == 0:
-        W = np.zeros((1, 0), dtype=complex)
-    else:
+    """Per-piece (W, Z) sample columns at the task's density, and per piece
+    the axis samples (w axes, then z axes) whose product they are."""
+    nz = (task.n_per_factor or default_density("fit", "z", task.d)) * density
+    W, w_axes = np.zeros((1, 0), dtype=complex), []
+    if task.r:
         if task.w_compact is None or task.w_compact.dim != task.r:
             raise ValueError("parameterized task needs a w compact of arity r")
-        nw = (task.n_per_factor or _auto_w_count(task.r)) * density
-        W = task.w_compact.sample(n_per_factor=nw).points
-    out = []
-    for K, _ in task.pieces:
-        Z = K.sample(n_per_factor=nz).points
-        out.append((W, Z))
+        nw = task.n_per_factor or default_density("fit", "w", task.r)
+        wg = task.w_compact.sample(n_per_factor=nw * density)
+        W, w_axes = wg.points, wg.per_factor
+    zgs = [K.sample(n_per_factor=nz) for K, _ in task.pieces]
+    return ([(W, zg.points) for zg in zgs],
+            [w_axes + zg.per_factor for zg in zgs])
+
+
+def _axis_matrix(x, s, b, order=0, divisor=None):
+    """Columns g = 0..b on one axis's samples x: the order-th derivative of
+    (x / s)^g, times (x - c)^e (Leibniz rule) when divisor = (c, e)."""
+    P = np.empty((len(x), b + 1), dtype=complex)
+    P[:, 0] = 1.0
+    scaled = x / s
+    for g in range(1, b + 1):
+        P[:, g] = P[:, g - 1] * scaled
+    c, e = divisor or (0.0, 0)
+    if order == 0:
+        return P * ((x - c) ** e)[:, None] if divisor else P
+    out = np.zeros_like(P)
+    for t in range(max(0, order - e), order + 1):
+        coef = [math.comb(order, t) * math.perm(g, t) * math.perm(e, order - t)
+                / s ** t for g in range(t, b + 1)]
+        pref = (x - c) ** (e - order + t)
+        out[:, t:] += P[:, :b + 1 - t] * np.outer(pref, coef)
     return out
-
-
-def _joint_points(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    # row-major (w outer, z inner) to match eval_product flattening
-    nw, nz = len(W), len(Z)
-    left = np.repeat(W, nz, axis=0)
-    right = np.tile(Z, (nw, 1))
-    return np.concatenate([left, right], axis=1)
-
-
-def _design_block(pts, gammas, index, scales, pref):
-    """Columns of scaled monomials on pts, times the prefactor values."""
-    if len(pts) * len(gammas) > MAX_DESIGN_ENTRIES:
-        raise GridSizeError("design matrix would be too large; lower the "
-                            "budget or the sampling density")
-    scaled = pts / scales
-    A = np.empty((len(pts), len(gammas)), dtype=complex)
-    A[:, 0] = 1.0
-    for col, g in enumerate(gammas):
-        if col == 0:
-            continue
-        j = next(i for i, v in enumerate(g) if v > 0)
-        parent = list(g)
-        parent[j] -= 1
-        A[:, col] = A[:, index[tuple(parent)]] * scaled[:, j]
-    if pref is not None:
-        i0, c, e = pref
-        A *= ((pts[:, [i0]] - c) ** e)
-    return A
-
-
-def _column_polys(task, gammas, scales, pref_poly):
-    """The basis as Poly objects; only needed for derivative rows."""
-    r, d = task.r, task.d
-    cols = []
-    for g in gammas:
-        denom = 1.0
-        for v, s in zip(g, scales):
-            denom *= s ** v
-        mono = Poly.monomial(r, d, g[:r], g[r:], 1.0 / denom)
-        cols.append(mono * pref_poly if pref_poly is not None else mono)
-    return cols
 
 
 def _assemble(task, gammas, coefs, scales, pref_poly) -> Poly:
@@ -256,65 +231,69 @@ def fit(task: ApproxTask) -> FitResult:
     best attempt is returned with converged = False.
     """
     r, d, k = task.r, task.d, task.r + task.d
-    grids = _task_grids(task)
-    verif = _task_grids(task, density=2)
+    grids, axes = _task_grids(task)
+    verif, _ = _task_grids(task, density=2)
 
-    pref = None
-    pref_poly = None
-    if task.prefactor is not None:
+    divisor, pref_poly = {}, None
+    if task.prefactor is not None and task.prefactor[2] > 0:
         i0, c, e = task.prefactor
-        pref = (r + i0, complex(c), int(e))
-        pref_poly = (Poly.z_var(i0, r, d) - complex(c)) ** e if e > 0 else None
-        if e == 0:
-            pref = None
+        divisor = {r + i0: (complex(c), int(e))}
+        pref_poly = (Poly.z_var(i0, r, d) - complex(c)) ** e
 
-    pts_blocks = [_joint_points(W, Z) for W, Z in grids]
-    all_pts = np.concatenate(pts_blocks, axis=0)
-    scales = np.maximum(np.abs(all_pts).max(axis=0), 1e-9) if k else np.ones(0)
-
-    b_max = task.budgets[-1]
-    gammas = _monomials_upto(k, b_max)
-    index = {tuple(g): i for i, g in enumerate(gammas)}
-
-    blocks = [_design_block(p, gammas, index, scales, pref)
-              for p in pts_blocks]
-    rhs = [ (gt.eval_product(W, Z)).reshape(-1)
-            for (W, Z), (K, gt) in zip(grids, task.pieces)]
-
-    block_piece = list(range(len(task.pieces)))
-    ops = [op for op in task.derivative_orders if not op.is_identity]
-    if ops:
-        col_polys = _column_polys(task, gammas, scales, pref_poly)
-        for pi, ((W, Z), (K, gt)) in enumerate(zip(grids, task.pieces)):
-            for op in ops:
-                A_op = np.stack(
-                    [cp.diff(op).eval_product(W, Z).reshape(-1)
-                     for cp in col_polys], axis=1)
-                blocks.append(A_op)
-                rhs.append(gt.diff(op).eval_product(W, Z).reshape(-1))
-                block_piece.append(pi)
+    scales = np.maximum([max(np.abs(ax[j]).max() for ax in axes)
+                         for j in range(k)], 1e-9)
+    gammas = _monomials_upto(k, task.budgets[-1])
+    exps = np.array(gammas).reshape(-1, k)
+    # judged on the dense (w, z) design, though that is never formed
+    rows_max = max(len(W) * len(Z) for W, Z in grids)
+    if rows_max * len(gammas) > MAX_DESIGN_ENTRIES:
+        raise GridSizeError("design matrix would be too large; lower the "
+                            "budget or the sampling density")
 
     tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
     # weighted least squares: a piece with a tighter tolerance gets
     # proportionally heavier rows, so the solver works in units of
     # residual-over-tolerance (measurement below stays unweighted)
     tol_min = min(tols)
-    for i, pi in enumerate(block_piece):
-        w = tol_min / tols[pi]
-        if w != 1.0:
-            blocks[i] = blocks[i] * w
-            rhs[i] = rhs[i] * w
+    ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
+                                  if not op.is_identity]
+    blocks = []                       # (per-axis matrices, rhs, dense axis)
+    for (W, Z), ax, (K, gt), tol in zip(grids, axes, task.pieces, tols):
+        shape = [len(a) for a in ax]
+        keep = shape.index(min(shape))
+        w = tol_min / tol
+        for op in ops:
+            Vs = [_axis_matrix(a, s, task.budgets[-1], o, divisor.get(j))
+                  for j, (a, s, o) in enumerate(zip(ax, scales, op.orders))]
+            y = gt.diff(op).eval_product(W, Z).reshape(shape)
+            if w != 1.0:
+                Vs[keep] = Vs[keep] * w
+                y = y * w
+            blocks.append((Vs, y, keep))
 
-    A_full = np.concatenate(blocks, axis=0)
-    b = np.concatenate(rhs)
-    history = []
-    best = None
-    best_score = math.inf
+    history, best, best_score = [], None, math.inf
     for budget in task.budgets:
         ncols = math.comb(budget + k, k)
-        A = A_full[:, :ncols]
-        colscale = np.maximum(np.abs(A).max(axis=0), 1e-300)
-        coefs_hat, _, _, svals = np.linalg.lstsq(A / colscale, b, rcond=1e-12)
+        cols = exps[:ncols]
+        rows, rhs, colmax = [], [], 0.0
+        for Vs, y, keep in blocks:
+            # the block is the columns `cols` of the Kronecker product of
+            # Vs; QR every axis but `keep` and carry Q^H over to the rhs
+            M, peak = None, 1.0
+            for j, V in enumerate(Vs):
+                V = V[:, :budget + 1]
+                peak = peak * np.abs(V).max(axis=0)[cols[:, j]]
+                if j != keep:
+                    q, V = np.linalg.qr(V)
+                    y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
+                F = V[:, cols[:, j]]
+                M = F if M is None else (M[:, None] * F).reshape(-1, ncols)
+            rows.append(M)
+            rhs.append(y.reshape(-1))
+            colmax = np.maximum(colmax, peak)
+        colscale = np.maximum(colmax, 1e-300)
+        coefs_hat, _, _, svals = np.linalg.lstsq(
+            np.concatenate(rows) / colscale, np.concatenate(rhs), rcond=1e-12)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
         coefs = coefs_hat / colscale
         Q = _assemble(task, gammas[:ncols], coefs, scales, pref_poly)
@@ -333,4 +312,3 @@ def fit(task: ApproxTask) -> FitResult:
             break
     best.residual_history = history
     return best
-

@@ -212,10 +212,16 @@ class Enumeration:
 
     def _graded_unrank(self, k: int, reverse: bool) -> tuple[int, ...]:
         d = self.d
-        t = 0
-        while _offset(t + 1, d) <= k:
-            t += 1
-        m = _lex_unrank_in_block(t, k - _offset(t, d), d)
+        if d == 1:
+            return (k,)
+        # block of k: double, then bisect on offset(lo) <= k < offset(hi)
+        lo, hi = 0, 1
+        while _offset(hi, d) <= k:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _offset(mid, d) <= k else (lo, mid)
+        m = _lex_unrank_in_block(lo, k - _offset(lo, d), d)
         return tuple(reversed(m)) if reverse else m
 
     def _graded_rank(self, m: tuple[int, ...]) -> int:
@@ -251,9 +257,12 @@ class Enumeration:
         """Least n such that every index in the degree box has rank <= n.
 
         The box is {m : m_i <= degrees_i for all i}; the answer is the
-        maximum rank over the (finite) box.
+        maximum rank over the (finite) box.  Under a graded scheme that is
+        the rank of the corner, the box's only index of top total degree.
         """
         degrees = check_multiindex(degrees, self.d)
+        if self.is_graded:
+            return self.rank(degrees)
         ranges = [range(v + 1) for v in degrees]
         return max(self.rank(m) for m in _cartesian(*ranges))
 

@@ -27,9 +27,11 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (
+    MIN_CURVE_POINTS,
     DomainProduct,
     ProductCompact,
     compact_from_json,
+    default_density,
     enumerate_Tm,
     exhaustion_M,
 )
@@ -41,9 +43,6 @@ from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 from .verify import VARIANTS, measure_stage, variant_ops
 
 CERT_FORMAT = "taylorlab-certificate-v1"
-
-_Z_DENSITY = {1: 400, 2: 80, 3: 24}
-_W_DENSITY = {1: 32, 2: 10}
 
 
 @dataclass
@@ -158,9 +157,9 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("derivative order bound must be a natural number")
     if r < 0:
         raise ValueError("parameter count must be a natural number")
-    if cert_density < 0:
-        raise ValueError("certificate density must be a natural number, "
-                         f"got {cert_density}")
+    if cert_density < 0 or 0 < cert_density < MIN_CURVE_POINTS:
+        raise ValueError("certificate density must be 0 (the default) or at "
+                         f"least {MIN_CURVE_POINTS}, got {cert_density}")
     if r > 0 and (w_compact is None or w_compact.dim != r):
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
@@ -376,8 +375,9 @@ def run_construction(plan: StagePlan):
 
     final = stream.poly()
     e_ops, f_ops = variant_ops(plan.variant, plan.r, plan.domain.dim, plan.l)
-    nz = plan.cert_density or _Z_DENSITY.get(plan.domain.dim, 12)
-    nw = _W_DENSITY.get(plan.r, 6) if plan.r > 0 else 0
+    nz = plan.cert_density or default_density("certificate", "z",
+                                              plan.domain.dim)
+    nw = default_density("certificate", "w", plan.r) if plan.r > 0 else 0
     wg = plan.w_compact.sample(n_per_factor=nw) if plan.r > 0 else None
     for req, rec in zip(plan.requests, records):
         got = measure_stage(stream, rec["lambda"], req.target, req.outer,

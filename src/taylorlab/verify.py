@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    MIN_CURVE_POINTS,
     DomainProduct,
     ProductCompact,
     center_grid,
+    default_density,
     enumerate_Tm,
     exhaustion_M,
     sup_norm,
@@ -35,10 +37,6 @@ from .multiindex import Enumeration, cantor_unpair, family_Fl, tuple_unpair
 from .poly import CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
-
-# default per-factor sample counts; a positive density argument overrides
-_Z_DENSITY = {1: 128, 2: 16, 3: 8}
-_W_DENSITY = {1: 16, 2: 8}
 
 
 # ------------------------------------------------------------ the catalog
@@ -221,11 +219,11 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     """
     if kind not in ("E", "F"):
         raise ValueError(f"predicate kind must be 'E' or 'F', got {kind!r}")
-    if density < 0:
-        raise ValueError(
-            f"grid density must be a natural number, got {density}")
+    if density < 0 or 0 < density < MIN_CURVE_POINTS:
+        raise ValueError("grid density must be 0 (the default) or at least "
+                         f"{MIN_CURVE_POINTS}, got {density}")
     closed = spec.variant == "infty"
-    nz = density or _Z_DENSITY.get(domain.dim, 8)
+    nz = density or default_density("predicate", "z", domain.dim)
     if kind == "E":
         zK = enumerate_Tm(domain, spec.m, closure_variant=closed)
     elif closed:
@@ -237,7 +235,7 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     wg = None
     nw = 0
     if w_domain is not None and w_domain.dim > 0:
-        nw = density or _W_DENSITY.get(w_domain.dim, 6)
+        nw = density or default_density("predicate", "w", w_domain.dim)
         if closed and kind == "F":
             wK = exhaustion_M(w_domain, spec.l, closure_variant=True)
         else:

@@ -98,6 +98,18 @@ def test_negative_density_is_exit_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("density", ["1", "3"])
+def test_density_below_curve_minimum_is_exit_2(tmp_path, capsys, density):
+    # every curve gets at least 4 samples, so a density of 1-3 would
+    # certify on 4 points while recording the smaller count
+    out = str(tmp_path / "out")
+    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
+                 "--density", density]) == 2
+    err = capsys.readouterr().err
+    assert "density" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_infeasible_tolerance_leaves_a_failing_certificate(tmp_path):
     scen = _scenario(tmp_path, stages=[{
         "target": {"constant": [1.0, 0.0]},
@@ -251,6 +263,16 @@ def test_predicates_negative_density_is_exit_2(tmp_path, capsys):
     assert main(["predicates", _zsq_path(tmp_path),
                  _specs_path(tmp_path, specs), "--density", "-3"]) == 2
     assert "density" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("density", ["1", "3"])
+def test_predicates_density_below_curve_minimum_is_exit_2(tmp_path, capsys,
+                                                         density):
+    specs = [{"predicate": "F", "p": 1, "s": 3, "n": 1}]
+    assert main(["predicates", _zsq_path(tmp_path),
+                 _specs_path(tmp_path, specs), "--density", density]) == 2
+    err = capsys.readouterr().err
+    assert "density" in err and "Traceback" not in err
 
 
 def test_predicates_empty_batch(tmp_path, capsys):

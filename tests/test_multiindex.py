@@ -142,6 +142,16 @@ def test_capture_index_matches_scan_oracle(scheme, d, degrees):
     assert enum.capture_index(degrees) == oracle_capture_scan(enum, degrees)
 
 
+@given(st.sampled_from(["graded-lex", "graded-revlex"]),
+       st.lists(st.integers(0, 12), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_graded_capture_index_is_box_maximum(scheme, degrees):
+    enum = Enumeration(len(degrees), scheme)
+    box_max = max(enum.rank(m)
+                  for m in cartesian(*[range(v + 1) for v in degrees]))
+    assert enum.capture_index(degrees) == box_max
+
+
 @given(st.integers(0, 100_000), st.integers(0, 100_000))
 @settings(max_examples=300)
 def test_cantor_pair_roundtrip(x, y):
