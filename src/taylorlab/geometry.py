@@ -686,15 +686,10 @@ def cofinality_index(domain: DomainProduct, K: ProductCompact,
 def sup_norm(p, zgrid, wgrid=None) -> float:
     """Sampled sup of |p| over (w, z) grids; wgrid defaults to the empty
     parameter point."""
-    Z = zgrid.points if isinstance(zgrid, SampleGrid) else np.asarray(zgrid)
-    if Z.ndim == 1:
-        Z = Z.reshape(-1, 1)
-    if wgrid is None:
-        W = np.zeros((1, 0), dtype=complex)
-    else:
-        W = wgrid.points if isinstance(wgrid, SampleGrid) else np.asarray(wgrid)
-        if W.ndim == 1:
-            W = W.reshape(-1, 1)
+    Z = zgrid.points if isinstance(zgrid, SampleGrid) else zgrid
+    W = wgrid.points if isinstance(wgrid, SampleGrid) else wgrid
+    if W is None:
+        W = np.zeros((1, 0))
     if len(Z) == 0 or len(W) == 0:
         raise ValueError("sup over an empty grid is undefined")
     return float(np.abs(p.eval_product(W, Z)).max())

@@ -35,17 +35,16 @@ from .geometry import (
     enclosing_disk,
     sampled_min_distance,
 )
-from .multiindex import DiffOp, Enumeration
+from .multiindex import DiffOp, family_Fl
 from .poly import Poly
+from .verify import sup_ops
 
 MAX_DESIGN_ENTRIES = 25_000_000
 
 
 def _monomials_upto(k: int, budget: int):
     """Joint exponent tuples with total degree <= budget, graded order."""
-    enum = Enumeration(k, "graded-lex")
-    count = math.comb(budget + k, k)
-    return [enum.unrank(i) for i in range(count)]
+    return [op.orders for op in family_Fl(0, k, budget)]
 
 
 @dataclass
@@ -210,16 +209,8 @@ def _assemble(task, gammas, coefs, scales, pref_poly) -> Poly:
 
 def _residuals(task, Q: Poly, grids) -> list:
     """Per-piece worst sup of |d^op (Q - target)| over the requested ops."""
-    ops = [op for op in task.derivative_orders if not op.is_identity]
-    out = []
-    for (W, Z), (K, g) in zip(grids, task.pieces):
-        delta = Q - g
-        worst = float(np.abs(delta.eval_product(W, Z)).max())
-        for op in ops:
-            worst = max(worst, float(
-                np.abs(delta.diff(op).eval_product(W, Z)).max()))
-        out.append(worst)
-    return out
+    return [sup_ops(Q - g, Z, W, task.derivative_orders)
+            for (W, Z), (_, g) in zip(grids, task.pieces)]
 
 
 def fit(task: ApproxTask) -> FitResult:

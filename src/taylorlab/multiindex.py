@@ -308,9 +308,6 @@ class DiffOp:
     def identity(cls, n: int) -> "DiffOp":
         return cls((0,) * n)
 
-    def label(self) -> str:
-        return "id" if self.is_identity else "d" + ",".join(map(str, self.orders))
-
 
 class IndexSet:
     """Decidable subset of N from which partial-sum indices are drawn.

@@ -4,7 +4,7 @@ append-only coefficient stream that staged constructions write into.
 
 Coefficient conventions: a term maps an exponent pair (w_exp, z_exp) to one
 complex coefficient; zero coefficients are never stored.  Binomial and
-falling-factorial factors come from math.comb / running products, never from
+falling-factorial factors come from math.comb / math.perm, never from
 raw factorial quotients, so re-centering stays exact in integer arithmetic
 up to the final complex multiply.
 """
@@ -42,6 +42,19 @@ def _as_exp(t, n, what):
     return t
 
 
+def _accumulate(pairs, out=None) -> dict:
+    """Sum (key, coefficient) pairs into `out` in order; a sum that is
+    exactly zero removes its key."""
+    out = {} if out is None else out
+    for key, c in pairs:
+        s = out.get(key, 0j) + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
 class Poly:
     """Sparse polynomial over C in w_1..w_r (parameters) and z_1..z_d."""
 
@@ -52,19 +65,10 @@ class Poly:
             raise ValueError("coordinate counts must be natural numbers")
         self.r = r
         self.d = d
-        clean: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
-        if terms:
-            for (we, ze), c in (terms.items() if hasattr(terms, "items") else terms):
-                c = complex(c)
-                if c == 0:
-                    continue
-                key = (_as_exp(we, r, "w"), _as_exp(ze, d, "z"))
-                c = clean.get(key, 0j) + c
-                if c == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = c
-        self.terms = clean
+        items = terms.items() if hasattr(terms, "items") else terms or ()
+        self.terms = _accumulate(
+            ((_as_exp(we, r, "w"), _as_exp(ze, d, "z")), c)
+            for (we, ze), c in ((k, complex(v)) for k, v in items) if c != 0)
 
     # -- constructors --------------------------------------------------
 
@@ -119,15 +123,6 @@ class Poly:
                 degs[i] = max(degs[i], e)
         return tuple(degs)
 
-    def w_degrees(self):
-        if self.is_zero:
-            return None
-        degs = [0] * self.r
-        for (we, _) in self.terms:
-            for i, e in enumerate(we):
-                degs[i] = max(degs[i], e)
-        return tuple(degs)
-
     def total_z_degree(self) -> int:
         """Max total z-degree over the support; -1 for the zero polynomial."""
         return max((sum(ze) for (_, ze) in self.terms), default=-1)
@@ -149,15 +144,8 @@ class Poly:
         if isinstance(other, (int, float, complex)):
             other = Poly.constant(other, self.r, self.d)
         self._check_shape(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0j) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
         p = Poly(self.r, self.d)
-        p.terms = out
+        p.terms = _accumulate(other.terms.items(), dict(self.terms))
         return p
 
     __radd__ = __add__
@@ -184,18 +172,12 @@ class Poly:
             p.terms = {k: c * other for k, c in self.terms.items()}
             return p
         self._check_shape(other)
-        out: dict = {}
-        for (wa, za), ca in self.terms.items():
-            for (wb, zb), cb in other.terms.items():
-                key = (tuple(x + y for x, y in zip(wa, wb)),
-                       tuple(x + y for x, y in zip(za, zb)))
-                s = out.get(key, 0j) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
         p = Poly(self.r, self.d)
-        p.terms = out
+        p.terms = _accumulate(
+            ((tuple(x + y for x, y in zip(wa, wb)),
+              tuple(x + y for x, y in zip(za, zb))), ca * cb)
+            for (wa, za), ca in self.terms.items()
+            for (wb, zb), cb in other.terms.items())
         return p
 
     __rmul__ = __mul__
@@ -216,29 +198,10 @@ class Poly:
 
     def eval(self, w, z) -> complex:
         """Value at one point; w and z are sequences of complex scalars."""
-        w = tuple(complex(v) for v in w)
-        z = tuple(complex(v) for v in z)
+        w, z = tuple(w), tuple(z)
         if len(w) != self.r or len(z) != self.d:
             raise ValueError("evaluation point has wrong arity")
-        cache: dict[tuple[int, int], complex] = {}
-
-        def powv(vals, offset, exps):
-            out = 1.0 + 0j
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                key = (offset + i, e)
-                if key not in cache:
-                    cache[key] = vals[i] ** e
-                out *= cache[key]
-            return out
-
-        # canonical term order: the sum must not depend on how the poly
-        # was assembled, or recomputed sups drift at the last bit
-        total = 0j
-        for (we, ze), c in sorted(self.terms.items()):
-            total += c * powv(w, 0, we) * powv(z, self.r, ze)
-        return total
+        return complex(self.eval_product([w], [z])[0, 0])
 
     def eval_product(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Values on the product grid: result[i, j] = p(W[i], Z[j]).
@@ -250,7 +213,8 @@ class Poly:
         Z = _as_grid(Z, self.d)
         nw, nz = W.shape[0], Z.shape[0]
         out = np.zeros((nw, nz), dtype=complex)
-        # canonical term order, see eval
+        # canonical term order: the sum must not depend on how the poly
+        # was assembled, or recomputed sups drift at the last bit
         groups: dict[tuple[int, ...], list] = {}
         for (we, ze), c in sorted(self.terms.items()):
             groups.setdefault(we, []).append((ze, c))
@@ -290,26 +254,13 @@ class Poly:
         if op.is_identity:
             return self
         wo, zo = op.orders[:self.r], op.orders[self.r:]
-        out: dict = {}
-        for (we, ze), c in self.terms.items():
-            if any(e < o for e, o in zip(we, wo)) or any(e < o for e, o in zip(ze, zo)):
-                continue
-            fac = 1
-            for e, o in zip(we, wo):
-                for t in range(o):
-                    fac *= e - t
-            for e, o in zip(ze, zo):
-                for t in range(o):
-                    fac *= e - t
-            key = (tuple(e - o for e, o in zip(we, wo)),
-                   tuple(e - o for e, o in zip(ze, zo)))
-            s = out.get(key, 0j) + c * fac
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+        # math.perm(e, o) is the falling factorial; it is 0 when o > e
         p = Poly(self.r, self.d)
-        p.terms = out
+        p.terms = _accumulate(
+            ((tuple(e - o for e, o in zip(we, wo)),
+              tuple(e - o for e, o in zip(ze, zo))), c * fac)
+            for (we, ze), c in self.terms.items()
+            if (fac := math.prod(map(math.perm, we + ze, op.orders))))
         return p
 
     def shift_center(self, zeta) -> "Poly":
@@ -398,23 +349,20 @@ def gamma_poly(f: Poly, zeta, m) -> Poly:
     zeta = tuple(complex(v) for v in zeta)
     if len(zeta) != f.d:
         raise ValueError(f"center has length {len(zeta)}, expected {f.d}")
-    acc: dict = {}
-    for (we, ze), c in f.terms.items():
-        if any(b < o for b, o in zip(ze, m)):
-            continue
-        fac = c
-        for b, o, zv in zip(ze, m, zeta):
-            fac *= math.comb(b, o)
-            if b - o:
-                fac *= zv ** (b - o)
-        key = (we, ())
-        s = acc.get(key, 0j) + fac
-        if s == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
+
+    def terms():
+        for (we, ze), c in f.terms.items():
+            if any(b < o for b, o in zip(ze, m)):
+                continue
+            fac = c
+            for b, o, zv in zip(ze, m, zeta):
+                fac *= math.comb(b, o)
+                if b - o:
+                    fac *= zv ** (b - o)
+            yield (we, ()), fac
+
     p = Poly(f.r, 0)
-    p.terms = acc
+    p.terms = _accumulate(terms())
     return p
 
 

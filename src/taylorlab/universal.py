@@ -67,6 +67,10 @@ class StageRequest:
         if i0 is None:
             raise ValueError("the outer compact needs a flagged factor that "
                              "stays off the domain")
+        for side, K in (("outer", self.outer), ("inner", self.inner)):
+            if not K.factors[i0].complement_connected:
+                raise ValueError(f"{side} factor {i0} may enclose holes; "
+                                 "gluing needs a connected complement")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("stage tolerance must be positive and finite")
         b = self.budgets
@@ -170,6 +174,11 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
             "later truncations explode away from the reference center")
     for req in requests:
         req.validate(domain, r, variant)
+    if any(center[req.outer.disjoint_factor] != 0 for req in requests[1:]):
+        raise ValueError(
+            "stages after the first need the center at 0 on their divisor "
+            "coordinate; the fit expands the divisor about 0 and re-centering "
+            "its block would touch the frozen prefix")
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
                      variant, int(l), bool(fixed_center), str(name),
                      int(seed), int(cert_density))

@@ -75,8 +75,11 @@ def test_schema_violation_is_exit_2(tmp_path, capsys):
     ("budgets", [-3]),
     ("tolerance", float("inf")),
     ("mu", "mu:arith"),
+    ("outer", {"type": "union", "parts": [
+        {"type": "disk", "center": [2.5, 0.0], "radius": 0.15},
+        {"type": "disk", "center": [2.6, 0.0], "radius": 0.15}]}),
 ], ids=["budgets-string", "budgets-fraction", "budgets-negative",
-        "tolerance-infinite", "mu-without-values"])
+        "tolerance-infinite", "mu-without-values", "outer-encloses-holes"])
 def test_malformed_scenario_field_is_exit_2(tmp_path, capsys, field, value):
     data = json.load(open(os.path.join(SCEN, "alternating_three.json")))
     if field == "mu":
@@ -165,6 +168,39 @@ def test_fixed_center_flag_moves_the_expansion_point(tmp_path):
     assert cert["header"]["center"] == [[0.1, 0.0]]
 
 
+@pytest.mark.parametrize("name, center", [
+    ("alternating_three.json", "0.1,0.0"),
+    ("two_stage_conflict.json", "0.0,0.5"),
+])
+def test_multi_stage_center_off_zero_on_the_divisor_is_exit_2(
+        tmp_path, capsys, name, center):
+    # later stages fit (z - c)^e about 0; re-centering such a block would
+    # land below the frontier
+    out = str(tmp_path / "out")
+    assert main(["construct", os.path.join(SCEN, name), "--out-dir", out,
+                 "--fixed-center", center]) == 2
+    err = capsys.readouterr().err
+    assert "rejected" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_multi_stage_center_off_the_divisor_axis_constructs(tmp_path):
+    def disk(c, rad):
+        return {"type": "disk", "center": [c, 0.0], "radius": rad}
+    unit = {"type": "open-disk", "center": [0.0, 0.0], "radius": 1.0}
+    scen = _scenario(tmp_path, domain=[unit, unit], stages=[{
+        "target": {"constant": [1.0 - 2 * s, 0.0]},
+        "outer": {"factors": [disk(2.5, 0.15), disk(0.0, 0.5)],
+                  "disjoint_factor": 0},
+        "inner": {"factors": [disk(0.0, 0.5 + 0.05 * s)] * 2},
+        "tolerance": 0.01, "budgets": [8, 12, 16, 20, 24]} for s in range(2)])
+    out = str(tmp_path / "out")
+    assert main(["construct", scen, "--out-dir", out,
+                 "--fixed-center", "0,0,0.3,0"]) == 0
+    assert main(["verify", os.path.join(out, "stream.json"),
+                 os.path.join(out, "certificate.json")]) == 0
+
+
 def test_identical_runs_are_byte_identical(tmp_path):
     scen = _scenario(tmp_path)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -187,6 +223,24 @@ def test_shipped_scenarios_parse():
             data, target_resolver=lambda j: catalog_poly(
                 j, int(data.get("r", 0)), len(data["domain"])))
         assert plan.requests
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(SCEN)
+    if f.endswith(".json") and "stages" in json.load(open(os.path.join(SCEN, f)))))
+def test_shipped_scenario_end_to_end(tmp_path, name):
+    # reruns are byte-identical and verify agrees with the summary
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    for out in (a, b):
+        main(["construct", os.path.join(SCEN, name), "--out-dir", out])
+    for fname in ("certificate.json", "stream.json", "history.csv"):
+        with open(os.path.join(a, fname), "rb") as fa, \
+                open(os.path.join(b, fname), "rb") as fb:
+            assert fa.read() == fb.read()
+    cert = json.load(open(os.path.join(a, "certificate.json")))
+    rc = main(["verify", os.path.join(a, "stream.json"),
+               os.path.join(a, "certificate.json")])
+    assert (rc == 0) == cert["summary"]["all_pass"]
 
 
 # -------------------------------------------------------------------- verify

@@ -29,6 +29,21 @@ def test_eval_matches_oracle():
         assert rel_err(p.eval(w, z), oracle_eval(p, w, z)) < 1e-12
 
 
+def test_eval_is_one_point_of_eval_product():
+    # one evaluator: a point value is the 1 x 1 product grid, bit for bit
+    rng = np.random.default_rng(14)
+    for r in range(3):
+        for d in (1, 2):
+            for _ in range(30):
+                p = random_poly(rng, r, d, max_deg=11, nterms=12)
+                w = random_point(rng, r)
+                z = random_point(rng, d)
+                got = p.eval(w, z)
+                want = complex(p.eval_product([w], [z])[0, 0])
+                assert (got.real.hex(), got.imag.hex()) == (
+                    want.real.hex(), want.imag.hex())
+
+
 def test_eval_points_and_product_match_oracle():
     rng = np.random.default_rng(12)
     p = random_poly(rng, 1, 2, max_deg=4, nterms=12)
