@@ -5,7 +5,7 @@ a coefficient stream, a certificate, and an error-history CSV; `verify`
 replays a certificate against its stream; `predicates` batch-evaluates
 membership predicates on an explicit polynomial.  Exit codes are part of
 the interface: 0 success, 1 a predicate or stage failed, 2 the input was
-unusable (malformed JSON, schema violation, missing file).
+unusable (missing file, malformed JSON, or refused by the library).
 """
 
 from __future__ import annotations
@@ -15,17 +15,17 @@ import json
 import os
 import sys
 
-from .geometry import DomainProduct, GridSizeError
+from .geometry import DomainProduct
 from .poly import CoefficientStream, Poly
 from .universal import Certificate, plan_from_scenario, run_construction
-from .verify import (VARIANTS, PredicateSpec, catalog_poly, predicate_record,
-                     verify_certificate)
+from .verify import (VARIANTS, PredicateSpec, VerificationRefused,
+                     catalog_poly, predicate_record, verify_certificate)
 
 VERBOSE = os.environ.get("TAYLORLAB_VERBOSE", "") not in ("", "0")
 
 
-def _say(msg: str):
-    print(msg)
+class InputError(Exception):
+    """An unusable input; `main` prints the message and exits 2."""
 
 
 def _chat(msg: str):
@@ -33,18 +33,18 @@ def _chat(msg: str):
         print(msg, file=sys.stderr)
 
 
-def _load_json(path: str):
-    """Parsed file, or (exit_code, message) on anything unusable."""
+def _load_json(path: str) -> dict:
+    """The JSON object a file holds; InputError on anything unusable."""
     try:
         with open(path) as fh:
-            return json.load(fh), None
-    except FileNotFoundError:
-        return None, (2, f"{path}: no such file")
-    except IsADirectoryError:
-        return None, (2, f"{path}: is a directory")
-    except json.JSONDecodeError as exc:
-        return None, (2, f"{path}: {exc.msg} (line {exc.lineno} "
-                         f"column {exc.colno})")
+            data = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:         # invalid JSON names line and column
+        raise InputError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _parse_center(text: str):
@@ -58,19 +58,12 @@ def _parse_center(text: str):
 
 
 def cmd_construct(args) -> int:
-    data, err = _load_json(args.scenario)
-    if err:
-        print(err[1], file=sys.stderr)
-        return err[0]
-
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.density is not None:
-        data["cert_density"] = args.density
-    if args.variant is not None:
-        data["variant"] = args.variant
-    if args.fixed_center is not None:
-        data["center"] = args.fixed_center
+    data = _load_json(args.scenario)
+    for key, value in (("seed", args.seed), ("cert_density", args.density),
+                       ("variant", args.variant),
+                       ("center", args.fixed_center)):
+        if value is not None:
+            data[key] = value
 
     try:
         r = int(data.get("r", 0))
@@ -78,14 +71,11 @@ def cmd_construct(args) -> int:
         plan = plan_from_scenario(
             data, target_resolver=lambda j: catalog_poly(j, r, d))
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"scenario rejected: {exc}", file=sys.stderr)
-        return 2
-
+        raise InputError(f"scenario rejected: {exc}") from None
     try:
         stream, cert = run_construction(plan)
-    except GridSizeError as exc:
-        print(f"scenario rejected: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise InputError(f"scenario rejected: {exc}") from None
 
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "stream.json"), "w") as fh:
@@ -100,16 +90,16 @@ def cmd_construct(args) -> int:
               f"pass={rec['pass_e'] and rec['pass_f']}")
     summary = cert.summary
     if summary["aborted"]:
-        _say(f"aborted at stage {summary['aborted']['stage']}: "
-             f"{summary['aborted']['reason']}")
-        _say(f"partial certificate in {args.out_dir}")
+        print(f"aborted at stage {summary['aborted']['stage']}: "
+              f"{summary['aborted']['reason']}")
+        print(f"partial certificate in {args.out_dir}")
         return 1
     if not summary["all_pass"]:
         worst = max(summary["e_side_max"], summary["f_side_max"])
-        _say(f"stage failure: worst sampled error {worst:.3e}; "
-             f"certificate in {args.out_dir}")
+        print(f"stage failure: worst sampled error {worst:.3e}; "
+              f"certificate in {args.out_dir}")
         return 1
-    _say(f"{summary['stages']} stage(s) pass; artifacts in {args.out_dir}")
+    print(f"{summary['stages']} stage(s) pass; artifacts in {args.out_dir}")
     return 0
 
 
@@ -117,26 +107,19 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sdata, err = _load_json(args.stream)
-    if err:
-        print(err[1], file=sys.stderr)
-        return err[0]
-    cdata, err = _load_json(args.certificate)
-    if err:
-        print(err[1], file=sys.stderr)
-        return err[0]
+    sdata = _load_json(args.stream)
+    cdata = _load_json(args.certificate)
     try:
         stream = CoefficientStream.from_json(sdata)
         cert = Certificate.from_json(cdata)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"artifact rejected: {exc}", file=sys.stderr)
-        return 2
-    try:
         ok = verify_certificate(stream, cert)
-    except ValueError as exc:
-        _say(str(exc))
+    except VerificationRefused as exc:
+        print(exc)
         return 1
-    _say("certificate verified" if ok else "certificate does NOT match")
+    # LookupError: a missing field or a rank past the stream's frontier
+    except (LookupError, TypeError, ValueError) as exc:
+        raise InputError(f"artifact rejected: {exc}") from None
+    print("certificate verified" if ok else "certificate does NOT match")
     return 0 if ok else 1
 
 
@@ -144,15 +127,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_predicates(args) -> int:
-    cdata, err = _load_json(args.candidate)
-    if err:
-        print(err[1], file=sys.stderr)
-        return err[0]
-    sdata, err = _load_json(args.specs)
-    if err:
-        print(err[1], file=sys.stderr)
-        return err[0]
-
+    cdata = _load_json(args.candidate)
+    sdata = _load_json(args.specs)
     try:
         f = Poly.from_json(cdata)
         domain = DomainProduct.from_json(sdata["domain"])
@@ -166,6 +142,8 @@ def cmd_predicates(args) -> int:
                              "domain disagrees")
         rows = []
         for entry in sdata.get("specs", []):
+            if not isinstance(entry, dict):
+                raise ValueError(f"spec entry {entry!r} is not an object")
             kind = entry.get("predicate", "E")
             if kind not in ("E", "F"):
                 raise ValueError(f"unknown predicate kind {kind!r}")
@@ -176,16 +154,14 @@ def cmd_predicates(args) -> int:
                 body["fixed_center"] = args.fixed_center
             rows.append((kind, PredicateSpec.from_json(body)))
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"specs rejected: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"specs rejected: {exc}") from None
 
     try:
         report = [predicate_record(kind, f, spec, domain, w_domain,
                                    density=args.density or 0)
                   for kind, spec in rows]
-    except (GridSizeError, ValueError) as exc:
-        print(f"predicate run failed: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise InputError(f"predicate run failed: {exc}") from None
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
 
@@ -236,11 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "construct":
-        return cmd_construct(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_predicates(args)
+    command = {"construct": cmd_construct, "verify": cmd_verify,
+               "predicates": cmd_predicates}[args.command]
+    try:
+        return command(args)
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

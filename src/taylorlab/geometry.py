@@ -730,14 +730,6 @@ def sampled_min_distance(A: PlanarCompact, B: PlanarCompact, n: int = 200) -> fl
     return float(np.abs(a[:, None] - b[None, :]).min())
 
 
-def enclosing_disk(parts: list[PlanarCompact], margin: float = 1e-9) -> Disk:
-    """Closed disk containing every part (bounding-box midpoint center)."""
-    pts = np.concatenate([p.sample_boundary(n=128) for p in parts])
-    c = complex((pts.real.min() + pts.real.max()) / 2,
-                (pts.imag.min() + pts.imag.max()) / 2)
-    return Disk(c, float(np.abs(pts - c).max()) + margin)
-
-
 def complement_escape(blockers: list[PlanarCompact], probe: complex,
                       box_radius: float | None = None,
                       step: float | None = None) -> bool:

@@ -24,7 +24,7 @@ through the assembled polynomial on a grid twice as dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .geometry import (
     GridSizeError,
     ProductCompact,
     default_density,
-    enclosing_disk,
     sampled_min_distance,
 )
 from .multiindex import DiffOp, family_Fl
@@ -60,7 +59,6 @@ class ApproxTask:
     prefactor: tuple | None = None    # (i0, center, exponent)
     n_per_factor: int = 0             # 0 picks a dimension-based default
     piece_tolerances: list | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.pieces:
@@ -115,14 +113,13 @@ def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
 
     The i0 factors of distinct pieces must stay a positive sampled distance
     apart and each must keep its complement connected; the remaining
-    coordinates are only recorded through a shared enclosing ball.
+    coordinates are unconstrained.
     """
     if not pieces:
         raise ValueError("nothing to glue")
     d = pieces[0][0].dim
     if not (0 <= i0 < d):
         raise ValueError("gluing coordinate out of range")
-    gaps = []
     samples = [K.factors[i0].sample_boundary(n=128) for K, _ in pieces]
     for a in range(len(pieces)):
         Ka = pieces[a][0].factors[i0]
@@ -139,19 +136,11 @@ def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
                 raise ValueError(
                     f"pieces {a} and {b} are only {g:.3g} apart on "
                     f"coordinate {i0} (need > {min_gap})")
-            gaps.append(g)
-    balls = {}
-    for i in range(d):
-        if i != i0:
-            balls[str(i)] = enclosing_disk(
-                [K.factors[i] for K, _ in pieces]).to_json()
-    meta = {"i0": i0, "min_gap": min(gaps) if gaps else math.inf,
-            "balls": balls}
     return ApproxTask(list(pieces), list(budgets), tolerance, r=r,
                       w_compact=w_compact,
                       derivative_orders=tuple(derivative_orders),
                       prefactor=prefactor, n_per_factor=n_per_factor,
-                      piece_tolerances=piece_tolerances, meta=meta)
+                      piece_tolerances=piece_tolerances)
 
 
 # ------------------------------------------------------------------ fit
@@ -219,7 +208,8 @@ def fit(task: ApproxTask) -> FitResult:
     Residuals are measured on an independent grid at twice the sampling
     density, evaluated through the assembled polynomial so that reported
     numbers include reconstruction rounding.  If no budget converges the
-    best attempt is returned with converged = False.
+    best attempt is returned with converged = False; if no attempt scores
+    below infinity (NaN or overflowing residuals), the first one is.
     """
     r, d, k = task.r, task.d, task.r + task.d
     grids, axes = _task_grids(task)
@@ -296,10 +286,10 @@ def fit(task: ApproxTask) -> FitResult:
                          ncols, converged)
         # prefer the budget that best satisfies the per-piece tolerances
         score = max(r / t for r, t in zip(piece_res, tols))
-        if score < best_score:
-            best, best_score = cand, score
+        if converged or best is None or score < best_score:
+            # a NaN score is kept as inf, so any finite one replaces it
+            best, best_score = cand, score if score < math.inf else math.inf
         if converged:
-            best = cand
             break
     best.residual_history = history
     return best

@@ -168,6 +168,8 @@ class Enumeration:
 
     @classmethod
     def from_tag(cls, tag: str, d: int) -> "Enumeration":
+        if not isinstance(tag, str):
+            raise ValueError(f"enumeration tag must be a string, got {tag!r}")
         if tag.startswith("explicit-table:"):
             rest = tag.split(":", 1)[1]
             ext = None
@@ -378,6 +380,8 @@ class IndexSet:
 
     @classmethod
     def from_tag(cls, tag: str) -> "IndexSet":
+        if not isinstance(tag, str):
+            raise ValueError(f"index-set tag must be a string, got {tag!r}")
         parts = tag.split(":")
         if parts[0] != "mu" or len(parts) < 2:
             raise ValueError(f"malformed index-set tag {tag!r}")

@@ -507,6 +507,8 @@ class CoefficientStream:
         center = [complex(re, im) for re, im in data["center"]]
         stream = cls(enum, center, int(data["r"]))
         for b in data["blocks"]:
+            if not isinstance(b["coeffs"], dict):
+                raise ValueError("stream block coefficients must be an object")
             coeffs = {int(k): Poly.from_json(c) for k, c in b["coeffs"].items()}
             stream.append_block(b["stage"], coeffs, int(b["n_max"]))
         return stream

@@ -20,6 +20,7 @@ error vanishes identically at every center.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import hashlib
 import json
@@ -67,10 +68,12 @@ class StageRequest:
         if i0 is None:
             raise ValueError("the outer compact needs a flagged factor that "
                              "stays off the domain")
-        for side, K in (("outer", self.outer), ("inner", self.inner)):
-            if not K.factors[i0].complement_connected:
-                raise ValueError(f"{side} factor {i0} may enclose holes; "
-                                 "gluing needs a connected complement")
+        if not all(map(cmath.isfinite, self.target.terms.values())):
+            raise ValueError("stage target coefficients must be finite")
+        # (a non-finite inner factor fails the containment check below)
+        for i, f in enumerate(self.outer.factors):
+            if not all(map(cmath.isfinite, f.sample_boundary(n=128))):
+                raise ValueError(f"outer factor {i} is not finite")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("stage tolerance must be positive and finite")
         b = self.budgets
@@ -187,17 +190,6 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
 # ------------------------------------------------------------------ stages
 
 
-def _stream_degrees(stream: CoefficientStream):
-    degs = [0] * stream.d
-    found = False
-    for b in stream.blocks:
-        for k in b.coeffs:
-            m = stream.enum.unrank(k)
-            degs = [max(a, v) for a, v in zip(degs, m)]
-            found = True
-    return degs if found else None
-
-
 def _stage_tolerances(requests):
     """Per-stage [inner, outer] fit tolerances.
 
@@ -229,7 +221,8 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     """
     enum, center, r = stream.enum, stream.center, stream.r
     frontier = stream.frontier
-    degs = _stream_degrees(stream) or [0] * stream.d
+    P = stream.poly()
+    degs = P.z_degrees() or [0] * stream.d
     if frontier >= 0:
         e = max(sum(degs) + 1, sum(enum.unrank(frontier)) + 1)
     else:
@@ -244,7 +237,6 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
             f"stage {stage_id}: the divisor center {c0:.4g} touches the "
             "outer compact; its zero set would poison the fit")
 
-    P = stream.poly()
     pieces = [(req.inner, Poly.zero(r, stream.d)), (req.outer, req.target - P)]
     if piece_tols is None:
         piece_tols = [req.tolerance, req.tolerance]
@@ -278,13 +270,11 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
             f"after the capture rank {capture}") from exc
 
     stream.append_block(f"stage-{stage_id}", coeffs, lam)
-    # graded enumeration: the top stored rank has the top total degree
-    top = max((max(b.coeffs) for b in stream.blocks if b.coeffs), default=None)
 
-    # the rank-lambda truncation must reproduce the stream exactly; this is
+    # the capture-rank truncation must reproduce the stream exactly; this is
     # the F-side of the stage predicate at the reference center, and by the
     # capture property it holds coefficient for coefficient
-    cap_delta = stream.partial_sum(lam) - stream.poly()
+    cap_delta = stream.partial_sum(capture) - stream.poly()
     capture_residual = max((abs(v) for v in cap_delta.terms.values()),
                            default=0.0)
 
@@ -306,7 +296,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         "target": req.target.to_json(),
         "outer": req.outer.to_json(),
         "inner": req.inner.to_json(),
-        "max_degree": sum(enum.unrank(top)) if top is not None else 0,
+        "max_degree": max(stream.poly().total_z_degree(), 0),
     }
 
 
@@ -344,6 +334,8 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
+        if not isinstance(data["header"], dict):
+            raise ValueError("certificate header must be an object")
         cert = cls(data["header"], data["stages"], data["summary"])
         cert.stored_hash = data.get("sha256")
         return cert

@@ -39,6 +39,10 @@ from .poly import CoefficientStream, Poly, partial_sum
 VARIANTS = ("plain", "strong", "infty")
 
 
+class VerificationRefused(ValueError):
+    """A certificate and a stream that do not belong together."""
+
+
 # ------------------------------------------------------------ the catalog
 
 
@@ -378,20 +382,21 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
     Grids are rebuilt from the recorded compacts and densities; each
     recomputed sup must land within 1e-12 of the recorded value and under
     the stage tolerance.  A certificate whose enumeration or center does
-    not match the stream is refused (raised, not False); a stored whole-
-    body hash that no longer matches fails immediately.  A certificate
-    with no stages verifies vacuously.
+    not match the stream is refused (VerificationRefused, not False); a
+    stored whole-body hash that no longer matches fails immediately.  A
+    certificate with no stages verifies vacuously.
     """
     h = cert.header
     if h.get("enumeration") != stream.enum.tag:
-        raise ValueError(
+        raise VerificationRefused(
             "verification refused: certificate enumeration "
             f"{h.get('enumeration')!r} does not match the stream's "
             f"{stream.enum.tag!r}")
     center = tuple(complex(re, im) for re, im in h.get("center", []))
     if center != stream.center:
-        raise ValueError("verification refused: certificate center does not "
-                         "match the stream's expansion center")
+        raise VerificationRefused(
+            "verification refused: certificate center does not match the "
+            "stream's expansion center")
 
     stored = getattr(cert, "stored_hash", None)
     if stored is not None and stored != cert.sha256:
@@ -420,6 +425,7 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
         tol = float(rec["tolerance"])
         for new, old in pairs:
             for key in ("e_side_error", "f_side_error"):
-                if abs(new[key] - old[key]) > 1e-12 or new[key] > tol:
+                # a NaN anywhere fails
+                if not (abs(new[key] - old[key]) <= 1e-12 and new[key] <= tol):
                     return False
     return True

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from taylorlab.cli import main
-from taylorlab.universal import plan_from_scenario
+from taylorlab.universal import Certificate, plan_from_scenario
 from taylorlab.verify import catalog_poly
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -357,3 +357,107 @@ def test_predicates_shipped_demo(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert [r["pass"] for r in report] == [True, False, True, False]
+
+
+# ------------------------------------------------------------ refusal table
+
+NAN = float("nan")
+DROP = object()
+
+
+def _edit(doc, path, value):
+    """`doc` with the entry at `path` set to `value` (DROP deletes it)."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+# (file edited, path in it, new value, exit code, start of the message);
+# scenarios edit seleznev.json, streams and certificates its artifacts
+# (re-hashed after the edit), specs predicates_demo.json
+REFUSALS = [
+    ("scenario", (), [], 2, "{file}: the top level must be a JSON object"),
+    ("scenario", ("enumeration",), 0, 2, "scenario rejected"),
+    ("scenario", ("mu",), [], 2, "scenario rejected"),
+    ("scenario", ("stages", 0, "target", "constant"), [NAN, 0], 2,
+     "scenario rejected"),
+    ("scenario", ("stages", 0, "outer", "center"), [NAN, 0], 2,
+     "scenario rejected"),
+    ("scenario", ("stages", 0, "target", "constant"), [1e308, 0], 1,
+     "stage failure"),
+    ("stream", (), [], 2, "{file}: the top level must be a JSON object"),
+    ("stream", ("enumeration",), 1, 2, "artifact rejected"),
+    ("stream", ("blocks", 0, "coeffs"), [], 2, "artifact rejected"),
+    ("certificate", ("header",), [], 2, "artifact rejected"),
+    ("certificate", ("header", "r"), DROP, 2, "artifact rejected"),
+    ("certificate", ("header", "d"), DROP, 2, "artifact rejected"),
+    *[("certificate", ("stages", 0, key), DROP, 2, "artifact rejected")
+      for key in ("lambda", "target", "outer", "inner", "density",
+                  "tolerance", "e_side_error", "f_side_error")],
+    ("certificate", ("stages", 0, "density"), "x", 2, "artifact rejected"),
+    ("certificate", ("stages", 0, "lambda"), -1, 2, "artifact rejected"),
+    ("certificate", ("stages",), [1], 2, "artifact rejected"),
+    ("certificate", ("stages", 0, "e_side_error"), NAN, 1,
+     "certificate does NOT match"),
+    ("specs", ("specs",), "x", 2, "specs rejected"),
+    *[("specs", ("specs", 0), v, 2, "specs rejected")
+      for v in (1.5, None, True)],
+]
+
+
+def _refusal_id(case):
+    file, path, value, code, _ = case
+    shown = "drop" if value is DROP else json.dumps(value, separators=(",", ":"))
+    return f"{file}:{'.'.join(map(str, path)) or 'top'}={shown}->{code}"
+
+
+@pytest.fixture(scope="module")
+def seleznev_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seleznev")
+    assert main(["construct", os.path.join(SCEN, "seleznev.json"),
+                 "--out-dir", str(out)]) == 0
+    return {name: (out / f"{name}.json").read_text()
+            for name in ("stream", "certificate")}
+
+
+@pytest.mark.parametrize("file, path, value, code, prefix", REFUSALS,
+                         ids=[_refusal_id(c) for c in REFUSALS])
+def test_malformed_input_exits_with_a_message(
+        tmp_path, capsys, seleznev_artifacts, file, path, value, code, prefix):
+    def read(name):
+        return open(os.path.join(SCEN, name)).read()
+    texts = dict(seleznev_artifacts, scenario=read("seleznev.json"),
+                 candidate=read("candidate_zsq.json"),
+                 specs=read("predicates_demo.json"))
+    doc = _edit(json.loads(texts[file]), path, value)
+    if file == "certificate":
+        doc["sha256"] = Certificate(doc["header"], doc["stages"],
+                                    doc["summary"]).sha256
+    texts[file] = json.dumps(doc)
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            fh.write(text)
+
+    out = str(tmp_path / "out")
+    verify = ["verify", paths["stream"], paths["certificate"]]
+    argv = {"scenario": ["construct", paths["scenario"], "--out-dir", out],
+            "stream": verify, "certificate": verify,
+            "specs": ["predicates", paths["candidate"], paths["specs"]]}[file]
+    assert main(argv) == code
+    stdout, stderr = capsys.readouterr()
+    message = stderr if code == 2 else stdout
+    assert message.startswith(prefix.format(file=paths[file]))
+    assert "Traceback" not in stdout + stderr
+    if file == "scenario" and code == 1:
+        # a failing stage stays failing on replay
+        assert main(["verify", os.path.join(out, "stream.json"),
+                     os.path.join(out, "certificate.json")]) == 1

@@ -24,7 +24,6 @@ from taylorlab.geometry import (
     compact_from_json,
     complement_escape,
     domain_from_json,
-    enclosing_disk,
     enumerate_Tm,
     exhaustion_M,
     outer_compacts,
@@ -328,14 +327,10 @@ def test_center_grid_interior():
     assert center_grid(M, per_factor=1) == [(0.0, (1 + 1j))]
 
 
-def test_min_distance_and_enclosing_disk():
+def test_sampled_min_distance():
     a, b = Disk(0.0, 1.0), Disk(3.0, 0.5)
     dist = sampled_min_distance(a, b)
     assert dist == pytest.approx(1.5, abs=0.05)
-    ball = enclosing_disk([a, b])
-    for p in (a, b):
-        for z in p.sample_boundary(n=64):
-            assert ball.contains(z, tol=1e-9)
 
 
 def test_escape_through_slit():

@@ -93,6 +93,19 @@ def test_budget_exhaustion_reports_best():
     assert len(res.residual_history) == 2
 
 
+def test_overflowing_target_reports_the_first_budget():
+    # a 1e308 target overflows every residual, so no budget scores below
+    # infinity; the fit still returns an attempt instead of nothing
+    huge = Poly.constant(1e308, 0, 1)
+    task = glue_target(
+        [_disk_piece(0.0, 0.5, Poly.zero(0, 1)), _disk_piece(2.0, 0.25, huge)],
+        i0=0, budgets=[2, 4], tolerance=1e-3)
+    res = fit(task)
+    assert not res.converged
+    assert res.budget == 2
+    assert [b for b, _ in res.residual_history] == [2, 4]
+
+
 # ----------------------------------------------------------- prefactor
 
 
@@ -157,19 +170,6 @@ def test_glue_rejects_touching_pieces():
     with pytest.raises(ValueError, match="apart"):
         glue_target([_disk_piece(0.0, 0.5, zero), _disk_piece(2.0, 0.25, zero)],
                     i0=0, budgets=[4], tolerance=1e-3, min_gap=1.5)
-
-
-def test_glue_records_gap_and_balls():
-    zero2 = Poly.zero(0, 2)
-    K1 = ProductCompact([Disk(0.0, 0.5), Disk(0.0, 1.0)])
-    K2 = ProductCompact([Disk(3.0, 0.5), Rectangle(-1.0, 1.0, -1.0, 1.0)])
-    task = glue_target([(K1, zero2), (K2, zero2)], i0=0,
-                       budgets=[3], tolerance=1e-2)
-    assert task.meta["i0"] == 0
-    assert task.meta["min_gap"] == pytest.approx(2.0, abs=0.05)
-    ball = task.meta["balls"]["1"]
-    assert ball["type"] == "disk"
-    assert ball["radius"] >= math.sqrt(2) - 1e-6
 
 
 def test_task_validation_errors():

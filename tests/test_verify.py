@@ -393,6 +393,17 @@ def test_variant_certificates_replay_and_catch_tampering(
     assert not verify_certificate(stream2, forged)
 
 
+def test_forged_nan_error_fails():
+    # every comparison with NaN is false, so the replay must be written to
+    # fail on one rather than to pass when no comparison trips
+    stream, cert = _demo_artifacts()
+    data = json.loads(json.dumps(cert.to_json()))
+    data["stages"][0]["e_side_error"] = float("nan")
+    forged = Certificate.from_json(data)
+    forged.stored_hash = forged.sha256
+    assert not verify_certificate(stream, forged)
+
+
 def test_certificate_empty_is_vacuous():
     stream, cert = _demo_artifacts()
     empty = Certificate(dict(cert.header), [], {"all_pass": True})
