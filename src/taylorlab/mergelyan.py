@@ -223,13 +223,13 @@ def fit(task: ApproxTask) -> FitResult:
 
     scales = np.maximum([max(np.abs(ax[j]).max() for ax in axes)
                          for j in range(k)], 1e-9)
-    gammas = _monomials_upto(k, task.budgets[-1])
-    exps = np.array(gammas).reshape(-1, k)
     # judged on the dense (w, z) design, though that is never formed
     rows_max = max(len(W) * len(Z) for W, Z in grids)
-    if rows_max * len(gammas) > MAX_DESIGN_ENTRIES:
+    if rows_max * math.comb(task.budgets[-1] + k, k) > MAX_DESIGN_ENTRIES:
         raise GridSizeError("design matrix would be too large; lower the "
                             "budget or the sampling density")
+    gammas = _monomials_upto(k, task.budgets[-1])
+    exps = np.array(gammas).reshape(-1, k)
 
     tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
     # weighted least squares: a piece with a tighter tolerance gets

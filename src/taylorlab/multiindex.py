@@ -2,18 +2,17 @@
 
 Everything downstream (partial sums, coefficient streams, certificates) is
 parameterized by a bijection k -> N^d fixing the order in which monomial
-slots are filled.  The graded schemes are the ones the stage constructor
-accepts, because appending a block of strictly higher total degree then
-never disturbs already-frozen positions.
+slots are filled.  Only graded orders are offered: total degree decides
+rank order, so appending a block of strictly higher total degree never
+disturbs already-frozen positions, and nothing downstream re-checks it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
-SCHEMES = ("graded-lex", "graded-revlex", "diagonal-cantor", "explicit-table")
+SCHEMES = ("graded-lex", "graded-revlex")
 
 
 class SparseIndexError(ValueError):
@@ -105,79 +104,34 @@ def check_multiindex(m, d: int) -> tuple[int, ...]:
 
 
 class Enumeration:
-    """Bijection k -> N^d ordering the monomial slots of a d-variable series.
+    """Graded bijection k -> N^d ordering the monomial slots of a d-variable
+    series.
 
-    Parameters
-    ----------
-    d : int
-        Number of z-coordinates.
-    scheme : str
-        One of SCHEMES.  Conventions:
+    Ranks run through the total degrees in ascending order, so a block of
+    higher total degree never lands below an earlier rank; that is what
+    keeps frozen ranks frozen when a stage appends its block, and it makes
+    the corner the highest-ranked index of a degree box.  `scheme` is one
+    of SCHEMES and fixes the order inside each degree block:
 
-        * graded-lex: ascending total degree; plain tuple-lex order inside
-          each degree block ((0,0),(0,1),(1,0),(0,2),(1,1),(2,0) for d=2).
-        * graded-revlex: ascending total degree; lex order on reversed
-          tuples inside each block.
-        * diagonal-cantor: right-nested Cantor pairing.  Bijective, but not
-          degree-monotone for d >= 3; verifier-only.
-        * explicit-table: a finite table of indices, optionally extended by
-          `extend_with` (a base scheme walked while skipping table entries).
-          Without an extension, ranks beyond the table raise IndexError.
+    * graded-lex: plain tuple-lex order ((0,0),(0,1),(1,0),(0,2),(1,1),(2,0)
+      for d=2).
+    * graded-revlex: lex order on reversed tuples.
     """
 
-    def __init__(self, d: int, scheme: str = "graded-lex",
-                 table: list[tuple[int, ...]] | None = None,
-                 extend_with: str | None = None):
+    def __init__(self, d: int, scheme: str = "graded-lex"):
         if d < 1:
             raise ValueError("need at least one z-coordinate")
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
         self.d = d
         self.scheme = scheme
-        self._table: list[tuple[int, ...]] = []
-        self._table_pos: dict[tuple[int, ...], int] = {}
-        self._ext: Enumeration | None = None
-        if scheme == "explicit-table":
-            if not table:
-                raise ValueError("explicit-table scheme needs a nonempty table")
-            for m in table:
-                m = check_multiindex(m, d)
-                if m in self._table_pos:
-                    raise ValueError(f"duplicate table entry {m}")
-                self._table_pos[m] = len(self._table)
-                self._table.append(m)
-            if extend_with is not None:
-                if extend_with == "explicit-table":
-                    raise ValueError("cannot extend a table with another table")
-                self._ext = Enumeration(d, extend_with)
-        elif table is not None:
-            raise ValueError("table only makes sense with the explicit-table scheme")
-
-    @property
-    def is_graded(self) -> bool:
-        """True when total degree of unrank(k) is non-decreasing in k."""
-        return self.scheme in ("graded-lex", "graded-revlex")
 
     @property
     def tag(self) -> str:
-        if self.scheme == "explicit-table":
-            body = ";".join(",".join(map(str, m)) for m in self._table)
-            suffix = f":{self._ext.scheme}" if self._ext is not None else ""
-            return f"explicit-table:{body}{suffix}"
         return self.scheme
 
     @classmethod
     def from_tag(cls, tag: str, d: int) -> "Enumeration":
-        if not isinstance(tag, str):
-            raise ValueError(f"enumeration tag must be a string, got {tag!r}")
-        if tag.startswith("explicit-table:"):
-            rest = tag.split(":", 1)[1]
-            ext = None
-            if ":" in rest:
-                rest, ext = rest.split(":", 1)
-            table = [tuple(int(x) for x in part.split(","))
-                     for part in rest.split(";") if part]
-            return cls(d, "explicit-table", table=table, extend_with=ext)
         return cls(d, tag)
 
     def __eq__(self, other):
@@ -193,26 +147,6 @@ class Enumeration:
         """Multi-index N_k."""
         if k < 0:
             raise ValueError("rank must be a natural number")
-        if self.scheme == "graded-lex":
-            return self._graded_unrank(k, reverse=False)
-        if self.scheme == "graded-revlex":
-            return self._graded_unrank(k, reverse=True)
-        if self.scheme == "diagonal-cantor":
-            return tuple_unpair(k, self.d)
-        return self._table_unrank(k)
-
-    def rank(self, m) -> int:
-        """Position k with unrank(k) == m."""
-        m = check_multiindex(m, self.d)
-        if self.scheme == "graded-lex":
-            return self._graded_rank(m)
-        if self.scheme == "graded-revlex":
-            return self._graded_rank(tuple(reversed(m)))
-        if self.scheme == "diagonal-cantor":
-            return tuple_pair(m)
-        return self._table_rank(m)
-
-    def _graded_unrank(self, k: int, reverse: bool) -> tuple[int, ...]:
         d = self.d
         if d == 1:
             return (k,)
@@ -224,49 +158,23 @@ class Enumeration:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if _offset(mid, d) <= k else (lo, mid)
         m = _lex_unrank_in_block(lo, k - _offset(lo, d), d)
-        return tuple(reversed(m)) if reverse else m
+        return m[::-1] if self.scheme == "graded-revlex" else m
 
-    def _graded_rank(self, m: tuple[int, ...]) -> int:
+    def rank(self, m) -> int:
+        """Position k with unrank(k) == m."""
+        m = check_multiindex(m, self.d)
+        if self.scheme == "graded-revlex":
+            m = m[::-1]
         return _offset(sum(m), self.d) + _lex_rank_in_block(m)
-
-    def _table_unrank(self, k: int) -> tuple[int, ...]:
-        if k < len(self._table):
-            return self._table[k]
-        if self._ext is None:
-            raise IndexError(
-                f"rank {k} beyond explicit table of size {len(self._table)} "
-                "and no extension rule was given")
-        j = k - len(self._table)
-        taken = sorted(self._ext.rank(m) for m in self._table)
-        for t in taken:
-            if t <= j:
-                j += 1
-        return self._ext.unrank(j)
-
-    def _table_rank(self, m: tuple[int, ...]) -> int:
-        if m in self._table_pos:
-            return self._table_pos[m]
-        if self._ext is None:
-            raise IndexError(
-                f"{m} is not in the explicit table and no extension rule was given")
-        r = self._ext.rank(m)
-        skipped = sum(1 for t in self._table if self._ext.rank(t) < r)
-        return len(self._table) + r - skipped
-
-    # -- capture -----------------------------------------------------------
 
     def capture_index(self, degrees) -> int:
         """Least n such that every index in the degree box has rank <= n.
 
-        The box is {m : m_i <= degrees_i for all i}; the answer is the
-        maximum rank over the (finite) box.  Under a graded scheme that is
-        the rank of the corner, the box's only index of top total degree.
+        The box is {m : m_i <= degrees_i for all i}; in graded order its
+        maximum rank is that of the corner, the box's only index of top
+        total degree.
         """
-        degrees = check_multiindex(degrees, self.d)
-        if self.is_graded:
-            return self.rank(degrees)
-        ranges = [range(v + 1) for v in degrees]
-        return max(self.rank(m) for m in _cartesian(*ranges))
+        return self.rank(degrees)
 
 
 def family_Fl(r: int, d: int, l: int) -> list["DiffOp"]:

@@ -25,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .geometry import (
@@ -134,9 +135,7 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
                 name="construction", seed=0, cert_density=0) -> StagePlan:
     """Validate a construction request and freeze it as a plan.
 
-    Only graded enumerations are accepted: the frozen-prefix argument rests
-    on total degree deciding rank order, and nothing downstream re-checks
-    it.  Stages run in schedule order; the divisor exponents that keep each
+    Stages run in schedule order; the divisor exponents that keep each
     block past the previous capture index depend on fitted degrees and are
     assigned as the stages run (recorded per stage).  The inner-side error
     bookkeeping assumes the inner compacts are nested along the schedule,
@@ -148,10 +147,6 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
     enum = enum or Enumeration(d, "graded-lex")
     if enum.d != d:
         raise ValueError("enumeration dimension does not match the domain")
-    if not enum.is_graded:
-        raise ValueError(
-            f"enumeration '{enum.scheme}' is not graded; stage blocks could "
-            "land below the frontier")
     mu = mu or IndexSet("all")
     center = tuple(complex(v) for v in (center or (0.0,) * d))
     if len(center) != d:
@@ -230,12 +225,16 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
 
     i0 = req.outer.disjoint_factor
     c0 = center[i0]
-    clearance = min(abs(complex(z) - c0)
-                    for z in req.outer.factors[i0].sample_boundary(n=128))
-    if clearance <= 1e-9:
+    reach = [abs(complex(z) - c0)
+             for z in req.outer.factors[i0].sample_boundary(n=128)]
+    if min(reach) <= 1e-9:
         raise ValueError(
             f"stage {stage_id}: the divisor center {c0:.4g} touches the "
             "outer compact; its zero set would poison the fit")
+    if e * math.log(max(reach)) >= math.log(sys.float_info.max):
+        raise ValueError(
+            f"stage {stage_id}: the divisor (z_{i0} - {c0:.4g})^{e} "
+            "overflows on the outer compact")
 
     pieces = [(req.inner, Poly.zero(r, stream.d)), (req.outer, req.target - P)]
     if piece_tols is None:

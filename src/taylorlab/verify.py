@@ -19,6 +19,7 @@ certificate is written and re-checked by the same code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ from .multiindex import Enumeration, cantor_unpair, family_Fl, tuple_unpair
 from .poly import CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
+# far above the l <= 2 (at most 10 operators) of every scenario and test
+MAX_FAMILY_OPS = 1_000
 
 
 class VerificationRefused(ValueError):
@@ -91,9 +94,15 @@ def variant_ops(variant: str, r: int, d: int, l: int):
     """(E-side ops, F-side ops) of a variant with derivative order bound l.
 
     strong takes the order-l family on both sides, infty on the F-side
-    only, plain on neither; l = 0 means no derivatives either way.
+    only, plain on neither; l = 0 means no derivatives either way.  A
+    family past MAX_FAMILY_OPS is refused before it is built.
     """
-    ops = family_Fl(r, d, l) if variant != "plain" and l > 0 else []
+    if variant == "plain" or l <= 0:
+        return [], []
+    if math.comb(l + r + d, r + d) > MAX_FAMILY_OPS:
+        raise ValueError("the derivative order bound l gives more than "
+                         f"{MAX_FAMILY_OPS} operators")
+    ops = family_Fl(r, d, l)
     return (ops if variant == "strong" else []), ops
 
 

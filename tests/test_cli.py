@@ -1,9 +1,14 @@
 """Command-line round trips, exit codes, and artifact formats."""
 
+import copy
 import json
 import os
+import time
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taylorlab.cli import main
 from taylorlab.universal import Certificate, plan_from_scenario
@@ -385,6 +390,7 @@ def _edit(doc, path, value):
 REFUSALS = [
     ("scenario", (), [], 2, "{file}: the top level must be a JSON object"),
     ("scenario", ("enumeration",), 0, 2, "scenario rejected"),
+    ("scenario", ("enumeration",), "diagonal-cantor", 2, "scenario rejected"),
     ("scenario", ("mu",), [], 2, "scenario rejected"),
     ("scenario", ("stages", 0, "target", "constant"), [NAN, 0], 2,
      "scenario rejected"),
@@ -394,6 +400,7 @@ REFUSALS = [
      "stage failure"),
     ("stream", (), [], 2, "{file}: the top level must be a JSON object"),
     ("stream", ("enumeration",), 1, 2, "artifact rejected"),
+    ("stream", ("enumeration",), "explicit-table:0,0", 2, "artifact rejected"),
     ("stream", ("blocks", 0, "coeffs"), [], 2, "artifact rejected"),
     ("certificate", ("header",), [], 2, "artifact rejected"),
     ("certificate", ("header", "r"), DROP, 2, "artifact rejected"),
@@ -461,3 +468,88 @@ def test_malformed_input_exits_with_a_message(
         # a failing stage stays failing on replay
         assert main(["verify", os.path.join(out, "stream.json"),
                      os.path.join(out, "certificate.json")]) == 1
+
+
+# ------------------------------------------------------------ mutation search
+
+
+def _key_paths(doc, prefix=()):
+    """Every path to an entry of a JSON document, nested ones included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_key_paths(value, prefix + (key,)))
+    return out
+
+
+MUTATED = {name: json.load(open(os.path.join(SCEN, f"{name}.json")))
+           for name in ("seleznev", "strong")}
+MUTATION_SITES = [(name, path) for name, doc in MUTATED.items()
+                  for path in _key_paths(doc)]
+MUTATION_VALUES = [DROP, 1e308, 10**12, NAN, -1, "x", [], {}, 0, None, True]
+# the construct command's own report lines for exit codes 0 and 1
+CONSTRUCT_REPORTS = ("stage failure: ", "aborted at stage ",
+                     "partial certificate in ")
+
+
+def _run_construct(capfd, tmp_path, doc):
+    """Exit code, stdout and stderr of `construct` on `doc`, captured at the
+    file-descriptor level so output from native code shows too."""
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    capfd.readouterr()
+    code = main(["construct", str(path), "--out-dir", str(tmp_path / "out")])
+    return (code, *capfd.readouterr())
+
+
+@given(st.sampled_from(MUTATION_SITES), st.sampled_from(MUTATION_VALUES))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_scenario_exits_cleanly(tmp_path, capfd, site, value):
+    name, path = site
+    doc = _edit(copy.deepcopy(MUTATED[name]), path, value)
+    code, stdout, stderr = _run_construct(capfd, tmp_path, doc)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stdout + stderr
+    if code == 2:
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+    else:
+        assert stderr == ""
+        lines = stdout.splitlines()
+        assert lines
+        assert all(line.startswith(CONSTRUCT_REPORTS) or " stage(s) pass" in line
+                   for line in lines)
+
+
+def _oversized(name, path, value):
+    return _edit(json.load(open(os.path.join(SCEN, f"{name}.json"))), path,
+                 value)
+
+
+@pytest.mark.parametrize("doc, reason", [
+    (_oversized("strong", ("l",), 1e308), "operators"),
+    (_oversized("seleznev", ("stages", 0, "budgets", -1), 10**12),
+     "design matrix would be too large"),
+    (_oversized("alternating_three", ("stages", 1, "outer", "center"),
+                [1e308, 0]), "overflows on the outer compact"),
+], ids=["l", "budget", "divisor"])
+def test_oversized_input_is_refused_before_it_allocates(tmp_path, capfd, doc,
+                                                       reason):
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = _run_construct(capfd, tmp_path, doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("scenario rejected: ")
+    assert reason in stderr
+    assert stderr.count("\n") == 1
+    assert not caught

@@ -65,7 +65,7 @@ def test_capture_index_d2_11():
 
 
 def test_d1_all_schemes_are_identity():
-    for scheme in ("graded-lex", "graded-revlex", "diagonal-cantor"):
+    for scheme in ("graded-lex", "graded-revlex"):
         enum = Enumeration(1, scheme)
         assert [enum.unrank(k) for k in range(20)] == [(k,) for k in range(20)]
         assert all(enum.rank((k,)) == k for k in range(20))
@@ -98,7 +98,7 @@ def test_graded_revlex_matches_sort_oracle(d):
     assert got == oracle_graded_prefix(d, count, reverse=True)
 
 
-@pytest.mark.parametrize("scheme", ["graded-lex", "graded-revlex", "diagonal-cantor"])
+@pytest.mark.parametrize("scheme", ["graded-lex", "graded-revlex"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rank_unrank_identity_to_1e4(scheme, d):
     enum = Enumeration(d, scheme)
@@ -106,7 +106,7 @@ def test_rank_unrank_identity_to_1e4(scheme, d):
         assert enum.rank(enum.unrank(k)) == k
 
 
-@pytest.mark.parametrize("scheme", ["graded-lex", "graded-revlex", "diagonal-cantor"])
+@pytest.mark.parametrize("scheme", ["graded-lex", "graded-revlex"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_unrank_rank_identity_degree_12(scheme, d):
     enum = Enumeration(d, scheme)
@@ -120,14 +120,6 @@ def test_graded_degree_monotone(scheme):
     enum = Enumeration(3, scheme)
     degs = [sum(enum.unrank(k)) for k in range(2000)]
     assert degs == sorted(degs)
-    assert enum.is_graded
-
-
-def test_cantor_not_graded_in_d3():
-    enum = Enumeration(3, "diagonal-cantor")
-    degs = [sum(enum.unrank(k)) for k in range(200)]
-    assert degs != sorted(degs)
-    assert not enum.is_graded
 
 
 @pytest.mark.parametrize("scheme,d,degrees", [
@@ -135,7 +127,6 @@ def test_cantor_not_graded_in_d3():
     ("graded-lex", 2, (3, 5)),
     ("graded-lex", 3, (2, 2, 2)),
     ("graded-revlex", 2, (4, 1)),
-    ("diagonal-cantor", 2, (3, 2)),
 ])
 def test_capture_index_matches_scan_oracle(scheme, d, degrees):
     enum = Enumeration(d, scheme)
@@ -165,36 +156,10 @@ def test_tuple_pair_roundtrip(vals):
     assert tuple_unpair(tuple_pair(t), len(t)) == t
 
 
-# ---------------------------------------------------------------- tables
-
-def test_table_without_extension_errors_beyond():
-    enum = Enumeration(2, "explicit-table", table=[(0, 0), (2, 1), (0, 1)])
-    assert enum.unrank(1) == (2, 1)
-    assert enum.rank((0, 1)) == 2
-    with pytest.raises(IndexError):
-        enum.unrank(3)
-    with pytest.raises(IndexError):
-        enum.rank((5, 5))
-
-
-def test_table_with_extension_skips_used_entries():
-    enum = Enumeration(2, "explicit-table", table=[(1, 0), (0, 0)],
-                       extend_with="graded-lex")
-    # extension walks graded-lex skipping (0,0) and (1,0)
-    assert [enum.unrank(k) for k in range(5)] == [(1, 0), (0, 0), (0, 1), (0, 2), (1, 1)]
-    for k in range(200):
-        assert enum.rank(enum.unrank(k)) == k
-
-
-def test_table_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Enumeration(2, "explicit-table", table=[(0, 0), (0, 0)])
-
+# ---------------------------------------------------------------- tags
 
 def test_tag_roundtrip():
-    for e in (Enumeration(2), Enumeration(3, "diagonal-cantor"),
-              Enumeration(2, "explicit-table", table=[(0, 1), (1, 1)],
-                          extend_with="graded-lex")):
+    for e in (Enumeration(2), Enumeration(3, "graded-revlex")):
         assert Enumeration.from_tag(e.tag, e.d) == e
 
 

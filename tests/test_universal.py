@@ -19,7 +19,7 @@ from taylorlab.geometry import (
     ProductCompact,
     SlitAnnulus,
 )
-from taylorlab.multiindex import Enumeration, IndexSet, SparseIndexError
+from taylorlab.multiindex import IndexSet, SparseIndexError
 from taylorlab.poly import Poly, partial_sum
 from taylorlab.universal import (
     StageRequest,
@@ -61,17 +61,6 @@ def conflict_plan():
 
 
 # ---------------------------------------------------------------- planning
-
-
-def test_plan_refuses_non_graded_enumeration():
-    enum = Enumeration(3, "diagonal-cantor")
-    dom = DomainProduct([OpenDisk(0j, 1.0)] * 3)
-    outer = ProductCompact([Disk(2 + 0j, 0.25), Disk(0j, 0.5), Disk(0j, 0.5)],
-                           disjoint_factor=0)
-    inner = ProductCompact([Disk(0j, 0.5)] * 3)
-    req = StageRequest(Poly.constant(1.0, 0, 3), outer, inner, 0.5, [4])
-    with pytest.raises(ValueError, match="not graded"):
-        plan_stages(dom, [req], enum=enum)
 
 
 def test_plan_refuses_center_outside_domain():
