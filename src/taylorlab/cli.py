@@ -19,7 +19,7 @@ from .geometry import DomainProduct
 from .poly import CoefficientStream, Poly
 from .universal import Certificate, plan_from_scenario, run_construction
 from .verify import (VARIANTS, PredicateSpec, VerificationRefused,
-                     catalog_poly, predicate_record, verify_certificate)
+                     predicate_record, verify_certificate)
 
 VERBOSE = os.environ.get("TAYLORLAB_VERBOSE", "") not in ("", "0")
 
@@ -66,10 +66,7 @@ def cmd_construct(args) -> int:
             data[key] = value
 
     try:
-        r = int(data.get("r", 0))
-        d = len(data.get("domain", []))
-        plan = plan_from_scenario(
-            data, target_resolver=lambda j: catalog_poly(j, r, d))
+        plan = plan_from_scenario(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"scenario rejected: {exc}") from None
     try:

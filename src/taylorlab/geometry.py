@@ -19,7 +19,7 @@ are not reachable; disk domains have no such gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .multiindex import tuple_pair, tuple_unpair
 
 MAX_GRID_POINTS = 10_000_000
 MIN_CURVE_POINTS = 4                 # per curve, at any density
+MAX_OUTER_INDEX = 10_000             # slit annuli cofinality_index tries
 
 # Samples per factor when no density is given, by use and side; entry i is
 # for a side of dimension i + 1, the last one for every larger dimension.
@@ -64,25 +65,18 @@ class PlanarCompact:
         """Max |z| over the set (an upper bound is fine for unions)."""
         raise NotImplementedError
 
-    def sample_boundary(self, h: float | None = None,
-                        n: int | None = None) -> np.ndarray:
-        """Boundary samples at arc spacing <= h, or ~n points overall.
+    def sample_boundary(self, n: int) -> np.ndarray:
+        """About n boundary samples, shared among the boundary curves by
+        arclength, at least MIN_CURVE_POINTS on each curve.
 
         Sets without interior (segments, arcs) sample the whole set.
         """
         curves = self._curves()
-        if h is None and n is None:
-            n = 400
         pts = []
         total_len = sum(c[0] for c in curves)
         for length, closed, fn in curves:
-            if h is not None:
-                if h <= 0:
-                    raise ValueError("spacing must be positive")
-                k = max(1, math.ceil(length / h))
-            else:
-                k = max(MIN_CURVE_POINTS,
-                        math.ceil(n * length / max(total_len, 1e-300)))
+            k = max(MIN_CURVE_POINTS,
+                    math.ceil(n * length / max(total_len, 1e-300)))
             if k > MAX_GRID_POINTS:
                 raise GridSizeError(
                     f"curve sampling would produce {k} points (cap {MAX_GRID_POINTS})")
@@ -129,9 +123,6 @@ class Disk(PlanarCompact):
 
     def interior_circle(self, shrink=0.8):
         return self.center, shrink * self.radius
-
-    def inradius(self):
-        return self.radius
 
     def to_json(self):
         return {"type": "disk", "center": [self.center.real, self.center.imag],
@@ -185,14 +176,9 @@ class Rectangle(PlanarCompact):
         return max(abs(complex(x, y)) for x in (self.x0, self.x1)
                    for y in (self.y0, self.y1))
 
-    def center(self):
-        return complex((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
-
     def interior_circle(self, shrink=0.8):
-        return self.center(), shrink * self.inradius()
-
-    def inradius(self):
-        return min(self.x1 - self.x0, self.y1 - self.y0) / 2
+        center = complex((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
+        return center, shrink * (min(self.x1 - self.x0, self.y1 - self.y0) / 2)
 
     def to_json(self):
         return {"type": "rect", "x": [self.x0, self.x1], "y": [self.y0, self.y1]}
@@ -371,8 +357,8 @@ class ClippedCompact(PlanarCompact):
     def contains(self, z, tol=1e-9):
         return self.base.contains(z, tol) and abs(complex(z)) <= self.bound + tol
 
-    def sample_boundary(self, h=None, n=None):
-        raw = self.base.sample_boundary(h=h, n=n)
+    def sample_boundary(self, n):
+        raw = self.base.sample_boundary(n)
         keep = raw[np.abs(raw) <= self.bound + 1e-12]
         k = max(64, len(raw))
         circle = self.bound * np.exp(2j * math.pi * np.arange(k) / k)
@@ -387,6 +373,13 @@ class ClippedCompact(PlanarCompact):
 
     def bounding_radius(self):
         return min(self.base.bounding_radius(), self.bound)
+
+    def interior_circle(self, shrink=0.8):
+        """The base's circle, shrunk to fit the clip; radius 0 when the
+        base center lies on or outside |z| = bound."""
+        c, rho = self.base.interior_circle(shrink)
+        room = self.bound - abs(c)
+        return c, min(rho, shrink * room) if room > 0 else 0.0
 
     def to_json(self):
         return {"type": "clipped", "base": self.base.to_json(), "bound": self.bound}
@@ -419,12 +412,10 @@ def compact_from_json(data: dict) -> PlanarCompact:
 
 @dataclass
 class SampleGrid:
-    """Joint sample points plus where they came from."""
+    """Joint sample points and the per-factor samples they multiply out."""
 
     points: np.ndarray               # (N, k) complex
-    provenance: str
-    h: float | None = None
-    per_factor: list[np.ndarray] | None = None
+    per_factor: list[np.ndarray]
 
     def __len__(self):
         return len(self.points)
@@ -451,20 +442,19 @@ class ProductCompact:
             raise ValueError("point arity does not match the product")
         return all(f.contains(z, tol) for f, z in zip(self.factors, point))
 
-    def sample(self, h: float | None = None,
-               n_per_factor: int | None = None) -> SampleGrid:
+    def sample(self, n_per_factor: int) -> SampleGrid:
+        """The distinguished boundary: the product of every factor's
+        sample_boundary(n_per_factor); one empty point for no factors."""
         if self.dim == 0:
-            return SampleGrid(np.zeros((1, 0), dtype=complex),
-                              "empty-product", h)
-        cols = [f.sample_boundary(h=h, n=n_per_factor) for f in self.factors]
+            return SampleGrid(np.zeros((1, 0), dtype=complex), [])
+        cols = [f.sample_boundary(n_per_factor) for f in self.factors]
         total = math.prod(len(c) for c in cols)
         if total > MAX_GRID_POINTS:
             raise GridSizeError(
                 f"product grid would hold {total} points (cap {MAX_GRID_POINTS})")
         mesh = np.meshgrid(*cols, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        prov = " x ".join(type(f).__name__ for f in self.factors)
-        return SampleGrid(pts, f"distinguished boundary of {prov}", h, cols)
+        return SampleGrid(pts, cols)
 
     def to_json(self):
         return {"factors": [f.to_json() for f in self.factors],
@@ -549,9 +539,6 @@ class DomainProduct:
     @property
     def dim(self) -> int:
         return len(self.factors)
-
-    def closure(self) -> ProductCompact:
-        return ProductCompact([f.closure() for f in self.factors])
 
     def contains(self, point) -> bool:
         point = tuple(point)
@@ -648,8 +635,7 @@ def enumerate_Tm(domain: DomainProduct, m: int,
 
 
 def cofinality_index(domain: DomainProduct, K: ProductCompact,
-                     closure_variant: bool = False,
-                     j_limit: int = 10_000) -> int:
+                     closure_variant: bool = False) -> int:
     """Smallest found m with K inside enumerate_Tm(domain, m), by sampled
     containment.  K.disjoint_factor names the coordinate whose factor avoids
     the domain; remaining factors only need big enough disks."""
@@ -659,14 +645,14 @@ def cofinality_index(domain: DomainProduct, K: ProductCompact,
     i0 = K.disjoint_factor
     samples = [f.sample_boundary(n=128) for f in K.factors]
     j_found = None
-    for j in range(1, j_limit + 1):
+    for j in range(1, MAX_OUTER_INDEX + 1):
         R = outer_compacts(domain.factors[i0], j, closure_variant)
         if all(R.contains(z, tol=1e-9) for z in samples[i0]):
             j_found = j
             break
     if j_found is None:
-        raise ValueError(f"no outer compact up to j = {j_limit} contains "
-                         "the flagged factor (slit likely cuts it)")
+        raise ValueError(f"no outer compact up to j = {MAX_OUTER_INDEX} "
+                         "contains the flagged factor (slit likely cuts it)")
     radii = []
     for i in range(d):
         if i == i0:
@@ -695,28 +681,17 @@ def sup_norm(p, zgrid, wgrid=None) -> float:
     return float(np.abs(p.eval_product(W, Z)).max())
 
 
-def center_grid(product: ProductCompact, per_factor: int = 9):
-    """Interior center points, 'per_factor' per coordinate (3x3 pattern),
-    combined as a product.  Used for the sampled sup over expansion centers."""
+def center_grid(product: ProductCompact):
+    """Interior expansion centers for the sampled sup over centers: per
+    factor, the center c and radius rho of interior_circle(0.6) give the
+    3x3 pattern c + (a + bi) rho, a, b in {-1, 0, 1} (c alone when rho is
+    0), and the factors combine as a product."""
     axes = []
     for f in product.factors:
-        if isinstance(f, Disk):
-            c, R = f.center, f.radius
-        elif isinstance(f, Rectangle):
-            c, R = f.center(), f.inradius()
-        elif isinstance(f, ClippedCompact) and isinstance(f.base, (Disk, Rectangle)):
-            inner = f.base
-            c = inner.center if isinstance(inner, Disk) else inner.center()
-            R = min(inner.inradius(), f.bound - abs(c)) if f.bound > abs(c) else 0.0
-        else:
-            raise ValueError("center grid needs disk or rectangle factors")
-        if per_factor == 1 or R <= 0:
-            axes.append(np.array([c]))
-            continue
-        step = 0.6 * R
-        vals = np.array([c + complex(a, b) * step
-                         for a in (-1, 0, 1) for b in (-1, 0, 1)])
-        axes.append(vals[:per_factor])
+        c, step = f.interior_circle(0.6)
+        axes.append(np.array([c]) if step <= 0 else
+                    np.array([c + complex(a, b) * step
+                              for a in (-1, 0, 1) for b in (-1, 0, 1)]))
     if not axes:
         return [()]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -730,19 +705,17 @@ def sampled_min_distance(A: PlanarCompact, B: PlanarCompact, n: int = 200) -> fl
     return float(np.abs(a[:, None] - b[None, :]).min())
 
 
-def complement_escape(blockers: list[PlanarCompact], probe: complex,
-                      box_radius: float | None = None,
-                      step: float | None = None) -> bool:
+def complement_escape(blockers: list[PlanarCompact], probe: complex) -> bool:
     """Breadth-first march from the probe to the bounding box edge through
     grid cells whose centers avoid every blocker.
 
-    Cells are blocked with a small positive tolerance, so any path found is
-    a genuine escape; a failure at one resolution may still be an artifact,
-    hence the refinement loop before giving up."""
-    if box_radius is None:
-        box_radius = 1.5 * max(b.bounding_radius() for b in blockers) + 1.0
-    if step is None:
-        step = box_radius / 60
+    The box reaches 1.5 times past the blockers plus 1, on a grid of 120
+    cells a side that halves up to three times.  Cells are blocked with a
+    small positive tolerance, so any path found is a genuine escape; a
+    failure at one resolution may still be an artifact, hence the
+    refinement loop before giving up."""
+    box_radius = 1.5 * max(b.bounding_radius() for b in blockers) + 1.0
+    step = box_radius / 60
 
     for level in range(4):
         h = step / 2 ** level

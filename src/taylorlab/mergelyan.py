@@ -24,6 +24,7 @@ through the assembled polynomial on a grid twice as dense.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,6 @@ class FitResult:
 
 def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
                 w_compact=None, derivative_orders=(), prefactor=None,
-                min_gap: float = 0.0, n_per_factor: int = 0,
                 piece_tolerances=None) -> ApproxTask:
     """Validate the gluing geometry and package it as a task.
 
@@ -131,16 +131,13 @@ def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
                     or any(Ka.contains(z, tol=-1e-12) for z in samples[b])):
                 raise ValueError(
                     f"pieces {a} and {b} overlap on coordinate {i0}")
-            g = sampled_min_distance(Ka, Kb)
-            if g <= min_gap:
+            if sampled_min_distance(Ka, Kb) <= 0:
                 raise ValueError(
-                    f"pieces {a} and {b} are only {g:.3g} apart on "
-                    f"coordinate {i0} (need > {min_gap})")
+                    f"pieces {a} and {b} touch on coordinate {i0}")
     return ApproxTask(list(pieces), list(budgets), tolerance, r=r,
                       w_compact=w_compact,
                       derivative_orders=tuple(derivative_orders),
-                      prefactor=prefactor, n_per_factor=n_per_factor,
-                      piece_tolerances=piece_tolerances)
+                      prefactor=prefactor, piece_tolerances=piece_tolerances)
 
 
 # ------------------------------------------------------------------ fit
@@ -228,6 +225,11 @@ def fit(task: ApproxTask) -> FitResult:
     if rows_max * math.comb(task.budgets[-1] + k, k) > MAX_DESIGN_ENTRIES:
         raise GridSizeError("design matrix would be too large; lower the "
                             "budget or the sampling density")
+    # _assemble divides by scale ** degree
+    top, s_max = task.budgets[-1], scales.max()
+    if top * math.log(s_max) >= math.log(sys.float_info.max):
+        raise ValueError(
+            f"the fit scale {s_max:.3g} overflows at degree {top}")
     gammas = _monomials_upto(k, task.budgets[-1])
     exps = np.array(gammas).reshape(-1, k)
 

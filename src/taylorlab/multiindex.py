@@ -93,6 +93,13 @@ def _lex_unrank_in_block(t: int, rem: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_int(value, what: str) -> int:
+    """value itself if it is an int (a bool is not); ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def check_multiindex(m, d: int) -> tuple[int, ...]:
     """Validate and normalize one multi-index to a tuple of naturals."""
     m = tuple(int(v) for v in m)

@@ -12,7 +12,7 @@ up to the final complex multiply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -335,34 +335,20 @@ class Poly:
 def gamma(f: Poly, w, zeta, m) -> complex:
     """Taylor coefficient of z -> f(w, z) at center zeta for multi-index m.
 
-    Equals (1 / prod m_i!) times the m-th z-partial of f at (w, zeta); the
-    factorial quotient is realized as a product of binomials, exact in
-    integer arithmetic.
+    Equals (1 / prod m_i!) times the m-th z-partial of f at (w, zeta),
+    read off the re-centered polynomial f.shift_center(zeta).
     """
     gp = gamma_poly(f, zeta, m)
     return gp.eval(w, ())
 
 
 def gamma_poly(f: Poly, zeta, m) -> Poly:
-    """Same coefficient kept symbolic in w; returns a Poly with d = 0."""
+    """Same coefficient kept symbolic in w: the z^m coefficients of f
+    re-centered at zeta, as a Poly with d = 0."""
     m = check_multiindex(m, f.d)
-    zeta = tuple(complex(v) for v in zeta)
-    if len(zeta) != f.d:
-        raise ValueError(f"center has length {len(zeta)}, expected {f.d}")
-
-    def terms():
-        for (we, ze), c in f.terms.items():
-            if any(b < o for b, o in zip(ze, m)):
-                continue
-            fac = c
-            for b, o, zv in zip(ze, m, zeta):
-                fac *= math.comb(b, o)
-                if b - o:
-                    fac *= zv ** (b - o)
-            yield (we, ()), fac
-
     p = Poly(f.r, 0)
-    p.terms = _accumulate(terms())
+    shifted = f.shift_center(zeta)
+    p.terms = {(we, ()): c for (we, ze), c in shifted.terms.items() if ze == m}
     return p
 
 

@@ -39,10 +39,10 @@ from .geometry import (
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
 from .mergelyan import fit, glue_target
-from .multiindex import Enumeration, IndexSet, SparseIndexError
+from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
 from .poly import CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
-from .verify import VARIANTS, measure_stage, variant_ops
+from .verify import VARIANTS, catalog_poly, measure_stage, variant_ops
 
 CERT_FORMAT = "taylorlab-certificate-v1"
 
@@ -207,8 +207,9 @@ def _stage_tolerances(requests):
 
 
 def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
-                stage_id: int, piece_tols: list | None = None) -> dict:
-    """Fit one correction block, append it, and return the stage record.
+                stage_id: int, piece_tols: list) -> dict:
+    """Fit one correction block, append it, and return the stage record;
+    piece_tols are the [inner, outer] fit tolerances.
 
     The divisor exponent clears both the degree box of the frozen prefix
     and the total degree at the current frontier rank, so the new block's
@@ -237,8 +238,6 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
             "overflows on the outer compact")
 
     pieces = [(req.inner, Poly.zero(r, stream.d)), (req.outer, req.target - P)]
-    if piece_tols is None:
-        piece_tols = [req.tolerance, req.tolerance]
     task = glue_target(
         pieces, i0, req.budgets, max(piece_tols),
         r=r, w_compact=plan.w_compact,
@@ -367,8 +366,7 @@ def run_construction(plan: StagePlan):
     aborted = None
     for idx, (req, tol) in enumerate(zip(plan.requests, tols), start=1):
         try:
-            records.append(build_stage(stream, plan, req, idx,
-                                       piece_tols=tol))
+            records.append(build_stage(stream, plan, req, idx, tol))
         except SparseIndexError as exc:
             aborted = {"stage": idx, "reason": str(exc)}
             break
@@ -431,9 +429,9 @@ def _scenario_compact(spec, domain: DomainProduct, variant: str,
     record, or a bare planar compact for one-dimensional domains."""
     closure = variant == "infty"
     if isinstance(spec, dict) and spec.get("family") == "tm":
-        return enumerate_Tm(domain, int(spec["m"]), closure)
+        return enumerate_Tm(domain, check_int(spec["m"], "m"), closure)
     if isinstance(spec, dict) and spec.get("family") == "mp":
-        return exhaustion_M(domain, int(spec["p"]), closure)
+        return exhaustion_M(domain, check_int(spec["p"], "p"), closure)
     if isinstance(spec, dict) and "factors" in spec:
         K = ProductCompact.from_json(spec)
     else:
@@ -447,45 +445,42 @@ def _scenario_compact(spec, domain: DomainProduct, variant: str,
     return K
 
 
-def _scenario_target(spec, r: int, d: int, resolver=None) -> Poly:
+def _scenario_target(spec, r: int, d: int) -> Poly:
     if isinstance(spec, str):
-        if spec.startswith("catalog:") and resolver is not None:
-            return resolver(int(spec.split(":", 1)[1]))
-        raise ValueError(f"cannot resolve target {spec!r} here")
+        if spec.startswith("catalog:"):
+            return catalog_poly(int(spec.split(":", 1)[1]), r, d)
+        raise ValueError(f"cannot resolve target {spec!r}")
     if isinstance(spec, dict) and "constant" in spec:
         re, im = spec["constant"]
         return Poly.constant(complex(re, im), r, d)
     return Poly.from_json(spec)
 
 
-def plan_from_scenario(data: dict, target_resolver=None) -> StagePlan:
-    """Build a plan from a parsed scenario file.
-
-    `target_resolver` maps a catalog index to a Poly when stages name their
-    targets as "catalog:j"."""
+def plan_from_scenario(data: dict) -> StagePlan:
+    """Build a plan from a parsed scenario file; a stage target written
+    "catalog:j" is catalog_poly(j, r, d)."""
     domain = DomainProduct.from_json(data["domain"])
     d = domain.dim
     enum = Enumeration.from_tag(data.get("enumeration", "graded-lex"), d)
     mu = IndexSet.from_tag(data.get("mu", "mu:all"))
     center = [complex(re, im) for re, im in
               data.get("center", [[0.0, 0.0]] * d)]
-    r = int(data.get("r", 0))
+    r, l, seed, cert_density = (check_int(data.get(key, 0), key) for key in
+                                ("r", "l", "seed", "cert_density"))
     variant = data.get("variant", "plain")
     w_compact = (ProductCompact.from_json(data["w_compact"])
                  if data.get("w_compact") else None)
     requests = []
     for s in data["stages"]:
         requests.append(StageRequest(
-            target=_scenario_target(s["target"], r, d, target_resolver),
+            target=_scenario_target(s["target"], r, d),
             outer=_scenario_compact(s["outer"], domain, variant, outer=True),
             inner=_scenario_compact(s["inner"], domain, variant, outer=False),
             tolerance=float(s["tolerance"]),
             budgets=list(s["budgets"])))
     return plan_stages(
         domain, requests, enum=enum, mu=mu, center=center, r=r,
-        w_compact=w_compact, variant=variant,
-        l=int(data.get("l", 0)),
+        w_compact=w_compact, variant=variant, l=l,
         fixed_center=bool(data.get("fixed_center", True)),
-        name=data.get("name", "construction"),
-        seed=int(data.get("seed", 0)),
-        cert_density=int(data.get("cert_density", 0)))
+        name=data.get("name", "construction"), seed=seed,
+        cert_density=cert_density)

@@ -34,7 +34,8 @@ from .geometry import (
     exhaustion_M,
     sup_norm,
 )
-from .multiindex import Enumeration, cantor_unpair, family_Fl, tuple_unpair
+from .multiindex import (Enumeration, cantor_unpair, check_int, family_Fl,
+                         tuple_unpair)
 from .poly import CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
@@ -183,14 +184,14 @@ class PredicateSpec:
     def __post_init__(self):
         for name in ("tau", "p", "m", "j", "s"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if check_int(v, name) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.n, int) or self.n < 0:
+        if check_int(self.n, "n") < 0:
             raise ValueError(f"n must be a natural number, got {self.n!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant != "plain":
-            if self.l is None or self.l < 1:
+            if self.l is None or check_int(self.l, "l") < 1:
                 raise ValueError("derivative variants need l >= 1")
         elif self.l is not None:
             raise ValueError("l only applies to the strong/infty variants")
@@ -212,9 +213,9 @@ class PredicateSpec:
         fc = data.get("fixed_center")
         if fc is not None:
             fc = tuple(complex(re, im) for re, im in fc)
-        return cls(tau=int(data.get("tau", 1)), p=int(data.get("p", 1)),
-                   m=int(data.get("m", 1)), j=int(data.get("j", 1)),
-                   s=int(data.get("s", 1)), n=int(data.get("n", 0)),
+        return cls(tau=data.get("tau", 1), p=data.get("p", 1),
+                   m=data.get("m", 1), j=data.get("j", 1),
+                   s=data.get("s", 1), n=data.get("n", 0),
                    variant=data.get("variant", "plain"),
                    l=data.get("l"), fixed_center=fc)
 
@@ -265,23 +266,11 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     return centers, wg, zg, info
 
 
-def _run_predicate(kind, f, spec, domain, w_domain, density, enum,
-                   catalog, centers):
-    if enum is None:
-        enum = Enumeration(f.d, "graded-lex")
-    if kind == "E":
-        resolve = catalog or (lambda i: catalog_poly(i, f.r, f.d))
-        target = resolve(spec.j)
-        if target.r != f.r or target.d != f.d:
-            raise ValueError("catalog target has mismatched coordinates")
-    else:
-        target = f
-    grid_centers, wg, zg, info = predicate_grids(
-        kind, spec, domain, w_domain, density)
-    if centers is None:
-        centers = grid_centers
-    else:
-        info = dict(info, n_centers=len(centers))
+def _run_predicate(kind, f, spec, domain, w_domain, density):
+    enum = Enumeration(f.d, "graded-lex")
+    target = catalog_poly(spec.j, f.r, f.d) if kind == "E" else f
+    centers, wg, zg, info = predicate_grids(kind, spec, domain, w_domain,
+                                            density)
     e_ops, f_ops = variant_ops(spec.variant, f.r, f.d, spec.l or 0)
     ops = e_ops if kind == "E" else f_ops
     (worst,) = center_sups(f, centers, spec.n, enum, [(target, zg, wg, ops)])
@@ -289,27 +278,23 @@ def _run_predicate(kind, f, spec, domain, w_domain, density, enum,
 
 
 def check_E(f: Poly, spec: PredicateSpec, domain: DomainProduct,
-            w_domain: DomainProduct | None = None, density: int = 0,
-            enum: Enumeration | None = None, catalog=None,
-            centers=None) -> tuple[bool, float]:
+            w_domain: DomainProduct | None = None,
+            density: int = 0) -> tuple[bool, float]:
     """Does the rank-n partial sum imitate the j-th catalog polynomial?
 
     Samples sup |D(S_n(f, w, zeta)(z) - f_j(w, z))| over centers zeta in
-    the p-th inner compact, parameters w in the tau-th exhaustion of
-    w_domain, points z in the m-th outer compact, and (strong variant)
-    the derivative family of order l.  Returns (sup < 1/s, sup).  A
-    `catalog` callable overrides the built-in index -> Poly resolution;
-    an explicit `centers` list overrides the sampled center set.
+    the p-th inner compact (or the spec's fixed center), parameters w in
+    the tau-th exhaustion of w_domain, points z in the m-th outer compact,
+    and (strong variant) the derivative family of order l.  Partial sums
+    follow the graded-lex enumeration.  Returns (sup < 1/s, sup).
     """
-    passed, sup, _ = _run_predicate("E", f, spec, domain, w_domain,
-                                    density, enum, catalog, centers)
+    passed, sup, _ = _run_predicate("E", f, spec, domain, w_domain, density)
     return passed, sup
 
 
 def check_F(f: Poly, spec: PredicateSpec, domain: DomainProduct,
-            w_domain: DomainProduct | None = None, density: int = 0,
-            enum: Enumeration | None = None,
-            centers=None) -> tuple[bool, float]:
+            w_domain: DomainProduct | None = None,
+            density: int = 0) -> tuple[bool, float]:
     """Does the rank-n partial sum return to the candidate itself?
 
     Same sampling as check_E with f in place of the catalog target and the
@@ -317,20 +302,17 @@ def check_F(f: Poly, spec: PredicateSpec, domain: DomainProduct,
     order-l derivative family over the closure truncated at radius l.
     Returns (sup < 1/s, sup).
     """
-    passed, sup, _ = _run_predicate("F", f, spec, domain, w_domain,
-                                    density, enum, None, centers)
+    passed, sup, _ = _run_predicate("F", f, spec, domain, w_domain, density)
     return passed, sup
 
 
 def predicate_record(kind: str, f: Poly, spec: PredicateSpec,
                      domain: DomainProduct,
                      w_domain: DomainProduct | None = None,
-                     density: int = 0, enum: Enumeration | None = None,
-                     catalog=None) -> dict:
+                     density: int = 0) -> dict:
     """One JSON-ready result row: {spec, achieved, pass, grid_density}."""
-    passed, sup, info = _run_predicate(
-        kind, f, spec, domain, w_domain, density, enum,
-        catalog if kind == "E" else None, None)
+    passed, sup, info = _run_predicate(kind, f, spec, domain, w_domain,
+                                       density)
     return {"spec": dict(spec.to_json(), predicate=kind),
             "achieved": sup, "pass": passed, "grid_density": info}
 

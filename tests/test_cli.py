@@ -224,12 +224,10 @@ def test_shipped_scenarios_parse():
     assert len(names) >= 5
     for name in names:
         data = json.load(open(os.path.join(SCEN, name)))
-        plan = plan_from_scenario(
-            data, target_resolver=lambda j: catalog_poly(
-                j, int(data.get("r", 0)), len(data["domain"])))
-        assert plan.requests
+        assert plan_from_scenario(data).requests
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(
     f for f in os.listdir(SCEN)
     if f.endswith(".json") and "stages" in json.load(open(os.path.join(SCEN, f)))))
@@ -242,7 +240,8 @@ def test_shipped_scenario_end_to_end(tmp_path, name):
         with open(os.path.join(a, fname), "rb") as fa, \
                 open(os.path.join(b, fname), "rb") as fb:
             assert fa.read() == fb.read()
-    cert = json.load(open(os.path.join(a, "certificate.json")))
+    with open(os.path.join(a, "certificate.json")) as fh:
+        cert = json.load(fh)
     rc = main(["verify", os.path.join(a, "stream.json"),
                os.path.join(a, "certificate.json")])
     assert (rc == 0) == cert["summary"]["all_pass"]
@@ -398,6 +397,13 @@ REFUSALS = [
      "scenario rejected"),
     ("scenario", ("stages", 0, "target", "constant"), [1e308, 0], 1,
      "stage failure"),
+    ("scenario", ("stages", 0, "outer", "center"), [1e308, 0], 2,
+     "scenario rejected"),
+    ("scenario", ("l",), 1.5, 2, "scenario rejected"),
+    ("scenario", ("seed",), True, 2, "scenario rejected"),
+    ("scenario", ("cert_density",), 64.7, 2, "scenario rejected"),
+    ("scenario", ("stages", 0, "outer"), {"family": "tm", "m": 1.5}, 2,
+     "scenario rejected"),
     ("stream", (), [], 2, "{file}: the top level must be a JSON object"),
     ("stream", ("enumeration",), 1, 2, "artifact rejected"),
     ("stream", ("enumeration",), "explicit-table:0,0", 2, "artifact rejected"),
@@ -416,6 +422,10 @@ REFUSALS = [
     ("specs", ("specs",), "x", 2, "specs rejected"),
     *[("specs", ("specs", 0), v, 2, "specs rejected")
       for v in (1.5, None, True)],
+    ("specs", ("specs", 0), {"variant": "strong", "l": 1.5}, 2,
+     "specs rejected"),
+    ("specs", ("specs", 0, "p"), 1.9, 2, "specs rejected"),
+    ("specs", ("specs", 0, "n"), True, 2, "specs rejected"),
 ]
 
 
@@ -534,7 +544,7 @@ def _oversized(name, path, value):
 
 
 @pytest.mark.parametrize("doc, reason", [
-    (_oversized("strong", ("l",), 1e308), "operators"),
+    (_oversized("strong", ("l",), 10**308), "operators"),
     (_oversized("seleznev", ("stages", 0, "budgets", -1), 10**12),
      "design matrix would be too large"),
     (_oversized("alternating_three", ("stages", 1, "outer", "center"),

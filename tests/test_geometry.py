@@ -12,6 +12,7 @@ from taylorlab.geometry import (
     Disk,
     DomainProduct,
     GridSizeError,
+    MAX_GRID_POINTS,
     OpenDisk,
     OpenRect,
     ProductCompact,
@@ -39,7 +40,7 @@ from util import random_point
 
 
 def test_unit_circle_four_points():
-    pts = Disk(0.0, 1.0).sample_boundary(h=math.pi / 2)
+    pts = Disk(0.0, 1.0).sample_boundary(4)
     assert len(pts) == 4
     expect = np.array([1.0, 1j, -1.0, -1j])
     assert np.abs(np.sort_complex(pts) - np.sort_complex(expect)).max() < 1e-12
@@ -48,23 +49,23 @@ def test_unit_circle_four_points():
 
 
 def test_circle_spacing_bound():
-    for h in (0.5, 0.173, 0.02):
-        pts = Disk(1 + 2j, 1.7).sample_boundary(h=h)
+    for n in (22, 62, 534):
+        pts = Disk(1 + 2j, 1.7).sample_boundary(n)
         closed = np.append(pts, pts[0])
-        # chord length is below arc length, which the sampler bounds by h
-        assert np.abs(np.diff(closed)).max() <= h + 1e-12
+        # at least n points, so chords stay below the arc length over n
+        assert np.abs(np.diff(closed)).max() <= 2 * math.pi * 1.7 / n + 1e-12
         assert np.allclose(np.abs(pts - (1 + 2j)), 1.7)
 
 
 def test_segment_and_rectangle_sampling():
     seg = Segment(0.0, 3 + 4j)
-    pts = seg.sample_boundary(h=0.5)
+    pts = seg.sample_boundary(10)
     assert pts[0] == 0.0 and pts[-1] == 3 + 4j
     assert np.abs(np.diff(pts)).max() <= 0.5 + 1e-12
     assert all(seg.contains(z) for z in pts)
 
     rect = Rectangle(-1.0, 2.0, 0.5, 1.5)
-    bpts = rect.sample_boundary(h=0.25)
+    bpts = rect.sample_boundary(32)
     assert all(rect.contains(z) for z in bpts)
     on_edge = [
         min(abs(z.real + 1), abs(z.real - 2), abs(z.imag - 0.5), abs(z.imag - 1.5))
@@ -84,7 +85,7 @@ def test_sample_count_mode():
 
 def test_grid_size_guard():
     with pytest.raises(GridSizeError):
-        Disk(0.0, 1.0).sample_boundary(h=1e-8)
+        Disk(0.0, 1.0).sample_boundary(MAX_GRID_POINTS + 1)
     prod = ProductCompact([Disk(0.0, 1.0)] * 3)
     with pytest.raises(GridSizeError):
         prod.sample(n_per_factor=300)
@@ -95,7 +96,6 @@ def test_product_sampling_and_membership():
     grid = prod.sample(n_per_factor=20)
     assert grid.points.shape[1] == 2
     assert len(grid) == len(grid.per_factor[0]) * len(grid.per_factor[1])
-    assert "Disk" in grid.provenance and "Rectangle" in grid.provenance
     for row in grid.points[:50]:
         assert prod.contains(row)
     assert not prod.contains((1.5, 0.5))
@@ -103,7 +103,7 @@ def test_product_sampling_and_membership():
 
 
 def test_empty_product_grid():
-    grid = ProductCompact([]).sample()
+    grid = ProductCompact([]).sample(16)
     assert grid.points.shape == (1, 0)
 
 
@@ -304,7 +304,7 @@ def test_cofinality_one_factor():
 
 def test_sup_norm_identity_on_circle():
     p = Poly.z_var(0, 0, 1)
-    grid = ProductCompact([Disk(0.0, 1.0)]).sample(h=math.pi / 2)
+    grid = ProductCompact([Disk(0.0, 1.0)]).sample(4)
     assert sup_norm(p, grid) == 1.0
 
 
@@ -324,7 +324,22 @@ def test_center_grid_interior():
     for pt in pts:
         assert M.contains(pt, tol=1e-12)
         assert omega.contains(pt)
-    assert center_grid(M, per_factor=1) == [(0.0, (1 + 1j))]
+
+
+def test_center_grid_on_clipped_disk_factors():
+    # a closure exhaustion clips a disk that pokes past |z| <= p; the
+    # pattern then spans 0.6 of the room left inside the clip
+    clipped = exhaustion_M(DomainProduct([OpenDisk(1.0, 1.5)]), 2,
+                           closure_variant=True)
+    assert isinstance(clipped.factors[0], ClippedCompact)
+    assert center_grid(clipped) == [
+        (0.4 - 0.6j,), (0.4 + 0j,), (0.4 + 0.6j,), (1 - 0.6j,), (1 + 0j,),
+        (1 + 0.6j,), (1.6 - 0.6j,), (1.6 + 0j,), (1.6 + 0.6j,)]
+    # a base center on the clip circle leaves no room: the center alone
+    edge = exhaustion_M(DomainProduct([OpenDisk(2.0, 1.5)]), 2,
+                        closure_variant=True)
+    assert isinstance(edge.factors[0], ClippedCompact)
+    assert center_grid(edge) == [(2.0,)]
 
 
 def test_sampled_min_distance():

@@ -27,7 +27,7 @@ from taylorlab.universal import (
     plan_stages,
     run_construction,
 )
-from taylorlab.verify import variant_ops
+from taylorlab.verify import catalog_poly, variant_ops
 
 from util import oracle_gamma
 
@@ -383,11 +383,11 @@ def test_scenario_family_shorthand():
 def test_scenario_catalog_target_needs_resolver():
     data = dict(SCENARIO)
     data["stages"] = [dict(SCENARIO["stages"][0], target="catalog:3")]
-    with pytest.raises(ValueError, match="catalog:3"):
+    plan = plan_from_scenario(data)
+    assert plan.requests[0].target == catalog_poly(3, 0, 1)
+    data["stages"] = [dict(SCENARIO["stages"][0], target="table:3")]
+    with pytest.raises(ValueError, match="table:3"):
         plan_from_scenario(data)
-    plan = plan_from_scenario(
-        data, target_resolver=lambda j: _const(float(j)))
-    assert plan.requests[0].target.terms == _const(3.0).terms
 
 
 def test_certificate_csv_shape(tmp_path):
