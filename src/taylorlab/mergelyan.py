@@ -218,18 +218,23 @@ def fit(task: ApproxTask) -> FitResult:
         divisor = {r + i0: (complex(c), int(e))}
         pref_poly = (Poly.z_var(i0, r, d) - complex(c)) ** e
 
-    scales = np.maximum([max(np.abs(ax[j]).max() for ax in axes)
-                         for j in range(k)], 1e-9)
+    peaks = [max(np.abs(ax[j]).max() for ax in axes) for j in range(k)]
+    scales = np.maximum(peaks, 1e-9)
     # judged on the dense (w, z) design, though that is never formed
     rows_max = max(len(W) * len(Z) for W, Z in grids)
     if rows_max * math.comb(task.budgets[-1] + k, k) > MAX_DESIGN_ENTRIES:
         raise GridSizeError("design matrix would be too large; lower the "
                             "budget or the sampling density")
-    # _assemble divides by scale ** degree
+    # _assemble divides by scale ** degree; an axis sampled only at 0 has
+    # zero columns beyond degree 0, so its coefficients never divide
     top, s_max = task.budgets[-1], scales.max()
+    s_min = min((s for s, peak in zip(scales, peaks) if peak > 0), default=1.0)
     if top * math.log(s_max) >= math.log(sys.float_info.max):
         raise ValueError(
             f"the fit scale {s_max:.3g} overflows at degree {top}")
+    if top * math.log(s_min) < math.log(sys.float_info.min):
+        raise ValueError(
+            f"the fit scale {s_min:.3g} underflows at degree {top}")
     gammas = _monomials_upto(k, task.budgets[-1])
     exps = np.array(gammas).reshape(-1, k)
 
@@ -278,7 +283,9 @@ def fit(task: ApproxTask) -> FitResult:
         coefs_hat, _, _, svals = np.linalg.lstsq(
             np.concatenate(rows) / colscale, np.concatenate(rhs), rcond=1e-12)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-        coefs = coefs_hat / colscale
+        # a column that is 0 at every sample (an axis sampled only at 0)
+        # gets 0, not lstsq's rounding noise over the 1e-300 floor
+        coefs = np.where(colmax > 0, coefs_hat / colscale, 0)
         Q = _assemble(task, gammas[:ncols], coefs, scales, pref_poly)
         piece_res = _residuals(task, Q, verif)
         res = max(piece_res)

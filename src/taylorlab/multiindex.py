@@ -63,14 +63,19 @@ def _offset(t: int, d: int) -> int:
     return math.comb(t + d - 1, d)
 
 
+def _lex_below(left: int, parts: int, v: int) -> int:
+    """How many tuples of total `left` over 1 + parts coordinates put a value
+    below v first: the sum over u < v of comb(left - u + parts - 1,
+    parts - 1), closed by the hockey-stick identity."""
+    return math.comb(left + parts, parts) - math.comb(left - v + parts, parts)
+
+
 def _lex_rank_in_block(m: tuple[int, ...]) -> int:
     d = len(m)
     rem = sum(m)
     rank = 0
     for i in range(d - 1):
-        parts = d - i - 1
-        for v in range(m[i]):
-            rank += math.comb(rem - v + parts - 1, parts - 1)
+        rank += _lex_below(rem, d - i - 1, m[i])
         rem -= m[i]
     return rank
 
@@ -80,15 +85,17 @@ def _lex_unrank_in_block(t: int, rem: int, d: int) -> tuple[int, ...]:
     left = t
     for i in range(d - 1):
         parts = d - i - 1
-        v = 0
-        while True:
-            cnt = math.comb(left - v + parts - 1, parts - 1)
-            if rem < cnt:
-                break
-            rem -= cnt
-            v += 1
-        out.append(v)
-        left -= v
+        # the largest v in [0, left] with _lex_below(left, parts, v) <= rem
+        lo, hi = 0, left
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _lex_below(left, parts, mid) <= rem:
+                lo = mid
+            else:
+                hi = mid - 1
+        rem -= _lex_below(left, parts, lo)
+        out.append(lo)
+        left -= lo
     out.append(left)
     return tuple(out)
 

@@ -19,6 +19,10 @@ import numpy as np
 from .multiindex import DiffOp, Enumeration, check_multiindex
 
 
+# dense coefficients one evaluation or re-centering may span
+MAX_DENSE = 1_000_000
+
+
 def _as_grid(arr, ncols: int) -> np.ndarray:
     """Coerce to an (n, ncols) complex array; ncols = 0 yields one empty row
     per input row (a single row when the input is empty)."""
@@ -53,6 +57,52 @@ def _accumulate(pairs, out=None) -> dict:
         else:
             out[key] = s
     return out
+
+
+def _dense(terms: dict) -> np.ndarray:
+    """The coefficients {exponent tuple: c} as a dense complex array whose
+    axis i runs through exponents 0..max of coordinate i.
+
+    The kernels spend time on every entry, so a huge but sparse exponent
+    (say z ** 10 ** 9) is refused here rather than run.
+    """
+    keys = list(terms)
+    shape = tuple(max(col) + 1 for col in zip(*keys))
+    if math.prod(shape) > MAX_DENSE:
+        raise ValueError(
+            f"exponents up to {[v - 1 for v in shape]} span "
+            f"{math.prod(shape)} dense coefficients, more than the "
+            f"{MAX_DENSE} the polynomial kernels take")
+    index = np.array(keys, dtype=np.intp).reshape(len(keys), len(shape))
+    out = np.zeros(shape, dtype=complex)
+    steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    out.reshape(-1)[index @ np.array(steps, dtype=np.intp)] = list(
+        terms.values())
+    return out
+
+
+def _horner(C, cols, n: int):
+    """Nested Horner value of the dense coefficients C (nested lists, one
+    level per column in cols, the first outermost) at the n points whose
+    coordinates are the columns; None when every coefficient is 0."""
+    if not cols:
+        return np.full(n, C, dtype=complex) if C != 0 else None
+    z, rest = cols[0], cols[1:]
+    acc = None
+    for c in reversed(C):
+        if acc is not None:
+            acc *= z
+        if rest:
+            c = _horner(c, rest, n)
+            if c is None:
+                continue
+        elif c == 0:
+            continue
+        if acc is None:
+            acc = c if rest else np.full(n, c, dtype=complex)
+        else:
+            acc += c
+    return acc
 
 
 class Poly:
@@ -206,41 +256,27 @@ class Poly:
     def eval_product(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Values on the product grid: result[i, j] = p(W[i], Z[j]).
 
-        W is (nw, r), Z is (nz, d).  Terms are grouped by w-exponent so the
-        product grid is never materialized.
+        W is (nw, r), Z is (nz, d).  Terms are grouped by w-exponent, in
+        ascending order, so the product grid is never materialized; each
+        group's z-part is densified and evaluated by nested Horner (first
+        coordinate outermost), which keeps a few length-nz columns per
+        level.  The rounding depends on the coefficients alone, not on how
+        the polynomial was assembled, so recomputed sups do not drift.
         """
         W = _as_grid(W, self.r)
         Z = _as_grid(Z, self.d)
         nw, nz = W.shape[0], Z.shape[0]
         out = np.zeros((nw, nz), dtype=complex)
-        # canonical term order: the sum must not depend on how the poly
-        # was assembled, or recomputed sups drift at the last bit
-        groups: dict[tuple[int, ...], list] = {}
-        for (we, ze), c in sorted(self.terms.items()):
-            groups.setdefault(we, []).append((ze, c))
-        wcache: dict[tuple[int, int], np.ndarray] = {}
-        zcache: dict[tuple[int, int], np.ndarray] = {}
-
-        def powcol(arr, cache, ci, e):
-            key = (ci, e)
-            got = cache.get(key)
-            if got is None:
-                got = arr[:, ci] ** e
-                cache[key] = got
-            return got
-
-        for we, zterms in groups.items():
+        groups: dict[tuple[int, ...], dict] = {}
+        for (we, ze), c in self.terms.items():
+            groups.setdefault(we, {})[ze] = c
+        cols = [np.ascontiguousarray(Z[:, i]) for i in range(self.d)]
+        for we in sorted(groups):
+            zs = _horner(_dense(groups[we]).tolist(), cols, nz)
             wa = np.ones(nw, dtype=complex)
             for i, e in enumerate(we):
                 if e:
-                    wa = wa * powcol(W, wcache, i, e)
-            zs = np.zeros(nz, dtype=complex)
-            for ze, c in zterms:
-                acc = np.full(nz, c, dtype=complex)
-                for i, e in enumerate(ze):
-                    if e:
-                        acc = acc * powcol(Z, zcache, i, e)
-                zs += acc
+                    wa = wa * W[:, i] ** e
             out += wa[:, None] * zs[None, :]
         return out
 
@@ -268,44 +304,51 @@ class Poly:
         coefficients of p in powers of (z - zeta).
 
         Runs one univariate Ruffini-Horner shift per z-coordinate with a
-        nonzero offset; coordinates with offset 0 are untouched bit for bit.
+        nonzero offset; coordinates with offset 0, and the zero polynomial,
+        are untouched bit for bit.
         """
         zeta = tuple(complex(v) for v in zeta)
         if len(zeta) != self.d:
             raise ValueError(f"center has length {len(zeta)}, expected {self.d}")
         p = self
         for i, off in enumerate(zeta):
-            if off == 0:
-                continue
-            p = p._shift_one(i, off)
+            if off != 0 and not p.is_zero:
+                p = p._shift_one(i, off)
         return p
 
     def _shift_one(self, coord: int, off: complex) -> "Poly":
-        groups: dict[tuple, np.ndarray] = {}
+        # one lane per fixed set of the other exponents (w, z_<coord,
+        # z_>coord); the lanes' coefficients along `coord` are the rows of C
+        lanes: dict[tuple, int] = {}
+        index: dict[tuple[int, int], complex] = {}
         for (we, ze), c in self.terms.items():
-            rest = (we, ze[:coord], ze[coord + 1:])
-            e = ze[coord]
-            arr = groups.get(rest)
-            if arr is None or len(arr) <= e:
-                new = np.zeros(max(e + 1, 0 if arr is None else len(arr)),
-                               dtype=complex)
-                if arr is not None:
-                    new[:len(arr)] = arr
-                groups[rest] = arr = new
-            arr[e] += c
-        out: dict = {}
-        for (we, zpre, zpost), arr in groups.items():
-            n = len(arr) - 1
-            c = arr.copy()
-            for j in range(n):
-                for k in range(n - 1, j - 1, -1):
-                    c[k] += off * c[k + 1]
-            for e in range(n + 1):
-                if c[e] != 0:
-                    out[(we, zpre + (e,) + zpost)] = out.get(
-                        (we, zpre + (e,) + zpost), 0j) + c[e]
+            lane = lanes.setdefault((we, ze[:coord], ze[coord + 1:]),
+                                    len(lanes))
+            index[(lane, ze[coord])] = c
+        C = _dense(index)
+        n = C.shape[1] - 1
+        # Horner in (y + off): q <- (y + off) q + c_m for m = n-1..0, one
+        # anti-diagonal of Ruffini's table per step.  Column 0 of the work
+        # array holds c_m and columns 1.. hold q with a zero past its top,
+        # so a step is q_i <- q_{i-1} + off * q_i for i = 0..deg q + 1: the
+        # multiply-adds of the scalar Ruffini-Horner loop, vectorised over
+        # lanes.
+        src = np.zeros((len(lanes), n + 2), dtype=complex)
+        dst = np.zeros_like(src)
+        src[:, 1] = C[:, n]
+        for k in range(1, n + 1):
+            src[:, 0] = C[:, n - k]
+            np.multiply(src[:, 1:k + 2], off, out=dst[:, 1:k + 2])
+            dst[:, 1:k + 2] += src[:, :k + 1]
+            src, dst = dst, src
+        q = src[:, 1:]
+        keys = list(lanes)
+        rows, exps = np.nonzero(q)
         p = Poly(self.r, self.d)
-        p.terms = {k: v for k, v in out.items() if v != 0}
+        for i, e, c in zip(rows.tolist(), exps.tolist(),
+                           q[rows, exps].tolist()):
+            we, zpre, zpost = keys[i]
+            p.terms[(we, zpre + (e,) + zpost)] = c
         return p
 
     # -- serialization -------------------------------------------------------
@@ -356,9 +399,10 @@ def partial_sum(f: Poly, zeta, n: int, enum: Enumeration) -> Poly:
     """Partial sum through rank n of f expanded about zeta.
 
     Keeps the terms whose re-centered z-exponent has rank <= n under the
-    enumeration, then re-expands about the origin.  If no term would be
-    dropped the input object is returned unchanged (capture: the partial
-    sum IS the polynomial, for any center).
+    enumeration, then re-expands about the origin; the order is graded, so
+    only exponents of the cut's own total degree are ranked.  If no term
+    would be dropped the input object is returned unchanged (capture: the
+    partial sum IS the polynomial, for any center).
     """
     if enum.d != f.d:
         raise ValueError("enumeration dimension does not match the polynomial")
@@ -370,7 +414,9 @@ def partial_sum(f: Poly, zeta, n: int, enum: Enumeration) -> Poly:
         return f
     zeta = tuple(complex(v) for v in zeta)
     shifted = f.shift_center(zeta)
-    kept = {k: c for k, c in shifted.terms.items() if enum.rank(k[1]) <= n}
+    t = sum(enum.unrank(n))
+    kept = {k: c for k, c in shifted.terms.items()
+            if (deg := sum(k[1])) < t or (deg == t and enum.rank(k[1]) <= n)}
     if len(kept) == len(shifted.terms):
         # every re-centered term survives the cut even though the box bound
         # did not prove it; the truncation is the whole polynomial

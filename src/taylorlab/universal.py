@@ -42,9 +42,8 @@ from .mergelyan import fit, glue_target
 from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
 from .poly import CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
-from .verify import VARIANTS, catalog_poly, measure_stage, variant_ops
-
-CERT_FORMAT = "taylorlab-certificate-v1"
+from .verify import (CERT_FORMAT, VARIANTS, catalog_poly, measure_stage,
+                     variant_ops)
 
 
 @dataclass

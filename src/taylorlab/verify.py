@@ -39,6 +39,9 @@ from .multiindex import (Enumeration, cantor_unpair, check_int, family_Fl,
 from .poly import CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
+# v2: Horner evaluation and vectorised re-centering round differently from
+# v1's monomial sums, so v1 sups do not replay within the 1e-12 window
+CERT_FORMAT = "taylorlab-certificate-v2"
 # far above the l <= 2 (at most 10 operators) of every scenario and test
 MAX_FAMILY_OPS = 1_000
 
@@ -372,12 +375,18 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
 
     Grids are rebuilt from the recorded compacts and densities; each
     recomputed sup must land within 1e-12 of the recorded value and under
-    the stage tolerance.  A certificate whose enumeration or center does
-    not match the stream is refused (VerificationRefused, not False); a
-    stored whole-body hash that no longer matches fails immediately.  A
-    certificate with no stages verifies vacuously.
+    the stage tolerance.  A certificate of another format, or whose
+    enumeration or center does not match the stream, is refused
+    (VerificationRefused, not False); a stored whole-body hash that no
+    longer matches fails immediately.  A certificate with no stages
+    verifies vacuously.
     """
     h = cert.header
+    if h.get("format") != CERT_FORMAT:
+        raise VerificationRefused(
+            f"verification refused: certificate format {h.get('format')!r} "
+            f"is not {CERT_FORMAT!r}; re-run construct on the scenario to "
+            "re-certify")
     if h.get("enumeration") != stream.enum.tag:
         raise VerificationRefused(
             "verification refused: certificate enumeration "

@@ -279,6 +279,25 @@ def test_verify_mismatched_stream_is_refused(tmp_path, capsys):
     assert "refused" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_v1_certificate(tmp_path, capsys):
+    # v1 sups were measured by the monomial evaluator and the scalar
+    # re-centering; they do not replay within the 1e-12 window
+    out = str(tmp_path / "out")
+    assert main(["construct", _scenario(tmp_path), "--out-dir", out]) == 0
+    cpath = os.path.join(out, "certificate.json")
+    data = json.load(open(cpath))
+    data["header"]["format"] = "taylorlab-certificate-v1"
+    data["sha256"] = Certificate(data["header"], data["stages"],
+                                 data["summary"]).sha256
+    json.dump(data, open(cpath, "w"))
+    capsys.readouterr()
+    assert main(["verify", os.path.join(out, "stream.json"), cpath]) == 1
+    message = capsys.readouterr().out
+    assert message.startswith("verification refused: certificate format "
+                              "'taylorlab-certificate-v1'")
+    assert "re-run construct" in message
+
+
 # ---------------------------------------------------------------- predicates
 
 def _zsq_path(tmp_path):
@@ -383,6 +402,22 @@ def _edit(doc, path, value):
     return doc
 
 
+def _tiny_factor_bidisk():
+    """A bidisk scenario whose compacts share factor 1 = Disk(0, 1e-7): the
+    fit scale of that axis to the power 60 underflows."""
+    def disk(center, radius):
+        return {"type": "disk", "center": [center, 0.0], "radius": radius}
+    tiny = disk(0.0, 1e-7)
+    return {"name": "tiny-factor-bidisk",
+            "domain": [{"type": "open-disk", "center": [0.0, 0.0],
+                        "radius": 1.0}] * 2,
+            "stages": [{"target": {"constant": [1.0, 0.0]},
+                        "outer": {"factors": [disk(2.5, 0.15), tiny],
+                                  "disjoint_factor": 0},
+                        "inner": {"factors": [disk(0.0, 0.5), tiny]},
+                        "tolerance": 0.01, "budgets": [8, 60]}]}
+
+
 # (file edited, path in it, new value, exit code, start of the message);
 # scenarios edit seleznev.json, streams and certificates its artifacts
 # (re-hashed after the edit), specs predicates_demo.json
@@ -404,6 +439,12 @@ REFUSALS = [
     ("scenario", ("cert_density",), 64.7, 2, "scenario rejected"),
     ("scenario", ("stages", 0, "outer"), {"family": "tm", "m": 1.5}, 2,
      "scenario rejected"),
+    ("scenario", (), _tiny_factor_bidisk(), 2,
+     "scenario rejected: the fit scale 1e-07 underflows at degree 60"),
+    ("scenario", ("stages", 0, "target"),
+     {"r": 0, "d": 1,
+      "terms": [{"w_exp": [], "z_exp": [10**30], "re": 1.0, "im": 0.0}]}, 2,
+     "scenario rejected: exponents up to [10000000000000000000000000000"),
     ("stream", (), [], 2, "{file}: the top level must be a JSON object"),
     ("stream", ("enumeration",), 1, 2, "artifact rejected"),
     ("stream", ("enumeration",), "explicit-table:0,0", 2, "artifact rejected"),
@@ -431,7 +472,12 @@ REFUSALS = [
 
 def _refusal_id(case):
     file, path, value, code, _ = case
-    shown = "drop" if value is DROP else json.dumps(value, separators=(",", ":"))
+    if value is DROP:
+        shown = "drop"
+    elif isinstance(value, dict) and "name" in value:
+        shown = value["name"]
+    else:
+        shown = json.dumps(value, separators=(",", ":"))
     return f"{file}:{'.'.join(map(str, path)) or 'top'}={shown}->{code}"
 
 

@@ -194,6 +194,23 @@ def test_design_size_guard():
         fit(task)
 
 
+def test_scale_underflow_is_refused_but_an_all_zero_axis_fits():
+    def task(radius):
+        def piece(center, r, value):
+            K = ProductCompact([Disk(center, r), Disk(0.0, radius)])
+            return K, Poly.constant(value, 0, 2)
+        return ApproxTask([piece(0.0, 0.5, 0.0), piece(2.5, 0.15, 1.0)],
+                          [8, 60], tolerance=1e-2)
+    # 1e-7 ** 60 is below the smallest normal float
+    with pytest.raises(ValueError, match="1e-07 underflows at degree 60"):
+        fit(task(1e-7))
+    # an axis sampled only at 0 has zero columns past degree 0, and so no
+    # coefficients there
+    res = fit(task(0.0))
+    assert res.converged
+    assert all(ze[1] == 0 for _, ze in res.poly.terms)
+
+
 # ------------------------------------------- compressed vs dense design
 
 LSTSQ = np.linalg.lstsq

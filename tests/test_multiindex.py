@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from taylorlab.multiindex import (
     DiffOp,
+    _block_size,
+    _lex_rank_in_block,
+    _lex_unrank_in_block,
     Enumeration,
     IndexSet,
     SparseIndexError,
@@ -49,6 +52,32 @@ def oracle_capture_scan(enum, degrees, scan_limit=200_000):
             if len(seen) == len(box):
                 return k
     raise AssertionError("scan limit hit before covering the box")
+
+
+def loop_rank_in_block(m):
+    """Lex rank inside the degree block, one summand per skipped value."""
+    d, rem, rank = len(m), sum(m), 0
+    for i in range(d - 1):
+        parts = d - i - 1
+        for v in range(m[i]):
+            rank += math.comb(rem - v + parts - 1, parts - 1)
+        rem -= m[i]
+    return rank
+
+
+def loop_unrank_in_block(t, rem, d):
+    """Inverse of loop_rank_in_block, stepping each value one at a time."""
+    out, left = [], t
+    for i in range(d - 1):
+        parts = d - i - 1
+        v = 0
+        while rem >= (cnt := math.comb(left - v + parts - 1, parts - 1)):
+            rem -= cnt
+            v += 1
+        out.append(v)
+        left -= v
+    out.append(left)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------- frozen values
@@ -96,6 +125,16 @@ def test_graded_revlex_matches_sort_oracle(d):
     count = 200
     got = [enum.unrank(k) for k in range(count)]
     assert got == oracle_graded_prefix(d, count, reverse=True)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_block_rank_matches_the_loops(d):
+    # every index of total degree <= 40, both directions, exact integers
+    for t in range(41):
+        for rem in range(_block_size(t, d)):
+            m = loop_unrank_in_block(t, rem, d)
+            assert _lex_unrank_in_block(t, rem, d) == m
+            assert _lex_rank_in_block(m) == loop_rank_in_block(m) == rem
 
 
 @pytest.mark.parametrize("scheme", ["graded-lex", "graded-revlex"])

@@ -1,5 +1,9 @@
 """Polynomial algebra against the naive oracles in util.py."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,11 @@ from taylorlab.multiindex import DiffOp, Enumeration
 from taylorlab.poly import CoefficientStream, Poly, gamma, gamma_poly, partial_sum
 
 from util import (
+    exact,
+    exact_add,
+    exact_distance,
+    exact_mul,
+    exact_powers,
     fd_derivative,
     oracle_eval,
     oracle_gamma,
@@ -80,6 +89,55 @@ def test_eval_r0():
     assert p.eval((), (2.0,)) == 16.0
     vals = p.eval_product(np.zeros((1, 0)), np.array([[1.0], [2.0]]))
     assert np.allclose(vals, [[2.0, 16.0]])
+
+
+# float64 unit roundoff
+U = 2.0 ** -53
+
+
+def _degrees(p):
+    """Per-coordinate maximal exponents over (w, z)."""
+    return [max((we + ze)[a] for we, ze in p.terms) for a in range(p.r + p.d)]
+
+
+def _check_eval_against_exact(p, W, Z):
+    """|eval - exact| <= 4 (n + 1) u sum |c| |x|^e at every grid point, n
+    the multiply-adds of the longest Horner path (the degrees added up)."""
+    got = p.eval_product(W, Z)
+    degs = _degrees(p)
+    n = sum(degs)
+    for i, w in enumerate(W):
+        for j, z in enumerate(Z):
+            x = tuple(w) + tuple(z)
+            pows = [exact_powers(xa, e) for xa, e in zip(x, degs)]
+            want, size = (Fraction(0), Fraction(0)), 0.0
+            for (we, ze), c in p.terms.items():
+                v, mag = exact(c), abs(c)
+                for a, e in enumerate(we + ze):
+                    v = exact_mul(v, pows[a][e])
+                    mag *= abs(x[a]) ** e
+                want, size = exact_add(want, v), size + mag
+            assert exact_distance(got[i, j], want) <= 4 * (n + 1) * U * size
+
+
+def test_horner_d1_degree_200_against_exact():
+    rng = np.random.default_rng(15)
+    p = Poly(0, 1, {((), (k,)): complex(*rng.standard_normal(2))
+                    for k in range(201)})
+    radii = np.repeat([0.3, 1.0, 2.0, 2.65], 3)
+    Z = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+    _check_eval_against_exact(p, np.zeros((1, 0)), Z.reshape(-1, 1))
+
+
+def test_horner_d2_and_r1_against_exact():
+    rng = np.random.default_rng(16)
+    p = random_poly(rng, 0, 2, max_deg=14, nterms=80)
+    Z = rng.uniform(-2, 2, (10, 2)) + 1j * rng.uniform(-2, 2, (10, 2))
+    _check_eval_against_exact(p, np.zeros((1, 0)), Z)
+    q = random_poly(rng, 1, 1, max_deg=20, nterms=60)
+    W = rng.uniform(-1, 1, (3, 1)) + 1j * rng.uniform(-1, 1, (3, 1))
+    Z = rng.uniform(-2, 2, (5, 1)) + 1j * rng.uniform(-2, 2, (5, 1))
+    _check_eval_against_exact(q, W, Z)
 
 
 # ------------------------------------------------------------ arithmetic
@@ -177,10 +235,55 @@ def test_shift_center_roundtrip():
         assert back.isclose(p, tol=1e-10 * scale)
 
 
+def _check_shift_against_exact(p, zeta):
+    """Each coefficient of p.shift_center(zeta) is within 4 (n + 1) u of the
+    exact binomial expansion sum C(e, j) c zeta^(e - j), measured against
+    the same sum in absolute values; n is the z-degrees added up."""
+    got = p.shift_center(zeta).terms
+    degs = _degrees(p)[p.r:]
+    n = sum(degs)
+    pows = [exact_powers(zt, e) for zt, e in zip(zeta, degs)]
+    want: dict = {}
+    for (we, ze), c in p.terms.items():
+        for js in itertools.product(*(range(e + 1) for e in ze)):
+            v, mag = exact(c), abs(c)
+            for i, (e, j) in enumerate(zip(ze, js)):
+                b = math.comb(e, j)
+                v = exact_mul(v, pows[i][e - j])
+                v = (b * v[0], b * v[1])
+                mag *= b * abs(zeta[i]) ** (e - j)
+            old, size = want.get((we, js), ((Fraction(0), Fraction(0)), 0.0))
+            want[(we, js)] = (exact_add(old, v), size + mag)
+    assert set(got) <= set(want)
+    for key, (value, size) in want.items():
+        assert exact_distance(got.get(key, 0j), value) <= 4 * (n + 1) * U * size
+
+
+def test_shift_center_d1_against_exact_binomials():
+    rng = np.random.default_rng(35)
+    p = Poly(0, 1, {((), (k,)): complex(*rng.standard_normal(2))
+                    for k in range(61)})
+    for zeta in (0.7 + 0.4j, 2.65 * np.exp(2.1j), -1.0):
+        _check_shift_against_exact(p, (zeta,))
+
+
+def test_shift_center_many_lanes_against_exact_binomials():
+    # r = 1, d = 2: each coordinate's shift runs over lanes of the other
+    # exponents, and both coordinates move
+    rng = np.random.default_rng(36)
+    for _ in range(3):
+        p = random_poly(rng, 1, 2, max_deg=9, nterms=40)
+        zeta = tuple(complex(v) for v in rng.uniform(-2, 2, 2)
+                     + 1j * rng.uniform(-2, 2, 2))
+        _check_shift_against_exact(p, zeta)
+
+
 def test_shift_by_zero_is_bit_identical():
     rng = np.random.default_rng(33)
     p = random_poly(rng, 1, 2)
     assert p.shift_center((0, 0)) is p
+    zero = Poly.zero(1, 2)
+    assert zero.shift_center((1, 2j)) is zero
 
 
 def test_shift_preserves_degree_box():
@@ -307,6 +410,23 @@ def test_partial_sum_zero_center_is_rank_filter():
     f = Poly(0, 1, {((), (0,)): 1.0, ((), (2,)): -3.0, ((), (5,)): 2.0})
     s = partial_sum(f, (0.0,), 3, enum)
     assert s == Poly(0, 1, {((), (0,)): 1.0, ((), (2,)): -3.0})
+
+
+@pytest.mark.parametrize("scheme", ["graded-lex", "graded-revlex"])
+def test_partial_sum_keeps_exactly_the_ranks_up_to_n(scheme):
+    # partial_sum ranks only the cut's degree block; the kept terms must be
+    # those a rank test on every re-centered term keeps
+    rng = np.random.default_rng(52)
+    enum = Enumeration(2, scheme)
+    f = random_poly(rng, 1, 2, max_deg=5, nterms=25)
+    zeta = random_point(rng, 2)
+    shifted = f.shift_center(zeta)
+    for n in range(enum.capture_index(f.z_degrees())):
+        g = Poly(f.r, f.d)
+        g.terms = {k: c for k, c in shifted.terms.items()
+                   if enum.rank(k[1]) <= n}
+        want = g.shift_center(tuple(-v for v in zeta))
+        assert partial_sum(f, zeta, n, enum) == want
 
 
 def test_partial_sum_value_against_naive_series():

@@ -3,6 +3,7 @@ dumb way on purpose: direct monomial loops, stepwise derivatives, raw
 factorials. The library must agree with these, not the other way round."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,3 +94,33 @@ def fd_derivative(fn, x, h=1e-5):
 def rel_err(a, b):
     denom = max(abs(a), abs(b), 1e-30)
     return abs(a - b) / denom
+
+
+# exact complex arithmetic on (re, im) pairs of Fractions; every float64 is
+# a Fraction, so these give the true value of a float computation's inputs
+
+def exact(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def exact_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def exact_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def exact_powers(z, n):
+    """[z^0, ..., z^n], exactly."""
+    out = [(Fraction(1), Fraction(0))]
+    for _ in range(n):
+        out.append(exact_mul(out[-1], exact(z)))
+    return out
+
+
+def exact_distance(got, want):
+    """|got - want| for a float complex got and an exact want."""
+    got = exact(got)
+    return math.hypot(float(got[0] - want[0]), float(got[1] - want[1]))
