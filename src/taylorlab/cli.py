@@ -21,16 +21,8 @@ from .universal import Certificate, plan_from_scenario, run_construction
 from .verify import (VARIANTS, PredicateSpec, VerificationRefused,
                      predicate_record, verify_certificate)
 
-VERBOSE = os.environ.get("TAYLORLAB_VERBOSE", "") not in ("", "0")
-
-
 class InputError(Exception):
     """An unusable input; `main` prints the message and exits 2."""
-
-
-def _chat(msg: str):
-    if VERBOSE:
-        print(msg, file=sys.stderr)
 
 
 def _load_json(path: str) -> dict:
@@ -81,10 +73,11 @@ def cmd_construct(args) -> int:
     cert.write_json(os.path.join(args.out_dir, "certificate.json"))
     cert.write_csv(os.path.join(args.out_dir, "history.csv"))
 
-    for rec in cert.stages:
-        _chat(f"stage {rec['stage']}: lambda={rec['lambda']} "
-              f"E={rec['e_side_error']:.3e} F={rec['f_side_error']:.3e} "
-              f"pass={rec['pass_e'] and rec['pass_f']}")
+    if args.verbose:
+        for rec in cert.stages:
+            print(f"stage {rec['stage']}: lambda={rec['lambda']} "
+                  f"E={rec['e_side_error']:.3e} F={rec['f_side_error']:.3e} "
+                  f"pass={rec['pass_e'] and rec['pass_f']}", file=sys.stderr)
     summary = cert.summary
     if summary["aborted"]:
         print(f"aborted at stage {summary['aborted']['stage']}: "
@@ -187,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fixed-center", type=_parse_center, default=None,
                     metavar="RE,IM,...",
                     help="override the expansion center (re,im per factor)")
+    pc.add_argument("-v", "--verbose", action="store_true",
+                    help="print one line per stage on stderr")
 
     pv = sub.add_parser("verify",
                         help="replay a certificate against its stream")

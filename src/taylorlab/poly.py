@@ -21,6 +21,9 @@ from .multiindex import DiffOp, Enumeration, check_multiindex
 
 # dense coefficients one evaluation or re-centering may span
 MAX_DENSE = 1_000_000
+# multiply-adds one re-centering may take: the dense size times the length
+# of each moved axis, added up
+MAX_SHIFT_WORK = 100_000_000
 
 
 def _as_grid(arr, ncols: int) -> np.ndarray:
@@ -303,52 +306,46 @@ class Poly:
         """Re-center in z: returns q with q(y) = p(y + zeta), i.e. the
         coefficients of p in powers of (z - zeta).
 
-        Runs one univariate Ruffini-Horner shift per z-coordinate with a
-        nonzero offset; coordinates with offset 0, and the zero polynomial,
-        are untouched bit for bit.
+        The terms are densified once over the joint (w, z) exponents; each
+        z-axis with a nonzero offset then runs one Ruffini-Horner shift,
+        with every other axis a lane.  The zero polynomial and an all-zero
+        center return self, bit for bit.
         """
         zeta = tuple(complex(v) for v in zeta)
         if len(zeta) != self.d:
             raise ValueError(f"center has length {len(zeta)}, expected {self.d}")
-        p = self
-        for i, off in enumerate(zeta):
-            if off != 0 and not p.is_zero:
-                p = p._shift_one(i, off)
-        return p
-
-    def _shift_one(self, coord: int, off: complex) -> "Poly":
-        # one lane per fixed set of the other exponents (w, z_<coord,
-        # z_>coord); the lanes' coefficients along `coord` are the rows of C
-        lanes: dict[tuple, int] = {}
-        index: dict[tuple[int, int], complex] = {}
-        for (we, ze), c in self.terms.items():
-            lane = lanes.setdefault((we, ze[:coord], ze[coord + 1:]),
-                                    len(lanes))
-            index[(lane, ze[coord])] = c
-        C = _dense(index)
-        n = C.shape[1] - 1
-        # Horner in (y + off): q <- (y + off) q + c_m for m = n-1..0, one
-        # anti-diagonal of Ruffini's table per step.  Column 0 of the work
-        # array holds c_m and columns 1.. hold q with a zero past its top,
-        # so a step is q_i <- q_{i-1} + off * q_i for i = 0..deg q + 1: the
-        # multiply-adds of the scalar Ruffini-Horner loop, vectorised over
-        # lanes.
-        src = np.zeros((len(lanes), n + 2), dtype=complex)
-        dst = np.zeros_like(src)
-        src[:, 1] = C[:, n]
-        for k in range(1, n + 1):
-            src[:, 0] = C[:, n - k]
-            np.multiply(src[:, 1:k + 2], off, out=dst[:, 1:k + 2])
-            dst[:, 1:k + 2] += src[:, :k + 1]
-            src, dst = dst, src
-        q = src[:, 1:]
-        keys = list(lanes)
-        rows, exps = np.nonzero(q)
+        moved = [(self.r + i, off) for i, off in enumerate(zeta) if off != 0]
+        if self.is_zero or not moved:
+            return self
+        A = _dense({we + ze: c for (we, ze), c in self.terms.items()})
+        work = sum(A.size * A.shape[ax] for ax, _ in moved)
+        if work > MAX_SHIFT_WORK:
+            raise ValueError(
+                f"re-centering exponents up to {[v - 1 for v in A.shape]} "
+                f"takes {work} multiply-adds, more than the {MAX_SHIFT_WORK} "
+                "the re-centering kernel takes")
+        for ax, off in moved:
+            C = np.moveaxis(A, ax, -1)
+            n = C.shape[-1] - 1
+            # Horner in (y + off): q <- (y + off) q + c_m for m = n-1..0,
+            # one anti-diagonal of Ruffini's table per step.  Entry 0 of the
+            # last axis holds c_m and entries 1.. hold q with a zero past
+            # its top, so a step is q_i <- q_{i-1} + off * q_i for
+            # i = 0..deg q + 1: the multiply-adds of the scalar
+            # Ruffini-Horner loop, vectorised over the lanes.
+            src = np.zeros(C.shape[:-1] + (n + 2,), dtype=complex)
+            dst = np.zeros_like(src)
+            src[..., 1] = C[..., n]
+            for k in range(1, n + 1):
+                src[..., 0] = C[..., n - k]
+                np.multiply(src[..., 1:k + 2], off, out=dst[..., 1:k + 2])
+                dst[..., 1:k + 2] += src[..., :k + 1]
+                src, dst = dst, src
+            A = np.moveaxis(src[..., 1:], -1, ax)
+        index = np.nonzero(A)
         p = Poly(self.r, self.d)
-        for i, e, c in zip(rows.tolist(), exps.tolist(),
-                           q[rows, exps].tolist()):
-            we, zpre, zpost = keys[i]
-            p.terms[(we, zpre + (e,) + zpost)] = c
+        p.terms = {(e[:self.r], e[self.r:]): c for e, c in zip(
+            zip(*(i.tolist() for i in index)), A[index].tolist())}
         return p
 
     # -- serialization -------------------------------------------------------
@@ -499,25 +496,19 @@ class CoefficientStream:
             return Poly.zero(self.r, self.d)
         if n < 0 or n > self.frontier:
             raise IndexError(f"rank {n} beyond materialized frontier {self.frontier}")
-        acc: dict = {}
-        for b in self.blocks:
-            for k, cp in b.coeffs.items():
-                if k > n:
-                    continue
-                ze = self.enum.unrank(k)
-                for (we, _), c in cp.terms.items():
-                    acc[(we, ze)] = acc.get((we, ze), 0j) + c
+        # append_block keeps ranks disjoint across blocks, so no two terms
+        # share an exponent
         p = Poly(self.r, self.d)
-        p.terms = {k: v for k, v in acc.items() if v != 0}
-        if any(v != 0 for v in self.center):
-            p = p.shift_center(tuple(-v for v in self.center))
-        return p
+        p.terms = {(we, ze): c
+                   for b in self.blocks for k, cp in b.coeffs.items() if k <= n
+                   for ze in [self.enum.unrank(k)]
+                   for (we, _), c in cp.terms.items()}
+        return p.shift_center(tuple(-v for v in self.center))
 
     def poly(self) -> Poly:
         """The full materialized polynomial."""
         if self._poly_cache is None:
-            self._poly_cache = (self.partial_sum(self.frontier)
-                                if self.blocks else Poly.zero(self.r, self.d))
+            self._poly_cache = self.partial_sum(self.frontier)
         return self._poly_cache
 
     def to_json(self) -> dict:

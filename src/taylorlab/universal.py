@@ -171,11 +171,6 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
             "later truncations explode away from the reference center")
     for req in requests:
         req.validate(domain, r, variant)
-    if any(center[req.outer.disjoint_factor] != 0 for req in requests[1:]):
-        raise ValueError(
-            "stages after the first need the center at 0 on their divisor "
-            "coordinate; the fit expands the divisor about 0 and re-centering "
-            "its block would touch the frozen prefix")
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
                      variant, int(l), bool(fixed_center), str(name),
                      int(seed), int(cert_density))
@@ -244,20 +239,19 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         prefactor=(i0, c0, e), piece_tolerances=list(piece_tols))
     res = fit(task)
 
-    Q = res.poly
-    shifted = Q.shift_center(center) if any(v != 0 for v in center) else Q
+    # (z_i0 - c0)^e divides the fit, so about the center every coefficient
+    # below z_i0^e is 0; what re-centering leaves there is rounding, and
+    # keeping it would touch the frozen prefix
     grouped: dict = {}
-    for (we, ze), c in shifted.terms.items():
-        grouped.setdefault(ze, {})[(we, ())] = c
+    for (we, ze), c in res.poly.shift_center(center).terms.items():
+        if ze[i0] >= e:
+            grouped.setdefault(ze, {})[(we, ())] = c
     coeffs = {}
     for ze, terms in grouped.items():
         cp = Poly(r, 0)
         cp.terms = terms
         coeffs[enum.rank(ze)] = cp
-
-    q_degs = shifted.z_degrees()
-    if q_degs is not None:
-        degs = [max(a, v) for a, v in zip(degs, q_degs)]
+        degs = [max(a, v) for a, v in zip(degs, ze)]
     capture = enum.capture_index(tuple(degs))
     try:
         lam = plan.mu.next_at_or_after(capture)

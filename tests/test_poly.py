@@ -269,13 +269,19 @@ def test_shift_center_d1_against_exact_binomials():
 
 def test_shift_center_many_lanes_against_exact_binomials():
     # r = 1, d = 2: each coordinate's shift runs over lanes of the other
-    # exponents, and both coordinates move
+    # exponents, and both coordinates move, or only one of them
     rng = np.random.default_rng(36)
     for _ in range(3):
         p = random_poly(rng, 1, 2, max_deg=9, nterms=40)
         zeta = tuple(complex(v) for v in rng.uniform(-2, 2, 2)
                      + 1j * rng.uniform(-2, 2, 2))
-        _check_shift_against_exact(p, zeta)
+        for center in (zeta, (0, zeta[1]), (zeta[0], 0)):
+            _check_shift_against_exact(p, center)
+    # only w^0 and w^7 occur, so the dense array's lanes w^1..w^6 are all 0
+    gappy = Poly(1, 2, {((we,), (a, b)): complex(*rng.standard_normal(2))
+                        for we in (0, 7) for a in range(5) for b in range(4)
+                        if (a + b + we) % 3})
+    _check_shift_against_exact(gappy, (0.6 - 1.1j, -1.3 + 0.2j))
 
 
 def test_shift_by_zero_is_bit_identical():
