@@ -37,9 +37,17 @@ DEFAULT_DENSITY = {
     ("predicate", "z"): (128, 16, 8), ("predicate", "w"): (16, 8, 6)}
 
 
-def default_density(use: str, side: str, dim: int) -> int:
+def grid_density(use: str, side: str, dim: int, override: int = 0) -> int:
+    """Samples per factor on one grid side: 0 without coordinates, else a
+    non-zero override, else the DEFAULT_DENSITY entry.  An override below
+    MIN_CURVE_POINTS would record fewer points than every curve gets."""
+    if override < 0 or 0 < override < MIN_CURVE_POINTS:
+        raise ValueError("grid density must be 0 (the default) or at least "
+                         f"{MIN_CURVE_POINTS}, got {override}")
+    if dim <= 0:
+        return 0
     counts = DEFAULT_DENSITY[use, side]
-    return counts[min(dim, len(counts)) - 1]
+    return override or counts[min(dim, len(counts)) - 1]
 
 
 class GridSizeError(ValueError):
@@ -155,20 +163,20 @@ class Rectangle(PlanarCompact):
         if per == 0:
             return [(0.0, False, lambda ts: np.full(len(ts), corners[0]))]
 
+        # edge i spans [starts[i], ends[i]] of arclength, summed in walk
+        # order; an edge of length 0 divides by inf, so its fraction is 0
+        ends = np.cumsum(lengths)
+        starts = np.append(0.0, ends[:3])
+        lens = np.where(np.array(lengths) == 0, np.inf, lengths)
+        heads = np.array(corners)
+        steps = np.array([corners[(i + 1) % 4] - corners[i] for i in range(4)])
+
         def walk(ts):
-            out = np.empty(len(ts), dtype=complex)
             s = np.asarray(ts) * per
-            for idx, t in enumerate(s):
-                acc = 0.0
-                for i in range(4):
-                    if t <= acc + lengths[i] or i == 3:
-                        frac = 0.0 if lengths[i] == 0 else (t - acc) / lengths[i]
-                        frac = min(max(frac, 0.0), 1.0)
-                        out[idx] = corners[i] + frac * (
-                            corners[(i + 1) % 4] - corners[i])
-                        break
-                    acc += lengths[i]
-            return out
+            # the first edge whose end reaches s, the last edge past them all
+            i = np.searchsorted(ends[:3], s, side="left")
+            frac = np.minimum(np.maximum((s - starts[i]) / lens[i], 0.0), 1.0)
+            return heads[i] + frac * steps[i]
 
         return [(per, True, walk)]
 

@@ -32,7 +32,7 @@ import numpy as np
 from .geometry import (
     GridSizeError,
     ProductCompact,
-    default_density,
+    grid_density,
     sampled_min_distance,
 )
 from .multiindex import DiffOp, family_Fl
@@ -146,12 +146,12 @@ def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
 def _task_grids(task: ApproxTask, density: int = 1):
     """Per-piece (W, Z) sample columns at the task's density, and per piece
     the axis samples (w axes, then z axes) whose product they are."""
-    nz = (task.n_per_factor or default_density("fit", "z", task.d)) * density
+    nz = grid_density("fit", "z", task.d, task.n_per_factor) * density
     W, w_axes = np.zeros((1, 0), dtype=complex), []
     if task.r:
         if task.w_compact is None or task.w_compact.dim != task.r:
             raise ValueError("parameterized task needs a w compact of arity r")
-        nw = task.n_per_factor or default_density("fit", "w", task.r)
+        nw = grid_density("fit", "w", task.r, task.n_per_factor)
         wg = task.w_compact.sample(n_per_factor=nw * density)
         W, w_axes = wg.points, wg.per_factor
     zgs = [K.sample(n_per_factor=nz) for K, _ in task.pieces]
@@ -284,8 +284,10 @@ def fit(task: ApproxTask) -> FitResult:
             np.concatenate(rows) / colscale, np.concatenate(rhs), rcond=1e-12)
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
         # a column that is 0 at every sample (an axis sampled only at 0)
-        # gets 0, not lstsq's rounding noise over the 1e-300 floor
-        coefs = np.where(colmax > 0, coefs_hat / colscale, 0)
+        # gets 0, not lstsq's rounding noise over the 1e-300 floor; a
+        # non-finite coefficient is the caller's to refuse
+        with np.errstate(invalid="ignore", over="ignore"):
+            coefs = np.where(colmax > 0, coefs_hat / colscale, 0)
         Q = _assemble(task, gammas[:ncols], coefs, scales, pref_poly)
         piece_res = _residuals(task, Q, verif)
         res = max(piece_res)

@@ -29,20 +29,19 @@ import sys
 from dataclasses import dataclass
 
 from .geometry import (
-    MIN_CURVE_POINTS,
     DomainProduct,
     ProductCompact,
     compact_from_json,
-    default_density,
     enumerate_Tm,
     exhaustion_M,
+    grid_density,
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
 from .mergelyan import fit, glue_target
 from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
 from .poly import CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
-from .verify import (CERT_FORMAT, VARIANTS, catalog_poly, measure_stage,
+from .verify import (CERT_FORMAT, VARIANTS, catalog_poly, certify_stages,
                      variant_ops)
 
 
@@ -88,7 +87,8 @@ class StageRequest:
         # on geometry that violates them
         dom = domain.factors[i0]
         K = self.outer.factors[i0]
-        # strict for the closure variant, open-set disjointness otherwise
+        # the closure variant (seminorms on closure truncations) keeps outer
+        # compacts off the domain closure and lets inner ones touch it
         slack = -1e-9 if variant == "infty" else 0.0
         for z in K.sample_boundary(n=128):
             if dom.contains(z, tol=slack):
@@ -101,12 +101,9 @@ class StageRequest:
         if any(K.contains(z) for z in probes):
             raise ValueError(
                 f"outer factor {i0} overlaps the domain factor interior")
-        # the closure variant works with seminorms on closure truncations,
-        # so its inner compacts may touch the boundary
-        inner_slack = -1e-9 if variant == "infty" else 0.0
         for i, f in enumerate(self.inner.factors):
             for z in f.sample_boundary(n=128):
-                if not domain.factors[i].contains(z, tol=inner_slack):
+                if not domain.factors[i].contains(z, tol=slack):
                     raise ValueError(
                         f"inner factor {i} leaves the open domain near "
                         f"{complex(z):.4g}")
@@ -158,9 +155,7 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("derivative order bound must be a natural number")
     if r < 0:
         raise ValueError("parameter count must be a natural number")
-    if cert_density < 0 or 0 < cert_density < MIN_CURVE_POINTS:
-        raise ValueError("certificate density must be 0 (the default) or at "
-                         f"least {MIN_CURVE_POINTS}, got {cert_density}")
+    grid_density("certificate", "z", d, cert_density)  # refuse it up front
     if r > 0 and (w_compact is None or w_compact.dim != r):
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
@@ -205,18 +200,16 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     """Fit one correction block, append it, and return the stage record;
     piece_tols are the [inner, outer] fit tolerances.
 
-    The divisor exponent clears both the degree box of the frozen prefix
-    and the total degree at the current frontier rank, so the new block's
-    ranks land strictly beyond the frontier for any graded enumeration.
+    The divisor exponent passes the total degree at the current frontier
+    rank, so in a graded enumeration the new block's ranks land strictly
+    beyond the frontier (and so past the frozen prefix's degree box, whose
+    corner ranks at or below the frontier).
     """
     enum, center, r = stream.enum, stream.center, stream.r
     frontier = stream.frontier
     P = stream.poly()
     degs = P.z_degrees() or [0] * stream.d
-    if frontier >= 0:
-        e = max(sum(degs) + 1, sum(enum.unrank(frontier)) + 1)
-    else:
-        e = 0
+    e = sum(enum.unrank(frontier)) + 1 if frontier >= 0 else 0
 
     i0 = req.outer.disjoint_factor
     c0 = center[i0]
@@ -238,6 +231,9 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         derivative_orders=variant_ops(plan.variant, r, stream.d, plan.l)[1],
         prefactor=(i0, c0, e), piece_tolerances=list(piece_tols))
     res = fit(task)
+    if not all(map(cmath.isfinite, res.poly.terms.values())):
+        raise ValueError(f"stage {stage_id}: the fit has a non-finite "
+                         "coefficient")
 
     # (z_i0 - c0)^e divides the fit, so about the center every coefficient
     # below z_i0^e is 0; what re-centering leaves there is rounding, and
@@ -353,34 +349,6 @@ def run_construction(plan: StagePlan):
     schedule but still yields a partial certificate for what was built;
     a fit that misses its tolerance is recorded and construction goes on.
     """
-    stream = CoefficientStream(plan.enum, plan.center, plan.r)
-    tols = _stage_tolerances(plan.requests)
-    records = []
-    aborted = None
-    for idx, (req, tol) in enumerate(zip(plan.requests, tols), start=1):
-        try:
-            records.append(build_stage(stream, plan, req, idx, tol))
-        except SparseIndexError as exc:
-            aborted = {"stage": idx, "reason": str(exc)}
-            break
-
-    final = stream.poly()
-    e_ops, f_ops = variant_ops(plan.variant, plan.r, plan.domain.dim, plan.l)
-    nz = plan.cert_density or default_density("certificate", "z",
-                                              plan.domain.dim)
-    nw = default_density("certificate", "w", plan.r) if plan.r > 0 else 0
-    wg = plan.w_compact.sample(n_per_factor=nw) if plan.r > 0 else None
-    for req, rec in zip(plan.requests, records):
-        got = measure_stage(stream, rec["lambda"], req.target, req.outer,
-                            req.inner, nz, wg, e_ops, f_ops,
-                            not plan.fixed_center)
-        rec["density"] = {"nz_per_factor": nz, "nw_per_factor": nw,
-                          "nz_points": got.pop("nz_points"),
-                          "nw_points": len(wg.points) if wg else 0}
-        rec.update(got)
-        rec["pass_e"] = rec["e_side_error"] <= req.tolerance
-        rec["pass_f"] = rec["f_side_error"] <= req.tolerance
-
     header = {
         "format": CERT_FORMAT,
         "name": plan.name,
@@ -397,6 +365,19 @@ def run_construction(plan: StagePlan):
         "seed": plan.seed,
         "cert_density": plan.cert_density,
     }
+    stream = CoefficientStream(plan.enum, plan.center, plan.r)
+    tols = _stage_tolerances(plan.requests)
+    records = []
+    aborted = None
+    for idx, (req, tol) in enumerate(zip(plan.requests, tols), start=1):
+        try:
+            records.append(build_stage(stream, plan, req, idx, tol))
+        except SparseIndexError as exc:
+            aborted = {"stage": idx, "reason": str(exc)}
+            break
+    certify_stages(stream, header, records)
+
+    final = stream.poly()
     summary = {
         "stages": len(records),
         "frontier": stream.frontier,

@@ -12,8 +12,8 @@ tables on product compacts, and verify_certificate replays a finished
 certificate against its coefficient stream.
 
 This module also holds the stage-measurement kernel (sup_ops,
-center_sups, variant_ops, measure_stage) that the predicates, the
-certificate replay and the construction in universal all share, so a
+center_sups, variant_ops, certify_stages) that the predicates, the
+construction in universal and the certificate replay share, so a
 certificate is written and re-checked by the same code.
 """
 
@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    MIN_CURVE_POINTS,
     DomainProduct,
     ProductCompact,
     center_grid,
-    default_density,
     enumerate_Tm,
     exhaustion_M,
+    grid_density,
     sup_norm,
 )
 from .multiindex import (Enumeration, cantor_unpair, check_int, family_Fl,
@@ -133,30 +132,42 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, sides) -> list:
     return worst
 
 
-def measure_stage(stream: CoefficientStream, lam: int, target: Poly,
-                  outer: ProductCompact, inner: ProductCompact, nz: int, wg,
-                  e_ops, f_ops, varying: bool) -> dict:
-    """Stage errors of the rank-lam truncation of a stream.
+def certify_stages(stream: CoefficientStream, header: dict, stages: list):
+    """Measure every stage record of a certificate on the finished stream.
 
-    E-side: sup against the stage target on `outer`; F-side: sup against
-    the whole stream on `inner`; both grids take nz points per factor and
-    share the w-grid wg.  With `varying`, the same two sups are also maxed
-    over the center grid of `inner` ("varying_center").  "nz_points" is the
-    size of the outer grid.
+    Inputs: the header's variant, r, d, l, w_compact, cert_density and
+    fixed_center, and each record's lambda, target, outer, inner and
+    tolerance.  Each record gets its density, its E-side sup (the rank-lambda
+    truncation against the target on `outer`) and F-side sup (against the
+    whole stream on `inner`) with their pass flags, and, when centers vary,
+    both sups maxed over the center grid of `inner` (varying_center).
     """
-    zT = outer.sample(n_per_factor=nz)
-    zM = inner.sample(n_per_factor=nz)
+    r, d = int(header["r"]), int(header["d"])
+    e_ops, f_ops = variant_ops(header["variant"], r, d, int(header["l"]))
+    nz = grid_density("certificate", "z", d, int(header["cert_density"]))
+    nw = grid_density("certificate", "w", r)
+    wg = (ProductCompact.from_json(header["w_compact"]).sample(n_per_factor=nw)
+          if nw else None)
     final = stream.poly()
-    sides = [(target, zT, wg, e_ops), (final, zM, wg, f_ops)]
-    P = stream.partial_sum(lam)
-    e, fv = (sup_ops(P - t, zg, w, ops) for t, zg, w, ops in sides)
-    out = {"e_side_error": e, "f_side_error": fv, "nz_points": len(zT.points)}
-    if varying:
-        centers = center_grid(inner)
-        ve, vf = center_sups(final, centers, lam, stream.enum, sides)
-        out["varying_center"] = {"n_centers": len(centers),
-                                 "e_side_error": ve, "f_side_error": vf}
-    return out
+    for rec in stages:
+        lam, tol = int(rec["lambda"]), float(rec["tolerance"])
+        inner = ProductCompact.from_json(rec["inner"])
+        zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)
+        sides = [(Poly.from_json(rec["target"]), zT, wg, e_ops),
+                 (final, inner.sample(n_per_factor=nz), wg, f_ops)]
+        P = stream.partial_sum(lam)
+        e, fv = (sup_ops(P - t, zg, w, ops) for t, zg, w, ops in sides)
+        rec.update(density={"nz_per_factor": nz, "nw_per_factor": nw,
+                            "nz_points": len(zT.points),
+                            "nw_points": len(wg.points) if wg else 0},
+                   e_side_error=e, f_side_error=fv,
+                   pass_e=e <= tol, pass_f=fv <= tol)
+        if not header["fixed_center"]:
+            centers = center_grid(inner)
+            ve, vf = center_sups(final, centers, lam, stream.enum, sides)
+            rec["varying_center"] = {"n_centers": len(centers),
+                                     "e_side_error": ve, "f_side_error": vf}
+    return stages
 
 
 # -------------------------------------------------------------- predicates
@@ -236,11 +247,8 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     """
     if kind not in ("E", "F"):
         raise ValueError(f"predicate kind must be 'E' or 'F', got {kind!r}")
-    if density < 0 or 0 < density < MIN_CURVE_POINTS:
-        raise ValueError("grid density must be 0 (the default) or at least "
-                         f"{MIN_CURVE_POINTS}, got {density}")
     closed = spec.variant == "infty"
-    nz = density or default_density("predicate", "z", domain.dim)
+    nz = grid_density("predicate", "z", domain.dim, density)
     if kind == "E":
         zK = enumerate_Tm(domain, spec.m, closure_variant=closed)
     elif closed:
@@ -250,9 +258,9 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     zg = zK.sample(n_per_factor=nz)
 
     wg = None
-    nw = 0
-    if w_domain is not None and w_domain.dim > 0:
-        nw = density or default_density("predicate", "w", w_domain.dim)
+    nw = grid_density("predicate", "w", w_domain.dim if w_domain else 0,
+                      density)
+    if nw:
         if closed and kind == "F":
             wK = exhaustion_M(w_domain, spec.l, closure_variant=True)
         else:
@@ -373,9 +381,11 @@ def slice_AD_residual(fn, K: ProductCompact, axis: int,
 def verify_certificate(stream: CoefficientStream, cert) -> bool:
     """Recompute every stage predicate of a certificate from its stream.
 
-    Grids are rebuilt from the recorded compacts and densities; each
-    recomputed sup must land within 1e-12 of the recorded value and under
-    the stage tolerance.  A certificate of another format, or whose
+    certify_stages reruns on copies of the record inputs.  Densities and
+    pass flags must equal the recorded ones, varying_center must be present
+    exactly when the header says centers vary (KeyError when missing), and
+    each sup must land within 1e-12 of the recorded value and under the
+    stage tolerance.  A certificate of another format, or whose
     enumeration or center does not match the stream, is refused
     (VerificationRefused, not False); a stored whole-body hash that no
     longer matches fails immediately.  A certificate with no stages
@@ -404,28 +414,26 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
     if not cert.stages:
         return True
 
-    e_ops, f_ops = variant_ops(h.get("variant", "plain"), int(h["r"]),
-                               int(h["d"]), int(h.get("l", 0) or 0))
-    wj = h.get("w_compact")
-    w_compact = ProductCompact.from_json(wj) if wj else None
-
-    for rec in cert.stages:
-        nw = int(rec["density"]["nw_per_factor"])
-        vc = rec.get("varying_center")
-        got = measure_stage(
-            stream, int(rec["lambda"]), Poly.from_json(rec["target"]),
-            ProductCompact.from_json(rec["outer"]),
-            ProductCompact.from_json(rec["inner"]),
-            int(rec["density"]["nz_per_factor"]),
-            w_compact.sample(n_per_factor=nw) if w_compact else None,
-            e_ops, f_ops, vc is not None)
-        pairs = [(got, rec)]
-        if vc is not None:
-            pairs.append((got["varying_center"], vc))
+    inputs = ("lambda", "target", "outer", "inner", "tolerance")
+    fresh = certify_stages(stream, h, [{k: rec[k] for k in inputs}
+                                       for rec in cert.stages])
+    for new, rec in zip(fresh, cert.stages):
+        density = {k: int(rec["density"][k]) for k in new["density"]}
+        if (density, rec["pass_e"], rec["pass_f"]) != (
+                new["density"], new["pass_e"], new["pass_f"]):
+            return False
+        pairs = [(new, rec)]
+        if "varying_center" in new:
+            vc = rec["varying_center"]
+            if int(vc["n_centers"]) != new["varying_center"]["n_centers"]:
+                return False
+            pairs.append((new["varying_center"], vc))
+        elif "varying_center" in rec:
+            return False
         tol = float(rec["tolerance"])
-        for new, old in pairs:
+        for a, b in pairs:
             for key in ("e_side_error", "f_side_error"):
                 # a NaN anywhere fails
-                if not (abs(new[key] - old[key]) <= 1e-12 and new[key] <= tol):
+                if not (abs(a[key] - b[key]) <= 1e-12 and a[key] <= tol):
                     return False
     return True

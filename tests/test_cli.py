@@ -131,6 +131,9 @@ def test_infeasible_tolerance_leaves_a_failing_certificate(tmp_path):
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert not cert["summary"]["all_pass"]
     assert len(cert["stages"]) == 1  # measured, recorded, failed honestly
+    # a failing stage stays failing on replay
+    assert main(["verify", os.path.join(out, "stream.json"),
+                 os.path.join(out, "certificate.json")]) == 1
 
 
 def test_exhausted_index_set_aborts_with_partial_certificate(tmp_path):
@@ -470,8 +473,8 @@ REFUSALS = [
      "scenario rejected"),
     ("scenario", ("stages", 0, "outer", "center"), [NAN, 0], 2,
      "scenario rejected"),
-    ("scenario", ("stages", 0, "target", "constant"), [1e308, 0], 1,
-     "stage failure"),
+    ("scenario", ("stages", 0, "target", "constant"), [1e308, 0], 2,
+     "scenario rejected: stage 1: the fit has a non-finite coefficient"),
     ("scenario", ("stages", 0, "outer", "center"), [1e308, 0], 2,
      "scenario rejected"),
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
@@ -500,6 +503,17 @@ REFUSALS = [
     ("certificate", ("stages",), [1], 2, "artifact rejected"),
     ("certificate", ("stages", 0, "e_side_error"), NAN, 1,
      "certificate does NOT match"),
+    # densities, pass flags and the presence of varying-center sups are
+    # recomputed from the header and the stage inputs, not read
+    *[("certificate", path, value, 1, "certificate does NOT match")
+      for path, value in ((("header", "cert_density"), 999),
+                          (("stages", 0, "density", "nz_points"), 4000),
+                          (("stages", 0, "density", "nw_points"), 7),
+                          (("stages", 0, "pass_e"), False),
+                          (("stages", 0, "varying_center"),
+                           {"n_centers": 9, "e_side_error": 0.0,
+                            "f_side_error": 0.0}))],
+    ("certificate", ("header", "fixed_center"), False, 2, "artifact rejected"),
     ("specs", ("specs",), "x", 2, "specs rejected"),
     *[("specs", ("specs", 0), v, 2, "specs rejected")
       for v in (1.5, None, True)],
@@ -560,10 +574,6 @@ def test_malformed_input_exits_with_a_message(
     message = stderr if code == 2 else stdout
     assert message.startswith(prefix.format(file=paths[file]))
     assert "Traceback" not in stdout + stderr
-    if file == "scenario" and code == 1:
-        # a failing stage stays failing on replay
-        assert main(["verify", os.path.join(out, "stream.json"),
-                     os.path.join(out, "certificate.json")]) == 1
 
 
 # ------------------------------------------------------------ mutation search

@@ -27,6 +27,7 @@ from taylorlab.geometry import (
     domain_from_json,
     enumerate_Tm,
     exhaustion_M,
+    grid_density,
     outer_compacts,
     sampled_min_distance,
     sup_norm,
@@ -72,6 +73,63 @@ def test_segment_and_rectangle_sampling():
         for z in bpts
     ]
     assert max(on_edge) < 1e-9
+
+
+def _rectangle_walk_reference(rect, ts):
+    """Per point: walk the edges from (x0, y0) until the arclength fits."""
+    corners = [complex(rect.x0, rect.y0), complex(rect.x1, rect.y0),
+               complex(rect.x1, rect.y1), complex(rect.x0, rect.y1)]
+    lengths = [abs(corners[(i + 1) % 4] - corners[i]) for i in range(4)]
+    out = np.empty(len(ts), dtype=complex)
+    for idx, t in enumerate(np.asarray(ts) * sum(lengths)):
+        acc = 0.0
+        for i in range(4):
+            if t <= acc + lengths[i] or i == 3:
+                frac = 0.0 if lengths[i] == 0 else (t - acc) / lengths[i]
+                frac = min(max(frac, 0.0), 1.0)
+                out[idx] = corners[i] + frac * (
+                    corners[(i + 1) % 4] - corners[i])
+                break
+            acc += lengths[i]
+    return out
+
+
+def test_rectangle_walk_matches_the_per_point_reference():
+    rng = np.random.default_rng(0)
+    rects = [Rectangle(0.0, 1.0, 0.0, 0.0), Rectangle(-1.0, -1.0, -2.0, 3.0),
+             Rectangle(-0.0, 0.0, -3.0, -1.0), Rectangle(2.0, 2.0, 1.0, 1.0),
+             Rectangle(-1e-3, 1e3, -1e3, 1e-3)]
+    for scale in 10.0 ** rng.uniform(-3, 3, size=60):
+        x0, x1, y0, y1 = rng.uniform(-scale, scale, size=4)
+        rects.append(Rectangle(min(x0, x1), max(x0, x1),
+                               min(y0, y1), max(y0, y1)))
+    for rect in rects:
+        ((_, _, walk),) = rect._curves()
+        for k in (4, 7, 64, 400, 1001):
+            ts = np.arange(k) / k
+            got, want = walk(ts), _rectangle_walk_reference(rect, ts)
+            # bit for bit, signed zeros included
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_grid_density_policy():
+    for bad in (-1, 1, 3):
+        with pytest.raises(ValueError, match="grid density"):
+            grid_density("certificate", "z", 1, bad)
+    assert grid_density("fit", "w", 0) == 0
+    assert grid_density("predicate", "w", 0, 32) == 0
+    assert grid_density("certificate", "z", 1, 32) == 32
+    assert grid_density("fit", "w", 3, 4) == 4
+    table = {(use, side): tuple(grid_density(use, side, dim)
+                                for dim in range(1, 6))
+             for use in ("fit", "certificate", "predicate")
+             for side in ("z", "w")}
+    assert table == {
+        ("fit", "z"): (400, 96, 28, 12, 12), ("fit", "w"): (48, 12, 8, 8, 8),
+        ("certificate", "z"): (400, 80, 24, 12, 12),
+        ("certificate", "w"): (32, 10, 6, 6, 6),
+        ("predicate", "z"): (128, 16, 8, 8, 8),
+        ("predicate", "w"): (16, 8, 6, 6, 6)}
 
 
 def test_sample_count_mode():

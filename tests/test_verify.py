@@ -312,13 +312,13 @@ def test_slice_residual_localizes_the_bad_axis():
 
 # -------------------------------------------------------- certificate replay
 
-def _demo_artifacts():
+def _demo_artifacts(**plan_options):
     dom = DomainProduct([OpenDisk(0j, 1.0)])
     outer = ProductCompact([Disk(2 + 0j, 0.25)], disjoint_factor=0)
     inner = ProductCompact([Disk(0j, 0.5)])
     req = StageRequest(Poly.constant(1.0, 0, 1), outer, inner, 1e-3,
                        [10, 20, 40, 60])
-    return run_construction(plan_stages(dom, [req]))
+    return run_construction(plan_stages(dom, [req], **plan_options))
 
 
 def test_certificate_round_trip_verifies():
@@ -406,6 +406,18 @@ def test_forged_nan_error_fails():
     forged = Certificate.from_json(data)
     forged.stored_hash = forged.sha256
     assert not verify_certificate(stream, forged)
+
+
+def test_varying_center_sups_are_required_when_centers_vary():
+    # the header, not the record, says whether centers vary
+    stream, cert = _demo_artifacts(fixed_center=False)
+    assert verify_certificate(stream, cert)
+    data = json.loads(json.dumps(cert.to_json()))
+    del data["stages"][0]["varying_center"]
+    forged = Certificate.from_json(data)
+    forged.stored_hash = forged.sha256
+    with pytest.raises(KeyError, match="varying_center"):
+        verify_certificate(stream, forged)
 
 
 def test_certificate_empty_is_vacuous():
