@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .geometry import DomainProduct
@@ -202,8 +203,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_center(argv: list) -> list:
+    """argparse reads a separate word that starts with '-' as an option, and
+    a pair list such as -0.5,0.0 is not a negative number to it; so a
+    `--fixed-center` whose value starts with '-' and a digit or '.' is
+    joined to its flag with '='."""
+    out = []
+    for word in argv:
+        if out and out[-1] == "--fixed-center" and re.match(r"-[\d.]", word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_center(argv))
     command = {"construct": cmd_construct, "verify": cmd_verify,
                "predicates": cmd_predicates}[args.command]
     try:

@@ -108,6 +108,56 @@ def _horner(C, cols, n: int):
     return acc
 
 
+def _recenter(A, Z, first: int) -> np.ndarray:
+    """Re-center dense coefficients in z, one center per lane.
+
+    A's axis 0 holds the lanes and its axes first, first + 1, .. the z
+    exponents; Z holds one center per lane, shape (lanes, d).  Each z-axis
+    on which some lane's offset is nonzero runs one Ruffini-Horner shift
+    over all lanes, with each lane's own offset; an axis is skipped only
+    when every offset on it is 0.  A single center's work (its dense size
+    times the length of each axis it moves) may not pass MAX_SHIFT_WORK.
+    """
+    moving = Z != 0
+    lengths = np.array(A.shape[first:first + Z.shape[1]], dtype=np.int64)
+    work = math.prod(A.shape[1:]) * int((moving @ lengths).max(initial=0))
+    if work > MAX_SHIFT_WORK:
+        raise ValueError(
+            f"re-centering exponents up to {[v - 1 for v in A.shape[1:]]} "
+            f"takes {work} multiply-adds, more than the {MAX_SHIFT_WORK} "
+            "the re-centering kernel takes")
+    for i in np.flatnonzero(moving.any(axis=0)):
+        ax = first + int(i)
+        C = np.moveaxis(A, ax, -1)
+        off = Z[:, i].reshape((-1,) + (1,) * (C.ndim - 1))
+        n = C.shape[-1] - 1
+        # Horner in (y + off): q <- (y + off) q + c_m for m = n-1..0, one
+        # anti-diagonal of Ruffini's table per step.  Entry 0 of the last
+        # axis holds c_m and entries 1.. hold q with a zero past its top,
+        # so a step is q_i <- q_{i-1} + off * q_i for i = 0..deg q + 1: the
+        # multiply-adds of the scalar Ruffini-Horner loop, vectorised over
+        # the lanes.
+        src = np.zeros(C.shape[:-1] + (n + 2,), dtype=complex)
+        dst = np.zeros_like(src)
+        src[..., 1] = C[..., n]
+        for k in range(1, n + 1):
+            src[..., 0] = C[..., n - k]
+            np.multiply(src[..., 1:k + 2], off, out=dst[..., 1:k + 2])
+            dst[..., 1:k + 2] += src[..., :k + 1]
+            src, dst = dst, src
+        A = np.moveaxis(src[..., 1:], -1, ax)
+    return A
+
+
+def _sparse(A: np.ndarray, r: int, d: int) -> "Poly":
+    """The Poly whose joint (w, z) dense coefficients are A."""
+    index = np.nonzero(A)
+    p = Poly(r, d)
+    p.terms = {(e[:r], e[r:]): c for e, c in zip(
+        zip(*(i.tolist() for i in index)), A[index].tolist())}
+    return p
+
+
 class Poly:
     """Sparse polynomial over C in w_1..w_r (parameters) and z_1..z_d."""
 
@@ -306,47 +356,19 @@ class Poly:
         """Re-center in z: returns q with q(y) = p(y + zeta), i.e. the
         coefficients of p in powers of (z - zeta).
 
-        The terms are densified once over the joint (w, z) exponents; each
-        z-axis with a nonzero offset then runs one Ruffini-Horner shift,
-        with every other axis a lane.  The zero polynomial and an all-zero
+        The one-lane case of _recenter: the terms are densified once over
+        the joint (w, z) exponents and each z-axis with a nonzero offset
+        runs one Ruffini-Horner shift.  The zero polynomial and an all-zero
         center return self, bit for bit.
         """
         zeta = tuple(complex(v) for v in zeta)
         if len(zeta) != self.d:
             raise ValueError(f"center has length {len(zeta)}, expected {self.d}")
-        moved = [(self.r + i, off) for i, off in enumerate(zeta) if off != 0]
-        if self.is_zero or not moved:
+        if self.is_zero or not any(zeta):
             return self
         A = _dense({we + ze: c for (we, ze), c in self.terms.items()})
-        work = sum(A.size * A.shape[ax] for ax, _ in moved)
-        if work > MAX_SHIFT_WORK:
-            raise ValueError(
-                f"re-centering exponents up to {[v - 1 for v in A.shape]} "
-                f"takes {work} multiply-adds, more than the {MAX_SHIFT_WORK} "
-                "the re-centering kernel takes")
-        for ax, off in moved:
-            C = np.moveaxis(A, ax, -1)
-            n = C.shape[-1] - 1
-            # Horner in (y + off): q <- (y + off) q + c_m for m = n-1..0,
-            # one anti-diagonal of Ruffini's table per step.  Entry 0 of the
-            # last axis holds c_m and entries 1.. hold q with a zero past
-            # its top, so a step is q_i <- q_{i-1} + off * q_i for
-            # i = 0..deg q + 1: the multiply-adds of the scalar
-            # Ruffini-Horner loop, vectorised over the lanes.
-            src = np.zeros(C.shape[:-1] + (n + 2,), dtype=complex)
-            dst = np.zeros_like(src)
-            src[..., 1] = C[..., n]
-            for k in range(1, n + 1):
-                src[..., 0] = C[..., n - k]
-                np.multiply(src[..., 1:k + 2], off, out=dst[..., 1:k + 2])
-                dst[..., 1:k + 2] += src[..., :k + 1]
-                src, dst = dst, src
-            A = np.moveaxis(src[..., 1:], -1, ax)
-        index = np.nonzero(A)
-        p = Poly(self.r, self.d)
-        p.terms = {(e[:self.r], e[self.r:]): c for e, c in zip(
-            zip(*(i.tolist() for i in index)), A[index].tolist())}
-        return p
+        return _sparse(_recenter(A[None], np.array([zeta]), 1 + self.r)[0],
+                       self.r, self.d)
 
     # -- serialization -------------------------------------------------------
 
@@ -392,35 +414,58 @@ def gamma_poly(f: Poly, zeta, m) -> Poly:
     return p
 
 
-def partial_sum(f: Poly, zeta, n: int, enum: Enumeration) -> Poly:
-    """Partial sum through rank n of f expanded about zeta.
+def _rank_mask(shape, n: int, enum: Enumeration) -> np.ndarray:
+    """Which z-exponents of the box with the given dense shape have rank
+    <= n; the order is graded, so only exponents of the cut's own total
+    degree are ranked."""
+    t = sum(enum.unrank(n))
+    degree = sum(np.indices(shape))
+    keep = degree < t
+    for e in zip(*np.nonzero(degree == t)):
+        keep[e] = enum.rank(tuple(int(v) for v in e)) <= n
+    return keep
+
+
+def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
+    """Partial sums through rank n of f expanded about each center, one
+    Poly per center.
 
     Keeps the terms whose re-centered z-exponent has rank <= n under the
-    enumeration, then re-expands about the origin; the order is graded, so
-    only exponents of the cut's own total degree are ranked.  If no term
-    would be dropped the input object is returned unchanged (capture: the
-    partial sum IS the polynomial, for any center).
+    enumeration, then re-expands about the origin.  All centers are
+    re-centered in one pass: f is densified once and broadcast over a lane
+    axis of centers, every lane is shifted to its center, the rank mask is
+    applied once, and the kept terms are shifted back.  The lanes are cut
+    into chunks of at most MAX_DENSE dense coefficients.  A center for
+    which no term would be dropped gets the input object itself (capture:
+    the partial sum IS the polynomial); so does every center when the
+    degree box lies within rank n.
     """
     if enum.d != f.d:
         raise ValueError("enumeration dimension does not match the polynomial")
     if n < 0:
         raise ValueError("partial-sum index must be a natural number")
-    if f.is_zero:
-        return f
-    if n >= enum.capture_index(f.z_degrees()):
-        return f
-    zeta = tuple(complex(v) for v in zeta)
-    shifted = f.shift_center(zeta)
-    t = sum(enum.unrank(n))
-    kept = {k: c for k, c in shifted.terms.items()
-            if (deg := sum(k[1])) < t or (deg == t and enum.rank(k[1]) <= n)}
-    if len(kept) == len(shifted.terms):
-        # every re-centered term survives the cut even though the box bound
-        # did not prove it; the truncation is the whole polynomial
-        return f
-    g = Poly(f.r, f.d)
-    g.terms = kept
-    return g.shift_center(tuple(-v for v in zeta))
+    Z = [tuple(complex(v) for v in zeta) for zeta in centers]
+    for zeta in Z:
+        if len(zeta) != f.d:
+            raise ValueError(
+                f"center has length {len(zeta)}, expected {f.d}")
+    if f.is_zero or n >= enum.capture_index(f.z_degrees()):
+        return [f] * len(Z)
+    A = _dense({we + ze: c for (we, ze), c in f.terms.items()})
+    drop = np.broadcast_to(~_rank_mask(A.shape[f.r:], n, enum), A.shape)
+    first = 1 + f.r
+    out = []
+    step = max(1, MAX_DENSE // A.size)
+    for lo in range(0, len(Z), step):
+        Zc = np.array(Z[lo:lo + step], dtype=complex)
+        B = _recenter(np.broadcast_to(A, (len(Zc),) + A.shape), Zc, first)
+        # a lane where every re-centered term survives the cut (though the
+        # box bound did not prove it) returns f itself
+        cut = B[:, drop].any(axis=1)
+        kept = np.where(drop, 0, B[cut])
+        back = iter(_recenter(kept, -Zc[cut], first))
+        out += [_sparse(next(back), f.r, f.d) if c else f for c in cut]
+    return out
 
 
 # -- coefficient stream -------------------------------------------------------

@@ -98,8 +98,11 @@ def variant_ops(variant: str, r: int, d: int, l: int):
 
     strong takes the order-l family on both sides, infty on the F-side
     only, plain on neither; l = 0 means no derivatives either way.  A
-    family past MAX_FAMILY_OPS is refused before it is built.
+    variant outside VARIANTS, and a family past MAX_FAMILY_OPS, are
+    refused before anything is measured.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == "plain" or l <= 0:
         return [], []
     if math.comb(l + r + d, r + d) > MAX_FAMILY_OPS:
@@ -121,12 +124,13 @@ def sup_ops(delta: Poly, zg, wg, ops) -> float:
 def center_sups(f: Poly, centers, n: int, enum: Enumeration, sides) -> list:
     """Worst sup over expansion centers, one value per side.
 
-    Each center gets one rank-n partial sum S of f; a side is a tuple
-    (target, z-grid, w-grid, ops) and measures sup_ops(S - target).
+    One partial_sum call re-centers f at every center in one pass (chunked
+    by the poly module's MAX_DENSE) and gives each center its rank-n
+    partial sum S; a side is a tuple (target, z-grid, w-grid, ops) and
+    measures sup_ops(S - target), center by center.
     """
     worst = [0.0] * len(sides)
-    for zeta in centers:
-        S = partial_sum(f, zeta, n, enum)
+    for S in partial_sum(f, centers, n, enum):
         worst = [max(v, sup_ops(S - target, zg, wg, ops))
                  for v, (target, zg, wg, ops) in zip(worst, sides)]
     return worst

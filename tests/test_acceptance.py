@@ -124,12 +124,12 @@ def test_criterion_02_capture():
             *[range(v + 1) for v in degs]))
         ok = ok and n1 == brute
         zeta = random_point(rng, d, radius=0.5)
-        ok = ok and partial_sum(f, zeta, n1, enum) is f
+        ok = ok and partial_sum(f, [zeta], n1, enum)[0] is f
         shifted = f.shift_center(zeta)
         corner = shifted.terms.get(((), enum.unrank(n1)), 0j)
         if corner != 0:
             dropped_branch_ran += 1
-            ok = ok and partial_sum(f, zeta, n1 - 1, enum) != f
+            ok = ok and partial_sum(f, [zeta], n1 - 1, enum)[0] != f
     ok = ok and dropped_branch_ran >= 10
     _report(2, "capture", ok, 5.0, t0)
 

@@ -176,6 +176,15 @@ def test_fixed_center_flag_moves_the_expansion_point(tmp_path):
     assert cert["header"]["center"] == [[0.1, 0.0]]
 
 
+def test_negative_fixed_center_as_a_separate_word_constructs(tmp_path):
+    # -0.1,0.0 starts with '-', yet it is the flag's value, not an option
+    out = str(tmp_path / "out")
+    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
+                 "--fixed-center", "-0.1,0.0"]) == 0
+    cert = json.load(open(os.path.join(out, "certificate.json")))
+    assert cert["header"]["center"] == [[-0.1, 0.0]]
+
+
 @pytest.mark.parametrize("name, center", [
     ("alternating_three.json", "0.1,0.0"),
     ("two_stage_conflict.json", "0.0,0.5"),
@@ -425,6 +434,17 @@ def test_predicates_shipped_demo(capsys):
     assert [r["pass"] for r in report] == [True, False, True, False]
 
 
+def test_predicates_negative_fixed_center_as_a_separate_word(capsys):
+    paths = [os.path.join(SCEN, "candidate_zsq.json"),
+             os.path.join(SCEN, "predicates_demo.json")]
+    assert main(["predicates", *paths, "--fixed-center=-0.1,0.2"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["predicates", *paths, "--fixed-center", "-0.1,0.2"]) == 0
+    assert capsys.readouterr().out == joined
+    assert all(row["spec"]["fixed_center"] == [[-0.1, 0.2]]
+               for row in json.loads(joined))
+
+
 # ------------------------------------------------------------ refusal table
 
 NAN = float("nan")
@@ -514,6 +534,7 @@ REFUSALS = [
                            {"n_centers": 9, "e_side_error": 0.0,
                             "f_side_error": 0.0}))],
     ("certificate", ("header", "fixed_center"), False, 2, "artifact rejected"),
+    ("certificate", ("header", "variant"), "bogus", 2, "artifact rejected"),
     ("specs", ("specs",), "x", 2, "specs rejected"),
     *[("specs", ("specs", 0), v, 2, "specs rejected")
       for v in (1.5, None, True)],

@@ -381,9 +381,8 @@ def test_partial_sum_capture_returns_same_object():
         if f.is_zero:
             continue
         nprime = enum.capture_index(f.z_degrees())
-        zeta = random_point(rng, 2)
-        s = partial_sum(f, zeta, nprime, enum)
-        assert s is f
+        centers = [random_point(rng, 2), (0.0, 0.0)]
+        assert all(s is f for s in partial_sum(f, centers, nprime, enum))
 
 
 def test_partial_sum_below_capture_differs_when_corner_nonzero():
@@ -391,7 +390,7 @@ def test_partial_sum_below_capture_differs_when_corner_nonzero():
     f = Poly(0, 2, {((), (1, 1)): 2.0, ((), (0, 0)): 1.0})
     nprime = enum.capture_index((1, 1))
     assert nprime == 4
-    s = partial_sum(f, (0.0, 0.0), nprime - 1, enum)
+    (s,) = partial_sum(f, [(0.0, 0.0)], nprime - 1, enum)
     assert s != f
     assert s == Poly(0, 2, {((), (0, 0)): 1.0})
 
@@ -400,9 +399,9 @@ def test_partial_sum_nested_refinement_at_origin():
     rng = np.random.default_rng(52)
     enum = Enumeration(2, "graded-lex")
     f = random_poly(rng, 0, 2, max_deg=3, nterms=12)
-    prev = partial_sum(f, (0, 0), 0, enum)
+    (prev,) = partial_sum(f, [(0, 0)], 0, enum)
     for n in range(1, enum.capture_index(f.z_degrees()) + 1):
-        cur = partial_sum(f, (0, 0), n, enum)
+        (cur,) = partial_sum(f, [(0, 0)], n, enum)
         delta = cur - prev
         zexps = {ze for (_, ze) in delta.terms}
         assert len(zexps) <= 1
@@ -414,7 +413,7 @@ def test_partial_sum_nested_refinement_at_origin():
 def test_partial_sum_zero_center_is_rank_filter():
     enum = Enumeration(1, "graded-lex")
     f = Poly(0, 1, {((), (0,)): 1.0, ((), (2,)): -3.0, ((), (5,)): 2.0})
-    s = partial_sum(f, (0.0,), 3, enum)
+    (s,) = partial_sum(f, [(0.0,)], 3, enum)
     assert s == Poly(0, 1, {((), (0,)): 1.0, ((), (2,)): -3.0})
 
 
@@ -432,7 +431,7 @@ def test_partial_sum_keeps_exactly_the_ranks_up_to_n(scheme):
         g.terms = {k: c for k, c in shifted.terms.items()
                    if enum.rank(k[1]) <= n}
         want = g.shift_center(tuple(-v for v in zeta))
-        assert partial_sum(f, zeta, n, enum) == want
+        assert partial_sum(f, [zeta], n, enum) == [want]
 
 
 def test_partial_sum_value_against_naive_series():
@@ -441,14 +440,101 @@ def test_partial_sum_value_against_naive_series():
     enum = Enumeration(1, "graded-lex")
     for _ in range(10):
         f = random_poly(rng, 1, 1, max_deg=5, nterms=6)
-        zeta = random_point(rng, 1, radius=0.5)
+        centers = [random_point(rng, 1, radius=0.5) for _ in range(3)]
         w = random_point(rng, 1)
         z = random_point(rng, 1, radius=0.5)
         for n in (0, 2, 4):
-            s = partial_sum(f, zeta, n, enum)
-            got = s.eval(w, z)
-            want = oracle_partial_sum_value(f, w, zeta, z, n, enum)
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want), f.coeff_norm())
+            for zeta, s in zip(centers, partial_sum(f, centers, n, enum)):
+                got = s.eval(w, z)
+                want = oracle_partial_sum_value(f, w, zeta, z, n, enum)
+                assert abs(got - want) <= 1e-9 * max(
+                    1.0, abs(want), f.coeff_norm())
+
+
+def _reference_partial_sum(f, zeta, n, enum):
+    """The single-center algorithm: shift the sparse terms to zeta, keep the
+    ranks <= n, shift back; f itself when nothing is dropped."""
+    if f.is_zero or n >= enum.capture_index(f.z_degrees()):
+        return f
+    shifted = f.shift_center(zeta)
+    kept = {k: c for k, c in shifted.terms.items() if enum.rank(k[1]) <= n}
+    if len(kept) == len(shifted.terms):
+        return f
+    g = Poly(f.r, f.d)
+    g.terms = kept
+    return g.shift_center(tuple(-v for v in zeta))
+
+
+def _bits(p):
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in p.terms.items()}
+
+
+def _assert_matches_reference(f, centers, n, enum):
+    got = partial_sum(f, centers, n, enum)
+    assert len(got) == len(centers)
+    for zeta, s in zip(centers, got):
+        want = _reference_partial_sum(f, zeta, n, enum)
+        if want is f:
+            assert s is f
+        else:
+            assert s is not f and _bits(s) == _bits(want)
+
+
+def _batch_cases():
+    rng = np.random.default_rng(54)
+    corner = Poly(0, 2, {((), (2, 1)): 1.0, ((), (0, 0)): 0.5})
+    for f in (random_poly(rng, 0, 1, max_deg=9, nterms=8),
+              random_poly(rng, 0, 2, max_deg=5, nterms=14),
+              random_poly(rng, 1, 2, max_deg=4, nterms=16),
+              random_poly(rng, 1, 1, max_deg=7, nterms=10),
+              corner):
+        zeta = random_point(rng, f.d)
+        centers = [zeta, random_point(rng, f.d), (0.0,) * f.d]
+        if f.d == 2:
+            centers += [(zeta[0], 0.0), (0.0, zeta[1])]
+        yield f, centers
+
+
+def test_batched_partial_sum_matches_single_center_reference():
+    # centers 0 on one axis and all-zero share a pass with moving lanes;
+    # n runs to capture and past it
+    for scheme in ("graded-lex", "graded-revlex"):
+        for f, centers in _batch_cases():
+            enum = Enumeration(f.d, scheme)
+            cap = enum.capture_index(f.z_degrees())
+            for n in range(cap + 2):
+                _assert_matches_reference(f, centers, n, enum)
+
+
+def test_batched_partial_sum_lane_with_nothing_dropped_is_f():
+    # z1^2 + z2^2 re-centers to total degree 2 about every center, so a cut
+    # after the last degree-2 rank drops nothing though the degree box
+    # (2, 2) reaches rank 12
+    enum = Enumeration(2, "graded-lex")
+    f = Poly(0, 2, {((), (2, 0)): 1.0, ((), (0, 2)): -1.0})
+    n = max(enum.rank(e) for e in ((2, 0), (1, 1), (0, 2)))
+    assert n < enum.capture_index(f.z_degrees()) == 12
+    centers = [(0.7 - 0.2j, 1.1j), (0.0, 0.4), (0.0, 0.0)]
+    assert all(s is f for s in partial_sum(f, centers, n, enum))
+    _assert_matches_reference(f, centers, n, enum)
+    _assert_matches_reference(f, centers, n - 1, enum)
+
+
+def test_batched_partial_sum_chunks_by_max_dense(monkeypatch):
+    import taylorlab.poly as poly_mod
+    for f, centers in _batch_cases():
+        enum = Enumeration(f.d, "graded-lex")
+        n = enum.capture_index(f.z_degrees()) // 2
+        whole = partial_sum(f, centers, n, enum)
+        size = math.prod(_degrees(f)[i] + 1 for i in range(f.r + f.d))
+        # two lanes a chunk, then one lane a chunk
+        for cap in (2 * size, size):
+            monkeypatch.setattr(poly_mod, "MAX_DENSE", cap)
+            chunked = partial_sum(f, centers, n, enum)
+            monkeypatch.undo()
+            assert [s is f for s in chunked] == [s is f for s in whole]
+            assert [_bits(s) for s in chunked] == [_bits(s) for s in whole]
+        _assert_matches_reference(f, centers, n, enum)
 
 
 # ------------------------------------------------------------ streams

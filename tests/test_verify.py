@@ -193,7 +193,8 @@ def test_identity_restricted_family_is_the_plain_sup():
     spec = PredicateSpec(p=2, s=1, n=2, fixed_center=ORIGIN)
     centers, wg, zg, _ = predicate_grids("F", spec, UNIT_DISK)
     from taylorlab.poly import partial_sum
-    delta = partial_sum(f, ORIGIN, spec.n, Enumeration(1, "graded-lex")) - f
+    (S,) = partial_sum(f, [ORIGIN], spec.n, Enumeration(1, "graded-lex"))
+    delta = S - f
     only_id = sup_ops(delta, zg, wg, [DiffOp.identity(1)])
     plain = sup_ops(delta, zg, wg, [])
     assert only_id == plain
