@@ -5,7 +5,9 @@ a coefficient stream, a certificate, and an error-history CSV; `verify`
 replays a certificate against its stream; `predicates` batch-evaluates
 membership predicates on an explicit polynomial.  Exit codes are part of
 the interface: 0 success, 1 a predicate or stage failed, 2 the input was
-unusable (missing file, malformed JSON, or refused by the library).
+unusable (missing file, malformed JSON, a number too large for a float, an
+unusable output directory, or refused by the library).  Every run setting
+lives in the scenario or spec file; the flags only name files and outputs.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .geometry import DomainProduct
 from .poly import CoefficientStream, Poly
 from .universal import Certificate, plan_from_scenario, run_construction
-from .verify import (VARIANTS, PredicateSpec, VerificationRefused,
-                     predicate_record, verify_certificate)
+from .verify import (PredicateSpec, VerificationRefused, predicate_record,
+                     verify_certificate)
 
 class InputError(Exception):
     """An unusable input; `main` prints the message and exits 2."""
@@ -40,39 +41,29 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _parse_center(text: str):
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) % 2:
-        raise ValueError("--fixed-center wants re,im pairs")
-    return [[vals[i], vals[i + 1]] for i in range(0, len(vals), 2)]
-
-
 # ----------------------------------------------------------------- construct
 
 
 def cmd_construct(args) -> int:
     data = _load_json(args.scenario)
-    for key, value in (("seed", args.seed), ("cert_density", args.density),
-                       ("variant", args.variant),
-                       ("center", args.fixed_center)):
-        if value is not None:
-            data[key] = value
-
     try:
         plan = plan_from_scenario(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"scenario rejected: {exc}") from None
     try:
         stream, cert = run_construction(plan)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"scenario rejected: {exc}") from None
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "stream.json"), "w") as fh:
-        json.dump(stream.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    cert.write_json(os.path.join(args.out_dir, "certificate.json"))
-    cert.write_csv(os.path.join(args.out_dir, "history.csv"))
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        with open(os.path.join(args.out_dir, "stream.json"), "w") as fh:
+            json.dump(stream.to_json(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        cert.write_json(os.path.join(args.out_dir, "certificate.json"))
+        cert.write_csv(os.path.join(args.out_dir, "history.csv"))
+    except OSError as exc:
+        raise InputError(f"{args.out_dir}: {exc.strerror}") from None
 
     if args.verbose:
         for rec in cert.stages:
@@ -108,7 +99,7 @@ def cmd_verify(args) -> int:
         print(exc)
         return 1
     # LookupError: a missing field or a rank past the stream's frontier
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"artifact rejected: {exc}") from None
     print("certificate verified" if ok else "certificate does NOT match")
     return 0 if ok else 1
@@ -139,19 +130,15 @@ def cmd_predicates(args) -> int:
             if kind not in ("E", "F"):
                 raise ValueError(f"unknown predicate kind {kind!r}")
             body = {k: v for k, v in entry.items() if k != "predicate"}
-            if args.variant is not None:
-                body["variant"] = args.variant
-            if args.fixed_center is not None:
-                body["fixed_center"] = args.fixed_center
             rows.append((kind, PredicateSpec.from_json(body)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"specs rejected: {exc}") from None
 
     try:
         report = [predicate_record(kind, f, spec, domain, w_domain,
-                                   density=args.density or 0)
+                                   density=args.density)
                   for kind, spec in rows]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"predicate run failed: {exc}") from None
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
@@ -172,15 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out-dir", default="out",
                     help="directory for stream.json, certificate.json, "
                          "history.csv (default: out)")
-    pc.add_argument("--density", type=int, default=None,
-                    help="per-factor certificate grid density override")
-    pc.add_argument("--seed", type=int, default=None,
-                    help="seed recorded in the certificate header")
-    pc.add_argument("--variant", choices=VARIANTS,
-                    default=None, help="override the scenario variant")
-    pc.add_argument("--fixed-center", type=_parse_center, default=None,
-                    metavar="RE,IM,...",
-                    help="override the expansion center (re,im per factor)")
     pc.add_argument("-v", "--verbose", action="store_true",
                     help="print one line per stage on stderr")
 
@@ -193,33 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="batch membership predicates on a polynomial")
     pp.add_argument("candidate", help="candidate polynomial JSON path")
     pp.add_argument("specs", help="spec batch JSON path")
-    pp.add_argument("--density", type=int, default=None,
-                    help="per-factor grid density override")
-    pp.add_argument("--variant", choices=VARIANTS,
-                    default=None, help="force one variant on every spec")
-    pp.add_argument("--fixed-center", type=_parse_center, default=None,
-                    metavar="RE,IM,...",
-                    help="force one expansion center on every spec")
+    pp.add_argument("--density", type=int, default=0,
+                    help="per-factor grid density override (default: 0, "
+                         "the density table)")
     return ap
 
 
-def _join_negative_center(argv: list) -> list:
-    """argparse reads a separate word that starts with '-' as an option, and
-    a pair list such as -0.5,0.0 is not a negative number to it; so a
-    `--fixed-center` whose value starts with '-' and a digit or '.' is
-    joined to its flag with '='."""
-    out = []
-    for word in argv:
-        if out and out[-1] == "--fixed-center" and re.match(r"-[\d.]", word):
-            out[-1] += "=" + word
-        else:
-            out.append(word)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_center(argv))
+    args = build_parser().parse_args(argv)
     command = {"construct": cmd_construct, "verify": cmd_verify,
                "predicates": cmd_predicates}[args.command]
     try:

@@ -39,7 +39,8 @@ from .multiindex import DiffOp, family_Fl
 from .poly import Poly
 from .verify import sup_ops
 
-MAX_DESIGN_ENTRIES = 25_000_000
+# entries of the reduced least-squares system at the top budget
+MAX_DESIGN_ENTRIES = 8_000_000
 
 
 def _monomials_upto(k: int, budget: int):
@@ -220,22 +221,30 @@ def fit(task: ApproxTask) -> FitResult:
 
     peaks = [max(np.abs(ax[j]).max() for ax in axes) for j in range(k)]
     scales = np.maximum(peaks, 1e-9)
-    # judged on the dense (w, z) design, though that is never formed
-    rows_max = max(len(W) * len(Z) for W, Z in grids)
-    if rows_max * math.comb(task.budgets[-1] + k, k) > MAX_DESIGN_ENTRIES:
-        raise GridSizeError("design matrix would be too large; lower the "
-                            "budget or the sampling density")
     # _assemble divides by scale ** degree; an axis sampled only at 0 has
     # zero columns beyond degree 0, so its coefficients never divide
     top, s_max = task.budgets[-1], scales.max()
     s_min = min((s for s, peak in zip(scales, peaks) if peak > 0), default=1.0)
-    if top * math.log(s_max) >= math.log(sys.float_info.max):
-        raise ValueError(
-            f"the fit scale {s_max:.3g} overflows at degree {top}")
     if top * math.log(s_min) < math.log(sys.float_info.min):
         raise ValueError(
             f"the fit scale {s_min:.3g} underflows at degree {top}")
-    gammas = _monomials_upto(k, task.budgets[-1])
+    ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
+                                  if not op.is_identity]
+    # the reduced system lstsq gets at the top budget: per piece and op,
+    # the axis with the fewest samples keeps its rows, every other axis
+    # shrinks to its R factor of min(n_j, top + 1) rows
+    shapes = [[len(a) for a in ax] for ax in axes]
+    keeps = [shape.index(min(shape)) for shape in shapes]
+    reduced_rows = sum(math.prod(n if j == keep else min(n, top + 1)
+                                 for j, n in enumerate(shape))
+                       for shape, keep in zip(shapes, keeps))
+    if len(ops) * reduced_rows * math.comb(top + k, k) > MAX_DESIGN_ENTRIES:
+        raise GridSizeError("design matrix would be too large; lower the "
+                            "budget or the sampling density")
+    if top * math.log(s_max) >= math.log(sys.float_info.max):
+        raise ValueError(
+            f"the fit scale {s_max:.3g} overflows at degree {top}")
+    gammas = _monomials_upto(k, top)
     exps = np.array(gammas).reshape(-1, k)
 
     tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
@@ -243,12 +252,9 @@ def fit(task: ApproxTask) -> FitResult:
     # proportionally heavier rows, so the solver works in units of
     # residual-over-tolerance (measurement below stays unweighted)
     tol_min = min(tols)
-    ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
-                                  if not op.is_identity]
     blocks = []                       # (per-axis matrices, rhs, dense axis)
-    for (W, Z), ax, (K, gt), tol in zip(grids, axes, task.pieces, tols):
-        shape = [len(a) for a in ax]
-        keep = shape.index(min(shape))
+    for (W, Z), ax, shape, keep, (K, gt), tol in zip(
+            grids, axes, shapes, keeps, task.pieces, tols):
         w = tol_min / tol
         for op in ops:
             Vs = [_axis_matrix(a, s, task.budgets[-1], o, divisor.get(j))

@@ -33,8 +33,7 @@ from .geometry import (
     grid_density,
     sup_norm,
 )
-from .multiindex import (Enumeration, cantor_unpair, check_int, family_Fl,
-                         tuple_unpair)
+from .multiindex import Enumeration, cantor_unpair, check_int, family_Fl
 from .poly import CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
@@ -76,11 +75,15 @@ def catalog_poly(j: int, r: int = 0, d: int = 1) -> Poly:
         raise ValueError("catalog index starts at 1")
     if r < 0 or d < 0 or r + d == 0:
         raise ValueError("catalog needs at least one coordinate")
-    L, c = cantor_unpair(j - 1)
-    codes = tuple_unpair(c, L + 1)
+    L, rest = cantor_unpair(j - 1)
     joint = Enumeration(r + d, "graded-lex")
     out = Poly.zero(r, d)
-    for t, code in enumerate(codes):
+    # unfold the codes one at a time; once the rest is 0, so is every code
+    # after it, so a huge j decodes in O(log log j) steps, not L + 1
+    for t in range(L + 1):
+        if rest == 0:
+            break
+        code, rest = cantor_unpair(rest) if t < L else (rest, 0)
         u, v = cantor_unpair(code)
         coeff = complex(_rational(u), _rational(v))
         if coeff == 0:

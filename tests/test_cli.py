@@ -1,8 +1,10 @@
 """Command-line round trips, exit codes, and artifact formats."""
 
+import argparse
 import copy
 import json
 import os
+import re
 import time
 import warnings
 
@@ -10,11 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taylorlab.cli import main
+from taylorlab.cli import build_parser, main
+from taylorlab.multiindex import cantor_pair
 from taylorlab.universal import Certificate, plan_from_scenario
 from taylorlab.verify import catalog_poly
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _scenario(tmp_path, name="s.json", **overrides):
@@ -100,19 +104,19 @@ def test_malformed_scenario_field_is_exit_2(tmp_path, capsys, field, value):
 
 def test_negative_density_is_exit_2(tmp_path, capsys):
     out = str(tmp_path / "out")
-    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
-                 "--density", "-5"]) == 2
+    assert main(["construct", _scenario(tmp_path, cert_density=-5),
+                 "--out-dir", out]) == 2
     assert "density" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("density", ["1", "3"])
+@pytest.mark.parametrize("density", [1, 3])
 def test_density_below_curve_minimum_is_exit_2(tmp_path, capsys, density):
     # every curve gets at least 4 samples, so a density of 1-3 would
     # certify on 4 points while recording the smaller count
     out = str(tmp_path / "out")
-    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
-                 "--density", density]) == 2
+    assert main(["construct", _scenario(tmp_path, cert_density=density),
+                 "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert "density" in err and "Traceback" not in err
     assert not os.path.exists(out)
@@ -158,10 +162,43 @@ def test_catalog_target_resolution(tmp_path):
     assert main(["construct", scen, "--out-dir", str(tmp_path / "out")]) == 0
 
 
+def test_huge_catalog_index_runs_at_once(tmp_path, capsys):
+    # j = 10**30 unfolds into about 1.4e15 coefficient codes, all 0 past
+    # the first few, and decoding stops at the last non-zero one
+    scen = _scenario(tmp_path, stages=[{
+        "target": f"catalog:{10**30}",
+        "outer": {"type": "disk", "center": [2.0, 0.0], "radius": 0.25},
+        "inner": {"type": "disk", "center": [0.0, 0.0], "radius": 0.5},
+        "tolerance": 1e-2, "budgets": [10, 20]}])
+    specs = _specs_path(tmp_path, [
+        {"predicate": "E", "m": 1, "j": 10**30, "s": 2, "n": 0,
+         "fixed_center": [[0.0, 0.0]]}])
+    for argv in (["construct", scen, "--out-dir", str(tmp_path / "out")],
+                 ["predicates", _zsq_path(tmp_path), specs]):
+        start = time.perf_counter()
+        assert main(argv) in (0, 1)
+        assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_unusable_out_dir_is_exit_2(tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = os.path.join(str(blocker), under) if under else str(blocker)
+    assert main(["construct", os.path.join(SCEN, "seleznev.json"),
+                 "--out-dir", out]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"{out}: ")
+    assert stderr.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 def test_density_override_is_recorded_and_verifiable(tmp_path):
     out = str(tmp_path / "out")
-    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
-                 "--density", "32"]) == 0
+    assert main(["construct", _scenario(tmp_path, cert_density=32),
+                 "--out-dir", out]) == 0
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert cert["stages"][0]["density"]["nz_per_factor"] == 32
     assert main(["verify", os.path.join(out, "stream.json"),
@@ -169,34 +206,30 @@ def test_density_override_is_recorded_and_verifiable(tmp_path):
 
 
 def test_fixed_center_flag_moves_the_expansion_point(tmp_path):
+    # the scenario's center field is the one way to move it
     out = str(tmp_path / "out")
-    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
-                 "--fixed-center", "0.1,0.0"]) == 0
+    assert main(["construct", _scenario(tmp_path, center=[[0.1, 0.0]]),
+                 "--out-dir", out]) == 0
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert cert["header"]["center"] == [[0.1, 0.0]]
 
 
-def test_negative_fixed_center_as_a_separate_word_constructs(tmp_path):
-    # -0.1,0.0 starts with '-', yet it is the flag's value, not an option
-    out = str(tmp_path / "out")
-    assert main(["construct", _scenario(tmp_path), "--out-dir", out,
-                 "--fixed-center", "-0.1,0.0"]) == 0
-    cert = json.load(open(os.path.join(out, "certificate.json")))
-    assert cert["header"]["center"] == [[-0.1, 0.0]]
-
-
 @pytest.mark.parametrize("name, center", [
-    ("alternating_three.json", "0.1,0.0"),
-    ("two_stage_conflict.json", "0.0,0.5"),
-])
+    ("alternating_three.json", [0.1, 0.0]),
+    ("two_stage_conflict.json", [0.0, 0.5]),
+], ids=["alternating_three.json-0.1,0.0", "two_stage_conflict.json-0.0,0.5"])
 def test_multi_stage_divisor_center_off_zero_constructs(
         tmp_path, name, center):
     # each block is fitted as a multiple of (z - c)^e and re-centered; the
     # rounding it leaves below z^e is dropped, so nothing touches the frozen
     # prefix and the run certifies whatever the fit achieves
+    with open(os.path.join(SCEN, name)) as fh:
+        data = json.load(fh)
+    data["center"] = [center]
+    scen = tmp_path / name
+    scen.write_text(json.dumps(data))
     out = str(tmp_path / "out")
-    rc = main(["construct", os.path.join(SCEN, name), "--out-dir", out,
-               "--fixed-center", center])
+    rc = main(["construct", str(scen), "--out-dir", out])
     assert rc in (0, 1)
     with open(os.path.join(out, "certificate.json")) as fh:
         cert = json.load(fh)
@@ -212,15 +245,16 @@ def test_multi_stage_center_off_the_divisor_axis_constructs(tmp_path):
     def disk(c, rad):
         return {"type": "disk", "center": [c, 0.0], "radius": rad}
     unit = {"type": "open-disk", "center": [0.0, 0.0], "radius": 1.0}
-    scen = _scenario(tmp_path, domain=[unit, unit], stages=[{
+    stages = [{
         "target": {"constant": [1.0 - 2 * s, 0.0]},
         "outer": {"factors": [disk(2.5, 0.15), disk(0.0, 0.5)],
                   "disjoint_factor": 0},
         "inner": {"factors": [disk(0.0, 0.5 + 0.05 * s)] * 2},
-        "tolerance": 0.01, "budgets": [8, 12, 16, 20, 24]} for s in range(2)])
+        "tolerance": 0.01, "budgets": [8, 12, 16, 20, 24]} for s in range(2)]
+    scen = _scenario(tmp_path, domain=[unit, unit], stages=stages,
+                     center=[[0.0, 0.0], [0.3, 0.0]])
     out = str(tmp_path / "out")
-    assert main(["construct", scen, "--out-dir", out,
-                 "--fixed-center", "0,0,0.3,0"]) == 0
+    assert main(["construct", scen, "--out-dir", out]) == 0
     assert main(["verify", os.path.join(out, "stream.json"),
                  os.path.join(out, "certificate.json")]) == 0
 
@@ -237,14 +271,29 @@ def test_verbose_flag_prints_one_line_per_stage(tmp_path, capsys):
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
-    scen = _scenario(tmp_path)
+    scen = _scenario(tmp_path, seed=7)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["construct", scen, "--out-dir", a, "--seed", "7"]) == 0
-    assert main(["construct", scen, "--out-dir", b, "--seed", "7"]) == 0
+    assert main(["construct", scen, "--out-dir", a]) == 0
+    assert main(["construct", scen, "--out-dir", b]) == 0
     for fname in ("certificate.json", "stream.json", "history.csv"):
         with open(os.path.join(a, fname), "rb") as fa, \
                 open(os.path.join(b, fname), "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_readme_lists_exactly_the_flags_of_each_subcommand():
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("Flags, by subcommand:\n\n", 1)[1].split("\n\n")[0]
+    listed = {}
+    for item in section.split("\n- "):
+        name, _, body = item.lstrip("- ").partition(":")
+        listed[name.strip("`")] = set(re.findall(r"`(--?[a-z][\w-]*)", body))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {o for a in parser._actions for o in a.option_strings}
+               - {"-h", "--help"} for name, parser in sub.choices.items()}
+    assert listed == defined
 
 
 def test_shipped_scenarios_parse():
@@ -411,12 +460,12 @@ def test_predicates_oversized_recentering_is_exit_2(tmp_path, capfd):
         {"w_exp": [], "z_exp": [k], "re": 1.0, "im": 0.0}
         for k in (0, 1, 20000)]}))
     specs = _specs_path(tmp_path, [
-        {"predicate": "E", "m": 1, "j": 2, "s": 10, "n": 5}])
+        {"predicate": "E", "m": 1, "j": 2, "s": 10, "n": 5,
+         "fixed_center": [[0.3, 0.1]]}])
     capfd.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["predicates", str(path), specs,
-                     "--fixed-center=0.3,0.1"])
+        code = main(["predicates", str(path), specs])
     stdout, stderr = capfd.readouterr()
     assert code == 2
     assert stdout == ""
@@ -434,21 +483,13 @@ def test_predicates_shipped_demo(capsys):
     assert [r["pass"] for r in report] == [True, False, True, False]
 
 
-def test_predicates_negative_fixed_center_as_a_separate_word(capsys):
-    paths = [os.path.join(SCEN, "candidate_zsq.json"),
-             os.path.join(SCEN, "predicates_demo.json")]
-    assert main(["predicates", *paths, "--fixed-center=-0.1,0.2"]) == 0
-    joined = capsys.readouterr().out
-    assert main(["predicates", *paths, "--fixed-center", "-0.1,0.2"]) == 0
-    assert capsys.readouterr().out == joined
-    assert all(row["spec"]["fixed_center"] == [[-0.1, 0.2]]
-               for row in json.loads(joined))
-
-
 # ------------------------------------------------------------ refusal table
 
 NAN = float("nan")
 DROP = object()
+BIG = 10**400                 # too large for a float, and for an index
+# a catalog index whose one coefficient is 10**309, past the largest float
+OVERFLOW_J = 1 + cantor_pair(0, cantor_pair(cantor_pair(2 * 10**309, 0), 0))
 
 
 def _edit(doc, path, value):
@@ -465,20 +506,25 @@ def _edit(doc, path, value):
     return doc
 
 
-def _tiny_factor_bidisk():
-    """A bidisk scenario whose compacts share factor 1 = Disk(0, 1e-7): the
-    fit scale of that axis to the power 60 underflows."""
+def _bidisk(name, radius, **fields):
+    """A bidisk scenario with budgets up to 60 whose compacts share factor
+    1 = Disk(0, radius)."""
     def disk(center, radius):
         return {"type": "disk", "center": [center, 0.0], "radius": radius}
-    tiny = disk(0.0, 1e-7)
-    return {"name": "tiny-factor-bidisk",
+    shared = disk(0.0, radius)
+    return {"name": name,
             "domain": [{"type": "open-disk", "center": [0.0, 0.0],
                         "radius": 1.0}] * 2,
             "stages": [{"target": {"constant": [1.0, 0.0]},
-                        "outer": {"factors": [disk(2.5, 0.15), tiny],
+                        "outer": {"factors": [disk(2.5, 0.15), shared],
                                   "disjoint_factor": 0},
-                        "inner": {"factors": [disk(0.0, 0.5), tiny]},
-                        "tolerance": 0.01, "budgets": [8, 60]}]}
+                        "inner": {"factors": [disk(0.0, 0.5), shared]},
+                        "tolerance": 0.01, "budgets": [8, 60]}], **fields}
+
+
+def _tiny_factor_bidisk():
+    """Factor 1 is Disk(0, 1e-7): its fit scale to the power 60 underflows."""
+    return _bidisk("tiny-factor-bidisk", 1e-7)
 
 
 # (file edited, path in it, new value, exit code, start of the message);
@@ -508,6 +554,15 @@ REFUSALS = [
      {"r": 0, "d": 1,
       "terms": [{"w_exp": [], "z_exp": [10**30], "re": 1.0, "im": 0.0}]}, 2,
      "scenario rejected: exponents up to [10000000000000000000000000000"),
+    # a number too large for a float is refused like any other bad value
+    *[("scenario", path, value, 2, "scenario rejected")
+      for path, value in ((("cert_density",), BIG), (("r",), BIG),
+                          (("stages", 0, "tolerance"), BIG),
+                          (("stages", 0, "outer", "radius"), BIG),
+                          (("stages", 0, "outer", "center"), [BIG, 0]),
+                          (("stages", 0, "outer"), {"family": "tm", "m": BIG}),
+                          (("stages", 0, "inner"), {"family": "mp", "p": BIG}),
+                          (("stages", 0, "target"), f"catalog:{OVERFLOW_J}"))],
     ("stream", (), [], 2, "{file}: the top level must be a JSON object"),
     ("stream", ("enumeration",), 1, 2, "artifact rejected"),
     ("stream", ("enumeration",), "explicit-table:0,0", 2, "artifact rejected"),
@@ -535,6 +590,7 @@ REFUSALS = [
                             "f_side_error": 0.0}))],
     ("certificate", ("header", "fixed_center"), False, 2, "artifact rejected"),
     ("certificate", ("header", "variant"), "bogus", 2, "artifact rejected"),
+    ("certificate", ("header", "cert_density"), BIG, 2, "artifact rejected"),
     ("specs", ("specs",), "x", 2, "specs rejected"),
     *[("specs", ("specs", 0), v, 2, "specs rejected")
       for v in (1.5, None, True)],
@@ -542,6 +598,11 @@ REFUSALS = [
      "specs rejected"),
     ("specs", ("specs", 0, "p"), 1.9, 2, "specs rejected"),
     ("specs", ("specs", 0, "n"), True, 2, "specs rejected"),
+    # predicates_demo.json: specs 0 and 1 are F-side, spec 3 is E-side
+    *[("specs", path, value, 2, "predicate run failed")
+      for path, value in ((("specs", 3, "m"), BIG), (("specs", 0, "p"), BIG),
+                          (("specs", 0, "s"), BIG),
+                          (("specs", 3, "j"), OVERFLOW_J))],
 ]
 
 
@@ -553,6 +614,7 @@ def _refusal_id(case):
         shown = value["name"]
     else:
         shown = json.dumps(value, separators=(",", ":"))
+        shown = re.sub(r"\d{100,}", lambda m: f"<{len(m[0])}-digit int>", shown)
     return f"{file}:{'.'.join(map(str, path)) or 'top'}={shown}->{code}"
 
 
@@ -619,7 +681,8 @@ MUTATED = {name: json.load(open(os.path.join(SCEN, f"{name}.json")))
            for name in ("seleznev", "strong")}
 MUTATION_SITES = [(name, path) for name, doc in MUTATED.items()
                   for path in _key_paths(doc)]
-MUTATION_VALUES = [DROP, 1e308, 10**12, NAN, -1, "x", [], {}, 0, None, True]
+MUTATION_VALUES = [DROP, 1e308, 10**12, BIG, NAN, -1, "x", [], {}, 0, None,
+                   True]
 # the construct command's own report lines for exit codes 0 and 1
 CONSTRUCT_REPORTS = ("stage failure: ", "aborted at stage ",
                      "partial certificate in ")
@@ -666,7 +729,11 @@ def _oversized(name, path, value):
      "design matrix would be too large"),
     (_oversized("alternating_three", ("stages", 1, "outer", "center"),
                 [1e308, 0]), "overflows on the outer compact"),
-], ids=["l", "budget", "divisor"])
+    # 2 pieces x 6 derivative rows x 96 x 61 reduced rows x 1891 columns
+    # (1.3e8 entries), where one piece's dense (w, z) design has 1.7e7
+    (_bidisk("strong-bidisk", 0.5, variant="strong", l=2),
+     "design matrix would be too large"),
+], ids=["l", "budget", "divisor", "design-rows"])
 def test_oversized_input_is_refused_before_it_allocates(tmp_path, capfd, doc,
                                                        reason):
     start = time.perf_counter()

@@ -15,7 +15,9 @@ from taylorlab.geometry import (
     center_grid,
     exhaustion_M,
 )
-from taylorlab.multiindex import DiffOp, Enumeration, cantor_pair, tuple_pair
+from taylorlab import verify
+from taylorlab.multiindex import (DiffOp, Enumeration, cantor_pair,
+                                  cantor_unpair, tuple_pair, tuple_unpair)
 from taylorlab.poly import CoefficientStream, Poly
 from taylorlab.universal import (
     Certificate,
@@ -248,6 +250,41 @@ def test_catalog_is_deterministic_and_rational():
         for c in p.terms.values():
             # every coordinate is a ratio of modest integers by construction
             assert abs(c) < 1e6
+
+
+def _catalog_every_code(j, r, d):
+    """The documented catalog pairing, decoding all L + 1 codes."""
+    def rational(code):
+        a, b = cantor_unpair(code)
+        return ((a + 1) // 2) * (-1 if a % 2 else 1) / (b + 1)
+    L, c = cantor_unpair(j - 1)
+    joint = Enumeration(r + d, "graded-lex")
+    terms = {}
+    for t, code in enumerate(tuple_unpair(c, L + 1)):
+        u, v = cantor_unpair(code)
+        coeff = complex(rational(u), rational(v))
+        if coeff != 0:
+            m = joint.unrank(t)
+            terms[m[:r], m[r:]] = coeff
+    return terms
+
+
+@pytest.mark.parametrize("r, d", [(0, 1), (1, 1)])
+def test_catalog_stops_decoding_where_the_codes_run_out(r, d):
+    for j in range(1, 2001):
+        assert catalog_poly(j, r, d).terms == _catalog_every_code(j, r, d)
+
+
+def test_catalog_huge_index_decodes_in_few_steps(monkeypatch):
+    # j = 10**30 has L + 1 of about 1.4e15 codes, all 0 past the first few;
+    # the counter fails fast instead of letting a full decode run
+    calls = []
+    def counted(n):
+        calls.append(n)
+        assert len(calls) < 30
+        return cantor_unpair(n)
+    monkeypatch.setattr(verify, "cantor_unpair", counted)
+    catalog_poly(10**30, 0, 1)
 
 
 def test_catalog_reaches_small_polynomials():
