@@ -13,6 +13,7 @@ lives in the scenario or spec file; the flags only name files and outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +42,13 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def write_json(path: str, data: dict):
+    """Write an artifact: indented, keys sorted, a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 # ----------------------------------------------------------------- construct
 
 
@@ -57,10 +65,9 @@ def cmd_construct(args) -> int:
 
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "stream.json"), "w") as fh:
-            json.dump(stream.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        cert.write_json(os.path.join(args.out_dir, "certificate.json"))
+        write_json(os.path.join(args.out_dir, "stream.json"), stream.to_json())
+        write_json(os.path.join(args.out_dir, "certificate.json"),
+                   cert.to_json())
         cert.write_csv(os.path.join(args.out_dir, "history.csv"))
     except OSError as exc:
         raise InputError(f"{args.out_dir}: {exc.strerror}") from None
@@ -147,6 +154,7 @@ def cmd_predicates(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
+@functools.cache   # one parser a process; main runs many times in one
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="taylorlab",

@@ -473,10 +473,11 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
 
 @dataclass
 class StreamBlock:
-    """One appended stage: coefficients for ranks in (previous frontier, n_max]."""
+    """One appended stage: a polynomial in powers of (z - center) whose
+    z-exponents rank in (previous frontier, n_max]."""
 
     stage_id: str
-    coeffs: dict[int, Poly]
+    poly: Poly
     n_max: int
 
 
@@ -495,59 +496,46 @@ class CoefficientStream:
         if len(self.center) != enum.d:
             raise ValueError("stream center must have one entry per z-coordinate")
         self.r = int(r)
+        self.d = enum.d
         self.blocks: list[StreamBlock] = []
         self._poly_cache: Poly | None = None
-
-    @property
-    def d(self) -> int:
-        return self.enum.d
 
     @property
     def frontier(self) -> int:
         return self.blocks[-1].n_max if self.blocks else -1
 
-    def append_block(self, stage_id: str, coeffs: dict[int, Poly], n_max: int):
-        clean: dict[int, Poly] = {}
-        for k, c in coeffs.items():
-            k = int(k)
-            if k < 0:
-                raise ValueError("coefficient ranks must be natural numbers")
-            if not isinstance(c, Poly) or c.r != self.r or c.d != 0:
-                raise ValueError("coefficients must be w-polynomials (d = 0)")
-            if not c.is_zero:
-                clean[k] = c
-        if clean and min(clean) <= self.frontier:
+    def append_block(self, stage_id: str, block: Poly, n_max: int):
+        """Append `block`, a Poly in powers of (z - center), as the ranks
+        (frontier, n_max]."""
+        if (block.r, block.d) != (self.r, self.d):
+            raise ValueError(f"a block must have r = {self.r}, d = {self.d}")
+        # n_max is a rank the block claims too, so it must pass the frontier
+        ranks = {self.enum.rank(ze) for _, ze in block.terms} | {n_max}
+        if min(ranks) <= self.frontier:
             raise ValueError(
-                f"block would touch frozen rank {min(clean)} "
+                f"block would touch frozen rank {min(ranks)} "
                 f"(frontier is {self.frontier})")
-        if clean and n_max < max(clean):
+        if max(ranks) > n_max:
             raise ValueError("n_max must cover every rank in the block")
-        if n_max <= self.frontier:
-            raise ValueError("n_max must advance the frontier")
-        self.blocks.append(StreamBlock(str(stage_id), clean, int(n_max)))
+        self.blocks.append(StreamBlock(str(stage_id), block, int(n_max)))
         self._poly_cache = None
-
-    def coeff(self, k: int) -> Poly:
-        if k < 0 or k > self.frontier:
-            raise IndexError(f"rank {k} beyond materialized frontier {self.frontier}")
-        for b in self.blocks:
-            if k in b.coeffs:
-                return b.coeffs[k]
-        return Poly.zero(self.r, 0)
 
     def partial_sum(self, n: int) -> Poly:
         """Materialize sum of a_k(w) (z - center)^{N_k} over ranks k <= n."""
-        if not self.blocks:
-            return Poly.zero(self.r, self.d)
-        if n < 0 or n > self.frontier:
+        if n > self.frontier or (n < 0 and self.blocks):
             raise IndexError(f"rank {n} beyond materialized frontier {self.frontier}")
         # append_block keeps ranks disjoint across blocks, so no two terms
-        # share an exponent
+        # share an exponent; blocks up to n merge whole, and only the block
+        # the cut falls inside is ranked term by term
         p = Poly(self.r, self.d)
-        p.terms = {(we, ze): c
-                   for b in self.blocks for k, cp in b.coeffs.items() if k <= n
-                   for ze in [self.enum.unrank(k)]
-                   for (we, _), c in cp.terms.items()}
+        for b in self.blocks:
+            terms = b.poly.terms
+            if n < b.n_max:
+                terms = {(we, ze): c for (we, ze), c in terms.items()
+                         if self.enum.rank(ze) <= n}
+            p.terms.update(terms)
+            if n <= b.n_max:
+                break
         return p.shift_center(tuple(-v for v in self.center))
 
     def poly(self) -> Poly:
@@ -562,11 +550,8 @@ class CoefficientStream:
             "d": self.d,
             "r": self.r,
             "center": [[v.real, v.imag] for v in self.center],
-            "blocks": [{
-                "stage": b.stage_id,
-                "n_max": b.n_max,
-                "coeffs": {str(k): c.to_json() for k, c in sorted(b.coeffs.items())},
-            } for b in self.blocks],
+            "blocks": [{"stage": b.stage_id, "n_max": b.n_max,
+                        "poly": b.poly.to_json()} for b in self.blocks],
         }
 
     @classmethod
@@ -575,8 +560,9 @@ class CoefficientStream:
         center = [complex(re, im) for re, im in data["center"]]
         stream = cls(enum, center, int(data["r"]))
         for b in data["blocks"]:
-            if not isinstance(b["coeffs"], dict):
-                raise ValueError("stream block coefficients must be an object")
-            coeffs = {int(k): Poly.from_json(c) for k, c in b["coeffs"].items()}
-            stream.append_block(b["stage"], coeffs, int(b["n_max"]))
+            if "coeffs" in b:
+                raise ValueError("per-rank stream blocks are no longer read; "
+                                 "re-run construct on the scenario")
+            stream.append_block(b["stage"], Poly.from_json(b["poly"]),
+                                int(b["n_max"]))
         return stream

@@ -238,16 +238,10 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     # (z_i0 - c0)^e divides the fit, so about the center every coefficient
     # below z_i0^e is 0; what re-centering leaves there is rounding, and
     # keeping it would touch the frozen prefix
-    grouped: dict = {}
-    for (we, ze), c in res.poly.shift_center(center).terms.items():
-        if ze[i0] >= e:
-            grouped.setdefault(ze, {})[(we, ())] = c
-    coeffs = {}
-    for ze, terms in grouped.items():
-        cp = Poly(r, 0)
-        cp.terms = terms
-        coeffs[enum.rank(ze)] = cp
-        degs = [max(a, v) for a, v in zip(degs, ze)]
+    block = Poly(r, stream.d)
+    block.terms = {(we, ze): c for (we, ze), c in
+                   res.poly.shift_center(center).terms.items() if ze[i0] >= e}
+    degs = [max(a, v) for a, v in zip(degs, block.z_degrees() or degs)]
     capture = enum.capture_index(tuple(degs))
     try:
         lam = plan.mu.next_at_or_after(capture)
@@ -256,7 +250,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
             f"stage {stage_id}: the admissible index set has no member at or "
             f"after the capture rank {capture}") from exc
 
-    stream.append_block(f"stage-{stage_id}", coeffs, lam)
+    stream.append_block(f"stage-{stage_id}", block, lam)
 
     # the capture-rank truncation must reproduce the stream exactly; this is
     # the F-side of the stage predicate at the reference center, and by the
@@ -326,11 +320,6 @@ class Certificate:
         cert = cls(data["header"], data["stages"], data["summary"])
         cert.stored_hash = data.get("sha256")
         return cert
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -430,9 +419,23 @@ def _scenario_target(spec, r: int, d: int) -> Poly:
     return Poly.from_json(spec)
 
 
+def _check_float_range(value, path: str = ""):
+    """Refuse an integer past the largest float, naming its field (such as
+    stages[0].tolerance); JSON floats past it parse as inf, refused later."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _check_float_range(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_float_range(v, f"{path}[{i}]")
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{path} is too large for a float")
+
+
 def plan_from_scenario(data: dict) -> StagePlan:
     """Build a plan from a parsed scenario file; a stage target written
     "catalog:j" is catalog_poly(j, r, d)."""
+    _check_float_range(data)
     domain = DomainProduct.from_json(data["domain"])
     d = domain.dim
     enum = Enumeration.from_tag(data.get("enumeration", "graded-lex"), d)

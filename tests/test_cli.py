@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taylorlab.cli import build_parser, main
-from taylorlab.multiindex import cantor_pair
+from taylorlab.multiindex import Enumeration, cantor_pair
 from taylorlab.universal import Certificate, plan_from_scenario
 from taylorlab.verify import catalog_poly
 
@@ -554,19 +554,26 @@ REFUSALS = [
      {"r": 0, "d": 1,
       "terms": [{"w_exp": [], "z_exp": [10**30], "re": 1.0, "im": 0.0}]}, 2,
      "scenario rejected: exponents up to [10000000000000000000000000000"),
-    # a number too large for a float is refused like any other bad value
-    *[("scenario", path, value, 2, "scenario rejected")
-      for path, value in ((("cert_density",), BIG), (("r",), BIG),
-                          (("stages", 0, "tolerance"), BIG),
-                          (("stages", 0, "outer", "radius"), BIG),
-                          (("stages", 0, "outer", "center"), [BIG, 0]),
-                          (("stages", 0, "outer"), {"family": "tm", "m": BIG}),
-                          (("stages", 0, "inner"), {"family": "mp", "p": BIG}),
-                          (("stages", 0, "target"), f"catalog:{OVERFLOW_J}"))],
+    # a number too large for a float is refused by its field
+    *[("scenario", path, value, 2,
+       f"scenario rejected: {field} is too large for a float")
+      for path, value, field in (
+          (("cert_density",), BIG, "cert_density"), (("r",), BIG, "r"),
+          (("stages", 0, "tolerance"), BIG, "stages[0].tolerance"),
+          (("stages", 0, "budgets"), [10, BIG], "stages[0].budgets[1]"),
+          (("stages", 0, "outer", "radius"), BIG, "stages[0].outer.radius"),
+          (("stages", 0, "outer", "center"), [BIG, 0],
+           "stages[0].outer.center[0]"),
+          (("stages", 0, "outer"), {"family": "tm", "m": BIG},
+           "stages[0].outer.m"),
+          (("stages", 0, "inner"), {"family": "mp", "p": BIG},
+           "stages[0].inner.p"))],
+    ("scenario", ("stages", 0, "target"), f"catalog:{OVERFLOW_J}", 2,
+     "scenario rejected"),
     ("stream", (), [], 2, "{file}: the top level must be a JSON object"),
     ("stream", ("enumeration",), 1, 2, "artifact rejected"),
     ("stream", ("enumeration",), "explicit-table:0,0", 2, "artifact rejected"),
-    ("stream", ("blocks", 0, "coeffs"), [], 2, "artifact rejected"),
+    ("stream", ("blocks", 0, "poly"), [], 2, "artifact rejected"),
     ("certificate", ("header",), [], 2, "artifact rejected"),
     ("certificate", ("header", "r"), DROP, 2, "artifact rejected"),
     ("certificate", ("header", "d"), DROP, 2, "artifact rejected"),
@@ -657,6 +664,33 @@ def test_malformed_input_exits_with_a_message(
     message = stderr if code == 2 else stdout
     assert message.startswith(prefix.format(file=paths[file]))
     assert "Traceback" not in stdout + stderr
+
+
+def test_verify_per_rank_stream_says_to_reconstruct(tmp_path, capsys,
+                                                    seleznev_artifacts):
+    # the layout of earlier streams: one w-polynomial (d = 0) per rank
+    doc = json.loads(seleznev_artifacts["stream"])
+    enum = Enumeration.from_tag(doc["enumeration"], doc["d"])
+    for b in doc["blocks"]:
+        coeffs = {}
+        for t in b.pop("poly")["terms"]:
+            coeffs.setdefault(str(enum.rank(t["z_exp"])), {
+                "r": doc["r"], "d": 0, "terms": []})["terms"].append(
+                dict(t, z_exp=[]))
+        b["coeffs"] = coeffs
+    paths = {}
+    for name, text in (("stream", json.dumps(doc)),
+                       ("certificate", seleznev_artifacts["certificate"])):
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            fh.write(text)
+    assert main(["verify", paths["stream"], paths["certificate"]]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("artifact rejected: ")
+    assert "re-run construct" in stderr
+    assert stderr.count("\n") == 1
+    assert "Traceback" not in stderr
 
 
 # ------------------------------------------------------------ mutation search

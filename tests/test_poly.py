@@ -1,6 +1,7 @@
 """Polynomial algebra against the naive oracles in util.py."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -539,14 +540,15 @@ def test_batched_partial_sum_chunks_by_max_dense(monkeypatch):
 
 # ------------------------------------------------------------ streams
 
-def _wconst(c, r=0):
-    return Poly.constant(c, r, 0)
+def _block(terms, r=0, d=1):
+    """A block from {z-exponent: coefficient}, constant in w."""
+    return Poly(r, d, {((0,) * r, ze): c for ze, c in terms.items()})
 
 
 def test_stream_roundtrip_polynomial():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", {0: _wconst(1.0), 2: _wconst(-2.0)}, n_max=2)
+    stream.append_block("s1", _block({(0,): 1.0, (2,): -2.0}), n_max=2)
     p = stream.poly()
     assert p == Poly(0, 1, {((), (0,)): 1.0, ((), (2,)): -2.0})
     assert stream.partial_sum(1) == Poly(0, 1, {((), (0,)): 1.0})
@@ -562,41 +564,41 @@ def test_stream_empty_is_zero():
 def test_stream_frozen_prefix_bit_identical():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", {0: _wconst(1.5), 1: _wconst(2.5)}, n_max=3)
+    stream.append_block("s1", _block({(0,): 1.5, (1,): 2.5}), n_max=3)
     before = stream.partial_sum(3)
-    snapshot = {k: dict(stream.blocks[0].coeffs[k].terms)
-                for k in stream.blocks[0].coeffs}
-    stream.append_block("s2", {5: _wconst(-1.0)}, n_max=5)
+    snapshot = dict(stream.blocks[0].poly.terms)
+    stream.append_block("s2", _block({(5,): -1.0}), n_max=5)
     after = stream.partial_sum(3)
     assert before == after
-    for k, terms in snapshot.items():
-        assert stream.blocks[0].coeffs[k].terms == terms
+    assert stream.blocks[0].poly.terms == snapshot
 
 
 def test_stream_rejects_frozen_overlap():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", {0: _wconst(1.0)}, n_max=2)
+    stream.append_block("s1", _block({(0,): 1.0}), n_max=2)
     with pytest.raises(ValueError):
-        stream.append_block("s2", {1: _wconst(1.0)}, n_max=4)
+        stream.append_block("s2", _block({(1,): 1.0}), n_max=4)
     with pytest.raises(ValueError):
-        stream.append_block("s2", {4: _wconst(1.0)}, n_max=3)
+        stream.append_block("s2", _block({(4,): 1.0}), n_max=3)
+    with pytest.raises(ValueError):
+        stream.append_block("s2", _block({}), n_max=2)
+    with pytest.raises(ValueError):
+        stream.append_block("s2", _block({(4, 0): 1.0}, d=2), n_max=20)
 
 
 def test_stream_partial_sum_beyond_frontier_errors():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", {0: _wconst(1.0)}, n_max=1)
+    stream.append_block("s1", _block({(0,): 1.0}), n_max=1)
     with pytest.raises(IndexError):
         stream.partial_sum(2)
-    with pytest.raises(IndexError):
-        stream.coeff(2)
 
 
 def test_stream_nonzero_center():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.5,), 0)
-    stream.append_block("s1", {1: _wconst(1.0)}, n_max=1)
+    stream.append_block("s1", _block({(1,): 1.0}), n_max=1)
     # f(z) = (z - 0.5)
     p = stream.poly()
     assert p.isclose(Poly(0, 1, {((), (1,)): 1.0, ((), (0,)): -0.5}), tol=1e-14)
@@ -605,13 +607,41 @@ def test_stream_nonzero_center():
 def test_stream_json_roundtrip():
     enum = Enumeration(2, "graded-lex")
     stream = CoefficientStream(enum, (0.0, 0.1), 1)
-    stream.append_block("s1", {0: Poly(1, 0, {((1,), ()): 2.0})}, n_max=1)
-    stream.append_block("s2", {4: Poly(1, 0, {((0,), ()): 1.0 + 1j})}, n_max=4)
+    stream.append_block("s1", Poly(1, 2, {((1,), (0, 0)): 2.0}), n_max=1)
+    # (1, 1) has rank 4 in graded-lex
+    stream.append_block("s2", Poly(1, 2, {((0,), (1, 1)): 1.0 + 1j}), n_max=4)
     data = stream.to_json()
     back = CoefficientStream.from_json(data)
     assert back.enum == stream.enum
     assert back.center == stream.center
     assert back.poly() == stream.poly()
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3 + 0.1j, -0.2j)])
+def test_stream_partial_sum_cuts_inside_blocks(center):
+    # d = 2, r = 1: three blocks over the rank windows (-1, 7], (7, 16] and
+    # (16, 27], each missing some ranks and the first ending short of n_max,
+    # so cuts fall between blocks, inside them and on empty ranks
+    rng = np.random.default_rng(83)
+    enum = Enumeration(2, "graded-lex")
+    stream = CoefficientStream(enum, center, 1)
+    below = -1
+    for s, n_max in enumerate((7, 16, 27)):
+        top = 5 if s == 0 else n_max
+        terms = {((int(rng.integers(3)),), enum.unrank(k)):
+                 complex(*rng.normal(size=2))
+                 for k in range(below + 1, top + 1) if rng.random() < 0.7}
+        stream.append_block(f"s{s}", Poly(1, 2, terms), n_max)
+        below = n_max
+    back = CoefficientStream.from_json(json.loads(json.dumps(stream.to_json())))
+    for n in range(stream.frontier + 1):
+        want = Poly(1, 2)
+        want.terms = {k: c for b in stream.blocks
+                      for k, c in b.poly.terms.items()
+                      if enum.rank(k[1]) <= n}
+        want = want.shift_center(tuple(-v for v in center))
+        assert _bits(stream.partial_sum(n)) == _bits(want)
+        assert _bits(back.partial_sum(n)) == _bits(want)
 
 
 def test_poly_json_roundtrip():
