@@ -11,11 +11,9 @@ filter.
 Certificate semantics: each stage's errors are re-measured on the finished
 stream, so the E-side numbers double as a frozen-prefix check and the
 F-side numbers quantify how much the later corrections disturb the earlier
-truncations on their inner compacts.  Re-expanding a multi-stage stream
-about a different interior point mixes astronomically large cross-terms
-into low ranks, so varying-center sups are only offered for single-stage
-runs; there the final rank captures the whole polynomial and the inner-side
-error vanishes identically at every center.
+truncations on their inner compacts.  A construction measures about its
+one reference center; sups over varying centers are the predicates' own
+(check_E and check_F in verify).
 """
 
 from __future__ import annotations
@@ -120,15 +118,13 @@ class StagePlan:
     w_compact: ProductCompact | None = None
     variant: str = "plain"
     l: int = 0
-    fixed_center: bool = True
     name: str = "construction"
-    seed: int = 0
     cert_density: int = 0
 
 
 def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
-                w_compact=None, variant="plain", l=0, fixed_center=True,
-                name="construction", seed=0, cert_density=0) -> StagePlan:
+                w_compact=None, variant="plain", l=0, name="construction",
+                cert_density=0) -> StagePlan:
     """Validate a construction request and freeze it as a plan.
 
     Stages run in schedule order; the divisor exponents that keep each
@@ -160,15 +156,10 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
         raise ValueError("a plan needs at least one stage")
-    if not fixed_center and len(requests) > 1:
-        raise ValueError(
-            "varying-center sups are only supported for single-stage plans; "
-            "later truncations explode away from the reference center")
     for req in requests:
         req.validate(domain, r, variant)
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
-                     variant, int(l), bool(fixed_center), str(name),
-                     int(seed), int(cert_density))
+                     variant, int(l), str(name), int(cert_density))
 
 
 # ------------------------------------------------------------------ stages
@@ -251,19 +242,10 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
             f"after the capture rank {capture}") from exc
 
     stream.append_block(f"stage-{stage_id}", block, lam)
-
-    # the capture-rank truncation must reproduce the stream exactly; this is
-    # the F-side of the stage predicate at the reference center, and by the
-    # capture property it holds coefficient for coefficient
-    cap_delta = stream.partial_sum(capture) - stream.poly()
-    capture_residual = max((abs(v) for v in cap_delta.terms.values()),
-                           default=0.0)
-
     return {
         "stage": stage_id,
         "lambda": lam,
         "capture_index": capture,
-        "capture_residual": capture_residual,
         "divisor_exponent": e,
         "budget": res.budget,
         "n_columns": res.n_columns,
@@ -315,9 +297,12 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
-        if not isinstance(data["header"], dict):
-            raise ValueError("certificate header must be an object")
         cert = cls(data["header"], data["stages"], data["summary"])
+        if not (isinstance(cert.header, dict) and isinstance(cert.summary, dict)
+                and isinstance(cert.stages, list)
+                and all(isinstance(rec, dict) for rec in cert.stages)):
+            raise ValueError("a certificate's header and summary must be "
+                             "objects and its stages a list of objects")
         cert.stored_hash = data.get("sha256")
         return cert
 
@@ -348,10 +333,8 @@ def run_construction(plan: StagePlan):
         "mu": plan.mu.tag,
         "variant": plan.variant,
         "l": plan.l,
-        "fixed_center": plan.fixed_center,
         "domain": plan.domain.to_json(),
         "w_compact": plan.w_compact.to_json() if plan.w_compact else None,
-        "seed": plan.seed,
         "cert_density": plan.cert_density,
     }
     stream = CoefficientStream(plan.enum, plan.center, plan.r)
@@ -364,22 +347,7 @@ def run_construction(plan: StagePlan):
         except SparseIndexError as exc:
             aborted = {"stage": idx, "reason": str(exc)}
             break
-    certify_stages(stream, header, records)
-
-    final = stream.poly()
-    summary = {
-        "stages": len(records),
-        "frontier": stream.frontier,
-        "final_degree": final.total_z_degree(),
-        "final_term_count": len(final.terms),
-        "final_capture": plan.enum.capture_index(final.z_degrees())
-        if not final.is_zero else 0,
-        "e_side_max": max((r["e_side_error"] for r in records), default=0.0),
-        "f_side_max": max((r["f_side_error"] for r in records), default=0.0),
-        "all_pass": aborted is None and all(
-            r["pass_e"] and r["pass_f"] for r in records),
-        "aborted": aborted,
-    }
+    summary = certify_stages(stream, header, records, aborted)
     return stream, Certificate(header, records, summary)
 
 
@@ -442,8 +410,12 @@ def plan_from_scenario(data: dict) -> StagePlan:
     mu = IndexSet.from_tag(data.get("mu", "mu:all"))
     center = [complex(re, im) for re, im in
               data.get("center", [[0.0, 0.0]] * d)]
-    r, l, seed, cert_density = (check_int(data.get(key, 0), key) for key in
-                                ("r", "l", "seed", "cert_density"))
+    r, l, cert_density = (check_int(data.get(key, 0), key) for key in
+                          ("r", "l", "cert_density"))
+    if data.get("fixed_center", True) is not True:
+        raise ValueError("a construction is measured about its one center; "
+                         "for sups over varying centers run `predicates` "
+                         "on the stream")
     variant = data.get("variant", "plain")
     w_compact = (ProductCompact.from_json(data["w_compact"])
                  if data.get("w_compact") else None)
@@ -458,6 +430,4 @@ def plan_from_scenario(data: dict) -> StagePlan:
     return plan_stages(
         domain, requests, enum=enum, mu=mu, center=center, r=r,
         w_compact=w_compact, variant=variant, l=l,
-        fixed_center=bool(data.get("fixed_center", True)),
-        name=data.get("name", "construction"), seed=seed,
-        cert_density=cert_density)
+        name=data.get("name", "construction"), cert_density=cert_density)

@@ -12,9 +12,10 @@ tables on product compacts, and verify_certificate replays a finished
 certificate against its coefficient stream.
 
 This module also holds the stage-measurement kernel (sup_ops,
-center_sups, variant_ops, certify_stages) that the predicates, the
-construction in universal and the certificate replay share, so a
-certificate is written and re-checked by the same code.
+variant_ops, certify_stages) that the predicates, the construction in
+universal and the certificate replay share, so a certificate is written
+and re-checked by the same code; center_sups re-centers for the
+predicates.
 """
 
 from __future__ import annotations
@@ -37,9 +38,23 @@ from .multiindex import Enumeration, cantor_unpair, check_int, family_Fl
 from .poly import CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
-# v2: Horner evaluation and vectorised re-centering round differently from
-# v1's monomial sums, so v1 sups do not replay within the 1e-12 window
-CERT_FORMAT = "taylorlab-certificate-v2"
+# verify refuses every other format: v1 sups do not replay within 1e-12,
+# and v2 records hold fields that v3 dropped
+CERT_FORMAT = "taylorlab-certificate-v3"
+# what certify_stages reads from a record, and what it derives into it
+STAGE_INPUTS = ("lambda", "target", "outer", "inner", "tolerance")
+STAGE_MEASURED = ("density", "e_side_error", "f_side_error", "pass_e",
+                  "pass_f")
+# the v3 schema: construct writes exactly these keys, verify accepts no other
+HEADER_KEYS = frozenset("format name enumeration d r center mu variant l "
+                        "domain w_compact cert_density".split())
+RECORD_KEYS = frozenset(STAGE_INPUTS + STAGE_MEASURED + tuple(
+    "stage capture_index divisor_exponent budget n_columns cond converged "
+    "fit_residual_inner fit_residual_outer fit_tolerance_inner "
+    "fit_tolerance_outer max_degree".split()))
+SUMMARY_KEYS = frozenset("stages frontier final_degree final_term_count "
+                         "final_capture e_side_max f_side_max all_pass "
+                         "aborted".split())
 # far above the l <= 2 (at most 10 operators) of every scenario and test
 MAX_FAMILY_OPS = 1_000
 
@@ -124,30 +139,34 @@ def sup_ops(delta: Poly, zg, wg, ops) -> float:
     return worst
 
 
-def center_sups(f: Poly, centers, n: int, enum: Enumeration, sides) -> list:
-    """Worst sup over expansion centers, one value per side.
+def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
+    """Worst sup over expansion centers of one side (target, z-grid,
+    w-grid, ops).
 
     One partial_sum call re-centers f at every center in one pass (chunked
     by the poly module's MAX_DENSE) and gives each center its rank-n
-    partial sum S; a side is a tuple (target, z-grid, w-grid, ops) and
-    measures sup_ops(S - target), center by center.
+    partial sum S; the side measures sup_ops(S - target), center by center.
     """
-    worst = [0.0] * len(sides)
+    target, zg, wg, ops = side
+    worst = 0.0
     for S in partial_sum(f, centers, n, enum):
-        worst = [max(v, sup_ops(S - target, zg, wg, ops))
-                 for v, (target, zg, wg, ops) in zip(worst, sides)]
+        worst = max(worst, sup_ops(S - target, zg, wg, ops))
     return worst
 
 
-def certify_stages(stream: CoefficientStream, header: dict, stages: list):
-    """Measure every stage record of a certificate on the finished stream.
+def certify_stages(stream: CoefficientStream, header: dict, stages: list,
+                   aborted) -> dict:
+    """Measure every stage record of a certificate on the finished stream
+    and return the certificate's summary.
 
-    Inputs: the header's variant, r, d, l, w_compact, cert_density and
-    fixed_center, and each record's lambda, target, outer, inner and
-    tolerance.  Each record gets its density, its E-side sup (the rank-lambda
-    truncation against the target on `outer`) and F-side sup (against the
-    whole stream on `inner`) with their pass flags, and, when centers vary,
-    both sups maxed over the center grid of `inner` (varying_center).
+    Inputs: the header's variant, r, d, l, w_compact and cert_density, each
+    record's STAGE_INPUTS, and `aborted` (None, or why the schedule stopped
+    early).  Each record gets its STAGE_MEASURED fields: the density, the
+    E-side sup (the rank-lambda truncation against the target on `outer`)
+    and the F-side sup (against the whole stream on `inner`), with their
+    pass flags.  The summary adds the stream's frontier, degree, term count
+    and capture index and the worst sups; all_pass needs no abort, one
+    record per block of the stream, and every stage to pass.
     """
     r, d = int(header["r"]), int(header["d"])
     e_ops, f_ops = variant_ops(header["variant"], r, d, int(header["l"]))
@@ -158,23 +177,31 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list):
     final = stream.poly()
     for rec in stages:
         lam, tol = int(rec["lambda"]), float(rec["tolerance"])
-        inner = ProductCompact.from_json(rec["inner"])
         zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)
-        sides = [(Poly.from_json(rec["target"]), zT, wg, e_ops),
-                 (final, inner.sample(n_per_factor=nz), wg, f_ops)]
+        zI = ProductCompact.from_json(rec["inner"]).sample(n_per_factor=nz)
         P = stream.partial_sum(lam)
-        e, fv = (sup_ops(P - t, zg, w, ops) for t, zg, w, ops in sides)
+        e = sup_ops(P - Poly.from_json(rec["target"]), zT, wg, e_ops)
+        fv = sup_ops(P - final, zI, wg, f_ops)
         rec.update(density={"nz_per_factor": nz, "nw_per_factor": nw,
                             "nz_points": len(zT.points),
                             "nw_points": len(wg.points) if wg else 0},
                    e_side_error=e, f_side_error=fv,
                    pass_e=e <= tol, pass_f=fv <= tol)
-        if not header["fixed_center"]:
-            centers = center_grid(inner)
-            ve, vf = center_sups(final, centers, lam, stream.enum, sides)
-            rec["varying_center"] = {"n_centers": len(centers),
-                                     "e_side_error": ve, "f_side_error": vf}
-    return stages
+    return {
+        "stages": len(stages),
+        "frontier": stream.frontier,
+        "final_degree": final.total_z_degree(),
+        "final_term_count": len(final.terms),
+        "final_capture": stream.enum.capture_index(final.z_degrees())
+        if not final.is_zero else 0,
+        "e_side_max": max((rec["e_side_error"] for rec in stages),
+                          default=0.0),
+        "f_side_max": max((rec["f_side_error"] for rec in stages),
+                          default=0.0),
+        "all_pass": aborted is None and len(stages) == len(stream.blocks)
+        and all(rec["pass_e"] and rec["pass_f"] for rec in stages),
+        "aborted": aborted,
+    }
 
 
 # -------------------------------------------------------------- predicates
@@ -291,7 +318,7 @@ def _run_predicate(kind, f, spec, domain, w_domain, density):
                                             density)
     e_ops, f_ops = variant_ops(spec.variant, f.r, f.d, spec.l or 0)
     ops = e_ops if kind == "E" else f_ops
-    (worst,) = center_sups(f, centers, spec.n, enum, [(target, zg, wg, ops)])
+    worst = center_sups(f, centers, spec.n, enum, (target, zg, wg, ops))
     return worst < 1.0 / spec.s, worst, info
 
 
@@ -385,18 +412,29 @@ def slice_AD_residual(fn, K: ProductCompact, axis: int,
 # ------------------------------------------------------- certificate replay
 
 
-def verify_certificate(stream: CoefficientStream, cert) -> bool:
-    """Recompute every stage predicate of a certificate from its stream.
+def _agrees(recorded, derived) -> bool:
+    """Floats within 1e-12 (a NaN never agrees), objects key by key, and
+    anything else equal and of the same type."""
+    if isinstance(derived, float):
+        return isinstance(recorded, float) and abs(recorded - derived) <= 1e-12
+    if isinstance(derived, dict):
+        return (isinstance(recorded, dict) and recorded.keys() == derived.keys()
+                and all(_agrees(recorded[k], v) for k, v in derived.items()))
+    return type(recorded) is type(derived) and recorded == derived
 
-    certify_stages reruns on copies of the record inputs.  Densities and
-    pass flags must equal the recorded ones, varying_center must be present
-    exactly when the header says centers vary (KeyError when missing), and
-    each sup must land within 1e-12 of the recorded value and under the
-    stage tolerance.  A certificate of another format, or whose
-    enumeration or center does not match the stream, is refused
-    (VerificationRefused, not False); a stored whole-body hash that no
-    longer matches fails immediately.  A certificate with no stages
-    verifies vacuously.
+
+def verify_certificate(stream: CoefficientStream, cert) -> bool:
+    """Re-derive a certificate's measurements and summary from its stream.
+
+    certify_stages reruns on copies of each record's STAGE_INPUTS and on
+    the recorded `aborted`.  The certificate verifies when its header,
+    records and summary hold exactly the v3 keys (KeyError when one is
+    missing), every re-derived STAGE_MEASURED field and the whole summary
+    agree with the record (floats within 1e-12, anything else equal), and
+    all_pass holds.  A certificate of another format, or whose enumeration
+    or center does not match the stream, is refused (VerificationRefused,
+    not False); a stored whole-body hash that no longer matches fails
+    immediately.
     """
     h = cert.header
     if h.get("format") != CERT_FORMAT:
@@ -418,29 +456,19 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
     stored = getattr(cert, "stored_hash", None)
     if stored is not None and stored != cert.sha256:
         return False
-    if not cert.stages:
-        return True
+    stages, summary = cert.stages, cert.summary
+    schema = [(h, HEADER_KEYS), (summary, SUMMARY_KEYS),
+              *((rec, RECORD_KEYS) for rec in stages)]
+    for doc, keys in schema:
+        if keys - doc.keys():
+            raise KeyError(", ".join(sorted(keys - doc.keys())))
+    if any(doc.keys() != keys for doc, keys in schema):
+        return False
 
-    inputs = ("lambda", "target", "outer", "inner", "tolerance")
-    fresh = certify_stages(stream, h, [{k: rec[k] for k in inputs}
-                                       for rec in cert.stages])
-    for new, rec in zip(fresh, cert.stages):
-        density = {k: int(rec["density"][k]) for k in new["density"]}
-        if (density, rec["pass_e"], rec["pass_f"]) != (
-                new["density"], new["pass_e"], new["pass_f"]):
-            return False
-        pairs = [(new, rec)]
-        if "varying_center" in new:
-            vc = rec["varying_center"]
-            if int(vc["n_centers"]) != new["varying_center"]["n_centers"]:
-                return False
-            pairs.append((new["varying_center"], vc))
-        elif "varying_center" in rec:
-            return False
-        tol = float(rec["tolerance"])
-        for a, b in pairs:
-            for key in ("e_side_error", "f_side_error"):
-                # a NaN anywhere fails
-                if not (abs(a[key] - b[key]) <= 1e-12 and a[key] <= tol):
-                    return False
-    return True
+    fresh = [{k: rec[k] for k in STAGE_INPUTS} for rec in stages]
+    derived = certify_stages(stream, h, fresh, summary["aborted"])
+    recorded = ([rec[k] for rec in stages for k in STAGE_MEASURED]
+                + [summary[k] for k in SUMMARY_KEYS])
+    again = ([rec[k] for rec in fresh for k in STAGE_MEASURED]
+             + [derived[k] for k in SUMMARY_KEYS])
+    return all(map(_agrees, recorded, again)) and derived["all_pass"]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from taylorlab import verify
 from taylorlab.cli import build_parser, main
 from taylorlab.multiindex import Enumeration, cantor_pair
 from taylorlab.universal import Certificate, plan_from_scenario
@@ -140,13 +141,38 @@ def test_infeasible_tolerance_leaves_a_failing_certificate(tmp_path):
                  os.path.join(out, "certificate.json")]) == 1
 
 
-def test_exhausted_index_set_aborts_with_partial_certificate(tmp_path):
-    scen = _scenario(tmp_path, mu="mu:list:0,1,2")
+def _aborted(tmp_path, capsys, mu, n_stages):
+    """Construct _scenario's stage n_stages times under mu (each stage's
+    inner disk 0.1 wider), then verify; both must exit 1."""
+    first = json.loads(open(_scenario(tmp_path)).read())["stages"][0]
+    stages = [dict(first, inner=dict(first["inner"], radius=0.5 + 0.1 * s))
+              for s in range(n_stages)]
     out = str(tmp_path / "out")
-    assert main(["construct", scen, "--out-dir", out]) == 1
+    assert main(["construct", _scenario(tmp_path, mu=mu, stages=stages),
+                 "--out-dir", out]) == 1
     cert = json.load(open(os.path.join(out, "certificate.json")))
+    # the stages it holds pass and replay, but an aborted schedule does not
+    # verify
+    assert all(s["pass_e"] and s["pass_f"] for s in cert["stages"])
+    capsys.readouterr()
+    assert main(["verify", os.path.join(out, "stream.json"),
+                 os.path.join(out, "certificate.json")]) == 1
+    assert capsys.readouterr().out == "certificate does NOT match\n"
+    return cert
+
+
+def test_exhausted_index_set_aborts_with_partial_certificate(tmp_path, capsys):
+    cert = _aborted(tmp_path, capsys, "mu:list:0,1,2", 1)
     assert cert["summary"]["aborted"]["stage"] == 1
     assert cert["stages"] == []
+
+
+def test_abort_after_a_passing_stage_fails_verify(tmp_path, capsys):
+    # the first stage settles at lambda 40; the second finds no member of
+    # the index set past its capture rank
+    cert = _aborted(tmp_path, capsys, "mu:list:40", 2)
+    assert cert["summary"]["aborted"]["stage"] == 2
+    assert [s["lambda"] for s in cert["stages"]] == [40]
 
 
 def test_catalog_target_resolution(tmp_path):
@@ -271,7 +297,7 @@ def test_verbose_flag_prints_one_line_per_stage(tmp_path, capsys):
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
-    scen = _scenario(tmp_path, seed=7)
+    scen = _scenario(tmp_path)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["construct", scen, "--out-dir", a]) == 0
     assert main(["construct", scen, "--out-dir", b]) == 0
@@ -294,6 +320,20 @@ def test_readme_lists_exactly_the_flags_of_each_subcommand():
     defined = {name: {o for a in parser._actions for o in a.option_strings}
                - {"-h", "--help"} for name, parser in sub.choices.items()}
     assert listed == defined
+
+
+def test_readme_lists_exactly_the_v3_certificate_keys():
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("## Certificates\n", 1)[1].split("\n## ")[0]
+    block = section.split("holds exactly these keys:\n\n", 1)[1]
+    listed = {}
+    for item in block.split("\n\n")[0].split("\n- "):
+        name, _, body = item.lstrip("- ").partition(":")
+        listed[name] = set(re.findall(r"`(\w+)`", body))
+    assert listed == {"header": verify.HEADER_KEYS,
+                      "stage record": verify.RECORD_KEYS,
+                      "summary": verify.SUMMARY_KEYS}
 
 
 def test_shipped_scenarios_parse():
@@ -358,14 +398,17 @@ def test_verify_mismatched_stream_is_refused(tmp_path, capsys):
     assert "refused" in capsys.readouterr().out
 
 
-def test_verify_refuses_a_v1_certificate(tmp_path, capsys):
-    # v1 sups were measured by the monomial evaluator and the scalar
-    # re-centering; they do not replay within the 1e-12 window
+def _refuses_format(tmp_path, capsys, version):
+    """verify on a fresh certificate re-labelled as `version`, re-hashed,
+    with the fields that v3 dropped put back."""
     out = str(tmp_path / "out")
     assert main(["construct", _scenario(tmp_path), "--out-dir", out]) == 0
     cpath = os.path.join(out, "certificate.json")
     data = json.load(open(cpath))
-    data["header"]["format"] = "taylorlab-certificate-v1"
+    data["header"].update(format=f"taylorlab-certificate-{version}", seed=0,
+                          fixed_center=True)
+    for rec in data["stages"]:
+        rec["capture_residual"] = 0.0
     data["sha256"] = Certificate(data["header"], data["stages"],
                                  data["summary"]).sha256
     json.dump(data, open(cpath, "w"))
@@ -373,8 +416,20 @@ def test_verify_refuses_a_v1_certificate(tmp_path, capsys):
     assert main(["verify", os.path.join(out, "stream.json"), cpath]) == 1
     message = capsys.readouterr().out
     assert message.startswith("verification refused: certificate format "
-                              "'taylorlab-certificate-v1'")
+                              f"'taylorlab-certificate-{version}'")
     assert "re-run construct" in message
+
+
+def test_verify_refuses_a_v1_certificate(tmp_path, capsys):
+    # v1 sups were measured by the monomial evaluator and the scalar
+    # re-centering; they do not replay within the 1e-12 window
+    _refuses_format(tmp_path, capsys, "v1")
+
+
+def test_verify_refuses_a_v2_certificate(tmp_path, capsys):
+    # v2 records carry seed, fixed_center and capture_residual, and its
+    # verify did not re-derive the summary
+    _refuses_format(tmp_path, capsys, "v2")
 
 
 # ---------------------------------------------------------------- predicates
@@ -544,7 +599,9 @@ REFUSALS = [
     ("scenario", ("stages", 0, "outer", "center"), [1e308, 0], 2,
      "scenario rejected"),
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
-    ("scenario", ("seed",), True, 2, "scenario rejected"),
+    ("scenario", ("fixed_center",), False, 2,
+     "scenario rejected: a construction is measured about its one center; "
+     "for sups over varying centers run `predicates`"),
     ("scenario", ("cert_density",), 64.7, 2, "scenario rejected"),
     ("scenario", ("stages", 0, "outer"), {"family": "tm", "m": 1.5}, 2,
      "scenario rejected"),
@@ -577,25 +634,48 @@ REFUSALS = [
     ("certificate", ("header",), [], 2, "artifact rejected"),
     ("certificate", ("header", "r"), DROP, 2, "artifact rejected"),
     ("certificate", ("header", "d"), DROP, 2, "artifact rejected"),
+    # every key of the v3 schema must be there
     *[("certificate", ("stages", 0, key), DROP, 2, "artifact rejected")
       for key in ("lambda", "target", "outer", "inner", "density",
-                  "tolerance", "e_side_error", "f_side_error")],
-    ("certificate", ("stages", 0, "density"), "x", 2, "artifact rejected"),
+                  "tolerance", "e_side_error", "f_side_error", "pass_f",
+                  "budget")],
+    *[("certificate", ("summary", key), DROP, 2, "artifact rejected")
+      for key in ("aborted", "all_pass", "frontier")],
+    ("certificate", ("header", "name"), DROP, 2, "artifact rejected"),
     ("certificate", ("stages", 0, "lambda"), -1, 2, "artifact rejected"),
     ("certificate", ("stages",), [1], 2, "artifact rejected"),
+    ("certificate", ("stages",), {}, 2, "artifact rejected"),
+    ("certificate", ("summary",), [], 2, "artifact rejected"),
     ("certificate", ("stages", 0, "e_side_error"), NAN, 1,
      "certificate does NOT match"),
-    # densities, pass flags and the presence of varying-center sups are
-    # recomputed from the header and the stage inputs, not read
+    # densities, pass flags and the whole summary are recomputed from the
+    # header, the stage inputs and the stream, not read; a key outside the
+    # v3 schema is a mismatch too
     *[("certificate", path, value, 1, "certificate does NOT match")
       for path, value in ((("header", "cert_density"), 999),
+                          (("stages", 0, "density"), "x"),
                           (("stages", 0, "density", "nz_points"), 4000),
+                          (("stages", 0, "density", "nz_points"), 400.0),
                           (("stages", 0, "density", "nw_points"), 7),
                           (("stages", 0, "pass_e"), False),
+                          (("stages", 0, "pass_e"), 1),
+                          (("summary", "all_pass"), False),
+                          (("summary", "e_side_max"), 5.0),
+                          (("summary", "f_side_max"), 1e-3),
+                          (("summary", "final_capture"), 7),
+                          (("summary", "final_degree"), 7),
+                          (("summary", "final_term_count"), 7),
+                          (("summary", "frontier"), 7),
+                          (("summary", "stages"), 2),
+                          (("summary", "aborted"),
+                           {"stage": 2, "reason": "forged"}),
                           (("stages", 0, "varying_center"),
                            {"n_centers": 9, "e_side_error": 0.0,
-                            "f_side_error": 0.0}))],
-    ("certificate", ("header", "fixed_center"), False, 2, "artifact rejected"),
+                            "f_side_error": 0.0}),
+                          (("stages", 0, "capture_residual"), 0.0),
+                          (("summary", "note"), None),
+                          (("header", "seed"), 0),
+                          (("header", "fixed_center"), False))],
     ("certificate", ("header", "variant"), "bogus", 2, "artifact rejected"),
     ("certificate", ("header", "cert_density"), BIG, 2, "artifact rejected"),
     ("specs", ("specs",), "x", 2, "specs rejected"),

@@ -27,7 +27,8 @@ from taylorlab.universal import (
     plan_stages,
     run_construction,
 )
-from taylorlab.verify import catalog_poly, variant_ops
+from taylorlab.verify import (PredicateSpec, catalog_poly, check_F,
+                              predicate_grids, variant_ops)
 
 from util import oracle_gamma
 
@@ -66,13 +67,6 @@ def conflict_plan():
 def test_plan_refuses_center_outside_domain():
     with pytest.raises(ValueError, match="center"):
         single_stage_plan(center=[2.0 + 0j])
-
-
-def test_plan_refuses_varying_center_multi_stage():
-    reqs = [StageRequest(_const(1.0), FAR_DISK, _inner(0.5), 1e-2, [10]),
-            StageRequest(_const(-1.0), FAR_DISK, _inner(0.6), 1e-2, [10])]
-    with pytest.raises(ValueError, match="single-stage"):
-        plan_stages(UNIT_DISK, reqs, fixed_center=False)
 
 
 def test_plan_refuses_unflagged_outer():
@@ -146,7 +140,6 @@ def test_single_stage_passes_at_1e3():
     assert rec["pass_e"] and rec["pass_f"]
     assert rec["e_side_error"] < 1e-3
     assert rec["f_side_error"] == 0.0
-    assert rec["capture_residual"] == 0.0
     assert cert.summary["all_pass"]
     # deterministic sweep: budget 20 misses 5e-4, budget 40 lands it
     assert rec["budget"] == 40
@@ -154,14 +147,14 @@ def test_single_stage_passes_at_1e3():
 
 
 def test_single_stage_varying_center_inner_error_vanishes():
-    stream, cert = run_construction(single_stage_plan(fixed_center=False))
+    # sups over varying centers are the predicates': the final rank
+    # captures the whole polynomial, so the truncation is the polynomial
+    # itself at each of the 9 centers of the inner exhaustion
+    stream, cert = run_construction(single_stage_plan())
     (rec,) = cert.stages
-    vc = rec["varying_center"]
-    assert vc["n_centers"] == 9
-    # the final rank captures the whole polynomial, so the truncation is
-    # the polynomial itself at every expansion center
-    assert vc["f_side_error"] == 0.0
-    assert vc["e_side_error"] == rec["e_side_error"]
+    spec = PredicateSpec(p=1, n=rec["lambda"])
+    assert predicate_grids("F", spec, UNIT_DISK)[3]["n_centers"] == 9
+    assert check_F(stream.poly(), spec, UNIT_DISK) == (True, 0.0)
 
 
 def test_construction_is_deterministic():
@@ -246,7 +239,6 @@ def test_three_alternating_targets_stay_under_degree_200():
     assert cert.summary["final_degree"] <= 200
     lams = [s["lambda"] for s in cert.stages]
     assert lams == sorted(lams)
-    assert all(s["capture_residual"] == 0.0 for s in cert.stages)
 
 
 # ------------------------------------------------------------ index choice

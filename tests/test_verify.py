@@ -209,8 +209,8 @@ def test_fixed_center_equals_singleton_center_list():
     spec_fixed = PredicateSpec(p=2, m=2, j=9, s=3, n=2, fixed_center=zeta)
     centers, wg, zg, _ = predicate_grids("E", spec_fixed, UNIT_DISK)
     assert centers == [zeta]
-    (sup,) = center_sups(f, [zeta], 2, Enumeration(1, "graded-lex"),
-                         [(catalog_poly(9, 0, 1), zg, wg, [])])
+    sup = center_sups(f, [zeta], 2, Enumeration(1, "graded-lex"),
+                      (catalog_poly(9, 0, 1), zg, wg, []))
     b = check_E(f, spec_fixed, UNIT_DISK)
     assert b == (sup < 1 / 3, sup)
     # and a one-point center list is a restriction of the sampled sup
@@ -404,35 +404,37 @@ def test_certificate_tampering_is_detected():
     assert not verify_certificate(stream, forged)
 
 
-@pytest.mark.parametrize("variant, l, fixed_center, n_stages, tampered", [
-    ("plain", 0, False, 1, ("varying_center", "e_side_error")),
-    ("strong", 1, True, 1, ("e_side_error",)),
+@pytest.mark.parametrize("variant, l, reload, n_stages, tampered", [
+    ("plain", 0, False, 1, ("e_side_error", "e_side_max")),
+    ("strong", 1, True, 1, ("e_side_error", "e_side_max")),
     # two stages, so that the first F-side (a derivative sup) is nonzero
-    ("infty", 1, True, 2, ("f_side_error",)),
+    ("infty", 1, True, 2, ("f_side_error", "f_side_max")),
 ])
 def test_variant_certificates_replay_and_catch_tampering(
-        variant, l, fixed_center, n_stages, tampered):
+        variant, l, reload, n_stages, tampered):
     outer = ProductCompact([Disk(2.5 + 0j, 0.15)], disjoint_factor=0)
     reqs = [StageRequest(Poly.constant((-1.0) ** s, 0, 1), outer,
                          ProductCompact([Disk(0j, 0.5 + 0.1 * s)]), 1e-1,
                          [12, 16, 24, 32])
             for s in range(n_stages)]
     stream, cert = run_construction(plan_stages(
-        UNIT_DISK, reqs, variant=variant, l=l, fixed_center=fixed_center))
+        UNIT_DISK, reqs, variant=variant, l=l))
     assert cert.summary["all_pass"]
-    stream2 = CoefficientStream.from_json(json.loads(json.dumps(
-        stream.to_json(), sort_keys=True)))
+    if reload:  # the stream as verify reads it from its JSON
+        stream = CoefficientStream.from_json(json.loads(json.dumps(
+            stream.to_json(), sort_keys=True)))
     data = json.loads(json.dumps(cert.to_json(), sort_keys=True))
-    assert verify_certificate(stream2, Certificate.from_json(data))
+    assert verify_certificate(stream, Certificate.from_json(data))
 
-    entry = data["stages"][0]
-    for key in tampered[:-1]:
-        entry = entry[key]
-    assert entry[tampered[-1]] > 0
-    entry[tampered[-1]] *= 1.5
+    # forge a sup and the summary's maximum alike, so that the record's
+    # own comparison has to catch it
+    key, max_key = tampered
+    assert data["stages"][0][key] > 0
+    data["stages"][0][key] *= 1.5
+    data["summary"][max_key] = max(rec[key] for rec in data["stages"])
     forged = Certificate.from_json(data)
     forged.stored_hash = forged.sha256
-    assert not verify_certificate(stream2, forged)
+    assert not verify_certificate(stream, forged)
 
 
 def test_forged_nan_error_fails():
@@ -446,22 +448,36 @@ def test_forged_nan_error_fails():
     assert not verify_certificate(stream, forged)
 
 
-def test_varying_center_sups_are_required_when_centers_vary():
-    # the header, not the record, says whether centers vary
-    stream, cert = _demo_artifacts(fixed_center=False)
-    assert verify_certificate(stream, cert)
-    data = json.loads(json.dumps(cert.to_json()))
-    del data["stages"][0]["varying_center"]
-    forged = Certificate.from_json(data)
-    forged.stored_hash = forged.sha256
-    with pytest.raises(KeyError, match="varying_center"):
-        verify_certificate(stream, forged)
+def test_certificate_keys_are_exactly_the_v3_schema():
+    # verify's REFUSALS cases in test_cli check the other side: a key
+    # outside these sets fails, a missing one is a malformed certificate
+    _, cert = _demo_artifacts()
+    assert cert.header["format"] == "taylorlab-certificate-v3"
+    assert set(cert.header) == {
+        "format", "name", "enumeration", "d", "r", "center", "mu", "variant",
+        "l", "domain", "w_compact", "cert_density"} == verify.HEADER_KEYS
+    assert set(cert.stages[0]) == {
+        "stage", "lambda", "capture_index", "divisor_exponent", "budget",
+        "n_columns", "cond", "converged", "fit_residual_inner",
+        "fit_residual_outer", "fit_tolerance_inner", "fit_tolerance_outer",
+        "tolerance", "target", "outer", "inner", "max_degree", "density",
+        "e_side_error", "f_side_error", "pass_e",
+        "pass_f"} == verify.RECORD_KEYS
+    assert set(cert.summary) == {
+        "stages", "frontier", "final_degree", "final_term_count",
+        "final_capture", "e_side_max", "f_side_max", "all_pass",
+        "aborted"} == verify.SUMMARY_KEYS
 
 
-def test_certificate_empty_is_vacuous():
+def test_certificate_without_a_record_per_block_fails():
+    # construct writes one record per stream block (an aborted stage adds
+    # none, and fails anyway), so dropping records is not a vacuous pass
     stream, cert = _demo_artifacts()
-    empty = Certificate(dict(cert.header), [], {"all_pass": True})
-    assert verify_certificate(stream, empty)
+    summary = dict(cert.summary, stages=0, e_side_max=0.0, f_side_max=0.0)
+    for all_pass in (True, False):
+        empty = Certificate(dict(cert.header), [],
+                            dict(summary, all_pass=all_pass))
+        assert not verify_certificate(stream, empty)
 
 
 def test_certificate_mismatch_is_refused():
