@@ -13,6 +13,7 @@ lives in the scenario or spec file; the flags only name files and outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import os
@@ -42,10 +43,13 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def write_json(path: str, data: dict):
-    """Write an artifact: indented, keys sorted, a trailing newline."""
+def write_json(path: str, data: dict, indent: int | None = 1):
+    """Write an artifact: keys sorted, a trailing newline, and one-space
+    indents, or no whitespace at all for indent=None (the stream: json's C
+    encoder writes its thousands of floats, the indenting one is Python)."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(data, indent=indent, sort_keys=True,
+                            separators=None if indent else (",", ":")))
         fh.write("\n")
 
 
@@ -65,7 +69,8 @@ def cmd_construct(args) -> int:
 
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-        write_json(os.path.join(args.out_dir, "stream.json"), stream.to_json())
+        write_json(os.path.join(args.out_dir, "stream.json"), stream.to_json(),
+                   indent=None)
         write_json(os.path.join(args.out_dir, "certificate.json"),
                    cert.to_json())
         cert.write_csv(os.path.join(args.out_dir, "history.csv"))
@@ -101,15 +106,24 @@ def cmd_verify(args) -> int:
     try:
         stream = CoefficientStream.from_json(sdata)
         cert = Certificate.from_json(cdata)
-        ok = verify_certificate(stream, cert)
+        verdict = verify_certificate(stream, cert)
     except VerificationRefused as exc:
         print(exc)
         return 1
-    # LookupError: a missing field or a rank past the stream's frontier
+    # LookupError: a missing field, or a lambda that ends no stream block
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"artifact rejected: {exc}") from None
-    print("certificate verified" if ok else "certificate does NOT match")
-    return 0 if ok else 1
+    if verdict:
+        print("certificate verified")
+        return 0
+    if verdict.agrees:
+        aborted = cert.summary["aborted"]
+        print("certificate agrees with its stream but does not pass: "
+              + (f"aborted at stage {aborted['stage']}" if aborted
+                 else "all_pass is false"))
+    else:
+        print("certificate does NOT match")
+    return 1
 
 
 # ---------------------------------------------------------------- predicates
@@ -120,6 +134,8 @@ def cmd_predicates(args) -> int:
     sdata = _load_json(args.specs)
     try:
         f = Poly.from_json(cdata)
+        if not all(map(cmath.isfinite, f.terms.values())):
+            raise ValueError("the candidate has a non-finite coefficient")
         domain = DomainProduct.from_json(sdata["domain"])
         w_domain = (DomainProduct.from_json(sdata["w_domain"])
                     if sdata.get("w_domain") else None)

@@ -678,15 +678,13 @@ def cofinality_index(domain: DomainProduct, K: ProductCompact,
 
 
 def sup_norm(p, zgrid, wgrid=None) -> float:
-    """Sampled sup of |p| over (w, z) grids; wgrid defaults to the empty
-    parameter point."""
-    Z = zgrid.points if isinstance(zgrid, SampleGrid) else zgrid
-    W = wgrid.points if isinstance(wgrid, SampleGrid) else wgrid
-    if W is None:
-        W = np.zeros((1, 0))
-    if len(Z) == 0 or len(W) == 0:
+    """Sampled sup of |p| over (w, z) grids, SampleGrids or point arrays;
+    wgrid defaults to the empty parameter point.  The grids go to
+    p.eval_product as they are, so a BlockSum sees their per-factor axes;
+    a NaN value gives a NaN sup."""
+    if len(zgrid) == 0 or (wgrid is not None and len(wgrid) == 0):
         raise ValueError("sup over an empty grid is undefined")
-    return float(np.abs(p.eval_product(W, Z)).max())
+    return float(np.abs(p.eval_product(wgrid, zgrid)).max())
 
 
 def center_grid(product: ProductCompact):

@@ -1,30 +1,39 @@
 """Single-polynomial gluing across disjoint product pieces.
 
-A task carries pieces (product compact, polynomial target) and asks for one
+A task carries pieces (product compact, target) and asks for one
 polynomial close to every piece target on that piece's sampled distinguished
 boundary, optionally matching mixed partials and optionally constrained to a
-multiple of (z_i0 - c)^e.  The divisor is baked into the fit basis, so the
-least squares problem ranges over the cofactor only and the returned
-polynomial vanishes at c to the requested order by construction.
+multiple of (z_i0 - c)^e, c the task's center.  The divisor is baked into
+the fit basis, so the least squares problem ranges over the cofactor only
+and the returned block vanishes at c to the requested order by
+construction.  A target is a Poly or a poly.BlockSum (a stage's target
+minus the stream so far).
 
-Numerics: columns are products of per-coordinate scaled monomials
-(x_j / s_j)^g_j, s_j the largest sampled |x_j|, so each has unit sup on the
-grid.  Sample grids are tensor products of axis samples (w axes, then z
-axes) and columns, divisor and derivatives split by axis, so each block of
-rows is a column subset of a Kronecker product of per-axis matrices; the
-dense (w, z) design is never formed.  Per budget every axis but the one
-with the fewest samples is replaced by the R of its QR and the rhs by Q^H
-times it, an orthonormal change of rows that keeps the dense problem's
-minimizer and singular values (factoring the smallest axis too costs more
-than the solver's own QR).  Columns are scaled to their dense maxima and
-lstsq with a hard rcond truncates the SVD.  Residuals are still measured
-through the assembled polynomial on a grid twice as dense.
+Numerics: the fit runs in a Vandermonde-with-Arnoldi basis (Brubeck,
+Nakatsukasa and Trefethen, SIAM Review 63(2), 2021).  Each axis (w axes,
+then z axes, in y = x - center) runs one Arnoldi process on the union of
+the pieces' samples, started from (y_i0 / rho)^e on the divisor axis (rho
+its largest sampled |y|) and from 1 on every other, with one
+re-orthogonalisation per step; it is extended only as far as the largest
+budget tried so far and stops early on an axis that runs out of distinct
+samples.  Columns are products of per-axis basis polynomials over the
+graded exponents of total degree <= budget, so budgets are nested and span
+what scaled monomials span; derivative rows come from the differentiated
+recurrence.  Sample grids are tensor products of axis samples, so each
+block of rows is a column subset of a Kronecker product of per-axis
+matrices; the dense (w, z) design is never formed.  Per budget every axis
+but the one with the fewest samples is replaced by the R of its QR and the
+rhs by Q^H times it, an orthonormal change of rows that keeps the dense
+problem's minimizer and singular values; one lstsq call solves it, and its
+singular values give the recorded condition number.  Residuals are
+measured through the recurrence on a grid twice as dense.  The result is a
+poly.Block: the Hessenberg matrices and the coefficients, never Taylor
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,30 +44,26 @@ from .geometry import (
     grid_density,
     sampled_min_distance,
 )
-from .multiindex import DiffOp, family_Fl
-from .poly import Poly
-from .verify import sup_ops
+from .multiindex import DiffOp
+from .poly import Axis, Block, Poly, graded_columns, recur_rows, start_rows
+from .verify import worst
 
 # entries of the reduced least-squares system at the top budget
 MAX_DESIGN_ENTRIES = 8_000_000
-
-
-def _monomials_upto(k: int, budget: int):
-    """Joint exponent tuples with total degree <= budget, graded order."""
-    return [op.orders for op in family_Fl(0, k, budget)]
 
 
 @dataclass
 class ApproxTask:
     """What to glue: pieces, degree budgets, tolerance, optional extras."""
 
-    pieces: list                      # [(ProductCompact, Poly target)]
+    pieces: list                      # [(ProductCompact, Poly or BlockSum)]
     budgets: list
     tolerance: float
     r: int = 0
     w_compact: ProductCompact | None = None
     derivative_orders: tuple = ()
-    prefactor: tuple | None = None    # (i0, center, exponent)
+    prefactor: tuple | None = None    # (i0, exponent)
+    center: tuple | None = None       # of the z axes; zeros by default
     n_per_factor: int = 0             # 0 picks a dimension-based default
     piece_tolerances: list | None = None
 
@@ -80,8 +85,11 @@ class ApproxTask:
                 raise ValueError("target arity does not match the task")
         if sorted(self.budgets) != list(self.budgets):
             raise ValueError("budgets must be ascending")
+        self.center = tuple(complex(v) for v in self.center or (0,) * d)
+        if len(self.center) != d:
+            raise ValueError("the center needs one entry per z coordinate")
         if self.prefactor is not None:
-            i0, _, e = self.prefactor
+            i0, e = self.prefactor
             if not (0 <= i0 < d):
                 raise ValueError("prefactor coordinate out of range")
             if e < 0:
@@ -97,7 +105,7 @@ class ApproxTask:
 
 @dataclass
 class FitResult:
-    poly: Poly
+    block: Block
     budget: int
     residual: float
     piece_residuals: list
@@ -106,10 +114,16 @@ class FitResult:
     n_columns: int
     converged: bool
 
+    @property
+    def poly(self) -> Poly:
+        """The block's float Taylor view, expanded about the origin."""
+        return self.block.taylor().shift_center(
+            tuple(-c for c in self.block.center))
+
 
 def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
                 w_compact=None, derivative_orders=(), prefactor=None,
-                piece_tolerances=None) -> ApproxTask:
+                piece_tolerances=None, center=None) -> ApproxTask:
     """Validate the gluing geometry and package it as a task.
 
     The i0 factors of distinct pieces must stay a positive sampled distance
@@ -138,98 +152,108 @@ def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
     return ApproxTask(list(pieces), list(budgets), tolerance, r=r,
                       w_compact=w_compact,
                       derivative_orders=tuple(derivative_orders),
-                      prefactor=prefactor, piece_tolerances=piece_tolerances)
+                      prefactor=prefactor, piece_tolerances=piece_tolerances,
+                      center=center)
 
 
 # ------------------------------------------------------------------ fit
 
+# an Arnoldi step whose new direction keeps less than this share of
+# t q_k has run out of distinct samples: its axis stops at that degree
+BREAKDOWN = 1e-10
+
 
 def _task_grids(task: ApproxTask, density: int = 1):
-    """Per-piece (W, Z) sample columns at the task's density, and per piece
-    the axis samples (w axes, then z axes) whose product they are."""
+    """Per piece the (w grid, z grid) at the task's density; the w grid is
+    None without parameters."""
     nz = grid_density("fit", "z", task.d, task.n_per_factor) * density
-    W, w_axes = np.zeros((1, 0), dtype=complex), []
+    wg = None
     if task.r:
         if task.w_compact is None or task.w_compact.dim != task.r:
             raise ValueError("parameterized task needs a w compact of arity r")
         nw = grid_density("fit", "w", task.r, task.n_per_factor)
         wg = task.w_compact.sample(n_per_factor=nw * density)
-        W, w_axes = wg.points, wg.per_factor
-    zgs = [K.sample(n_per_factor=nz) for K, _ in task.pieces]
-    return ([(W, zg.points) for zg in zgs],
-            [w_axes + zg.per_factor for zg in zgs])
+    return [(wg, K.sample(n_per_factor=nz)) for K, _ in task.pieces]
 
 
-def _axis_matrix(x, s, b, order=0, divisor=None):
-    """Columns g = 0..b on one axis's samples x: the order-th derivative of
-    (x / s)^g, times (x - c)^e (Leibniz rule) when divisor = (c, e)."""
-    P = np.empty((len(x), b + 1), dtype=complex)
-    P[:, 0] = 1.0
-    scaled = x / s
-    for g in range(1, b + 1):
-        P[:, g] = P[:, g - 1] * scaled
-    c, e = divisor or (0.0, 0)
-    if order == 0:
-        return P * ((x - c) ** e)[:, None] if divisor else P
-    out = np.zeros_like(P)
-    for t in range(max(0, order - e), order + 1):
-        coef = [math.comb(order, t) * math.perm(g, t) * math.perm(e, order - t)
-                / s ** t for g in range(t, b + 1)]
-        pref = (x - c) ** (e - order + t)
-        out[:, t:] += P[:, :b + 1 - t] * np.outer(pref, coef)
-    return out
+def _axes(wg, zg) -> list:
+    return [*(wg.per_factor if wg is not None else []), *zg.per_factor]
 
 
-def _assemble(task, gammas, coefs, scales, pref_poly) -> Poly:
-    r, d = task.r, task.d
-    terms = {}
-    for g, c in zip(gammas, coefs):
-        if c == 0:
-            continue
-        denom = 1.0
-        for v, s in zip(g, scales):
-            denom *= s ** v
-        terms[(tuple(g[:r]), tuple(g[r:]))] = complex(c) / denom
-    q = Poly(r, d, terms)
-    return q * pref_poly if pref_poly is not None else q
+class _Arnoldi:
+    """One axis's Arnoldi process on the fit samples y, extended on demand.
 
+    Rows k of fit[o] and verif[o] hold the o-th derivative of q_k at the fit
+    samples and at the residual grid's samples yv: fit[0] is the process's
+    own orthogonal basis (rows of norm sqrt(len(y))), every other row comes
+    from the recurrence (recur_rows) through the Hessenberg matrix H.
+    """
 
-def _residuals(task, Q: Poly, grids) -> list:
-    """Per-piece worst sup of |d^op (Q - target)| over the requested ops."""
-    return [sup_ops(Q - g, Z, W, task.derivative_orders)
-            for (W, Z), (_, g) in zip(grids, task.pieces)]
+    def __init__(self, y, yv, start: int, order: int, top: int):
+        peak = float(np.abs(y).max())
+        self.scale = peak if peak > 0 else 1.0
+        self.t, self.tv = y / self.scale, yv / self.scale
+        self.norm = float(np.linalg.norm(self.t ** start)) / math.sqrt(len(y))
+        if not self.norm > 0:
+            raise ValueError("the divisor vanishes at every sample")
+        # the degree cannot pass the number of samples less one
+        top = min(top, len(y) - 1)
+        self.H = np.zeros((top + 1, top), dtype=complex)
+        self.fit = [np.empty((top + 1, len(y)), dtype=complex)
+                    for _ in range(order + 1)]
+        self.conj = np.empty_like(self.fit[0])    # fit[0]'s rows, conjugated
+        self.verif = [np.empty((top + 1, len(yv)), dtype=complex)
+                      for _ in range(order + 1)]
+        start_rows(self.fit, self.t, self.scale, start, self.norm)
+        start_rows(self.verif, self.tv, self.scale, start, self.norm)
+        np.conjugate(self.fit[0][0], out=self.conj[0])
+        self.degree = 0
+        self.exhausted = top == 0
+
+    def extend(self, budget: int):
+        Q, Qc, n = self.fit[0], self.conj, self.fit[0].shape[1]
+        k0 = self.degree
+        while self.degree < budget and not self.exhausted:
+            k = self.degree
+            v = self.t * Q[k]
+            before = np.linalg.norm(v)
+            h = Qc[:k + 1] @ v / n
+            v -= h @ Q[:k + 1]
+            again = Qc[:k + 1] @ v / n            # re-orthogonalise once
+            v -= again @ Q[:k + 1]
+            after = np.linalg.norm(v)
+            if after <= BREAKDOWN * before:
+                self.exhausted = True
+                break
+            self.H[:k + 1, k] = h + again
+            self.H[k + 1, k] = after / math.sqrt(n)
+            Q[k + 1] = v / self.H[k + 1, k]
+            np.conjugate(Q[k + 1], out=Qc[k + 1])
+            self.degree = k + 1
+            self.exhausted = k + 1 == len(self.H) - 1
+        recur_rows(self.fit, self.t, self.scale, self.H, k0, self.degree, 1)
+        recur_rows(self.verif, self.tv, self.scale, self.H, k0, self.degree)
+
+    def axis(self, degree: int) -> Axis:
+        return Axis(self.scale, self.norm, self.H[:degree + 1, :degree])
 
 
 def fit(task: ApproxTask) -> FitResult:
     """Sweep the budgets and return the first fit inside tolerance.
 
-    Residuals are measured on an independent grid at twice the sampling
-    density, evaluated through the assembled polynomial so that reported
-    numbers include reconstruction rounding.  If no budget converges the
-    best attempt is returned with converged = False; if no attempt scores
-    below infinity (NaN or overflowing residuals), the first one is.
+    Residuals are measured through the recurrence on an independent grid
+    at twice the sampling density.  If no budget converges the best
+    attempt is returned with converged = False; if no attempt scores below
+    infinity (NaN or overflowing residuals), the first one is.
     """
-    r, d, k = task.r, task.d, task.r + task.d
-    grids, axes = _task_grids(task)
-    verif, _ = _task_grids(task, density=2)
-
-    divisor, pref_poly = {}, None
-    if task.prefactor is not None and task.prefactor[2] > 0:
-        i0, c, e = task.prefactor
-        divisor = {r + i0: (complex(c), int(e))}
-        pref_poly = (Poly.z_var(i0, r, d) - complex(c)) ** e
-
-    peaks = [max(np.abs(ax[j]).max() for ax in axes) for j in range(k)]
-    scales = np.maximum(peaks, 1e-9)
-    # _assemble divides by scale ** degree; an axis sampled only at 0 has
-    # zero columns beyond degree 0, so its coefficients never divide
-    top, s_max = task.budgets[-1], scales.max()
-    s_min = min((s for s, peak in zip(scales, peaks) if peak > 0), default=1.0)
-    if top * math.log(s_min) < math.log(sys.float_info.min):
-        raise ValueError(
-            f"the fit scale {s_min:.3g} underflows at degree {top}")
+    r, k = task.r, task.r + task.d
+    grids, verif = _task_grids(task), _task_grids(task, density=2)
+    axes = [_axes(wg, zg) for wg, zg in grids]
+    vaxes = [_axes(wg, zg) for wg, zg in verif]
+    i0, e = task.prefactor or (0, 0)
     ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
                                   if not op.is_identity]
+    top = task.budgets[-1]
     # the reduced system lstsq gets at the top budget: per piece and op,
     # the axis with the fewest samples keeps its rows, every other axis
     # shrinks to its R factor of min(n_j, top + 1) rows
@@ -241,68 +265,84 @@ def fit(task: ApproxTask) -> FitResult:
     if len(ops) * reduced_rows * math.comb(top + k, k) > MAX_DESIGN_ENTRIES:
         raise GridSizeError("design matrix would be too large; lower the "
                             "budget or the sampling density")
-    if top * math.log(s_max) >= math.log(sys.float_info.max):
-        raise ValueError(
-            f"the fit scale {s_max:.3g} overflows at degree {top}")
-    gammas = _monomials_upto(k, top)
-    exps = np.array(gammas).reshape(-1, k)
+
+    # one process per axis on the union of the pieces' samples (the pieces
+    # share the w grid), in y = x - center; piece p owns the slice
+    # spans[p][j] of axis j's samples
+    shift = [0j] * r + list(task.center)
+    procs, spans, vspans = [], [[] for _ in axes], [[] for _ in axes]
+    for j in range(k):
+        for span, ax_list in ((spans, axes), (vspans, vaxes)):
+            lo = 0
+            for p, ax in enumerate(ax_list):
+                span[p].append((lo, lo + len(ax[j])))
+                lo += len(ax[j]) if j >= r else 0
+        union = [np.concatenate([ax[j] for ax in (a if j >= r else a[:1])])
+                 - shift[j] for a in (axes, vaxes)]
+        procs.append(_Arnoldi(*union, e if j == r + i0 else 0,
+                              max(op.orders[j] for op in ops), top))
 
     tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
     # weighted least squares: a piece with a tighter tolerance gets
     # proportionally heavier rows, so the solver works in units of
     # residual-over-tolerance (measurement below stays unweighted)
     tol_min = min(tols)
-    blocks = []                       # (per-axis matrices, rhs, dense axis)
-    for (W, Z), ax, shape, keep, (K, gt), tol in zip(
-            grids, axes, shapes, keeps, task.pieces, tols):
-        w = tol_min / tol
+    blocks = []                       # (piece, op, weighted rhs)
+    for p, ((wg, zg), (_, gt), tol) in enumerate(
+            zip(grids, task.pieces, tols)):
         for op in ops:
-            Vs = [_axis_matrix(a, s, task.budgets[-1], o, divisor.get(j))
-                  for j, (a, s, o) in enumerate(zip(ax, scales, op.orders))]
-            y = gt.diff(op).eval_product(W, Z).reshape(shape)
-            if w != 1.0:
-                Vs[keep] = Vs[keep] * w
-                y = y * w
-            blocks.append((Vs, y, keep))
+            y = gt.diff(op).eval_product(wg, zg).reshape(shapes[p])
+            blocks.append((p, op, y * (tol_min / tol)))
 
     history, best, best_score = [], None, math.inf
     for budget in task.budgets:
-        ncols = math.comb(budget + k, k)
-        cols = exps[:ncols]
-        rows, rhs, colmax = [], [], 0.0
-        for Vs, y, keep in blocks:
+        for proc in procs:
+            proc.extend(budget)
+        degs = [min(budget, proc.degree) for proc in procs]
+        cols = graded_columns(degs, budget)
+        rows, rhs = [], []
+        for p, op, y in blocks:
             # the block is the columns `cols` of the Kronecker product of
-            # Vs; QR every axis but `keep` and carry Q^H over to the rhs
-            M, peak = None, 1.0
-            for j, V in enumerate(Vs):
-                V = V[:, :budget + 1]
-                peak = peak * np.abs(V).max(axis=0)[cols[:, j]]
-                if j != keep:
+            # the axis matrices; QR every axis but the kept one and carry
+            # Q^H over to the rhs
+            M = None
+            for j, (proc, (lo, hi)) in enumerate(zip(procs, spans[p])):
+                V = proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T
+                if j == keeps[p]:
+                    V = V * (tol_min / tols[p])
+                else:
                     q, V = np.linalg.qr(V)
                     y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
                 F = V[:, cols[:, j]]
-                M = F if M is None else (M[:, None] * F).reshape(-1, ncols)
+                M = F if M is None else (M[:, None] * F).reshape(-1, len(cols))
             rows.append(M)
             rhs.append(y.reshape(-1))
-            colmax = np.maximum(colmax, peak)
-        colscale = np.maximum(colmax, 1e-300)
-        coefs_hat, _, _, svals = np.linalg.lstsq(
-            np.concatenate(rows) / colscale, np.concatenate(rhs), rcond=1e-12)
+        coefs, _, _, svals = np.linalg.lstsq(np.concatenate(rows),
+                                             np.concatenate(rhs))
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-        # a column that is 0 at every sample (an axis sampled only at 0)
-        # gets 0, not lstsq's rounding noise over the 1e-300 floor; a
-        # non-finite coefficient is the caller's to refuse
-        with np.errstate(invalid="ignore", over="ignore"):
-            coefs = np.where(colmax > 0, coefs_hat / colscale, 0)
-        Q = _assemble(task, gammas[:ncols], coefs, scales, pref_poly)
-        piece_res = _residuals(task, Q, verif)
-        res = max(piece_res)
+        block = Block(r, task.center, (i0, e), budget,
+                      [proc.axis(g) for proc, g in zip(procs, degs)], coefs)
+        piece_res = [0.0] * len(task.pieces)
+        # a non-finite coefficient scores inf or NaN here and is the
+        # caller's to refuse; the targets are evaluated again per budget
+        # rather than kept, since their grids are the fit's largest arrays
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, op, _ in blocks:
+                (wv, zv), (_, gt) = verif[p], task.pieces[p]
+                target = gt.diff(op).eval_product(wv, zv)
+                vals = block.contract(
+                    [proc.verif[o][:g + 1, lo:hi] for proc, o, g, (lo, hi)
+                     in zip(procs, op.orders, degs, vspans[p])])
+                piece_res[p] = float(np.max(
+                    [piece_res[p], np.abs(vals.reshape(target.shape)
+                                          - target).max()]))
+        res = worst(piece_res)
         history.append((budget, res))
         converged = all(r <= t for r, t in zip(piece_res, tols))
-        cand = FitResult(Q, budget, res, piece_res, list(history), cond,
-                         ncols, converged)
+        cand = FitResult(block, budget, res, piece_res, list(history), cond,
+                         len(cols), converged)
         # prefer the budget that best satisfies the per-piece tolerances
-        score = max(r / t for r, t in zip(piece_res, tols))
+        score = worst(r / t for r, t in zip(piece_res, tols))
         if converged or best is None or score < best_score:
             # a NaN score is kept as inf, so any finite one replaces it
             best, best_score = cand, score if score < math.inf else math.inf

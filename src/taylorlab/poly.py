@@ -1,12 +1,21 @@
 """Sparse complex polynomials in parameters w (r coordinates) and variables
-z (d coordinates), plus Taylor re-centering, truncated partial sums and the
-append-only coefficient stream that staged constructions write into.
+z (d coordinates), plus Taylor re-centering, truncated partial sums, stage
+blocks in per-axis Arnoldi bases and the append-only coefficient stream
+that staged constructions write into.
 
 Coefficient conventions: a term maps an exponent pair (w_exp, z_exp) to one
 complex coefficient; zero coefficients are never stored.  Binomial and
 falling-factorial factors come from math.comb / math.perm, never from
 raw factorial quotients, so re-centering stays exact in integer arithmetic
 up to the final complex multiply.
+
+A stream block is not stored as Taylor coefficients: at the degrees a deep
+schedule reaches, float64 Taylor coefficients of a block are far larger
+than its values, and summing them loses every digit.  A Block keeps the
+Hessenberg matrices of its per-axis Arnoldi bases and its coefficients in
+them, and is evaluated, with derivatives, by the Arnoldi recurrence on each
+axis of a product grid (BlockSum).  Its Taylor coefficients are a derived
+float view for reading a stream as a Poly.
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import DiffOp, Enumeration, check_multiindex
+from .geometry import SampleGrid
+from .multiindex import DiffOp, Enumeration, check_int, check_multiindex
 
 
 # dense coefficients one evaluation or re-centering may span
@@ -27,9 +37,12 @@ MAX_SHIFT_WORK = 100_000_000
 
 
 def _as_grid(arr, ncols: int) -> np.ndarray:
-    """Coerce to an (n, ncols) complex array; ncols = 0 yields one empty row
-    per input row (a single row when the input is empty)."""
-    arr = np.asarray(arr, dtype=complex)
+    """Coerce a SampleGrid or points to an (n, ncols) complex array; ncols = 0
+    yields one empty row per input row (a single row when the input is
+    empty or None)."""
+    if isinstance(arr, SampleGrid):
+        arr = arr.points
+    arr = np.asarray(np.zeros((1, 0)) if arr is None else arr, dtype=complex)
     if ncols == 0:
         n = arr.shape[0] if arr.ndim >= 1 and arr.shape[0] > 0 else 1
         return np.zeros((n, 0), dtype=complex)
@@ -468,26 +481,313 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
     return out
 
 
+# -- blocks in an Arnoldi basis ---------------------------------------------
+
+
+def start_rows(R, t, scale: float, start: int, norm: float):
+    """Row 0 of each R[o]: the o-th y-derivative of q_0 = t^start / norm at
+    the points t = y / scale."""
+    for o in range(len(R)):
+        R[o][0] = (math.perm(start, o) / (norm * scale ** o)
+                   * t ** (start - o) if o <= start else 0)
+
+
+def recur_rows(R, t, scale: float, H, k0: int, k1: int, first: int = 0):
+    """Rows k0 + 1 .. k1 of each R[o], o >= first, from the rows before
+    them, by the Arnoldi relation t q_k = sum_{i <= k + 1} H[i, k] q_i
+    differentiated o times in y = scale * t:
+
+        H[k + 1, k] q_{k+1}^(o) = t q_k^(o) + (o / scale) q_k^(o-1)
+                                  - sum_{i <= k} H[i, k] q_i^(o)
+    """
+    for k in range(k0, k1):
+        inv = 1 / H[k + 1, k]
+        h = H[:k + 1, k] * -inv
+        for o in range(first, len(R)):
+            out = R[o][k + 1]
+            np.multiply(t, R[o][k], out=out)
+            out *= inv
+            out += h @ R[o][:k + 1]
+            if o:
+                out += (o * inv / scale) * R[o - 1][k]
+
+
+def graded_columns(degrees, budget: int) -> np.ndarray:
+    """Joint exponents g with total degree <= budget and g_j <= degrees[j],
+    in graded-lex order (family_Fl's), as the rows of an integer array; the
+    columns of a smaller budget are a prefix of those of a larger one."""
+    box = np.indices([min(m, budget) + 1 for m in degrees]).reshape(
+        len(degrees), -1).T
+    total = box.sum(axis=1)
+    order = np.argsort(total, kind="stable")
+    return box[order[total[order] <= budget]]
+
+
+def _pairs(values) -> list:
+    return [[c.real, c.imag] for c in np.asarray(values, complex).tolist()]
+
+
+def _positive(value, what: str) -> float:
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return value
+
+
+@dataclass
+class Axis:
+    """One coordinate's basis polynomials q_0, q_1, .. in t = y / scale:
+    q_0 = t^start / norm, and t q_k = H[0, k] q_0 + .. + H[k + 1, k] q_{k+1}
+    (the Hessenberg matrix of an Arnoldi run, shape (degree + 1, degree))."""
+
+    scale: float
+    norm: float
+    H: np.ndarray
+
+    def __post_init__(self):
+        self.scale = _positive(self.scale, "an axis scale")
+        self.norm = _positive(self.norm, "an axis start normaliser")
+        self.H = np.asarray(self.H, dtype=complex)
+        n = self.H.shape[1] if self.H.ndim == 2 else -1
+        if self.H.shape != (n + 1, n):
+            raise ValueError("a Hessenberg matrix must have shape (n + 1, n)")
+        if not (np.isfinite(self.H).all() and np.diagonal(self.H, -1).all()):
+            raise ValueError("a Hessenberg matrix must be finite with a "
+                             "non-zero subdiagonal")
+
+    @property
+    def degree(self) -> int:
+        return self.H.shape[1]
+
+    def to_json(self) -> dict:
+        return {"scale": self.scale, "norm": self.norm,
+                "hessenberg": [_pairs(self.H[:k + 2, k])
+                               for k in range(self.degree)]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Axis":
+        cols = data["hessenberg"]
+        H = np.zeros((len(cols) + 1, len(cols)), dtype=complex)
+        for k, col in enumerate(cols):
+            if len(col) != k + 2:
+                raise ValueError(f"Hessenberg column {k} must hold {k + 2} "
+                                 "entries")
+            H[:k + 2, k] = [complex(re, im) for re, im in col]
+        return cls(data["scale"], data["norm"], H)
+
+
+# rows() results a block keeps
+ROWS_KEPT = 16
+
+
+class Block:
+    """One stage's correction, in per-axis Arnoldi bases about a center.
+
+    Axes are the w coordinates, then the z coordinates; axis j runs in
+    y_j = x_j - center_j (w axes are not shifted) and has the basis of its
+    Axis with start e on the divisor axis z_i0 and 0 on every other.  The
+    block is the sum over the graded columns g (total degree <= budget,
+    g_j <= axis j's degree) of coefs[g] * prod_j q_{g_j}(y_j), so every
+    term is a multiple of y_i0^e.  Values come from the recurrence
+    (recur_rows), never from Taylor coefficients; `taylor` is a derived
+    view.
+    """
+
+    def __init__(self, r: int, center, divisor, budget: int, axes, coefs):
+        self.r = int(r)
+        self.center = tuple(complex(v) for v in center)
+        self.d = len(self.center)
+        self.i0, self.e = (check_int(v, "divisor") for v in divisor)
+        self.budget = check_int(budget, "budget")
+        self.axes = list(axes)
+        if len(self.axes) != self.r + self.d:
+            raise ValueError(f"a block needs {self.r + self.d} axes, got "
+                             f"{len(self.axes)}")
+        if not (0 <= self.i0 < self.d) or self.e < 0:
+            raise ValueError(f"divisor ({self.i0}, {self.e}) is out of range")
+        if any(ax.degree > self.budget for ax in self.axes):
+            raise ValueError("an axis degree passes the block's budget")
+        self.starts = [self.e if j == self.r + self.i0 else 0
+                       for j in range(len(self.axes))]
+        self.columns = graded_columns([ax.degree for ax in self.axes],
+                                      self.budget)
+        self.coefs = np.asarray(coefs, dtype=complex).reshape(-1)
+        if len(self.coefs) != len(self.columns):
+            raise ValueError(f"a block of budget {self.budget} needs "
+                             f"{len(self.columns)} coefficients, got "
+                             f"{len(self.coefs)}")
+        self.tensor = np.zeros([ax.degree + 1 for ax in self.axes],
+                               dtype=complex)
+        self.tensor[tuple(self.columns.T)] = self.coefs
+        self._taylor = None
+        # the last ROWS_KEPT rows() results by axis and points: a stage's
+        # fit and the certificate evaluate earlier blocks on one outer
+        # compact again and again
+        self._rows = {}
+
+    def rows(self, j: int, x, order: int) -> list:
+        """Axis j's q_0..q_degree and their y-derivatives through `order`
+        at the coordinate values x: one (degree + 1, len(x)) array per
+        order, read-only."""
+        x = np.ascontiguousarray(x, dtype=complex)
+        key = (j, x.tobytes())
+        R = self._rows.get(key)
+        if R is None or len(R) <= order:
+            ax = self.axes[j]
+            c = self.center[j - self.r] if j >= self.r else 0
+            t = (x - c) / ax.scale
+            R = [np.empty((ax.degree + 1, len(t)), dtype=complex)
+                 for _ in range(order + 1)]
+            start_rows(R, t, ax.scale, self.starts[j], ax.norm)
+            recur_rows(R, t, ax.scale, ax.H, 0, ax.degree)
+            for M in R:
+                M.flags.writeable = False
+            self._rows.pop(key, None)
+            if len(self._rows) >= ROWS_KEPT:
+                self._rows.pop(next(iter(self._rows)))
+            self._rows[key] = R
+        return R
+
+    def contract(self, mats) -> np.ndarray:
+        """The coefficient tensor contracted with one (degree + 1, n_j)
+        matrix of basis values per axis: shape (n_0, .., n_{k-1})."""
+        T = self.tensor
+        for M in mats:
+            T = np.tensordot(T, M, axes=(0, 0))
+        return T
+
+    def values(self, axes_points, orders) -> np.ndarray:
+        """The mixed partial `orders` of the block on the product of the
+        per-axis points (w axes, then z axes)."""
+        return self.contract([self.rows(j, x, o)[o] for j, (x, o) in
+                              enumerate(zip(axes_points, orders))])
+
+    # -- structure: read off the non-zero coefficients ---------------------
+
+    def z_degrees(self):
+        """Per-coordinate max z-exponent of the block; None when it is 0."""
+        index = np.nonzero(self.tensor)
+        if not len(index[0]):
+            return None
+        return tuple(int(index[j].max()) + self.starts[j]
+                     for j in range(self.r, self.r + self.d))
+
+    def total_z_degree(self) -> int:
+        """Max total z-degree of the block; -1 when it is 0.  Each q_k has
+        exact degree start + k, so distinct columns of top degree cannot
+        cancel."""
+        index = np.nonzero(self.tensor)
+        if not len(index[0]):
+            return -1
+        return int(sum(index[self.r:]).max()) + self.e
+
+    def term_count(self) -> int:
+        """Monomials the block can hold: y^(start + m) for every m at or
+        below some column with a non-zero coefficient."""
+        covered = self.tensor != 0
+        for ax in range(covered.ndim):
+            covered = np.flip(np.logical_or.accumulate(
+                np.flip(covered, ax), axis=ax), ax)
+        return int(covered.sum())
+
+    # -- the derived Taylor view ---------------------------------------------
+
+    def _monomials(self, j: int) -> np.ndarray:
+        """Row k: the coefficients of axis j's q_k in powers of y_j, by the
+        recurrence on coefficient vectors (multiplying by t shifts and
+        divides by the scale); entries below the start are exactly 0."""
+        ax, s = self.axes[j], self.starts[j]
+        n = ax.degree
+        C = np.zeros((n + 1, s + n + 1), dtype=complex)
+        C[0, s] = 1.0 / ax.norm / np.float64(ax.scale) ** s
+        for k in range(n):
+            v = np.zeros(s + n + 1, dtype=complex)
+            v[1:] = C[k, :-1] / ax.scale
+            v -= ax.H[:k + 1, k] @ C[:k + 1]
+            C[k + 1] = v / ax.H[k + 1, k]
+        return C
+
+    def taylor(self) -> Poly:
+        """The block's float Taylor coefficients in powers of
+        (w, z - center); every one below y_i0^e is exactly 0."""
+        if self._taylor is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                T = self.contract([self._monomials(j)
+                                   for j in range(len(self.axes))])
+            if not np.isfinite(T).all():
+                raise ValueError("the block's Taylor coefficients overflow "
+                                 "a float")
+            self._taylor = _sparse(T, self.r, self.d)
+        return self._taylor
+
+    def to_json(self) -> dict:
+        return {"divisor": [self.i0, self.e], "budget": self.budget,
+                "axes": [ax.to_json() for ax in self.axes],
+                "coefs": _pairs(self.coefs)}
+
+    @classmethod
+    def from_json(cls, data: dict, r: int, center) -> "Block":
+        return cls(r, center, data["divisor"], data["budget"],
+                   [Axis.from_json(a) for a in data["axes"]],
+                   [complex(re, im) for re, im in data["coefs"]])
+
+
+class BlockSum:
+    """`poly` minus a sum of whole blocks, under one mixed partial: what a
+    stage's fit aims at and what a certificate measures.
+
+    eval_product takes sample grids (the w grid None without parameters)
+    and evaluates each block through its recurrence on the grids'
+    per-factor axes; a NaN anywhere stays in the values.
+    """
+
+    def __init__(self, poly: Poly, blocks, op: DiffOp | None = None):
+        self.poly = poly
+        self.blocks = list(blocks)
+        self.r, self.d = poly.r, poly.d
+        self.op = op or DiffOp.identity(self.r + self.d)
+        if any((b.r, b.d) != (self.r, self.d) for b in self.blocks):
+            raise ValueError(f"blocks must have r = {self.r}, d = {self.d}")
+
+    def diff(self, op: DiffOp) -> "BlockSum":
+        return BlockSum(self.poly, self.blocks, DiffOp(
+            tuple(a + b for a, b in zip(self.op.orders, op.orders))))
+
+    def eval_product(self, W, Z) -> np.ndarray:
+        out = self.poly.diff(self.op).eval_product(W, Z)
+        axes = (W.per_factor if W is not None else []) + Z.per_factor
+        for b in self.blocks:
+            out -= b.values(axes, self.op.orders).reshape(out.shape)
+        return out
+
+
 # -- coefficient stream -------------------------------------------------------
+
+# streams of another format (v3 blocks held one Taylor polynomial each) are
+# refused with a message to re-run construct
+STREAM_FORMAT = "taylorlab-stream-v4"
+BLOCK_KEYS = frozenset("stage n_max divisor budget axes coefs".split())
 
 
 @dataclass
 class StreamBlock:
-    """One appended stage: a polynomial in powers of (z - center) whose
-    z-exponents rank in (previous frontier, n_max]."""
+    """One appended stage: a block whose z-exponents rank in
+    (previous frontier, n_max]."""
 
     stage_id: str
-    poly: Poly
+    block: Block
     n_max: int
 
 
 class CoefficientStream:
-    """Append-only Taylor coefficients about one center, ordered by rank.
+    """Append-only Taylor series about one center, built block by block.
 
-    Every rank at or below the frontier is frozen: it either holds a stored
-    coefficient or is zero forever.  Blocks may only claim ranks strictly
-    beyond the current frontier, which is what keeps earlier partial sums
-    bit-identical as stages accumulate.
+    Each block is a multiple of (z_i0 - center_i0)^e with e past the total
+    degree at the frontier rank, so in a graded enumeration every term it
+    adds ranks past the frontier: every rank at or below the frontier is
+    frozen, and each stage's cut falls between whole blocks.  Blocks stay
+    in their Arnoldi bases; their Taylor coefficients (partial_sum, poly)
+    are a derived float view that construction and replay never build.
     """
 
     def __init__(self, enum: Enumeration, center, r: int):
@@ -504,32 +804,50 @@ class CoefficientStream:
     def frontier(self) -> int:
         return self.blocks[-1].n_max if self.blocks else -1
 
-    def append_block(self, stage_id: str, block: Poly, n_max: int):
-        """Append `block`, a Poly in powers of (z - center), as the ranks
-        (frontier, n_max]."""
-        if (block.r, block.d) != (self.r, self.d):
-            raise ValueError(f"a block must have r = {self.r}, d = {self.d}")
-        # n_max is a rank the block claims too, so it must pass the frontier
-        ranks = {self.enum.rank(ze) for _, ze in block.terms} | {n_max}
-        if min(ranks) <= self.frontier:
-            raise ValueError(
-                f"block would touch frozen rank {min(ranks)} "
-                f"(frontier is {self.frontier})")
-        if max(ranks) > n_max:
-            raise ValueError("n_max must cover every rank in the block")
+    def append_block(self, stage_id: str, block: Block, n_max: int):
+        """Append `block` as the ranks (frontier, n_max]."""
+        if (block.r, block.d, block.center) != (self.r, self.d, self.center):
+            raise ValueError(f"a block must have r = {self.r}, d = {self.d} "
+                             "and the stream's center")
+        if self.blocks:
+            top = sum(self.enum.unrank(self.frontier))
+            if block.e <= top:
+                raise ValueError(
+                    f"block divisor exponent {block.e} does not pass the "
+                    f"total degree {top} at the frontier {self.frontier}")
+        degs = block.z_degrees()
+        if n_max <= self.frontier or (
+                degs is not None and self.enum.capture_index(degs) > n_max):
+            raise ValueError("n_max must pass the frontier and cover the "
+                             "block's degree box")
         self.blocks.append(StreamBlock(str(stage_id), block, int(n_max)))
         self._poly_cache = None
 
+    def z_degrees(self):
+        """Per-coordinate max z-exponent over the blocks; None for none."""
+        degs = [g for g in (b.block.z_degrees() for b in self.blocks)
+                if g is not None]
+        return tuple(map(max, zip(*degs))) if degs else None
+
+    def total_z_degree(self) -> int:
+        return max((b.block.total_z_degree() for b in self.blocks),
+                   default=-1)
+
+    def term_count(self) -> int:
+        """Monomials the stream can hold; blocks never share one, since
+        each starts past the total degree of those before it."""
+        return sum(b.block.term_count() for b in self.blocks)
+
     def partial_sum(self, n: int) -> Poly:
-        """Materialize sum of a_k(w) (z - center)^{N_k} over ranks k <= n."""
+        """The float Taylor view of the sum of a_k(w) (z - center)^{N_k}
+        over ranks k <= n, expanded about the origin."""
         if n > self.frontier or (n < 0 and self.blocks):
             raise IndexError(f"rank {n} beyond materialized frontier {self.frontier}")
-        # append_block keeps ranks disjoint across blocks, so no two terms
-        # share an exponent; blocks up to n merge whole, and only the block
-        # the cut falls inside is ranked term by term
+        # blocks up to n merge whole; only the block the cut falls inside
+        # is ranked term by term
         p = Poly(self.r, self.d)
         for b in self.blocks:
-            terms = b.poly.terms
+            terms = b.block.taylor().terms
             if n < b.n_max:
                 terms = {(we, ze): c for (we, ze), c in terms.items()
                          if self.enum.rank(ze) <= n}
@@ -539,30 +857,35 @@ class CoefficientStream:
         return p.shift_center(tuple(-v for v in self.center))
 
     def poly(self) -> Poly:
-        """The full materialized polynomial."""
+        """The full Taylor view."""
         if self._poly_cache is None:
             self._poly_cache = self.partial_sum(self.frontier)
         return self._poly_cache
 
     def to_json(self) -> dict:
         return {
+            "format": STREAM_FORMAT,
             "enumeration": self.enum.tag,
             "d": self.d,
             "r": self.r,
             "center": [[v.real, v.imag] for v in self.center],
-            "blocks": [{"stage": b.stage_id, "n_max": b.n_max,
-                        "poly": b.poly.to_json()} for b in self.blocks],
+            "blocks": [dict(b.block.to_json(), stage=b.stage_id,
+                            n_max=b.n_max) for b in self.blocks],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CoefficientStream":
+        if data.get("format") != STREAM_FORMAT:
+            raise ValueError(f"stream format {data.get('format')!r} is not "
+                             f"{STREAM_FORMAT!r}; re-run construct on the "
+                             "scenario")
         enum = Enumeration.from_tag(data["enumeration"], int(data["d"]))
         center = [complex(re, im) for re, im in data["center"]]
         stream = cls(enum, center, int(data["r"]))
         for b in data["blocks"]:
-            if "coeffs" in b:
-                raise ValueError("per-rank stream blocks are no longer read; "
-                                 "re-run construct on the scenario")
-            stream.append_block(b["stage"], Poly.from_json(b["poly"]),
-                                int(b["n_max"]))
+            if not isinstance(b, dict) or b.keys() != BLOCK_KEYS:
+                raise ValueError("a stream block holds exactly the keys "
+                                 + ", ".join(sorted(BLOCK_KEYS)))
+            stream.append_block(b["stage"], Block.from_json(
+                b, stream.r, stream.center), check_int(b["n_max"], "n_max"))
         return stream

@@ -1,17 +1,18 @@
 """Stagewise construction of universal coefficient streams.
 
-Each stage appends one block of Taylor coefficients to an append-only
-stream so that the partial sum at a prescribed rank looks like the stage's
-target on a compact outside the domain while staying small on an inner
-compact that exhausts the domain.  Blocks are multiples of (z_i0 - c_i0)^e
-with e past the degree box of everything already frozen, which keeps every
-earlier partial sum bit-identical and makes the stage cut an exact index
-filter.
+Each stage appends one block (a poly.Block, in per-axis Arnoldi bases) to
+an append-only stream so that the partial sum at a prescribed rank looks
+like the stage's target on a compact outside the domain while staying
+small on an inner compact that exhausts the domain.  Blocks are multiples
+of (z_i0 - c_i0)^e with e past the degree box of everything already
+frozen, which keeps every earlier partial sum bit-identical and makes each
+stage cut fall between whole blocks.
 
 Certificate semantics: each stage's errors are re-measured on the finished
-stream, so the E-side numbers double as a frozen-prefix check and the
-F-side numbers quantify how much the later corrections disturb the earlier
-truncations on their inner compacts.  A construction measures about its
+stream, block by block through the recurrence, so the E-side numbers double
+as a frozen-prefix check and the F-side numbers quantify how much the
+later corrections disturb the earlier truncations on their inner
+compacts.  A construction measures about its
 one reference center; sups over varying centers are the predicates' own
 (check_E and check_F in verify).
 """
@@ -26,6 +27,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import (
     DomainProduct,
     ProductCompact,
@@ -37,7 +40,7 @@ from .geometry import (
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
 from .mergelyan import fit, glue_target
 from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
-from .poly import CoefficientStream, Poly
+from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 from .verify import (CERT_FORMAT, VARIANTS, catalog_poly, certify_stages,
                      variant_ops)
@@ -194,12 +197,11 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     The divisor exponent passes the total degree at the current frontier
     rank, so in a graded enumeration the new block's ranks land strictly
     beyond the frontier (and so past the frozen prefix's degree box, whose
-    corner ranks at or below the frontier).
+    corner ranks at or below the frontier).  The fit aims at the target
+    minus the stream so far, evaluated block by block.
     """
     enum, center, r = stream.enum, stream.center, stream.r
     frontier = stream.frontier
-    P = stream.poly()
-    degs = P.z_degrees() or [0] * stream.d
     e = sum(enum.unrank(frontier)) + 1 if frontier >= 0 else 0
 
     i0 = req.outer.disjoint_factor
@@ -210,30 +212,34 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         raise ValueError(
             f"stage {stage_id}: the divisor center {c0:.4g} touches the "
             "outer compact; its zero set would poison the fit")
-    if e * math.log(max(reach)) >= math.log(sys.float_info.max):
-        raise ValueError(
-            f"stage {stage_id}: the divisor (z_{i0} - {c0:.4g})^{e} "
-            "overflows on the outer compact")
-
-    pieces = [(req.inner, Poly.zero(r, stream.d)), (req.outer, req.target - P)]
+    # the fit aims at the target minus the stream so far on the outer
+    # compact; far outside the blocks' samples their recurrences overflow
+    blocks = [b.block for b in stream.blocks]
+    if blocks:
+        wg = (plan.w_compact.sample(grid_density("fit", "w", r))
+              if r else None)
+        zg = req.outer.sample(grid_density("fit", "z", stream.d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            prior = BlockSum(Poly.zero(r, stream.d), blocks).eval_product(
+                wg, zg)
+        if not np.isfinite(prior).all():
+            raise ValueError(f"stage {stage_id}: the stream so far "
+                             "overflows on the outer compact")
+    pieces = [(req.inner, Poly.zero(r, stream.d)),
+              (req.outer, BlockSum(req.target, blocks))]
     task = glue_target(
         pieces, i0, req.budgets, max(piece_tols),
         r=r, w_compact=plan.w_compact,
         derivative_orders=variant_ops(plan.variant, r, stream.d, plan.l)[1],
-        prefactor=(i0, c0, e), piece_tolerances=list(piece_tols))
+        prefactor=(i0, e), piece_tolerances=list(piece_tols), center=center)
     res = fit(task)
-    if not all(map(cmath.isfinite, res.poly.terms.values())):
+    if not np.isfinite(res.block.coefs).all():
         raise ValueError(f"stage {stage_id}: the fit has a non-finite "
                          "coefficient")
 
-    # (z_i0 - c0)^e divides the fit, so about the center every coefficient
-    # below z_i0^e is 0; what re-centering leaves there is rounding, and
-    # keeping it would touch the frozen prefix
-    block = Poly(r, stream.d)
-    block.terms = {(we, ze): c for (we, ze), c in
-                   res.poly.shift_center(center).terms.items() if ze[i0] >= e}
-    degs = [max(a, v) for a, v in zip(degs, block.z_degrees() or degs)]
-    capture = enum.capture_index(tuple(degs))
+    degs = [max(v) for v in zip(*(g for g in (
+        stream.z_degrees(), res.block.z_degrees()) if g is not None))]
+    capture = enum.capture_index(tuple(degs or [0] * stream.d))
     try:
         lam = plan.mu.next_at_or_after(capture)
     except SparseIndexError as exc:
@@ -241,7 +247,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
             f"stage {stage_id}: the admissible index set has no member at or "
             f"after the capture rank {capture}") from exc
 
-    stream.append_block(f"stage-{stage_id}", block, lam)
+    stream.append_block(f"stage-{stage_id}", res.block, lam)
     return {
         "stage": stage_id,
         "lambda": lam,
@@ -259,7 +265,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         "target": req.target.to_json(),
         "outer": req.outer.to_json(),
         "inner": req.inner.to_json(),
-        "max_degree": max(stream.poly().total_z_degree(), 0),
+        "max_degree": max(stream.total_z_degree(), 0),
     }
 
 

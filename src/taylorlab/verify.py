@@ -14,8 +14,9 @@ certificate against its coefficient stream.
 This module also holds the stage-measurement kernel (sup_ops,
 variant_ops, certify_stages) that the predicates, the construction in
 universal and the certificate replay share, so a certificate is written
-and re-checked by the same code; center_sups re-centers for the
-predicates.
+and re-checked by the same code; certify_stages measures sums of whole
+stream blocks (poly.BlockSum), center_sups re-centers for the predicates.
+Every sup fold carries a NaN through (worst), so a NaN sup fails.
 """
 
 from __future__ import annotations
@@ -35,17 +36,18 @@ from .geometry import (
     sup_norm,
 )
 from .multiindex import Enumeration, cantor_unpair, check_int, family_Fl
-from .poly import CoefficientStream, Poly, partial_sum
+from .poly import BlockSum, CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
 # verify refuses every other format: v1 sups do not replay within 1e-12,
-# and v2 records hold fields that v3 dropped
-CERT_FORMAT = "taylorlab-certificate-v3"
+# v2 records hold fields that v3 dropped, and v3 measured Taylor
+# coefficients where v4 measures Arnoldi blocks
+CERT_FORMAT = "taylorlab-certificate-v4"
 # what certify_stages reads from a record, and what it derives into it
 STAGE_INPUTS = ("lambda", "target", "outer", "inner", "tolerance")
 STAGE_MEASURED = ("density", "e_side_error", "f_side_error", "pass_e",
                   "pass_f")
-# the v3 schema: construct writes exactly these keys, verify accepts no other
+# the v4 schema: construct writes exactly these keys, verify accepts no other
 HEADER_KEYS = frozenset("format name enumeration d r center mu variant l "
                         "domain w_compact cert_density".split())
 RECORD_KEYS = frozenset(STAGE_INPUTS + STAGE_MEASURED + tuple(
@@ -130,13 +132,18 @@ def variant_ops(variant: str, r: int, d: int, l: int):
     return (ops if variant == "strong" else []), ops
 
 
-def sup_ops(delta: Poly, zg, wg, ops) -> float:
-    """Sampled sup of |delta| and of |D delta| over the non-identity ops."""
-    worst = sup_norm(delta, zg, wg)
-    for op in ops:
-        if not op.is_identity:
-            worst = max(worst, sup_norm(delta.diff(op), zg, wg))
-    return worst
+def worst(sups) -> float:
+    """The largest of the sups, 0.0 for none; a NaN among them is the
+    result, so a NaN sup fails every tolerance."""
+    return float(np.max(list(sups), initial=0.0))
+
+
+def sup_ops(delta, zg, wg, ops) -> float:
+    """Sampled sup of |delta| and of |D delta| over the non-identity ops;
+    delta is a Poly or a BlockSum."""
+    return worst([sup_norm(delta, zg, wg)]
+                 + [sup_norm(delta.diff(op), zg, wg)
+                    for op in ops if not op.is_identity])
 
 
 def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
@@ -148,10 +155,8 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
     partial sum S; the side measures sup_ops(S - target), center by center.
     """
     target, zg, wg, ops = side
-    worst = 0.0
-    for S in partial_sum(f, centers, n, enum):
-        worst = max(worst, sup_ops(S - target, zg, wg, ops))
-    return worst
+    return worst(sup_ops(S - target, zg, wg, ops)
+                 for S in partial_sum(f, centers, n, enum))
 
 
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
@@ -161,11 +166,14 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
 
     Inputs: the header's variant, r, d, l, w_compact and cert_density, each
     record's STAGE_INPUTS, and `aborted` (None, or why the schedule stopped
-    early).  Each record gets its STAGE_MEASURED fields: the density, the
-    E-side sup (the rank-lambda truncation against the target on `outer`)
-    and the F-side sup (against the whole stream on `inner`), with their
-    pass flags.  The summary adds the stream's frontier, degree, term count
-    and capture index and the worst sups; all_pass needs no abort, one
+    early).  A record's lambda must be the last rank of a stream block s;
+    the record gets its STAGE_MEASURED fields: the density, the E-side sup
+    (blocks 1..s against the target on `outer`) and the F-side sup (blocks
+    s+1.. on `inner`, the whole stream minus its rank-lambda cut), with
+    their pass flags.  Blocks are evaluated through their recurrences; no
+    Taylor coefficient is formed.  The summary adds the stream's frontier
+    and the degree, term count and capture index that its blocks'
+    structure gives, and the worst sups; all_pass needs no abort, one
     record per block of the stream, and every stage to pass.
     """
     r, d = int(header["r"]), int(header["d"])
@@ -174,30 +182,34 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     nw = grid_density("certificate", "w", r)
     wg = (ProductCompact.from_json(header["w_compact"]).sample(n_per_factor=nw)
           if nw else None)
-    final = stream.poly()
+    blocks = [b.block for b in stream.blocks]
+    cuts = {b.n_max: s for s, b in enumerate(stream.blocks, start=1)}
     for rec in stages:
         lam, tol = int(rec["lambda"]), float(rec["tolerance"])
+        if lam not in cuts:
+            raise LookupError(f"lambda {lam} is not the last rank of a "
+                              "stream block")
+        s = cuts[lam]
         zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)
         zI = ProductCompact.from_json(rec["inner"]).sample(n_per_factor=nz)
-        P = stream.partial_sum(lam)
-        e = sup_ops(P - Poly.from_json(rec["target"]), zT, wg, e_ops)
-        fv = sup_ops(P - final, zI, wg, f_ops)
+        e = sup_ops(BlockSum(Poly.from_json(rec["target"]), blocks[:s]),
+                    zT, wg, e_ops)
+        fv = sup_ops(BlockSum(Poly.zero(r, d), blocks[s:]), zI, wg, f_ops)
         rec.update(density={"nz_per_factor": nz, "nw_per_factor": nw,
                             "nz_points": len(zT.points),
                             "nw_points": len(wg.points) if wg else 0},
                    e_side_error=e, f_side_error=fv,
                    pass_e=e <= tol, pass_f=fv <= tol)
+    degrees = stream.z_degrees()
     return {
         "stages": len(stages),
         "frontier": stream.frontier,
-        "final_degree": final.total_z_degree(),
-        "final_term_count": len(final.terms),
-        "final_capture": stream.enum.capture_index(final.z_degrees())
-        if not final.is_zero else 0,
-        "e_side_max": max((rec["e_side_error"] for rec in stages),
-                          default=0.0),
-        "f_side_max": max((rec["f_side_error"] for rec in stages),
-                          default=0.0),
+        "final_degree": stream.total_z_degree(),
+        "final_term_count": stream.term_count(),
+        "final_capture": stream.enum.capture_index(degrees)
+        if degrees is not None else 0,
+        "e_side_max": worst(rec["e_side_error"] for rec in stages),
+        "f_side_max": worst(rec["f_side_error"] for rec in stages),
         "all_pass": aborted is None and len(stages) == len(stream.blocks)
         and all(rec["pass_e"] and rec["pass_f"] for rec in stages),
         "aborted": aborted,
@@ -423,18 +435,30 @@ def _agrees(recorded, derived) -> bool:
     return type(recorded) is type(derived) and recorded == derived
 
 
-def verify_certificate(stream: CoefficientStream, cert) -> bool:
+@dataclass(frozen=True)
+class Verdict:
+    """What a replay found: whether the certificate agrees with its stream
+    and whether it passes; true only when both hold."""
+
+    agrees: bool
+    all_pass: bool = False
+
+    def __bool__(self):
+        return self.agrees and self.all_pass
+
+
+def verify_certificate(stream: CoefficientStream, cert) -> Verdict:
     """Re-derive a certificate's measurements and summary from its stream.
 
     certify_stages reruns on copies of each record's STAGE_INPUTS and on
-    the recorded `aborted`.  The certificate verifies when its header,
-    records and summary hold exactly the v3 keys (KeyError when one is
-    missing), every re-derived STAGE_MEASURED field and the whole summary
-    agree with the record (floats within 1e-12, anything else equal), and
-    all_pass holds.  A certificate of another format, or whose enumeration
-    or center does not match the stream, is refused (VerificationRefused,
-    not False); a stored whole-body hash that no longer matches fails
-    immediately.
+    the recorded `aborted`.  The certificate agrees when its header,
+    records and summary hold exactly the v4 keys (KeyError when one is
+    missing) and every re-derived STAGE_MEASURED field and the whole
+    summary agree with the record (floats within 1e-12, anything else
+    equal); it verifies when it agrees and all_pass holds.  A certificate
+    of another format, or whose enumeration or center does not match the
+    stream, is refused (VerificationRefused, not a Verdict); a stored
+    whole-body hash that no longer matches disagrees immediately.
     """
     h = cert.header
     if h.get("format") != CERT_FORMAT:
@@ -455,7 +479,7 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
 
     stored = getattr(cert, "stored_hash", None)
     if stored is not None and stored != cert.sha256:
-        return False
+        return Verdict(False)
     stages, summary = cert.stages, cert.summary
     schema = [(h, HEADER_KEYS), (summary, SUMMARY_KEYS),
               *((rec, RECORD_KEYS) for rec in stages)]
@@ -463,7 +487,7 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
         if keys - doc.keys():
             raise KeyError(", ".join(sorted(keys - doc.keys())))
     if any(doc.keys() != keys for doc, keys in schema):
-        return False
+        return Verdict(False)
 
     fresh = [{k: rec[k] for k in STAGE_INPUTS} for rec in stages]
     derived = certify_stages(stream, h, fresh, summary["aborted"])
@@ -471,4 +495,4 @@ def verify_certificate(stream: CoefficientStream, cert) -> bool:
                 + [summary[k] for k in SUMMARY_KEYS])
     again = ([rec[k] for rec in fresh for k in STAGE_MEASURED]
              + [derived[k] for k in SUMMARY_KEYS])
-    return all(map(_agrees, recorded, again)) and derived["all_pass"]
+    return Verdict(all(map(_agrees, recorded, again)), derived["all_pass"])

@@ -29,7 +29,7 @@ from taylorlab.geometry import (
 )
 from taylorlab.mergelyan import fit, glue_target
 from taylorlab.multiindex import Enumeration, family_Fl
-from taylorlab.poly import CoefficientStream, Poly, gamma, partial_sum
+from taylorlab.poly import BlockSum, CoefficientStream, Poly, gamma, partial_sum
 from taylorlab.universal import (
     Certificate,
     StageRequest,
@@ -171,10 +171,12 @@ def test_criterion_05_two_stage_conflict():
     stream, cert = run_construction(plan_from_scenario(data))
     r1, r2 = cert.stages
     K = ProductCompact.from_json(r1["outer"]).sample(n_per_factor=400)
-    s1 = stream.partial_sum(r1["lambda"])
-    s2 = stream.partial_sum(r2["lambda"])
-    ok = sup_norm(s1 - Poly.constant(1.0, 0, 1), K) < 1e-2
-    ok = ok and sup_norm(s2 - Poly.constant(-1.0, 0, 1), K) < 1e-2
+    # the partial sums at the two stage ranks are the first block and both
+    # blocks, measured through the blocks' recurrences
+    b1, b2 = (b.block for b in stream.blocks)
+    ok = sup_norm(BlockSum(Poly.constant(1.0, 0, 1), [b1]), K) < 1e-2
+    ok = ok and sup_norm(BlockSum(Poly.constant(-1.0, 0, 1), [b1, b2]),
+                         K) < 1e-2
     ok = ok and cert.summary["all_pass"]
 
     # the first stage alone produces bit-identical coefficients: the second
@@ -182,7 +184,7 @@ def test_criterion_05_two_stage_conflict():
     solo_data = dict(data, stages=[data["stages"][0]])
     solo_stream, solo_cert = run_construction(plan_from_scenario(solo_data))
     a, b = stream.blocks[0], solo_stream.blocks[0]
-    ok = ok and a.n_max == b.n_max and a.poly.terms == b.poly.terms
+    ok = ok and a.n_max == b.n_max and a.block.to_json() == b.block.to_json()
     ok = ok and solo_cert.stages[0]["lambda"] == r1["lambda"]
     _report(5, "two-stage conflict", ok, 120.0, t0)
 

@@ -1,6 +1,7 @@
 """Command-line round trips, exit codes, and artifact formats."""
 
 import argparse
+import cmath
 import copy
 import json
 import os
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 
 from taylorlab import verify
 from taylorlab.cli import build_parser, main
-from taylorlab.multiindex import Enumeration, cantor_pair
+from taylorlab.multiindex import cantor_pair
+from taylorlab.poly import CoefficientStream
 from taylorlab.universal import Certificate, plan_from_scenario
 from taylorlab.verify import catalog_poly
+
+from util import ladder_scenario
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -123,7 +127,7 @@ def test_density_below_curve_minimum_is_exit_2(tmp_path, capsys, density):
     assert not os.path.exists(out)
 
 
-def test_infeasible_tolerance_leaves_a_failing_certificate(tmp_path):
+def test_infeasible_tolerance_leaves_a_failing_certificate(tmp_path, capsys):
     scen = _scenario(tmp_path, stages=[{
         "target": {"constant": [1.0, 0.0]},
         "outer": {"type": "disk", "center": [2.0, 0.0], "radius": 0.25},
@@ -136,9 +140,12 @@ def test_infeasible_tolerance_leaves_a_failing_certificate(tmp_path):
     cert = json.load(open(os.path.join(out, "certificate.json")))
     assert not cert["summary"]["all_pass"]
     assert len(cert["stages"]) == 1  # measured, recorded, failed honestly
-    # a failing stage stays failing on replay
+    # a failing stage stays failing on replay, and says so
     assert main(["verify", os.path.join(out, "stream.json"),
                  os.path.join(out, "certificate.json")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "certificate agrees with its stream but does not pass: all_pass is "
+        "false")
 
 
 def _aborted(tmp_path, capsys, mu, n_stages):
@@ -152,12 +159,14 @@ def _aborted(tmp_path, capsys, mu, n_stages):
                  "--out-dir", out]) == 1
     cert = json.load(open(os.path.join(out, "certificate.json")))
     # the stages it holds pass and replay, but an aborted schedule does not
-    # verify
+    # verify; the message tells it from a forgery
     assert all(s["pass_e"] and s["pass_f"] for s in cert["stages"])
     capsys.readouterr()
     assert main(["verify", os.path.join(out, "stream.json"),
                  os.path.join(out, "certificate.json")]) == 1
-    assert capsys.readouterr().out == "certificate does NOT match\n"
+    assert capsys.readouterr().out == (
+        "certificate agrees with its stream but does not pass: aborted at "
+        f"stage {cert['summary']['aborted']['stage']}\n")
     return cert
 
 
@@ -366,6 +375,43 @@ def test_shipped_scenario_end_to_end(tmp_path, name):
     assert (rc == 0) == cert["summary"]["all_pass"]
 
 
+# the budget each stage settled on with the scaled-monomial fit; the
+# Arnoldi fit may only lower them
+SHIPPED_BUDGETS = {"alternating_three.json": [12, 12, 40],
+                   "two_stage_conflict.json": [20, 60],
+                   "seleznev.json": [40], "strong.json": [12],
+                   "parameterized.json": [12]}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_BUDGETS))
+def test_shipped_scenario_passes_within_its_budgets(tmp_path, name):
+    out = str(tmp_path / "out")
+    assert main(["construct", os.path.join(SCEN, name), "--out-dir", out]) == 0
+    with open(os.path.join(out, "certificate.json")) as fh:
+        budgets = [s["budget"] for s in json.load(fh)["stages"]]
+    assert len(budgets) == len(SHIPPED_BUDGETS[name])
+    assert all(b <= was for b, was in zip(budgets, SHIPPED_BUDGETS[name]))
+
+
+@pytest.mark.parametrize("T", [5, 6])
+@pytest.mark.parametrize("angle", [0.3, 2.0])
+def test_deep_ladder_passes_every_stage(tmp_path, T, angle):
+    # the benchmark's ladder at two rotations of the outer disk; the
+    # monomial fit missed stage 5 at E/tolerance 5.9 and T = 6's stage 6 at
+    # 216, with budgets up to 120
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder_scenario(T, 2.5 * cmath.exp(1j * angle))))
+    out = str(tmp_path / "out")
+    assert main(["construct", str(path), "--out-dir", out]) == 0
+    with open(os.path.join(out, "certificate.json")) as fh:
+        stages = json.load(fh)["stages"]
+    assert len(stages) == T
+    assert all(s["pass_e"] and s["pass_f"] and s["budget"] <= 16
+               for s in stages)
+    assert main(["verify", os.path.join(out, "stream.json"),
+                 os.path.join(out, "certificate.json")]) == 0
+
+
 # -------------------------------------------------------------------- verify
 
 def test_verify_tampered_certificate_exits_1(tmp_path):
@@ -400,7 +446,8 @@ def test_verify_mismatched_stream_is_refused(tmp_path, capsys):
 
 def _refuses_format(tmp_path, capsys, version):
     """verify on a fresh certificate re-labelled as `version`, re-hashed,
-    with the fields that v3 dropped put back."""
+    with the fields that v3 dropped put back (a v3 certificate did not
+    have them, and is refused on its format all the same)."""
     out = str(tmp_path / "out")
     assert main(["construct", _scenario(tmp_path), "--out-dir", out]) == 0
     cpath = os.path.join(out, "certificate.json")
@@ -430,6 +477,12 @@ def test_verify_refuses_a_v2_certificate(tmp_path, capsys):
     # v2 records carry seed, fixed_center and capture_residual, and its
     # verify did not re-derive the summary
     _refuses_format(tmp_path, capsys, "v2")
+
+
+def test_verify_refuses_a_v3_certificate(tmp_path, capsys):
+    # v3 sups were measured on float Taylor coefficients, v4's on the
+    # blocks' recurrences
+    _refuses_format(tmp_path, capsys, "v3")
 
 
 # ---------------------------------------------------------------- predicates
@@ -577,14 +630,10 @@ def _bidisk(name, radius, **fields):
                         "tolerance": 0.01, "budgets": [8, 60]}], **fields}
 
 
-def _tiny_factor_bidisk():
-    """Factor 1 is Disk(0, 1e-7): its fit scale to the power 60 underflows."""
-    return _bidisk("tiny-factor-bidisk", 1e-7)
-
-
 # (file edited, path in it, new value, exit code, start of the message);
 # scenarios edit seleznev.json, streams and certificates its artifacts
-# (re-hashed after the edit), specs predicates_demo.json
+# (re-hashed after the edit), specs predicates_demo.json and the candidate
+# candidate_zsq.json
 REFUSALS = [
     ("scenario", (), [], 2, "{file}: the top level must be a JSON object"),
     ("scenario", ("enumeration",), 0, 2, "scenario rejected"),
@@ -594,10 +643,13 @@ REFUSALS = [
      "scenario rejected"),
     ("scenario", ("stages", 0, "outer", "center"), [NAN, 0], 2,
      "scenario rejected"),
-    ("scenario", ("stages", 0, "target", "constant"), [1e308, 0], 2,
-     "scenario rejected: stage 1: the fit has a non-finite coefficient"),
-    ("scenario", ("stages", 0, "outer", "center"), [1e308, 0], 2,
-     "scenario rejected"),
+    # the Arnoldi fit runs in x / scale: a 1e308 target fails its tolerance
+    # (exit 1) and a disk at 1e308 constructs, where the monomial fit
+    # overflowed
+    ("scenario", ("stages", 0, "target", "constant"), [1e308, 0], 1,
+     "stage failure: worst sampled error"),
+    ("scenario", ("stages", 0, "outer", "center"), [1e308, 0], 0,
+     "1 stage(s) pass"),
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "
@@ -605,8 +657,6 @@ REFUSALS = [
     ("scenario", ("cert_density",), 64.7, 2, "scenario rejected"),
     ("scenario", ("stages", 0, "outer"), {"family": "tm", "m": 1.5}, 2,
      "scenario rejected"),
-    ("scenario", (), _tiny_factor_bidisk(), 2,
-     "scenario rejected: the fit scale 1e-07 underflows at degree 60"),
     ("scenario", ("stages", 0, "target"),
      {"r": 0, "d": 1,
       "terms": [{"w_exp": [], "z_exp": [10**30], "re": 1.0, "im": 0.0}]}, 2,
@@ -678,6 +728,8 @@ REFUSALS = [
                           (("header", "fixed_center"), False))],
     ("certificate", ("header", "variant"), "bogus", 2, "artifact rejected"),
     ("certificate", ("header", "cert_density"), BIG, 2, "artifact rejected"),
+    ("candidate", ("terms", 0, "re"), NAN, 2,
+     "specs rejected: the candidate has a non-finite coefficient"),
     ("specs", ("specs",), "x", 2, "specs rejected"),
     *[("specs", ("specs", 0), v, 2, "specs rejected")
       for v in (1.5, None, True)],
@@ -736,9 +788,10 @@ def test_malformed_input_exits_with_a_message(
 
     out = str(tmp_path / "out")
     verify = ["verify", paths["stream"], paths["certificate"]]
+    predicates = ["predicates", paths["candidate"], paths["specs"]]
     argv = {"scenario": ["construct", paths["scenario"], "--out-dir", out],
             "stream": verify, "certificate": verify,
-            "specs": ["predicates", paths["candidate"], paths["specs"]]}[file]
+            "specs": predicates, "candidate": predicates}[file]
     assert main(argv) == code
     stdout, stderr = capsys.readouterr()
     message = stderr if code == 2 else stdout
@@ -746,21 +799,19 @@ def test_malformed_input_exits_with_a_message(
     assert "Traceback" not in stdout + stderr
 
 
-def test_verify_per_rank_stream_says_to_reconstruct(tmp_path, capsys,
-                                                    seleznev_artifacts):
-    # the layout of earlier streams: one w-polynomial (d = 0) per rank
-    doc = json.loads(seleznev_artifacts["stream"])
-    enum = Enumeration.from_tag(doc["enumeration"], doc["d"])
-    for b in doc["blocks"]:
-        coeffs = {}
-        for t in b.pop("poly")["terms"]:
-            coeffs.setdefault(str(enum.rank(t["z_exp"])), {
-                "r": doc["r"], "d": 0, "terms": []})["terms"].append(
-                dict(t, z_exp=[]))
-        b["coeffs"] = coeffs
+def _old_stream_is_refused(tmp_path, capsys, artifacts, layout):
+    """verify on seleznev's stream rewritten in an earlier layout (no
+    format key; `layout(block's Taylor view)` is each block's body) exits
+    2 with one line that says to re-run construct."""
+    doc = json.loads(artifacts["stream"])
+    stream = CoefficientStream.from_json(doc)
+    del doc["format"]
+    doc["blocks"] = [dict(layout(b.block.taylor(), stream.enum),
+                          stage=b.stage_id, n_max=b.n_max)
+                     for b in stream.blocks]
     paths = {}
     for name, text in (("stream", json.dumps(doc)),
-                       ("certificate", seleznev_artifacts["certificate"])):
+                       ("certificate", artifacts["certificate"])):
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
             fh.write(text)
@@ -771,6 +822,26 @@ def test_verify_per_rank_stream_says_to_reconstruct(tmp_path, capsys,
     assert "re-run construct" in stderr
     assert stderr.count("\n") == 1
     assert "Traceback" not in stderr
+
+
+def test_verify_per_rank_stream_says_to_reconstruct(tmp_path, capsys,
+                                                    seleznev_artifacts):
+    # the layout of earlier streams: one w-polynomial (d = 0) per rank
+    def per_rank(poly, enum):
+        coeffs = {}
+        for t in poly.to_json()["terms"]:
+            coeffs.setdefault(str(enum.rank(t["z_exp"])), {
+                "r": poly.r, "d": 0, "terms": []})["terms"].append(
+                dict(t, z_exp=[]))
+        return {"coeffs": coeffs}
+    _old_stream_is_refused(tmp_path, capsys, seleznev_artifacts, per_rank)
+
+
+def test_verify_v3_stream_says_to_reconstruct(tmp_path, capsys,
+                                              seleznev_artifacts):
+    # v3 streams held each block as one Taylor polynomial
+    _old_stream_is_refused(tmp_path, capsys, seleznev_artifacts,
+                           lambda poly, enum: {"poly": poly.to_json()})
 
 
 # ------------------------------------------------------------ mutation search

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taylorlab.multiindex import DiffOp, Enumeration
-from taylorlab.poly import CoefficientStream, Poly, gamma, gamma_poly, partial_sum
+from taylorlab.poly import (Axis, Block, CoefficientStream, Poly, gamma,
+                            gamma_poly, graded_columns, partial_sum)
 
 from util import (
     exact,
@@ -540,15 +541,51 @@ def test_batched_partial_sum_chunks_by_max_dense(monkeypatch):
 
 # ------------------------------------------------------------ streams
 
-def _block(terms, r=0, d=1):
-    """A block from {z-exponent: coefficient}, constant in w."""
-    return Poly(r, d, {((0,) * r, ze): c for ze, c in terms.items()})
+def _power_axis(degree):
+    """The basis q_k = t^(start + k), t = y: Arnoldi's on a circle about
+    the center, H[k + 1, k] = 1 and nothing else."""
+    H = np.zeros((degree + 1, degree))
+    H[np.arange(1, degree + 1), np.arange(degree)] = 1.0
+    return Axis(1.0, 1.0, H)
+
+
+def _block(coefs, e=0, center=(0.0,)):
+    """A d = 1 block sum_k coefs[k] (z - center)^(e + k)."""
+    degree = len(coefs) - 1
+    return Block(0, center, (0, e), degree, [_power_axis(degree)], coefs)
+
+
+def _random_block(rng, r, center, divisor, budget):
+    """A block with random Hessenberg matrices (positive subdiagonal) and
+    random coefficients, in r + len(center) axes."""
+    def axis():
+        H = np.triu(rng.normal(size=(budget + 1, budget))
+                    + 1j * rng.normal(size=(budget + 1, budget)), -1)
+        H[np.arange(1, budget + 1), np.arange(budget)] = rng.uniform(
+            0.5, 1.5, budget)
+        return Axis(rng.uniform(1, 3), rng.uniform(0.5, 2), 0.2 * H)
+    axes = [axis() for _ in range(r + len(center))]
+    n = len(graded_columns([budget] * len(axes), budget))
+    return Block(r, center, divisor, budget, axes,
+                 rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def _random_stream(rng, center, r=1, budgets=(2, 3, 1)):
+    """Blocks on alternating divisor axes, each past the frontier."""
+    enum = Enumeration(len(center), "graded-lex")
+    stream = CoefficientStream(enum, center, r)
+    for s, budget in enumerate(budgets):
+        e = sum(enum.unrank(stream.frontier)) + 1 if stream.blocks else 0
+        block = _random_block(rng, r, center, (s % len(center), e), budget)
+        stream.append_block(f"s{s}", block,
+                            enum.capture_index(block.z_degrees()) + s)
+    return stream
 
 
 def test_stream_roundtrip_polynomial():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", _block({(0,): 1.0, (2,): -2.0}), n_max=2)
+    stream.append_block("s1", _block([1.0, 0.0, -2.0]), n_max=2)
     p = stream.poly()
     assert p == Poly(0, 1, {((), (0,)): 1.0, ((), (2,)): -2.0})
     assert stream.partial_sum(1) == Poly(0, 1, {((), (0,)): 1.0})
@@ -564,33 +601,39 @@ def test_stream_empty_is_zero():
 def test_stream_frozen_prefix_bit_identical():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", _block({(0,): 1.5, (1,): 2.5}), n_max=3)
+    stream.append_block("s1", _block([1.5, 2.5]), n_max=3)
     before = stream.partial_sum(3)
-    snapshot = dict(stream.blocks[0].poly.terms)
-    stream.append_block("s2", _block({(5,): -1.0}), n_max=5)
+    snapshot = stream.to_json()["blocks"][0]
+    stream.append_block("s2", _block([-1.0], e=5), n_max=5)
     after = stream.partial_sum(3)
     assert before == after
-    assert stream.blocks[0].poly.terms == snapshot
+    assert stream.to_json()["blocks"][0] == snapshot
+    # the view of a block is exactly 0 below its divisor power
+    assert min(ze[0] for _, ze in stream.blocks[1].block.taylor().terms) == 5
 
 
 def test_stream_rejects_frozen_overlap():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", _block({(0,): 1.0}), n_max=2)
-    with pytest.raises(ValueError):
-        stream.append_block("s2", _block({(1,): 1.0}), n_max=4)
-    with pytest.raises(ValueError):
-        stream.append_block("s2", _block({(4,): 1.0}), n_max=3)
-    with pytest.raises(ValueError):
-        stream.append_block("s2", _block({}), n_max=2)
-    with pytest.raises(ValueError):
-        stream.append_block("s2", _block({(4, 0): 1.0}, d=2), n_max=20)
+    stream.append_block("s1", _block([1.0]), n_max=2)
+    # the divisor exponent must pass the total degree 2 at the frontier
+    with pytest.raises(ValueError, match="does not pass the total degree"):
+        stream.append_block("s2", _block([1.0], e=2), n_max=4)
+    with pytest.raises(ValueError, match="n_max"):
+        stream.append_block("s2", _block([1.0], e=4), n_max=3)
+    with pytest.raises(ValueError, match="n_max"):
+        stream.append_block("s2", _block([0.0], e=3), n_max=2)
+    with pytest.raises(ValueError, match="r = 0, d = 1"):
+        stream.append_block("s2", Block(0, (0.0, 0.0), (0, 4), 0,
+                                        [_power_axis(0)] * 2, [1.0]), 20)
+    with pytest.raises(ValueError, match="center"):
+        stream.append_block("s2", _block([1.0], e=4, center=(0.1,)), 4)
 
 
 def test_stream_partial_sum_beyond_frontier_errors():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.0,), 0)
-    stream.append_block("s1", _block({(0,): 1.0}), n_max=1)
+    stream.append_block("s1", _block([1.0]), n_max=1)
     with pytest.raises(IndexError):
         stream.partial_sum(2)
 
@@ -598,46 +641,57 @@ def test_stream_partial_sum_beyond_frontier_errors():
 def test_stream_nonzero_center():
     enum = Enumeration(1, "graded-lex")
     stream = CoefficientStream(enum, (0.5,), 0)
-    stream.append_block("s1", _block({(1,): 1.0}), n_max=1)
+    stream.append_block("s1", _block([1.0], e=1, center=(0.5,)), n_max=1)
     # f(z) = (z - 0.5)
     p = stream.poly()
     assert p.isclose(Poly(0, 1, {((), (1,)): 1.0, ((), (0,)): -0.5}), tol=1e-14)
 
 
 def test_stream_json_roundtrip():
-    enum = Enumeration(2, "graded-lex")
-    stream = CoefficientStream(enum, (0.0, 0.1), 1)
-    stream.append_block("s1", Poly(1, 2, {((1,), (0, 0)): 2.0}), n_max=1)
-    # (1, 1) has rank 4 in graded-lex
-    stream.append_block("s2", Poly(1, 2, {((0,), (1, 1)): 1.0 + 1j}), n_max=4)
+    # d = 2, r = 1: every float goes through JSON as its repr, so the
+    # round trip is bit-identical, and so are the values on a grid
+    rng = np.random.default_rng(29)
+    stream = _random_stream(rng, (0.0, 0.1 - 0.2j))
     data = stream.to_json()
-    back = CoefficientStream.from_json(data)
-    assert back.enum == stream.enum
-    assert back.center == stream.center
+    back = CoefficientStream.from_json(json.loads(json.dumps(data)))
+    assert back.to_json() == data
+    assert back.enum == stream.enum and back.center == stream.center
+    axes = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (3, 4, 5)]
+    for a, b in zip(stream.blocks, back.blocks):
+        assert np.array_equal(a.block.values(axes, (1, 0, 1)),
+                              b.block.values(axes, (1, 0, 1)))
     assert back.poly() == stream.poly()
+
+
+def test_stream_refuses_other_formats():
+    rng = np.random.default_rng(31)
+    data = _random_stream(rng, (0.0,), r=0).to_json()
+    # a v3 stream: no format, one Taylor polynomial per block
+    v3 = dict(data, blocks=[{"stage": b["stage"], "n_max": b["n_max"],
+                             "poly": {"r": 0, "d": 1, "terms": []}}
+                            for b in data["blocks"]])
+    del v3["format"]
+    with pytest.raises(ValueError, match="re-run construct"):
+        CoefficientStream.from_json(v3)
+    for key, value in (("poly", []), ("hessenberg", [])):
+        bad = json.loads(json.dumps(data))
+        bad["blocks"][0][key] = value
+        with pytest.raises(ValueError, match="exactly the keys"):
+            CoefficientStream.from_json(bad)
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3 + 0.1j, -0.2j)])
 def test_stream_partial_sum_cuts_inside_blocks(center):
-    # d = 2, r = 1: three blocks over the rank windows (-1, 7], (7, 16] and
-    # (16, 27], each missing some ranks and the first ending short of n_max,
-    # so cuts fall between blocks, inside them and on empty ranks
+    # d = 2, r = 1: three blocks, each n_max past its degree box, so cuts
+    # fall between blocks, inside them and on empty ranks
     rng = np.random.default_rng(83)
-    enum = Enumeration(2, "graded-lex")
-    stream = CoefficientStream(enum, center, 1)
-    below = -1
-    for s, n_max in enumerate((7, 16, 27)):
-        top = 5 if s == 0 else n_max
-        terms = {((int(rng.integers(3)),), enum.unrank(k)):
-                 complex(*rng.normal(size=2))
-                 for k in range(below + 1, top + 1) if rng.random() < 0.7}
-        stream.append_block(f"s{s}", Poly(1, 2, terms), n_max)
-        below = n_max
+    stream = _random_stream(rng, center)
+    enum = stream.enum
     back = CoefficientStream.from_json(json.loads(json.dumps(stream.to_json())))
     for n in range(stream.frontier + 1):
         want = Poly(1, 2)
         want.terms = {k: c for b in stream.blocks
-                      for k, c in b.poly.terms.items()
+                      for k, c in b.block.taylor().terms.items()
                       if enum.rank(k[1]) <= n}
         want = want.shift_center(tuple(-v for v in center))
         assert _bits(stream.partial_sum(n)) == _bits(want)

@@ -2,11 +2,12 @@
 
 The frozen numbers (chosen ranks, convergence budgets) come from running
 the fixed scenarios below; they are deterministic because nothing in the
-pipeline draws random numbers. Error sups are re-derived here with naive
-Taylor coefficients and bare monomial sums where the point is oracle
-agreement rather than a frozen value.
+pipeline draws random numbers. Error sups are re-derived here with a
+naive scalar run of each block's recurrence (tests/util.py) where the
+point is oracle agreement rather than a frozen value.
 """
 
+import cmath
 import json
 
 import numpy as np
@@ -30,7 +31,7 @@ from taylorlab.universal import (
 from taylorlab.verify import (PredicateSpec, catalog_poly, check_F,
                               predicate_grids, variant_ops)
 
-from util import oracle_gamma
+from util import exact_distance, ladder_scenario, naive_block_value
 
 UNIT_DISK = DomainProduct([OpenDisk(0j, 1.0)])
 FAR_DISK = ProductCompact([Disk(2 + 0j, 0.25)], disjoint_factor=0)
@@ -166,21 +167,38 @@ def test_construction_is_deterministic():
 
 
 def test_certified_sup_matches_naive_taylor_recomputation():
+    # the stream's Taylor series is its blocks' sum; it is recomputed here
+    # one point and one scalar at a time through the block's recurrence
+    # (the float Taylor coefficients of this degree-40 block are off by
+    # 0.13 on the disk, so they are no oracle)
     plan = single_stage_plan(cert_density=64)
     stream, cert = run_construction(plan)
     (rec,) = cert.stages
-    final = stream.poly()
-    lam = rec["lambda"]
-    enum = plan.enum
-    # naive Taylor coefficients about 0, then a bare monomial sum
-    gammas = [oracle_gamma(final, (), (0j,), enum.unrank(k))
-              for k in range(lam + 1)]
+    (block,) = [b.block for b in stream.blocks]
     zs = FAR_DISK.sample(n_per_factor=64).points[:, 0]
-    worst = 0.0
-    for z in zs:
-        s = sum(g * z ** enum.unrank(k)[0] for k, g in enumerate(gammas))
-        worst = max(worst, abs(s - 1.0))
+    worst = max(abs(naive_block_value(block, (z,), (0,)) - 1.0) for z in zs)
     assert abs(worst - rec["e_side_error"]) < 1e-10
+
+
+def test_block_recurrence_matches_exact_evaluation():
+    # ladder T = 6 (bench/workloads.ladder_scenario's geometry): every
+    # block's float values and first derivatives, at a point of the last
+    # stage's outer and inner compacts, against the same recurrence in
+    # exact arithmetic on the stored floats.  Stated bound, for a value v:
+    # 1e-13 (1 + |v|) for values, 1e-11 (1 + |v|) for first derivatives
+    # (measured: 4e-15 and 2e-13 over all six compacts of the ladder)
+    scen = ladder_scenario(6, 2.5 * cmath.exp(0.7j))
+    stream, cert = run_construction(plan_from_scenario(scen))
+    assert cert.summary["all_pass"]
+    last = cert.stages[-1]
+    points = [ProductCompact.from_json(last[key]).sample(1).points[0, 0]
+              for key in ("outer", "inner")]
+    for b in stream.blocks:
+        for order, bound in ((0, 1e-13), (1, 1e-11)):
+            got = b.block.values([np.array(points)], [order])
+            for z, v in zip(points, got):
+                want = naive_block_value(b.block, (z,), (order,), True)
+                assert exact_distance(v, want) <= bound * (1 + abs(v))
 
 
 # -------------------------------------------------------------- two stages
@@ -217,10 +235,11 @@ def test_conflict_prefix_is_bit_identical():
 
 def test_conflict_blocks_are_degree_separated():
     stream, cert = run_construction(conflict_plan())
-    b1, b2 = stream.blocks
-    max1 = b1.poly.total_z_degree()
-    min2 = min(sum(ze) for _, ze in b2.poly.terms)
-    assert min2 > max1
+    b1, b2 = (b.block for b in stream.blocks)
+    max1 = b1.total_z_degree()
+    assert max1 == b1.taylor().total_z_degree()
+    min2 = min(sum(ze) for _, ze in b2.taylor().terms)
+    assert min2 == b2.e > max1
     assert cert.stages[1]["divisor_exponent"] == max1 + 1
 
 

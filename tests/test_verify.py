@@ -2,6 +2,7 @@
 certificate replay, all pinned against naive loop oracles."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from taylorlab.verify import (
     PredicateSpec,
     catalog_poly,
     center_sups,
+    certify_stages,
     check_E,
     check_F,
     predicate_grids,
@@ -448,11 +450,30 @@ def test_forged_nan_error_fails():
     assert not verify_certificate(stream, forged)
 
 
+def test_a_nan_sup_fails_its_stage():
+    # every sup fold carries a NaN through (max(0.0, nan) is 0.0, which
+    # would pass the stage); here one block coefficient is NaN, so the
+    # value and derivative sups of the strong variant on the E side both
+    # are (the F side of the last stage sums no block)
+    assert math.isnan(verify.worst([0.5, float("nan"), 2.0]))
+    assert verify.worst([]) == 0.0
+    stream, cert = _demo_artifacts(variant="strong", l=1)
+    assert cert.summary["all_pass"]
+    stream.blocks[0].block.tensor[-1] = float("nan")
+    fresh = [{k: rec[k] for k in verify.STAGE_INPUTS} for rec in cert.stages]
+    summary = certify_stages(stream, cert.header, fresh, None)
+    (rec,) = fresh
+    assert math.isnan(rec["e_side_error"]) and not rec["pass_e"]
+    assert math.isnan(summary["e_side_max"]) and not summary["all_pass"]
+
+
 def test_certificate_keys_are_exactly_the_v3_schema():
     # verify's REFUSALS cases in test_cli check the other side: a key
-    # outside these sets fails, a missing one is a malformed certificate
+    # outside these sets fails, a missing one is a malformed certificate;
+    # v4 changed what the stream stores and how it is measured, not these
+    # keys, so they are v3's
     _, cert = _demo_artifacts()
-    assert cert.header["format"] == "taylorlab-certificate-v3"
+    assert cert.header["format"] == "taylorlab-certificate-v4"
     assert set(cert.header) == {
         "format", "name", "enumeration", "d", "r", "center", "mu", "variant",
         "l", "domain", "w_compact", "cert_density"} == verify.HEADER_KEYS

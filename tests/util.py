@@ -124,3 +124,72 @@ def exact_distance(got, want):
     """|got - want| for a float complex got and an exact want."""
     got = exact(got)
     return math.hypot(float(got[0] - want[0]), float(got[1] - want[1]))
+
+
+def exact_div(a, b):
+    """a / b for exact complex pairs."""
+    den = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den
+
+
+_FLOAT = (complex, lambda a, b: a + b, lambda a, b: a * b,
+          lambda a, b: a / b)
+_EXACT = (exact, exact_add, exact_mul, exact_div)
+
+
+def naive_block_value(block, point, orders, exact_arithmetic=False):
+    """The mixed partial `orders` of a poly.Block at one point (w, then z
+    coordinates), one scalar at a time: the block's recurrence on each
+    axis, then the sum of coefficient times basis products over its
+    columns.  With exact_arithmetic the scalars are (re, im) Fraction pairs
+    built from the exact values of the block's floats."""
+    num, add, mul, div = _EXACT if exact_arithmetic else _FLOAT
+    rows = []
+    for j, (x, order) in enumerate(zip(point, orders)):
+        ax = block.axes[j]
+        c = block.center[j - block.r] if j >= block.r else 0
+        scale = num(ax.scale)
+        t = div(add(num(x), num(-complex(c))), scale)
+        start = block.starts[j]
+        H = [[num(ax.H[i, k]) for i in range(k + 2)] for k in range(ax.degree)]
+        R = [[None] * (ax.degree + 1) for _ in range(order + 1)]
+        for o in range(order + 1):
+            power = num(math.perm(start, o))
+            for _ in range(o):
+                power = div(power, scale)
+            for _ in range(start - o):
+                power = mul(power, t)
+            R[o][0] = div(power, num(ax.norm))
+        for k in range(ax.degree):
+            for o in range(order + 1):
+                v = mul(t, R[o][k])
+                for i in range(k + 1):
+                    v = add(v, mul(num(-1), mul(H[k][i], R[o][i])))
+                if o:
+                    v = add(v, mul(div(num(o), scale), R[o - 1][k]))
+                R[o][k + 1] = div(v, H[k][k + 1])
+        rows.append(R[order])
+    total = num(0)
+    for g, coef in zip(block.columns.tolist(), block.coefs):
+        term = num(coef)
+        for j, gj in enumerate(g):
+            term = mul(term, rows[j][gj])
+        total = add(total, term)
+    return total
+
+
+def ladder_scenario(T, outer):
+    """T alternating +-1 stages on |z - outer| <= 0.15, inner radii
+    0.5 + 0.05 s, tolerance 1e-2, budgets 12..120 (the benchmark's ladder)."""
+    def disk(center, radius):
+        return {"type": "disk", "center": [center.real, center.imag],
+                "radius": radius}
+    return {"name": f"ladder-{T}",
+            "domain": [{"type": "open-disk", "center": [0.0, 0.0],
+                        "radius": 1.0}],
+            "stages": [{"target": {"constant": [(-1.0) ** s, 0.0]},
+                        "outer": disk(outer, 0.15),
+                        "inner": disk(0j, 0.5 + 0.05 * (s + 1)),
+                        "tolerance": 0.01,
+                        "budgets": [12, 16, 24, 32, 48, 64, 90, 120]}
+                       for s in range(T)]}
