@@ -192,9 +192,13 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
         s = cuts[lam]
         zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)
         zI = ProductCompact.from_json(rec["inner"]).sample(n_per_factor=nz)
-        e = sup_ops(BlockSum(Poly.from_json(rec["target"]), blocks[:s]),
-                    zT, wg, e_ops)
-        fv = sup_ops(BlockSum(Poly.zero(r, d), blocks[s:]), zI, wg, f_ops)
+        # a block that overflows on a grid (a forged stream's, say)
+        # measures inf or NaN there, and fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = sup_ops(BlockSum(Poly.from_json(rec["target"]), blocks[:s]),
+                        zT, wg, e_ops)
+            fv = sup_ops(BlockSum(Poly.zero(r, d), blocks[s:]), zI, wg,
+                         f_ops)
         rec.update(density={"nz_per_factor": nz, "nw_per_factor": nw,
                             "nz_points": len(zT.points),
                             "nw_points": len(wg.points) if wg else 0},

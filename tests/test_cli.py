@@ -681,6 +681,10 @@ REFUSALS = [
     ("stream", ("enumeration",), 1, 2, "artifact rejected"),
     ("stream", ("enumeration",), "explicit-table:0,0", 2, "artifact rejected"),
     ("stream", ("blocks", 0, "poly"), [], 2, "artifact rejected"),
+    # a forged block that overflows on the grids measures inf or NaN there
+    # (no RuntimeWarning), and fails
+    ("stream", ("blocks", 0, "axes", 0, "hessenberg", 3, 0, 0), 1e308, 1,
+     "certificate does NOT match"),
     ("certificate", ("header",), [], 2, "artifact rejected"),
     ("certificate", ("header", "r"), DROP, 2, "artifact rejected"),
     ("certificate", ("header", "d"), DROP, 2, "artifact rejected"),
