@@ -26,9 +26,9 @@ but the one with the fewest samples is replaced by the R of its QR and the
 rhs by Q^H times it, an orthonormal change of rows that keeps the dense
 problem's minimizer and singular values; one lstsq call solves it, and its
 singular values give the recorded condition number.  Residuals are
-measured through the recurrence on a grid twice as dense.  The result is a
-poly.Block: the Hessenberg matrices and the coefficients, never Taylor
-coefficients.
+measured with the certificate's kernel (verify.sup_ops) on a grid twice as
+dense, so they replay from the stream.  The result is a poly.Block: the
+Hessenberg matrices and the coefficients, never Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from .geometry import (
     sampled_min_distance,
 )
 from .multiindex import DiffOp
-from .poly import Axis, Block, Poly, graded_columns, recur_rows, start_rows
-from .verify import worst
+from .poly import (Axis, Block, BlockSum, Poly, graded_columns, recur_rows,
+                   start_rows)
+from .verify import sup_ops, worst
 
 # entries of the reduced least-squares system at the top budget
 MAX_DESIGN_ENTRIES = 8_000_000
@@ -111,7 +112,6 @@ class FitResult:
     piece_residuals: list
     residual_history: list            # [(budget, residual)]
     cond: float
-    n_columns: int
     converged: bool
 
     @property
@@ -183,16 +183,16 @@ def _axes(wg, zg) -> list:
 class _Arnoldi:
     """One axis's Arnoldi process on the fit samples y, extended on demand.
 
-    Rows k of fit[o] and verif[o] hold the o-th derivative of q_k at the fit
-    samples and at the residual grid's samples yv: fit[0] is the process's
-    own orthogonal basis (rows of norm sqrt(len(y))), every other row comes
-    from the recurrence (recur_rows) through the Hessenberg matrix H.
+    Row k of fit[o] holds the o-th derivative of q_k at the fit samples:
+    fit[0] is the process's own orthogonal basis (rows of norm
+    sqrt(len(y))), every other row comes from the recurrence (recur_rows)
+    through the Hessenberg matrix H.
     """
 
-    def __init__(self, y, yv, start: int, order: int, top: int):
+    def __init__(self, y, start: int, order: int, top: int):
         peak = float(np.abs(y).max())
         self.scale = peak if peak > 0 else 1.0
-        self.t, self.tv = y / self.scale, yv / self.scale
+        self.t = y / self.scale
         self.norm = float(np.linalg.norm(self.t ** start)) / math.sqrt(len(y))
         if not self.norm > 0:
             raise ValueError("the divisor vanishes at every sample")
@@ -202,10 +202,7 @@ class _Arnoldi:
         self.fit = [np.empty((top + 1, len(y)), dtype=complex)
                     for _ in range(order + 1)]
         self.conj = np.empty_like(self.fit[0])    # fit[0]'s rows, conjugated
-        self.verif = [np.empty((top + 1, len(yv)), dtype=complex)
-                      for _ in range(order + 1)]
         start_rows(self.fit, self.t, self.scale, start, self.norm)
-        start_rows(self.verif, self.tv, self.scale, start, self.norm)
         np.conjugate(self.fit[0][0], out=self.conj[0])
         self.degree = 0
         self.exhausted = top == 0
@@ -232,7 +229,6 @@ class _Arnoldi:
             self.degree = k + 1
             self.exhausted = k + 1 == len(self.H) - 1
         recur_rows(self.fit, self.t, self.scale, self.H, k0, self.degree, 1)
-        recur_rows(self.verif, self.tv, self.scale, self.H, k0, self.degree)
 
     def axis(self, degree: int) -> Axis:
         return Axis(self.scale, self.norm, self.H[:degree + 1, :degree])
@@ -241,15 +237,19 @@ class _Arnoldi:
 def fit(task: ApproxTask) -> FitResult:
     """Sweep the budgets and return the first fit inside tolerance.
 
-    Residuals are measured through the recurrence on an independent grid
-    at twice the sampling density.  If no budget converges the best
-    attempt is returned with converged = False; if no attempt scores below
-    infinity (NaN or overflowing residuals), the first one is.
+    A piece's residual is sup_ops of its target's BlockSum with the
+    candidate as one more block, on a grid at twice the density.  If no
+    budget converges the best attempt is returned with converged = False;
+    if no attempt scores below infinity (NaN or overflowing residuals),
+    the first one is.
     """
     r, k = task.r, task.r + task.d
     grids, verif = _task_grids(task), _task_grids(task, density=2)
     axes = [_axes(wg, zg) for wg, zg in grids]
-    vaxes = [_axes(wg, zg) for wg, zg in verif]
+    # every piece target as a BlockSum, so a candidate block joins its
+    # blocks and the certificate's kernel measures the residual
+    targets = [gt if isinstance(gt, BlockSum) else BlockSum(gt, [])
+               for _, gt in task.pieces]
     i0, e = task.prefactor or (0, 0)
     ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
                                   if not op.is_identity]
@@ -270,16 +270,14 @@ def fit(task: ApproxTask) -> FitResult:
     # share the w grid), in y = x - center; piece p owns the slice
     # spans[p][j] of axis j's samples
     shift = [0j] * r + list(task.center)
-    procs, spans, vspans = [], [[] for _ in axes], [[] for _ in axes]
+    procs, spans = [], [[] for _ in axes]
     for j in range(k):
-        for span, ax_list in ((spans, axes), (vspans, vaxes)):
-            lo = 0
-            for p, ax in enumerate(ax_list):
-                span[p].append((lo, lo + len(ax[j])))
-                lo += len(ax[j]) if j >= r else 0
-        union = [np.concatenate([ax[j] for ax in (a if j >= r else a[:1])])
-                 - shift[j] for a in (axes, vaxes)]
-        procs.append(_Arnoldi(*union, e if j == r + i0 else 0,
+        lo = 0
+        for p, ax in enumerate(axes):
+            spans[p].append((lo, lo + len(ax[j])))
+            lo += len(ax[j]) if j >= r else 0
+        union = np.concatenate([ax[j] for ax in (axes if j >= r else axes[:1])])
+        procs.append(_Arnoldi(union - shift[j], e if j == r + i0 else 0,
                               max(op.orders[j] for op in ops), top))
 
     tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
@@ -288,8 +286,7 @@ def fit(task: ApproxTask) -> FitResult:
     # residual-over-tolerance (measurement below stays unweighted)
     tol_min = min(tols)
     blocks = []                       # (piece, op, weighted rhs)
-    for p, ((wg, zg), (_, gt), tol) in enumerate(
-            zip(grids, task.pieces, tols)):
+    for p, ((wg, zg), gt, tol) in enumerate(zip(grids, targets, tols)):
         for op in ops:
             y = gt.diff(op).eval_product(wg, zg).reshape(shapes[p])
             blocks.append((p, op, y * (tol_min / tol)))
@@ -322,25 +319,18 @@ def fit(task: ApproxTask) -> FitResult:
         cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
         block = Block(r, task.center, (i0, e), budget,
                       [proc.axis(g) for proc, g in zip(procs, degs)], coefs)
-        piece_res = [0.0] * len(task.pieces)
         # a non-finite coefficient scores inf or NaN here and is the
         # caller's to refuse; the targets are evaluated again per budget
         # rather than kept, since their grids are the fit's largest arrays
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, op, _ in blocks:
-                (wv, zv), (_, gt) = verif[p], task.pieces[p]
-                target = gt.diff(op).eval_product(wv, zv)
-                vals = block.contract(
-                    [proc.verif[o][:g + 1, lo:hi] for proc, o, g, (lo, hi)
-                     in zip(procs, op.orders, degs, vspans[p])])
-                piece_res[p] = float(np.max(
-                    [piece_res[p], np.abs(vals.reshape(target.shape)
-                                          - target).max()]))
+            piece_res = [sup_ops(BlockSum(gt.poly, gt.blocks + [block]),
+                                 zv, wv, ops)
+                         for gt, (wv, zv) in zip(targets, verif)]
         res = worst(piece_res)
         history.append((budget, res))
         converged = all(r <= t for r, t in zip(piece_res, tols))
         cand = FitResult(block, budget, res, piece_res, list(history), cond,
-                         len(cols), converged)
+                         converged)
         # prefer the budget that best satisfies the per-piece tolerances
         score = worst(r / t for r, t in zip(piece_res, tols))
         if converged or best is None or score < best_score:

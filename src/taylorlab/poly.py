@@ -823,12 +823,6 @@ class CoefficientStream:
         self.blocks.append(StreamBlock(str(stage_id), block, int(n_max)))
         self._poly_cache = None
 
-    def z_degrees(self):
-        """Per-coordinate max z-exponent over the blocks; None for none."""
-        degs = [g for g in (b.block.z_degrees() for b in self.blocks)
-                if g is not None]
-        return tuple(map(max, zip(*degs))) if degs else None
-
     def total_z_degree(self) -> int:
         return max((b.block.total_z_degree() for b in self.blocks),
                    default=-1)

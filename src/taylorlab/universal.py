@@ -42,8 +42,8 @@ from .mergelyan import fit, glue_target
 from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
 from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
-from .verify import (CERT_FORMAT, VARIANTS, catalog_poly, certify_stages,
-                     variant_ops)
+from .verify import (CERT_FORMAT, VARIANTS, capture_rank, catalog_poly,
+                     certify_stages, variant_ops)
 
 
 @dataclass
@@ -237,9 +237,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         raise ValueError(f"stage {stage_id}: the fit has a non-finite "
                          "coefficient")
 
-    degs = [max(v) for v in zip(*(g for g in (
-        stream.z_degrees(), res.block.z_degrees()) if g is not None))]
-    capture = enum.capture_index(tuple(degs or [0] * stream.d))
+    capture = capture_rank(enum, blocks + [res.block])
     try:
         lam = plan.mu.next_at_or_after(capture)
     except SparseIndexError as exc:
@@ -251,10 +249,6 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     return {
         "stage": stage_id,
         "lambda": lam,
-        "capture_index": capture,
-        "divisor_exponent": e,
-        "budget": res.budget,
-        "n_columns": res.n_columns,
         "cond": res.cond,
         "converged": res.converged,
         "fit_residual_inner": res.piece_residuals[0],
@@ -265,7 +259,6 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         "target": req.target.to_json(),
         "outer": req.outer.to_json(),
         "inner": req.inner.to_json(),
-        "max_degree": max(stream.total_z_degree(), 0),
     }
 
 

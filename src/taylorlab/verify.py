@@ -35,7 +35,8 @@ from .geometry import (
     grid_density,
     sup_norm,
 )
-from .multiindex import Enumeration, cantor_unpair, check_int, family_Fl
+from .multiindex import (Enumeration, IndexSet, cantor_unpair, check_int,
+                         family_Fl)
 from .poly import BlockSum, CoefficientStream, Poly, partial_sum
 
 VARIANTS = ("plain", "strong", "infty")
@@ -45,15 +46,15 @@ VARIANTS = ("plain", "strong", "infty")
 CERT_FORMAT = "taylorlab-certificate-v4"
 # what certify_stages reads from a record, and what it derives into it
 STAGE_INPUTS = ("lambda", "target", "outer", "inner", "tolerance")
-STAGE_MEASURED = ("density", "e_side_error", "f_side_error", "pass_e",
-                  "pass_f")
+STAGE_MEASURED = ("capture_index", "divisor_exponent", "budget", "n_columns",
+                  "max_degree", "density", "e_side_error", "f_side_error",
+                  "pass_e", "pass_f")
 # the v4 schema: construct writes exactly these keys, verify accepts no other
 HEADER_KEYS = frozenset("format name enumeration d r center mu variant l "
                         "domain w_compact cert_density".split())
 RECORD_KEYS = frozenset(STAGE_INPUTS + STAGE_MEASURED + tuple(
-    "stage capture_index divisor_exponent budget n_columns cond converged "
-    "fit_residual_inner fit_residual_outer fit_tolerance_inner "
-    "fit_tolerance_outer max_degree".split()))
+    "stage cond converged fit_residual_inner fit_residual_outer "
+    "fit_tolerance_inner fit_tolerance_outer".split()))
 SUMMARY_KEYS = frozenset("stages frontier final_degree final_term_count "
                          "final_capture e_side_max f_side_max all_pass "
                          "aborted".split())
@@ -141,9 +142,17 @@ def worst(sups) -> float:
 def sup_ops(delta, zg, wg, ops) -> float:
     """Sampled sup of |delta| and of |D delta| over the non-identity ops;
     delta is a Poly or a BlockSum."""
-    return worst([sup_norm(delta, zg, wg)]
-                 + [sup_norm(delta.diff(op), zg, wg)
-                    for op in ops if not op.is_identity])
+    # highest orders first: a block's rows to order o serve every lower one
+    return worst([sup_norm(delta.diff(op), zg, wg)
+                  for op in reversed(ops) if not op.is_identity]
+                 + [sup_norm(delta, zg, wg)])
+
+
+def capture_rank(enum: Enumeration, blocks) -> int:
+    """The capture index of the degree box that holds every z-exponent of
+    the blocks (poly.Block), 0 when they are all 0."""
+    degrees = [g for g in (b.z_degrees() for b in blocks) if g is not None]
+    return enum.capture_index(tuple(map(max, zip(*degrees)))) if degrees else 0
 
 
 def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
@@ -164,32 +173,42 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     """Measure every stage record of a certificate on the finished stream
     and return the certificate's summary.
 
-    Inputs: the header's variant, r, d, l, w_compact and cert_density, each
-    record's STAGE_INPUTS, and `aborted` (None, or why the schedule stopped
-    early).  A record's lambda must be the last rank of a stream block s;
-    the record gets its STAGE_MEASURED fields: the density, the E-side sup
-    (blocks 1..s against the target on `outer`) and the F-side sup (blocks
-    s+1.. on `inner`, the whole stream minus its rank-lambda cut), with
-    their pass flags.  Blocks are evaluated through their recurrences; no
-    Taylor coefficient is formed.  The summary adds the stream's frontier
-    and the degree, term count and capture index that its blocks'
-    structure gives, and the worst sups; all_pass needs no abort, one
-    record per block of the stream, and every stage to pass.
+    Inputs: the header's variant, r, d, l, mu, w_compact and cert_density
+    (numbers as ints), each record's STAGE_INPUTS (the tolerance a float),
+    and `aborted` (None, or why the schedule stopped early).  A record's
+    lambda must end a stream block s and be mu's first member at or after
+    the capture index of blocks 1..s.  The record gets its STAGE_MEASURED
+    fields: what blocks 1..s give (their capture index and largest degree,
+    block s's divisor exponent, budget and column count), the density, the
+    E-side sup (blocks 1..s against the target on `outer`) and the F-side
+    sup (blocks s+1.. on `inner`), with their pass flags.  Blocks are
+    evaluated through their recurrences; no Taylor coefficient is formed.
+    The summary adds the stream's frontier, the degree, term count and
+    capture index of its blocks, and the worst sups; all_pass needs no
+    abort, one record per block of the stream, and every stage to pass.
     """
-    r, d = int(header["r"]), int(header["d"])
-    e_ops, f_ops = variant_ops(header["variant"], r, d, int(header["l"]))
-    nz = grid_density("certificate", "z", d, int(header["cert_density"]))
+    r, d, l, density = (check_int(header[key], key)
+                        for key in ("r", "d", "l", "cert_density"))
+    e_ops, f_ops = variant_ops(header["variant"], r, d, l)
+    mu = IndexSet.from_tag(header["mu"])
+    nz = grid_density("certificate", "z", d, density)
     nw = grid_density("certificate", "w", r)
     wg = (ProductCompact.from_json(header["w_compact"]).sample(n_per_factor=nw)
           if nw else None)
     blocks = [b.block for b in stream.blocks]
     cuts = {b.n_max: s for s, b in enumerate(stream.blocks, start=1)}
     for rec in stages:
-        lam, tol = int(rec["lambda"]), float(rec["tolerance"])
+        lam, tol = check_int(rec["lambda"], "lambda"), rec["tolerance"]
+        if type(tol) is not float:
+            raise ValueError(f"a stage tolerance must be a float, got {tol!r}")
         if lam not in cuts:
             raise LookupError(f"lambda {lam} is not the last rank of a "
                               "stream block")
         s = cuts[lam]
+        capture = capture_rank(stream.enum, blocks[:s])
+        if mu.next_at_or_after(capture) != lam:
+            raise LookupError(f"lambda {lam} is not the first member of "
+                              f"{mu.tag} at or after capture index {capture}")
         zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)
         zI = ProductCompact.from_json(rec["inner"]).sample(n_per_factor=nz)
         # a block that overflows on a grid (a forged stream's, say)
@@ -199,19 +218,22 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                         zT, wg, e_ops)
             fv = sup_ops(BlockSum(Poly.zero(r, d), blocks[s:]), zI, wg,
                          f_ops)
-        rec.update(density={"nz_per_factor": nz, "nw_per_factor": nw,
+        last = blocks[s - 1]
+        rec.update(capture_index=capture, divisor_exponent=last.e,
+                   budget=last.budget, n_columns=len(last.columns),
+                   max_degree=max([0] + [b.total_z_degree()
+                                         for b in blocks[:s]]),
+                   density={"nz_per_factor": nz, "nw_per_factor": nw,
                             "nz_points": len(zT.points),
                             "nw_points": len(wg.points) if wg else 0},
                    e_side_error=e, f_side_error=fv,
                    pass_e=e <= tol, pass_f=fv <= tol)
-    degrees = stream.z_degrees()
     return {
         "stages": len(stages),
         "frontier": stream.frontier,
         "final_degree": stream.total_z_degree(),
         "final_term_count": stream.term_count(),
-        "final_capture": stream.enum.capture_index(degrees)
-        if degrees is not None else 0,
+        "final_capture": capture_rank(stream.enum, blocks),
         "e_side_max": worst(rec["e_side_error"] for rec in stages),
         "f_side_max": worst(rec["f_side_error"] for rec in stages),
         "all_pass": aborted is None and len(stages) == len(stream.blocks)

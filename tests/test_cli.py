@@ -732,6 +732,22 @@ REFUSALS = [
                           (("header", "fixed_center"), False))],
     ("certificate", ("header", "variant"), "bogus", 2, "artifact rejected"),
     ("certificate", ("header", "cert_density"), BIG, 2, "artifact rejected"),
+    # the stream's blocks 1..s give these record fields; verify derives
+    # them with construct's function
+    *[("certificate", ("stages", 0, key), value, 1,
+       "certificate does NOT match")
+      for key, value in (("capture_index", 0), ("divisor_exponent", 999),
+                         ("max_degree", 1), ("budget", 60),
+                         ("n_columns", 7))],
+    # a lambda must be mu's first member at or after the capture index
+    ("certificate", ("header", "mu"), "mu:arith:7,1000", 2,
+     "artifact rejected: lambda 40 is not the first member"),
+    # integers must be ints and the tolerance a float
+    *[("certificate", path, value, 2, "artifact rejected")
+      for path, value in ((("stages", 0, "tolerance"), "0.01"),
+                          (("stages", 0, "lambda"), 40.0),
+                          (("header", "l"), "0"), (("header", "r"), 0.0),
+                          (("header", "cert_density"), "0"))],
     ("candidate", ("terms", 0, "re"), NAN, 2,
      "specs rejected: the candidate has a non-finite coefficient"),
     ("specs", ("specs",), "x", 2, "specs rejected"),

@@ -9,6 +9,7 @@ point is oracle agreement rather than a frozen value.
 
 import cmath
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from taylorlab.geometry import (
     OpenDisk,
     ProductCompact,
     SlitAnnulus,
+    grid_density,
 )
 from taylorlab.multiindex import IndexSet, SparseIndexError
-from taylorlab.poly import Poly, partial_sum
+from taylorlab.poly import BlockSum, Poly, partial_sum
 from taylorlab.universal import (
     StageRequest,
     plan_from_scenario,
@@ -29,13 +31,14 @@ from taylorlab.universal import (
     run_construction,
 )
 from taylorlab.verify import (PredicateSpec, catalog_poly, check_F,
-                              predicate_grids, variant_ops)
+                              predicate_grids, sup_ops, variant_ops)
 
 from util import exact_distance, ladder_scenario, naive_block_value
 
 UNIT_DISK = DomainProduct([OpenDisk(0j, 1.0)])
 FAR_DISK = ProductCompact([Disk(2 + 0j, 0.25)], disjoint_factor=0)
 SMALL_FAR_DISK = ProductCompact([Disk(2.5 + 0j, 0.15)], disjoint_factor=0)
+SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def _const(v):
@@ -350,6 +353,33 @@ def test_strong_variant_value_and_derivative_sups():
     dder = np.abs((final - target).diff(op).eval_product(W, zs)).max()
     assert dvals < 1e-1 and dder < 1e-1
     assert rec["e_side_error"] <= max(dvals, dder) + 1e-12
+
+
+# ------------------------------------------------------ fit residual replay
+
+
+@pytest.mark.parametrize("name", ["alternating_three", "strong",
+                                  "parameterized"])
+def test_fit_residuals_replay_from_the_stream(name):
+    # the fit measures each piece with the certificate's kernel on grids at
+    # twice the fit density, so blocks 1..s of the stream give stage s's
+    # recorded residuals back bit for bit
+    with open(os.path.join(SCEN, f"{name}.json")) as fh:
+        plan = plan_from_scenario(json.load(fh))
+    stream, cert = run_construction(plan)
+    r, d = plan.r, plan.domain.dim
+    f_ops = variant_ops(plan.variant, r, d, plan.l)[1]
+    nz = 2 * grid_density("fit", "z", d)
+    wg = (plan.w_compact.sample(n_per_factor=2 * grid_density("fit", "w", r))
+          if r else None)
+    blocks = [b.block for b in stream.blocks]
+    for s, (rec, req) in enumerate(zip(cert.stages, plan.requests), start=1):
+        outer = req.outer.sample(n_per_factor=nz)
+        inner = req.inner.sample(n_per_factor=nz)
+        assert rec["fit_residual_outer"] == sup_ops(
+            BlockSum(req.target, blocks[:s]), outer, wg, f_ops)
+        assert rec["fit_residual_inner"] == sup_ops(
+            BlockSum(Poly.zero(r, d), [blocks[s - 1]]), inner, wg, f_ops)
 
 
 # ---------------------------------------------------------------- scenarios
