@@ -21,10 +21,10 @@ graded exponents of total degree <= budget, so budgets are nested and span
 what scaled monomials span; derivative rows come from the differentiated
 recurrence.  Sample grids are tensor products of axis samples, so each
 block of rows is a column subset of a Kronecker product of per-axis
-matrices; the dense (w, z) design is never formed.  Per budget every axis
-but the one with the fewest samples is replaced by the R of its QR and the
-rhs by Q^H times it, an orthonormal change of rows that keeps the dense
-problem's minimizer and singular values; one lstsq call solves it, and its
+matrices; the dense (w, z) design is never formed.  Per budget, with two
+or more axes, every axis is replaced by the R of its QR and the rhs by Q^H
+times it, an orthonormal change of rows that keeps the dense problem's
+minimizer and singular values; one lstsq call solves it, and its
 singular values give the recorded condition number.  Residuals are
 measured with the certificate's kernel (verify.sup_ops) on a grid twice as
 dense, so they replay from the stream.  The result is a poly.Block: the
@@ -255,13 +255,11 @@ def fit(task: ApproxTask) -> FitResult:
                                   if not op.is_identity]
     top = task.budgets[-1]
     # the reduced system lstsq gets at the top budget: per piece and op,
-    # the axis with the fewest samples keeps its rows, every other axis
-    # shrinks to its R factor of min(n_j, top + 1) rows
+    # with two or more axes every axis shrinks to its R factor of
+    # min(n_j, top + 1) rows; a single axis keeps its n rows
     shapes = [[len(a) for a in ax] for ax in axes]
-    keeps = [shape.index(min(shape)) for shape in shapes]
-    reduced_rows = sum(math.prod(n if j == keep else min(n, top + 1)
-                                 for j, n in enumerate(shape))
-                       for shape, keep in zip(shapes, keeps))
+    reduced_rows = sum(math.prod(min(n, top + 1) if k > 1 else n
+                                 for n in shape) for shape in shapes)
     if len(ops) * reduced_rows * math.comb(top + k, k) > MAX_DESIGN_ENTRIES:
         raise GridSizeError("design matrix would be too large; lower the "
                             "budget or the sampling density")
@@ -300,16 +298,16 @@ def fit(task: ApproxTask) -> FitResult:
         rows, rhs = [], []
         for p, op, y in blocks:
             # the block is the columns `cols` of the Kronecker product of
-            # the axis matrices; QR every axis but the kept one and carry
-            # Q^H over to the rhs
+            # the axis matrices; with two or more axes QR every one and
+            # carry Q^H over to the rhs (one axis is lstsq's own QR)
             M = None
             for j, (proc, (lo, hi)) in enumerate(zip(procs, spans[p])):
                 V = proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T
-                if j == keeps[p]:
-                    V = V * (tol_min / tols[p])
-                else:
+                if k > 1:
                     q, V = np.linalg.qr(V)
                     y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
+                if j == 0:
+                    V = V * (tol_min / tols[p])
                 F = V[:, cols[:, j]]
                 M = F if M is None else (M[:, None] * F).reshape(-1, len(cols))
             rows.append(M)

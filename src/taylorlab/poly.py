@@ -484,10 +484,10 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
 # -- blocks in an Arnoldi basis ---------------------------------------------
 
 
-def start_rows(R, t, scale: float, start: int, norm: float):
-    """Row 0 of each R[o]: the o-th y-derivative of q_0 = t^start / norm at
-    the points t = y / scale."""
-    for o in range(len(R)):
+def start_rows(R, t, scale: float, start: int, norm: float, first: int = 0):
+    """Row 0 of each R[o], o >= first: the o-th y-derivative of
+    q_0 = t^start / norm at the points t = y / scale."""
+    for o in range(first, len(R)):
         R[o][0] = (math.perm(start, o) / (norm * scale ** o)
                    * t ** (start - o) if o <= start else 0)
 
@@ -631,16 +631,17 @@ class Block:
         order, read-only."""
         x = np.ascontiguousarray(x, dtype=complex)
         key = (j, x.tobytes())
-        R = self._rows.get(key)
-        if R is None or len(R) <= order:
-            ax = self.axes[j]
+        R = self._rows.get(key, [])
+        if len(R) <= order:
+            # a cached entry keeps its orders and gains only the missing ones
+            ax, first = self.axes[j], len(R)
             c = self.center[j - self.r] if j >= self.r else 0
             t = (x - c) / ax.scale
-            R = [np.empty((ax.degree + 1, len(t)), dtype=complex)
-                 for _ in range(order + 1)]
-            start_rows(R, t, ax.scale, self.starts[j], ax.norm)
-            recur_rows(R, t, ax.scale, ax.H, 0, ax.degree)
-            for M in R:
+            R = R + [np.empty((ax.degree + 1, len(t)), dtype=complex)
+                     for _ in range(first, order + 1)]
+            start_rows(R, t, ax.scale, self.starts[j], ax.norm, first)
+            recur_rows(R, t, ax.scale, ax.H, 0, ax.degree, first)
+            for M in R[first:]:
                 M.flags.writeable = False
             self._rows.pop(key, None)
             if len(self._rows) >= ROWS_KEPT:

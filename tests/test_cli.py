@@ -197,9 +197,10 @@ def test_catalog_target_resolution(tmp_path):
     assert main(["construct", scen, "--out-dir", str(tmp_path / "out")]) == 0
 
 
-def test_huge_catalog_index_runs_at_once(tmp_path, capsys):
-    # j = 10**30 unfolds into about 1.4e15 coefficient codes, all 0 past
-    # the first few, and decoding stops at the last non-zero one
+def test_huge_catalog_index_runs_at_once(tmp_path, capsys, monkeypatch):
+    # j = 10**30 unfolds into about 6.4e14 coefficient codes, all 0 past
+    # the first few, and decoding stops at the last non-zero one: counted
+    # in unpairing steps, not in wall time, which load on the machine moves
     scen = _scenario(tmp_path, stages=[{
         "target": f"catalog:{10**30}",
         "outer": {"type": "disk", "center": [2.0, 0.0], "radius": 0.25},
@@ -208,11 +209,19 @@ def test_huge_catalog_index_runs_at_once(tmp_path, capsys):
     specs = _specs_path(tmp_path, [
         {"predicate": "E", "m": 1, "j": 10**30, "s": 2, "n": 0,
          "fixed_center": [[0.0, 0.0]]}])
+    calls, unpair = [], verify.cantor_unpair
+
+    def counted(n):
+        calls.append(n)
+        assert len(calls) <= 64               # fails fast on a full decode
+        return unpair(n)
+
+    monkeypatch.setattr(verify, "cantor_unpair", counted)
     for argv in (["construct", scen, "--out-dir", str(tmp_path / "out")],
                  ["predicates", _zsq_path(tmp_path), specs]):
-        start = time.perf_counter()
+        calls.clear()
         assert main(argv) in (0, 1)
-        assert time.perf_counter() - start < 1.0
+        assert calls
     assert capsys.readouterr().err == ""
 
 

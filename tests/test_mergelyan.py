@@ -1,6 +1,8 @@
 """Gluing-fit tests: exact reproduction, the two-disk indicator demo,
 divisor constraints and derivative matching."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -188,7 +190,9 @@ def test_task_validation_errors():
 def test_design_size_guard():
     zero2 = Poly.zero(0, 2)
     K = ProductCompact([Disk(0.0, 1.0), Disk(0.0, 1.0)])
-    task = ApproxTask([(K, zero2)], [40], tolerance=1e-3, n_per_factor=300)
+    # 300 samples per factor shrink to 65 rows each at budget 64:
+    # 65^2 rows x 2145 columns = 9.06e6 entries
+    task = ApproxTask([(K, zero2)], [64], tolerance=1e-3, n_per_factor=300)
     with pytest.raises(GridSizeError):
         fit(task)
 
@@ -287,8 +291,8 @@ def _spy_fit(task, monkeypatch):
 
 
 def _strong_param_task():
-    # converges at budget 6 of 8; the w axis has 20 points, so the inner
-    # disk (16) keeps z dense and the outer rectangle (20, a tie) keeps w
+    # converges at budget 6 of 8; every axis of both pieces has 16 samples
+    # and shrinks to its R factor of min(16, degree + 1) rows
     wz = Poly.w_var(0, 1, 1) * Poly.z_var(0, 1, 1)
     return ApproxTask(
         [(ProductCompact([Disk(0.0, 0.5)]), Poly.zero(1, 1)),
@@ -300,8 +304,8 @@ def _strong_param_task():
 
 
 def _bidisk_task():
-    # converges at budget 6 of 8; the first piece keeps axis 0 dense (a
-    # tie), the second keeps axis 1
+    # converges at budget 6 of 8; every axis of both pieces has 12 samples
+    # and shrinks to its R factor of min(12, degree + 1) rows
     return ApproxTask(
         [(ProductCompact([Disk(0.0, 0.5), Disk(0.0, 0.5)]), Poly.zero(0, 2)),
          (ProductCompact([Rectangle(2.3, 2.7, -0.1, 0.1), Disk(0.0, 0.5)]),
@@ -346,3 +350,37 @@ def test_single_axis_solve_is_the_dense_solve(monkeypatch):
     assert len(calls) == len(res.residual_history) == len(sweep)
     for (_, _, x_dense, _), (x, _) in zip(sweep, calls):
         assert np.array_equal(x, x_dense)
+
+
+@pytest.mark.parametrize("make_task", [_strong_param_task, _bidisk_task])
+def test_every_axis_shrinks_to_its_r_factor(make_task, monkeypatch):
+    task = make_task()
+    task.budgets = task.budgets[:3]           # it converges at the top, 6
+    shapes = []
+
+    def spy(A, b, *args, **kwargs):
+        shapes.append(A.shape)
+        return LSTSQ(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(mergelyan, "_Arnoldi", _Recorded)
+    _Recorded.made = []
+    res = fit(task)
+    assert res.converged and len(shapes) == len(task.budgets)
+    procs = _Recorded.made
+    ops = 1 + sum(not op.is_identity for op in task.derivative_orders)
+    samples = [[len(a) for a in mergelyan._axes(wg, zg)]
+               for wg, zg in mergelyan._task_grids(task)]
+    for budget, shape in zip(task.budgets, shapes):
+        degs = [min(budget, proc.degree) for proc in procs]
+        # each (piece, op) block: prod_j min(n_j, deg_j + 1) rows
+        rows = sum(math.prod(min(n, g + 1) for n, g in zip(ns, degs))
+                   for ns in samples)
+        assert shape == (ops * rows, len(graded_columns(degs, budget)))
+    # at the top budget the design guard counts exactly what lstsq got
+    size = math.prod(shapes[-1])
+    monkeypatch.setattr(mergelyan, "MAX_DESIGN_ENTRIES", size)
+    fit(task)
+    monkeypatch.setattr(mergelyan, "MAX_DESIGN_ENTRIES", size - 1)
+    with pytest.raises(GridSizeError):
+        fit(task)

@@ -570,6 +570,23 @@ def _random_block(rng, r, center, divisor, budget):
                  rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_rows_extend_a_cached_entry_by_its_missing_orders(order):
+    def make():
+        return _random_block(np.random.default_rng(5), 1, (0.2, 0.0),
+                             (0, 3), 6)
+    x = np.random.default_rng(6).normal(size=9) + 0.5j
+    block = make()
+    for j in range(3):                        # the w axis, then z_i0, z_1
+        low = block.rows(j, x, 0)
+        high = block.rows(j, x, order)
+        fresh = make().rows(j, x, order)
+        assert high[0] is low[0]
+        assert len(high) == len(fresh) == order + 1
+        assert all(np.array_equal(a, b) for a, b in zip(high, fresh))
+        assert not any(M.flags.writeable for M in high)
+
+
 def _random_stream(rng, center, r=1, budgets=(2, 3, 1)):
     """Blocks on alternating divisor axes, each past the frontier."""
     enum = Enumeration(len(center), "graded-lex")

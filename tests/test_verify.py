@@ -278,7 +278,7 @@ def test_catalog_stops_decoding_where_the_codes_run_out(r, d):
 
 
 def test_catalog_huge_index_decodes_in_few_steps(monkeypatch):
-    # j = 10**30 has L + 1 of about 1.4e15 codes, all 0 past the first few;
+    # j = 10**30 has L + 1 of about 6.4e14 codes, all 0 past the first few;
     # the counter fails fast instead of letting a full decode run
     calls = []
     def counted(n):
