@@ -133,6 +133,9 @@ def cmd_predicates(args) -> int:
     cdata = _load_json(args.candidate)
     sdata = _load_json(args.specs)
     try:
+        unknown = sorted(sdata.keys() - {"domain", "w_domain", "specs"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in the spec file")
         f = Poly.from_json(cdata)
         if not all(map(cmath.isfinite, f.terms.values())):
             raise ValueError("the candidate has a non-finite coefficient")

@@ -28,6 +28,11 @@ from .multiindex import tuple_pair, tuple_unpair
 MAX_GRID_POINTS = 10_000_000
 MIN_CURVE_POINTS = 4                 # per curve, at any density
 MAX_OUTER_INDEX = 10_000             # slit annuli cofinality_index tries
+# a boundary curve of positive length must span at least this many float64
+# steps at its largest coordinate, so that rounding moves a sample by less
+# than a 2**-21 share of the curve (a disk of radius 0.25 about 1e20 samples
+# as a segment)
+MIN_CURVE_STEPS = 2 ** 20
 
 # Samples per factor when no density is given, by use and side; entry i is
 # for a side of dimension i + 1, the last one for every larger dimension.
@@ -98,6 +103,17 @@ class PlanarCompact:
             raise GridSizeError(
                 f"boundary grid has {len(out)} points (cap {MAX_GRID_POINTS})")
         return out
+
+    def loses_shape(self) -> bool:
+        """Whether float64 rounding collapses a boundary curve: one of
+        positive length that spans fewer than MIN_CURVE_STEPS float steps at
+        its largest coordinate."""
+        for length, _, fn in self._curves():
+            pts = fn(np.linspace(0.0, 1.0, MIN_CURVE_POINTS + 1))
+            big = max(np.abs(pts.real).max(), np.abs(pts.imag).max())
+            if length > 0 and MIN_CURVE_STEPS * np.spacing(big) > length:
+                return True
+        return False
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -378,6 +394,9 @@ class ClippedCompact(PlanarCompact):
 
     def _curves(self):
         raise NotImplementedError("clipped sets sample via sample_boundary")
+
+    def loses_shape(self):
+        return self.base.loses_shape()
 
     def bounding_radius(self):
         return min(self.base.bounding_radius(), self.bound)

@@ -97,28 +97,87 @@ def _dense(terms: dict) -> np.ndarray:
     return out
 
 
-def _horner(C, cols, n: int):
-    """Nested Horner value of the dense coefficients C (nested lists, one
-    level per column in cols, the first outermost) at the n points whose
-    coordinates are the columns; None when every coefficient is 0."""
+def _nonzero(mask) -> bool:
+    """Whether a bool, or nested lists of them, holds a True."""
+    return any(map(_nonzero, mask)) if isinstance(mask, list) else mask
+
+
+def _horner(C, cols, n: int, live=None):
+    """Nested Horner values of dense coefficients held in lanes: C has shape
+    (lanes, *box), one box axis per column in cols (the first outermost),
+    and row l of the (lanes, n) result is lane l's polynomial at the n
+    points whose coordinates are the columns, each column given once per
+    lane, shape (lanes, n); None when C is 0 in every lane.  `live` is
+    C.any(axis=0) as nested lists, computed here when not given.  A slab of
+    coefficients is skipped only where it is 0 in every lane; with finite
+    points the other lanes then add exact zeros, so each lane gets the
+    values it would get on its own."""
+    if live is None:
+        live = C.any(axis=0).tolist()
     if not cols:
-        return np.full(n, C, dtype=complex) if C != 0 else None
+        return np.repeat(C[:, None], n, axis=1) if live else None
     z, rest = cols[0], cols[1:]
+    # the slabs along the first box axis, as (lanes, 1) columns on the last
+    slabs = C if rest else C.T[:, :, None]
     acc = None
-    for c in reversed(C):
+    for k in reversed(range(C.shape[1])):
         if acc is not None:
             acc *= z
-        if rest:
-            c = _horner(c, rest, n)
-            if c is None:
-                continue
-        elif c == 0:
+        if not _nonzero(live[k]):
             continue
+        c = _horner(C[:, k], rest, n, live[k]) if rest else slabs[k]
         if acc is None:
-            acc = c if rest else np.full(n, c, dtype=complex)
+            acc = c if rest else np.repeat(c, n, axis=1)
         else:
             acc += c
     return acc
+
+
+def _sum_w_groups(W, groups, lanes: int, nz: int) -> np.ndarray:
+    """The (lanes, nw, nz) sum of w ** we * zs over the (we, zs) pairs of
+    groups, in their order, at the nw rows of W; zs is a (lanes, nz) array
+    of z-part values, or None for a group that is 0 in every lane."""
+    out = np.zeros((lanes, W.shape[0], nz), dtype=complex)
+    for we, zs in groups:
+        if zs is None:
+            continue
+        wa = np.ones(W.shape[0], dtype=complex)
+        for i, e in enumerate(we):
+            if e:
+                wa = wa * W[:, i] ** e
+        out += wa[None, :, None] * zs[:, None, :]
+    return out
+
+
+def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
+    """Values of every lane of dense joint (w, z) coefficients on the product
+    grid: D has shape (lanes, *w-box, *z-box) with r w-axes, and
+    result[l, i, j] is lane l at (W[i], Z[j]).  Each w-exponent's z-part is
+    evaluated for all lanes by the Horner kernel and the w-groups are added
+    in ascending order, as Poly.eval_product adds them; a w-group that is 0
+    in every lane is skipped."""
+    W = _as_grid(W, r)
+    Z = _as_grid(Z, D.ndim - 1 - r)
+    cols = [np.tile(Z[:, i], (D.shape[0], 1)) for i in range(Z.shape[1])]
+    n = Z.shape[0]
+    return _sum_w_groups(W, ((we, _horner(D[(slice(None),) + we], cols, n))
+                             for we in np.ndindex(D.shape[1:1 + r])),
+                         D.shape[0], n)
+
+
+def diff_lanes(D: np.ndarray, orders) -> np.ndarray:
+    """The mixed partial of every lane of dense joint (w, z) coefficients
+    (lanes on axis 0, orders over the joint coordinates): entry k becomes
+    entry k + orders times the falling factorials math.perm(k_i + o_i, o_i),
+    the weights of Poly.diff, multiplied out as integers."""
+    out = D[(slice(None),) + tuple(slice(o, None) for o in orders)]
+    if not any(orders):
+        return out
+    fac = np.ones((), dtype=object)
+    for o, m in zip(orders, out.shape[1:]):
+        fac = np.multiply.outer(fac, np.array(
+            [math.perm(k + o, o) for k in range(m)], dtype=object))
+    return out * fac.astype(float)
 
 
 def _recenter(A, Z, first: int) -> np.ndarray:
@@ -169,6 +228,14 @@ def _sparse(A: np.ndarray, r: int, d: int) -> "Poly":
     p.terms = {(e[:r], e[r:]): c for e, c in zip(
         zip(*(i.tolist() for i in index)), A[index].tolist())}
     return p
+
+
+def joint_dense(p: "Poly") -> np.ndarray:
+    """p's coefficients over the joint (w, z) exponents as a dense array
+    (_dense); the zero polynomial is one zero entry."""
+    if p.is_zero:
+        return np.zeros((1,) * (p.r + p.d), dtype=complex)
+    return _dense({we + ze: c for (we, ze), c in p.terms.items()})
 
 
 class Poly:
@@ -324,27 +391,22 @@ class Poly:
 
         W is (nw, r), Z is (nz, d).  Terms are grouped by w-exponent, in
         ascending order, so the product grid is never materialized; each
-        group's z-part is densified and evaluated by nested Horner (first
-        coordinate outermost), which keeps a few length-nz columns per
-        level.  The rounding depends on the coefficients alone, not on how
-        the polynomial was assembled, so recomputed sups do not drift.
+        group's z-part is densified and evaluated by the Horner kernel as
+        one lane (first coordinate outermost), which keeps a few length-nz
+        columns per level.  The rounding depends on the coefficients alone,
+        not on how the polynomial was assembled, so recomputed sups do not
+        drift.
         """
         W = _as_grid(W, self.r)
         Z = _as_grid(Z, self.d)
-        nw, nz = W.shape[0], Z.shape[0]
-        out = np.zeros((nw, nz), dtype=complex)
+        nz = Z.shape[0]
         groups: dict[tuple[int, ...], dict] = {}
         for (we, ze), c in self.terms.items():
             groups.setdefault(we, {})[ze] = c
-        cols = [np.ascontiguousarray(Z[:, i]) for i in range(self.d)]
-        for we in sorted(groups):
-            zs = _horner(_dense(groups[we]).tolist(), cols, nz)
-            wa = np.ones(nw, dtype=complex)
-            for i, e in enumerate(we):
-                if e:
-                    wa = wa * W[:, i] ** e
-            out += wa[:, None] * zs[None, :]
-        return out
+        cols = [np.ascontiguousarray(Z[None, :, i]) for i in range(self.d)]
+        return _sum_w_groups(W, ((we, _horner(_dense(groups[we])[None], cols,
+                                               nz))
+                                 for we in sorted(groups)), 1, nz)[0]
 
     # -- calculus ----------------------------------------------------------
 
@@ -379,7 +441,7 @@ class Poly:
             raise ValueError(f"center has length {len(zeta)}, expected {self.d}")
         if self.is_zero or not any(zeta):
             return self
-        A = _dense({we + ze: c for (we, ze), c in self.terms.items()})
+        A = joint_dense(self)
         return _sparse(_recenter(A[None], np.array([zeta]), 1 + self.r)[0],
                        self.r, self.d)
 
@@ -439,19 +501,20 @@ def _rank_mask(shape, n: int, enum: Enumeration) -> np.ndarray:
     return keep
 
 
-def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
-    """Partial sums through rank n of f expanded about each center, one
-    Poly per center.
+def partial_sum_lanes(f: Poly, centers, n: int, enum: Enumeration):
+    """Partial sums through rank n of f expanded about each center, as lanes
+    of dense joint (w, z) coefficients in f's box (joint_dense).
 
     Keeps the terms whose re-centered z-exponent has rank <= n under the
     enumeration, then re-expands about the origin.  All centers are
     re-centered in one pass: f is densified once and broadcast over a lane
     axis of centers, every lane is shifted to its center, the rank mask is
-    applied once, and the kept terms are shifted back.  The lanes are cut
-    into chunks of at most MAX_DENSE dense coefficients.  A center for
-    which no term would be dropped gets the input object itself (capture:
-    the partial sum IS the polynomial); so does every center when the
-    degree box lies within rank n.
+    applied once, and the kept terms are shifted back.  Yields (B, cut) for
+    consecutive chunks of the centers, each of at most MAX_DENSE dense
+    coefficients: B[i] is one center's partial sum, and cut[i] is false
+    where no term is dropped, in which case B[i] holds f's own
+    coefficients.  When the degree box lies within rank n (capture) every
+    lane is f: one chunk of read-only lanes, none of them cut.
     """
     if enum.d != f.d:
         raise ValueError("enumeration dimension does not match the polynomial")
@@ -462,22 +525,34 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
         if len(zeta) != f.d:
             raise ValueError(
                 f"center has length {len(zeta)}, expected {f.d}")
+    A = joint_dense(f)
     if f.is_zero or n >= enum.capture_index(f.z_degrees()):
-        return [f] * len(Z)
-    A = _dense({we + ze: c for (we, ze), c in f.terms.items()})
+        yield np.broadcast_to(A, (len(Z),) + A.shape), np.zeros(len(Z), bool)
+        return
     drop = np.broadcast_to(~_rank_mask(A.shape[f.r:], n, enum), A.shape)
     first = 1 + f.r
-    out = []
     step = max(1, MAX_DENSE // A.size)
     for lo in range(0, len(Z), step):
         Zc = np.array(Z[lo:lo + step], dtype=complex)
         B = _recenter(np.broadcast_to(A, (len(Zc),) + A.shape), Zc, first)
         # a lane where every re-centered term survives the cut (though the
-        # box bound did not prove it) returns f itself
+        # box bound did not prove it) is f itself
         cut = B[:, drop].any(axis=1)
-        kept = np.where(drop, 0, B[cut])
-        back = iter(_recenter(kept, -Zc[cut], first))
-        out += [_sparse(next(back), f.r, f.d) if c else f for c in cut]
+        lanes = np.array(np.broadcast_to(A, B.shape))
+        lanes[cut] = _recenter(np.where(drop, 0, B[cut]), -Zc[cut], first)
+        yield lanes, cut
+
+
+def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
+    """Partial sums through rank n of f expanded about each center, one
+    Poly per center (partial_sum_lanes).  A center for which no term would
+    be dropped gets the input object itself (capture: the partial sum IS
+    the polynomial); so does every center when the degree box lies within
+    rank n.
+    """
+    out = []
+    for lanes, cut in partial_sum_lanes(f, centers, n, enum):
+        out += [_sparse(B, f.r, f.d) if c else f for B, c in zip(lanes, cut)]
     return out
 
 

@@ -225,6 +225,12 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         if not np.isfinite(prior).all():
             raise ValueError(f"stage {stage_id}: the stream so far "
                              "overflows on the outer compact")
+    for side, K in (("outer", req.outer), ("inner", req.inner)):
+        for i, f in enumerate(K.factors):
+            if f.loses_shape():
+                raise ValueError(
+                    f"stage {stage_id}: {side} factor {i} loses its shape: "
+                    "float64 rounding collapses its samples")
     pieces = [(req.inner, Poly.zero(r, stream.d)),
               (req.outer, BlockSum(req.target, blocks))]
     task = glue_target(

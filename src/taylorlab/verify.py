@@ -15,14 +15,15 @@ This module also holds the stage-measurement kernel (sup_ops,
 variant_ops, certify_stages) that the predicates, the construction in
 universal and the certificate replay share, so a certificate is written
 and re-checked by the same code; certify_stages measures sums of whole
-stream blocks (poly.BlockSum), center_sups re-centers for the predicates.
+stream blocks (poly.BlockSum), center_sups measures the predicates' centers
+as lanes of dense coefficients.
 Every sup fold carries a NaN through (worst), so a NaN sup fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from .geometry import (
 )
 from .multiindex import (Enumeration, IndexSet, cantor_unpair, check_int,
                          family_Fl)
-from .poly import BlockSum, CoefficientStream, Poly, partial_sum
+from .poly import (MAX_DENSE, BlockSum, CoefficientStream, Poly, diff_lanes,
+                   eval_lanes, joint_dense, partial_sum_lanes)
+from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 
 VARIANTS = ("plain", "strong", "infty")
 # verify refuses every other format: v1 sups do not replay within 1e-12,
@@ -159,13 +162,42 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
     """Worst sup over expansion centers of one side (target, z-grid,
     w-grid, ops).
 
-    One partial_sum call re-centers f at every center in one pass (chunked
-    by the poly module's MAX_DENSE) and gives each center its rank-n
-    partial sum S; the side measures sup_ops(S - target), center by center.
+    The centers' rank-n partial sums come from partial_sum_lanes as lanes
+    of dense arrays, measured in chunks of at most MAX_DENSE lanes x grid
+    points (x dense size, when that is larger): the target's coefficients
+    are subtracted from all lanes at once, each op is a dense
+    falling-factorial slice (diff_lanes), and eval_lanes evaluates every
+    lane.  The lanes where nothing is dropped all hold f, so f is measured
+    once for them, as for every center in the capture case.  Each center
+    gets, bit for bit, sup_ops(S - target) of its partial sum S.
     """
     target, zg, wg, ops = side
-    return worst(sup_ops(S - target, zg, wg, ops)
-                 for S in partial_sum(f, centers, n, enum))
+    T = joint_dense(target)
+    orders = [op.orders for op in ops if not op.is_identity]
+    orders.append((0,) * (f.r + f.d))
+    points = len(zg) * (len(wg) if wg is not None else 1)
+
+    def sups(lanes):
+        shape = np.maximum(lanes.shape[1:], T.shape)
+        step = max(1, MAX_DENSE // max(points, math.prod(shape)))
+        out = []
+        for lo in range(0, len(lanes), step):
+            part = lanes[lo:lo + step]
+            D = np.zeros((len(part), *shape), dtype=complex)
+            D[tuple(map(slice, part.shape))] = part
+            D[(slice(None),) + tuple(map(slice, T.shape))] -= T
+            out += [np.abs(eval_lanes(diff_lanes(D, o), f.r, wg, zg)).max()
+                    for o in orders]
+        return out
+
+    measured, uncut = [], None
+    for lanes, cut in partial_sum_lanes(f, centers, n, enum):
+        if cut.any():
+            measured += sups(lanes[cut])
+        if uncut is None and not cut.all():
+            i = int(np.argmin(cut))
+            uncut = lanes[i:i + 1]
+    return worst(measured + (sups(uncut) if uncut is not None else []))
 
 
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
@@ -296,9 +328,19 @@ class PredicateSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "PredicateSpec":
+        """The spec a JSON object describes; a key that names no field, and
+        a fixed_center that is not a list of [re, im] pairs, are refused by
+        name."""
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown spec key {unknown[0]!r}")
         fc = data.get("fixed_center")
         if fc is not None:
-            fc = tuple(complex(re, im) for re, im in fc)
+            try:
+                fc = tuple(complex(re, im) for re, im in fc)
+            except (TypeError, ValueError):
+                raise ValueError("fixed_center must be a list of [re, im] "
+                                 f"pairs, got {fc!r}") from None
         return cls(tau=data.get("tau", 1), p=data.get("p", 1),
                    m=data.get("m", 1), j=data.get("j", 1),
                    s=data.get("s", 1), n=data.get("n", 0),
@@ -315,10 +357,17 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
     truncated at radius l for the infty variant.  The w-grid is the tau-th
     exhaustion of the parameter domain (same truncation rule), absent
     without parameters.  Centers sample the p-th inner exhaustion, or
-    collapse to the spec's fixed center.
+    collapse to the spec's fixed center, which must be a point of the open
+    domain.
     """
     if kind not in ("E", "F"):
         raise ValueError(f"predicate kind must be 'E' or 'F', got {kind!r}")
+    fc = spec.fixed_center
+    if fc is not None and len(fc) != domain.dim:
+        raise ValueError(f"fixed_center has {len(fc)} coordinate(s), the "
+                         f"domain {domain.dim} factor(s)")
+    if fc is not None and not domain.contains(fc):
+        raise ValueError("fixed_center must lie inside the domain")
     closed = spec.variant == "infty"
     nz = grid_density("predicate", "z", domain.dim, density)
     if kind == "E":
@@ -339,8 +388,8 @@ def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,
             wK = exhaustion_M(w_domain, spec.tau)
         wg = wK.sample(n_per_factor=nw)
 
-    if spec.fixed_center is not None:
-        centers = [spec.fixed_center]
+    if fc is not None:
+        centers = [fc]
     else:
         centers = center_grid(exhaustion_M(domain, spec.p))
     info = {"nz_per_factor": nz, "nw_per_factor": nw,

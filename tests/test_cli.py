@@ -598,6 +598,9 @@ def test_predicates_shipped_demo(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert [r["pass"] for r in report] == [True, False, True, False]
+    # the sups, to the last bit, that measuring one center at a time gave
+    assert [repr(r["achieved"]) for r in report] == [
+        "0.25000000000000006", "0.25000000000000006", "0.0", "1.0"]
 
 
 # ------------------------------------------------------------ refusal table
@@ -653,11 +656,16 @@ REFUSALS = [
     ("scenario", ("stages", 0, "outer", "center"), [NAN, 0], 2,
      "scenario rejected"),
     # the Arnoldi fit runs in x / scale: a 1e308 target fails its tolerance
-    # (exit 1) and a disk at 1e308 constructs, where the monomial fit
-    # overflowed
+    # (exit 1)
     ("scenario", ("stages", 0, "target", "constant"), [1e308, 0], 1,
      "stage failure: worst sampled error"),
-    ("scenario", ("stages", 0, "outer", "center"), [1e308, 0], 0,
+    # a disk of radius 0.25 about 1e20 or 1e308 samples as a segment (every
+    # real part rounds to the center's), so it is refused; about 1e6 its
+    # samples keep their shape and the scenario constructs
+    *[("scenario", ("stages", 0, "outer", "center"), [x, 0], 2,
+       "scenario rejected: stage 1: outer factor 0 loses its shape")
+      for x in (1e308, 1e20)],
+    ("scenario", ("stages", 0, "outer", "center"), [1e6, 0], 0,
      "1 stage(s) pass"),
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
     ("scenario", ("fixed_center",), False, 2,
@@ -765,6 +773,20 @@ REFUSALS = [
     ("specs", ("specs", 0), {"variant": "strong", "l": 1.5}, 2,
      "specs rejected"),
     ("specs", ("specs", 0, "p"), 1.9, 2, "specs rejected"),
+    # a misspelt key would leave its default in place: 9 centers, not 1
+    ("specs", ("specs", 0, "fixed_centre"), [[0.0, 0.0]], 2,
+     "specs rejected: unknown spec key 'fixed_centre'"),
+    ("specs", ("spec",), [], 2,
+     "specs rejected: unknown key 'spec' in the spec file"),
+    *[("specs", ("specs", 0, "fixed_center"), v, 2,
+       "specs rejected: fixed_center must be a list of [re, im] pairs")
+      for v in ([[0.0]], [[0.0, 0.0, 0.0]], 0.0, [["a", "b"]])],
+    # the center must be a point of the open unit disk, with one coordinate
+    *[("specs", ("specs", 0, "fixed_center"), v, 2,
+       "predicate run failed: fixed_center must lie inside the domain")
+      for v in ([[5.0, 0.0]], [[1.0, 0.0]])],
+    ("specs", ("specs", 0, "fixed_center"), [[0.0, 0.0], [0.1, 0.0]], 2,
+     "predicate run failed: fixed_center has 2 coordinate(s)"),
     ("specs", ("specs", 0, "n"), True, 2, "specs rejected"),
     # predicates_demo.json: specs 0 and 1 are F-side, spec 3 is E-side
     *[("specs", path, value, 2, "predicate run failed")

@@ -420,3 +420,17 @@ def test_escape_for_every_outer_compact():
     for j in (1, 2, 3, 6, 11):
         ann = outer_compacts(dom, j)
         assert complement_escape([ann], probe=0.0)
+
+
+def test_a_factor_loses_its_shape_when_rounding_collapses_its_samples():
+    # about 1e20 every real part of a radius-0.25 disk's samples rounds to
+    # the center's, so the disk samples as a segment
+    for center in (1e20, 1e308, 1e10j):
+        disk = Disk(center, 0.25)
+        assert disk.loses_shape()
+        assert ClippedCompact(disk, 2e308).loses_shape()
+        assert UnionCompact([Disk(0.0, 1.0), disk]).loses_shape()
+    for K in (Disk(1e6, 0.25), Disk(0.0, 1e-7), Disk(0.0, 0.0),
+              Segment(1 + 0j, 1 + 0j), Rectangle(-1e6, 1e6, 0.0, 1.0),
+              SlitAnnulus(0j, 1.0, 2.0, 0.0, 0.01), Arc(0j, 1.0, 0.0, 1.0)):
+        assert not K.loses_shape()

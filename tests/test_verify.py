@@ -19,7 +19,7 @@ from taylorlab.geometry import (
 from taylorlab import verify
 from taylorlab.multiindex import (DiffOp, Enumeration, cantor_pair,
                                   cantor_unpair, tuple_pair, tuple_unpair)
-from taylorlab.poly import CoefficientStream, Poly
+from taylorlab.poly import CoefficientStream, Poly, partial_sum
 from taylorlab.universal import (
     Certificate,
     StageRequest,
@@ -40,7 +40,8 @@ from taylorlab.verify import (
     verify_certificate,
 )
 
-from util import oracle_eval, oracle_partial_sum_value, random_poly
+from util import (oracle_eval, oracle_partial_sum_value, random_point,
+                  random_poly)
 
 UNIT_DISK = DomainProduct([OpenDisk(0j, 1.0)])
 ORIGIN = (0j,)
@@ -218,6 +219,73 @@ def test_fixed_center_equals_singleton_center_list():
     # and a one-point center list is a restriction of the sampled sup
     full = check_E(f, spec_free, UNIT_DISK)
     assert full[1] >= b[1] - 1e-15
+
+
+def _per_center_sup(f, centers, n, enum, side):
+    """The worst sup measured one center at a time: each center's partial
+    sum as a Poly, minus the target, through sup_ops."""
+    target, zg, wg, ops = side
+    return verify.worst(sup_ops(S - target, zg, wg, ops)
+                        for S in partial_sum(f, centers, n, enum))
+
+
+def _center_cases(variant):
+    """(f, centers, enum, sides) for r in {0, 1} and d in {1, 2}: a target of
+    higher degree than f, f itself and the zero polynomial, with the
+    variant's E-side or F-side ops at l = 2."""
+    rng = np.random.default_rng(61)
+    for r in (0, 1):
+        for d in (1, 2):
+            f = random_poly(rng, r, d, max_deg=5, nterms=10)
+            target = random_poly(rng, r, d, max_deg=7, nterms=3)
+            zg = ProductCompact([Disk(0.1j * i, 0.6)
+                                 for i in range(d)]).sample(12)
+            wg = ProductCompact([Disk(0.2, 0.5)]).sample(5) if r else None
+            centers = [random_point(rng, d, radius=0.3) for _ in range(4)]
+            centers.append((0j,) * d)
+            e_ops, f_ops = verify.variant_ops(variant, r, d, 2)
+            yield f, centers, Enumeration(d, "graded-lex"), [
+                (target, zg, wg, e_ops), (f, zg, wg, f_ops),
+                (Poly.zero(r, d), zg, wg, f_ops)]
+
+
+@pytest.mark.parametrize("variant", verify.VARIANTS)
+def test_center_sups_equal_per_center_sups_bit_for_bit(variant):
+    # n runs from 0 through the capture index, where every lane is f
+    for f, centers, enum, sides in _center_cases(variant):
+        cap = enum.capture_index(f.z_degrees())
+        for side in sides:
+            for n in (0, 1, cap // 2, cap - 1, cap, cap + 3):
+                got = center_sups(f, centers, n, enum, side)
+                want = _per_center_sup(f, centers, n, enum, side)
+                assert got.hex() == want.hex()
+
+
+def test_center_sups_chunk_lanes_by_max_dense(monkeypatch):
+    import taylorlab.poly as poly_mod
+    lanes = []
+
+    def counting(D, *args):
+        lanes.append(len(D))
+        return evaluate(D, *args)
+
+    evaluate = verify.eval_lanes
+    for f, centers, enum, sides in _center_cases("strong"):
+        n = enum.capture_index(f.z_degrees()) // 2
+        side = sides[0]
+        whole = center_sups(f, centers, n, enum, side)
+        # one re-centering chunk, measured one lane at a time
+        monkeypatch.setattr(verify, "MAX_DENSE", 1)
+        monkeypatch.setattr(verify, "eval_lanes", counting)
+        lanes.clear()
+        assert center_sups(f, centers, n, enum, side).hex() == whole.hex()
+        assert set(lanes) == {1} and len(lanes) >= len(centers)
+        monkeypatch.undo()
+        # re-centering chunks as small as the densified f and target allow
+        monkeypatch.setattr(poly_mod, "MAX_DENSE", max(
+            poly_mod.joint_dense(p).size for p in (f, side[0])))
+        assert center_sups(f, centers, n, enum, side).hex() == whole.hex()
+        monkeypatch.undo()
 
 
 def test_varying_centers_cover_the_center_grid():
