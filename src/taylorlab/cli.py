@@ -45,8 +45,8 @@ def _load_json(path: str) -> dict:
 
 def write_json(path: str, data: dict, indent: int | None = 1):
     """Write an artifact: keys sorted, a trailing newline, and one-space
-    indents, or no whitespace at all for indent=None (the stream: json's C
-    encoder writes its thousands of floats, the indenting one is Python)."""
+    indents, or no whitespace at all for indent=None (the stream, written
+    by json's C encoder; the indenting one is Python)."""
     with open(path, "w") as fh:
         fh.write(json.dumps(data, indent=indent, sort_keys=True,
                             separators=None if indent else (",", ":")))

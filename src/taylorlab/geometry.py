@@ -344,6 +344,11 @@ class UnionCompact(PlanarCompact):
     def __init__(self, parts: list[PlanarCompact]):
         if not parts:
             raise ValueError("union needs at least one part")
+        for i, p in enumerate(parts):
+            # a union samples and shape-checks its parts' boundary curves
+            if isinstance(p, ClippedCompact):
+                raise ValueError(f"union part {i} is a clipped set, which "
+                                 "has no boundary curves to sample")
         self.parts = list(parts)
         flag = all(p.complement_connected for p in parts)
         if flag and len(parts) > 1:

@@ -20,6 +20,7 @@ float view for reading a stream as a Poly.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 
@@ -598,11 +599,39 @@ def graded_columns(degrees, budget: int) -> np.ndarray:
     return box[order[total[order] <= budget]]
 
 
-def _pairs(values) -> list:
-    return [[c.real, c.imag] for c in np.asarray(values, complex).tolist()]
+# stream arrays are stored as base64 of these bytes
+PACKED = np.dtype("<c16")
+
+
+def _pack(values) -> str:
+    """A complex array as base64 of its little-endian complex128 bytes."""
+    return base64.b64encode(np.asarray(values, PACKED).tobytes()).decode()
+
+
+def _unpack(blob, what: str) -> np.ndarray:
+    """The complex entries a _pack string holds, read-only; ValueError on
+    anything but a base64 string of whole complex128 values."""
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} is not a base64 string: {exc}") from None
+    if len(raw) % PACKED.itemsize:
+        raise ValueError(f"{what} holds {len(raw)} bytes, not a multiple of "
+                         f"{PACKED.itemsize}")
+    return np.frombuffer(raw, PACKED)
+
+
+def _packed_hessenberg(n: int):
+    """Row and column indices of the entries H[0..k+1, k], k = 0..n-1, of
+    an (n + 1, n) Hessenberg matrix, column by column: the order in which
+    a stream packs them."""
+    cols, rows = np.tril_indices(n, 1, n + 1)
+    return rows, cols
 
 
 def _positive(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     value = float(value)
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
@@ -636,18 +665,18 @@ class Axis:
 
     def to_json(self) -> dict:
         return {"scale": self.scale, "norm": self.norm,
-                "hessenberg": [_pairs(self.H[:k + 2, k])
-                               for k in range(self.degree)]}
+                "hessenberg": _pack(self.H[_packed_hessenberg(self.degree)])}
 
     @classmethod
     def from_json(cls, data: dict) -> "Axis":
-        cols = data["hessenberg"]
-        H = np.zeros((len(cols) + 1, len(cols)), dtype=complex)
-        for k, col in enumerate(cols):
-            if len(col) != k + 2:
-                raise ValueError(f"Hessenberg column {k} must hold {k + 2} "
-                                 "entries")
-            H[:k + 2, k] = [complex(re, im) for re, im in col]
+        packed = _unpack(data["hessenberg"], "a Hessenberg matrix")
+        # degree n packs n (n + 3) / 2 entries
+        n = (math.isqrt(9 + 8 * len(packed)) - 3) // 2
+        if n * (n + 3) // 2 != len(packed):
+            raise ValueError(f"a Hessenberg matrix holds {len(packed)} "
+                             "entries, which is n (n + 3) / 2 for no degree n")
+        H = np.zeros((n + 1, n), dtype=complex)
+        H[_packed_hessenberg(n)] = packed
         return cls(data["scale"], data["norm"], H)
 
 
@@ -799,13 +828,13 @@ class Block:
     def to_json(self) -> dict:
         return {"divisor": [self.i0, self.e], "budget": self.budget,
                 "axes": [ax.to_json() for ax in self.axes],
-                "coefs": _pairs(self.coefs)}
+                "coefs": _pack(self.coefs)}
 
     @classmethod
     def from_json(cls, data: dict, r: int, center) -> "Block":
         return cls(r, center, data["divisor"], data["budget"],
                    [Axis.from_json(a) for a in data["axes"]],
-                   [complex(re, im) for re, im in data["coefs"]])
+                   _unpack(data["coefs"], "a block's coefs"))
 
 
 class BlockSum:
@@ -839,9 +868,10 @@ class BlockSum:
 
 # -- coefficient stream -------------------------------------------------------
 
-# streams of another format (v3 blocks held one Taylor polynomial each) are
-# refused with a message to re-run construct
-STREAM_FORMAT = "taylorlab-stream-v4"
+# streams of another format (v4 wrote block arrays as decimal [re, im]
+# pairs, v3 blocks held one Taylor polynomial each) are refused with a
+# message to re-run construct
+STREAM_FORMAT = "taylorlab-stream-v5"
 BLOCK_KEYS = frozenset("stage n_max divisor budget axes coefs".split())
 
 
@@ -949,9 +979,14 @@ class CoefficientStream:
             raise ValueError(f"stream format {data.get('format')!r} is not "
                              f"{STREAM_FORMAT!r}; re-run construct on the "
                              "scenario")
-        enum = Enumeration.from_tag(data["enumeration"], int(data["d"]))
-        center = [complex(re, im) for re, im in data["center"]]
-        stream = cls(enum, center, int(data["r"]))
+        enum = Enumeration.from_tag(data["enumeration"],
+                                    check_int(data["d"], "d"))
+        try:
+            center = [complex(re, im) for re, im in data["center"]]
+        except (TypeError, ValueError):
+            raise ValueError("the stream center must be a list of [re, im] "
+                             f"pairs, got {data['center']!r}") from None
+        stream = cls(enum, center, check_int(data["r"], "r"))
         for b in data["blocks"]:
             if not isinstance(b, dict) or b.keys() != BLOCK_KEYS:
                 raise ValueError("a stream block holds exactly the keys "

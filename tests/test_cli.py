@@ -1,6 +1,7 @@
 """Command-line round trips, exit codes, and artifact formats."""
 
 import argparse
+import base64
 import cmath
 import copy
 import json
@@ -9,15 +10,17 @@ import re
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taylorlab import verify
-from taylorlab.cli import build_parser, main
+from taylorlab.cli import build_parser, main, write_json
 from taylorlab.multiindex import cantor_pair
 from taylorlab.poly import CoefficientStream
-from taylorlab.universal import Certificate, plan_from_scenario
+from taylorlab.universal import (Certificate, plan_from_scenario,
+                                 run_construction)
 from taylorlab.verify import catalog_poly
 
 from util import ladder_scenario
@@ -364,10 +367,13 @@ def test_shipped_scenarios_parse():
         assert plan_from_scenario(data).requests
 
 
+# the shipped scenario files (not the predicates inputs)
+STAGED = sorted(f for f in os.listdir(SCEN) if f.endswith(".json") and
+                "stages" in json.load(open(os.path.join(SCEN, f))))
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", sorted(
-    f for f in os.listdir(SCEN)
-    if f.endswith(".json") and "stages" in json.load(open(os.path.join(SCEN, f)))))
+@pytest.mark.parametrize("name", STAGED)
 def test_shipped_scenario_end_to_end(tmp_path, name):
     # reruns are byte-identical and verify agrees with the summary
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -382,6 +388,23 @@ def test_shipped_scenario_end_to_end(tmp_path, name):
     rc = main(["verify", os.path.join(a, "stream.json"),
                os.path.join(a, "certificate.json")])
     assert (rc == 0) == cert["summary"]["all_pass"]
+
+
+@pytest.mark.parametrize("name", STAGED)
+def test_shipped_stream_reloads_bit_for_bit(tmp_path, name):
+    # every packed array comes back with the bytes of the in-memory one,
+    # signed zeros included
+    stream, _ = run_construction(plan_from_scenario(
+        json.load(open(os.path.join(SCEN, name)))))
+    path = str(tmp_path / "stream.json")
+    write_json(path, stream.to_json(), indent=None)
+    with open(path) as fh:
+        back = CoefficientStream.from_json(json.load(fh))
+    for a, b in zip(stream.blocks, back.blocks, strict=True):
+        assert a.block.coefs.tobytes() == b.block.coefs.tobytes()
+        for ax, bx in zip(a.block.axes, b.block.axes, strict=True):
+            assert ax.H.tobytes() == bx.H.tobytes()
+            assert (ax.scale, ax.norm) == (bx.scale, bx.norm)
 
 
 # the budget each stage settled on with the scaled-monomial fit; the
@@ -613,16 +636,58 @@ OVERFLOW_J = 1 + cantor_pair(0, cantor_pair(cantor_pair(2 * 10**309, 0), 0))
 
 
 def _edit(doc, path, value):
-    """`doc` with the entry at `path` set to `value` (DROP deletes it)."""
+    """`doc` with the entry at `path` set to `value` (DROP deletes it; a
+    function is applied to the entry it replaces)."""
     if not path:
-        return value
+        return value(doc) if callable(value) else value
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if value is DROP:
         del parent[path[-1]]
     else:
-        parent[path[-1]] = value
+        parent[path[-1]] = (value(parent[path[-1]]) if callable(value)
+                            else value)
+    return doc
+
+
+def _unpacked(blob):
+    return np.frombuffer(base64.b64decode(blob), "<c16").copy()
+
+
+def _packed(values):
+    return base64.b64encode(np.asarray(values, "<c16").tobytes()).decode()
+
+
+def _with_real_part(index, value):
+    """A rewrite of a packed array: the real part of entry `index` set."""
+    def rewrite(blob):
+        a = _unpacked(blob)
+        a.real[index] = value
+        return _packed(a)
+    rewrite.__name__ = f"entry[{index}].real={value!r}"
+    return rewrite
+
+
+def _shortened(blob):
+    return _packed(_unpacked(blob)[:-1])
+
+
+def _as_v4(doc):
+    """The stream in the v4 layout: each Hessenberg column and the coefs as
+    lists of decimal [re, im] pairs."""
+    def pairs(values):
+        return [[c.real, c.imag] for c in values.tolist()]
+    for b in doc["blocks"]:
+        b["coefs"] = pairs(_unpacked(b["coefs"]))
+        for ax in b["axes"]:
+            packed, cols = _unpacked(ax["hessenberg"]), []
+            while len(packed):
+                k = len(cols)
+                cols.append(pairs(packed[:k + 2]))
+                packed = packed[k + 2:]
+            ax["hessenberg"] = cols
+    doc["format"] = "taylorlab-stream-v4"
     return doc
 
 
@@ -641,6 +706,10 @@ def _bidisk(name, radius, **fields):
                         "inner": {"factors": [disk(0.0, 0.5), shared]},
                         "tolerance": 0.01, "budgets": [8, 60]}], **fields}
 
+
+# seleznev's outer disk, clipped to |z| <= 3
+CLIPPED = {"type": "clipped", "bound": 3.0, "base": {
+    "type": "disk", "center": [2.0, 0.0], "radius": 0.25}}
 
 # (file edited, path in it, new value, exit code, start of the message);
 # scenarios edit seleznev.json, streams and certificates its artifacts
@@ -667,6 +736,14 @@ REFUSALS = [
       for x in (1e308, 1e20)],
     ("scenario", ("stages", 0, "outer", "center"), [1e6, 0], 0,
      "1 stage(s) pass"),
+    # a union samples its parts' boundary curves, and a clipped set has
+    # none; the clipped disk alone constructs
+    *[("scenario", ("stages", 0, "outer"),
+       {"factors": [factor], "disjoint_factor": 0}, code, prefix)
+      for factor, code, prefix in (
+          ({"type": "union", "parts": [CLIPPED]}, 2,
+           "scenario rejected: union part 0 is a clipped set"),
+          (CLIPPED, 0, "1 stage(s) pass"))],
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "
@@ -699,9 +776,42 @@ REFUSALS = [
     ("stream", ("enumeration",), "explicit-table:0,0", 2, "artifact rejected"),
     ("stream", ("blocks", 0, "poly"), [], 2, "artifact rejected"),
     # a forged block that overflows on the grids measures inf or NaN there
-    # (no RuntimeWarning), and fails
-    ("stream", ("blocks", 0, "axes", 0, "hessenberg", 3, 0, 0), 1e308, 1,
-     "certificate does NOT match"),
+    # (no RuntimeWarning), and fails; packed entry 9 is H[0, 3]
+    ("stream", ("blocks", 0, "axes", 0, "hessenberg"),
+     _with_real_part(9, 1e308), 1, "certificate does NOT match"),
+    # header integers must be ints, scale and norm numbers, the center a
+    # list of [re, im] pairs
+    *[("stream", (key,), value, 2, f"artifact rejected: {key} must be an "
+       "integer") for key, value in (("d", 1.9), ("d", True), ("r", "0"),
+                                     ("r", 0.5))],
+    *[("stream", ("blocks", 0, "axes", 0, key), value, 2,
+       f"artifact rejected: an axis {what} must be a number")
+      for key, what in (("scale", "scale"), ("norm", "start normaliser"))
+      for value in ("1.0", True)],
+    *[("stream", ("center", 0), value, 2, "artifact rejected: the stream "
+       "center must be a list of [re, im] pairs")
+      for value in ([0.0, 0.0, 0.0], [0.0], 0.0, ["a", "b"])],
+    # block arrays are base64 of whole complex128 values: a Hessenberg
+    # matrix of degree n packs n (n + 3) / 2 of them, a block one per
+    # graded column
+    *[("stream", ("blocks", 0, *path), value, 2, f"artifact rejected: {msg}")
+      for path, value, msg in (
+          # a decoder that skipped the '*' would read one coefficient
+          (("coefs",), "*" + _packed([0.0]), "a block's coefs is not a "
+           "base64 string: "),
+          (("coefs",), "AAAAAAAAAAAAAAAA", "a block's coefs holds 12 "
+           "bytes, not a multiple of 16"),
+          (("coefs",), [[0.0, 0.0]], "a block's coefs is not a base64 "
+           "string: "),
+          (("coefs",), _shortened, "a block of budget 40 needs 41 "
+           "coefficients, got 40"),
+          (("axes", 0, "hessenberg"), _packed([1.0] * 3),
+           "a Hessenberg matrix holds 3 entries, which is n (n + 3) / 2 "
+           "for no degree n"),
+          (("axes", 0, "hessenberg"), "AAAAAAAAAAA=", "a Hessenberg matrix "
+           "holds 8 bytes, not a multiple of 16"))],
+    ("stream", (), _as_v4, 2, "artifact rejected: stream format "
+     "'taylorlab-stream-v4' is not 'taylorlab-stream-v5'; re-run construct"),
     ("certificate", ("header",), [], 2, "artifact rejected"),
     ("certificate", ("header", "r"), DROP, 2, "artifact rejected"),
     ("certificate", ("header", "d"), DROP, 2, "artifact rejected"),
@@ -802,6 +912,8 @@ def _refusal_id(case):
         shown = "drop"
     elif isinstance(value, dict) and "name" in value:
         shown = value["name"]
+    elif callable(value):
+        shown = value.__name__
     else:
         shown = json.dumps(value, separators=(",", ":"))
         shown = re.sub(r"\d{100,}", lambda m: f"<{len(m[0])}-digit int>", shown)

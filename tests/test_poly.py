@@ -1,5 +1,6 @@
 """Polynomial algebra against the naive oracles in util.py."""
 
+import base64
 import itertools
 import json
 import math
@@ -665,14 +666,24 @@ def test_stream_nonzero_center():
 
 
 def test_stream_json_roundtrip():
-    # d = 2, r = 1: every float goes through JSON as its repr, so the
-    # round trip is bit-identical, and so are the values on a grid
+    # d = 2, r = 1: every block array goes through JSON as its bytes, so
+    # the round trip is bit-identical, and so are the values on a grid
     rng = np.random.default_rng(29)
     stream = _random_stream(rng, (0.0, 0.1 - 0.2j))
     data = stream.to_json()
     back = CoefficientStream.from_json(json.loads(json.dumps(data)))
     assert back.to_json() == data
     assert back.enum == stream.enum and back.center == stream.center
+    for a, b in zip(stream.blocks, back.blocks, strict=True):
+        assert a.block.coefs.tobytes() == b.block.coefs.tobytes()
+        for ax, bx in zip(a.block.axes, b.block.axes, strict=True):
+            assert ax.H.tobytes() == bx.H.tobytes()
+    # packed Hessenberg entries run H[0..k+1, k], k = 0, 1, ..
+    H = stream.blocks[0].block.axes[0].H
+    assert H.shape[1] >= 2
+    packed = base64.b64decode(data["blocks"][0]["axes"][0]["hessenberg"])
+    assert packed == np.concatenate([H[:k + 2, k]
+                                     for k in range(H.shape[1])]).tobytes()
     axes = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (3, 4, 5)]
     for a, b in zip(stream.blocks, back.blocks):
         assert np.array_equal(a.block.values(axes, (1, 0, 1)),
@@ -690,11 +701,29 @@ def test_stream_refuses_other_formats():
     del v3["format"]
     with pytest.raises(ValueError, match="re-run construct"):
         CoefficientStream.from_json(v3)
-    for key, value in (("poly", []), ("hessenberg", [])):
+    with pytest.raises(ValueError, match="re-run construct"):
+        CoefficientStream.from_json(dict(data, format="taylorlab-stream-v4"))
+    # a block's keys are fixed; its Hessenberg matrices live in its axes
+    for key, value in (("poly", []), ("hessenberg", "")):
         bad = json.loads(json.dumps(data))
         bad["blocks"][0][key] = value
         with pytest.raises(ValueError, match="exactly the keys"):
             CoefficientStream.from_json(bad)
+
+
+def test_stream_json_keeps_signed_zeros():
+    # -0.0 in a Hessenberg matrix and in the coefs comes back as -0.0;
+    # the entries below H[k + 1, k] are not stored, and load as 0.0
+    H = np.where(np.tri(4, 3, -2, dtype=bool), 0.0, -_power_axis(3).H)
+    block = Block(0, (0.0,), (0, 0), 3, [Axis(1.0, 1.0, H)],
+                  [-0.0, complex(0.0, -0.0), 1.0, complex(-0.0, -0.0)])
+    stream = CoefficientStream(Enumeration(1, "graded-lex"), (0.0,), 0)
+    stream.append_block("s1", block, n_max=3)
+    back = CoefficientStream.from_json(json.loads(json.dumps(
+        stream.to_json()))).blocks[0].block
+    assert np.signbit(back.axes[0].H.real).sum() == 9
+    assert back.axes[0].H.tobytes() == H.astype(complex).tobytes()
+    assert back.coefs.tobytes() == block.coefs.tobytes()
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3 + 0.1j, -0.2j)])
