@@ -6,8 +6,12 @@ that staged constructions write into.
 Coefficient conventions: a term maps an exponent pair (w_exp, z_exp) to one
 complex coefficient; zero coefficients are never stored.  Binomial and
 falling-factorial factors come from math.comb / math.perm, never from
-raw factorial quotients, so re-centering stays exact in integer arithmetic
-up to the final complex multiply.
+raw factorial quotients, so re-centering and differentiation stay exact in
+integer arithmetic up to the final complex multiply.
+
+Evaluation, derivatives and re-centering each have one kernel on lanes
+of dense coefficients over the joint (w, z) exponent box (eval_lanes,
+diff_lanes, _recenter); a Poly's own methods are their one-lane cases.
 
 A stream block is not stored as Taylor coefficients: at the degrees a deep
 schedule reaches, float64 Taylor coefficients of a block are far larger
@@ -21,6 +25,8 @@ float view for reading a stream as a Poly.
 from __future__ import annotations
 
 import base64
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,45 +82,21 @@ def _accumulate(pairs, out=None) -> dict:
     return out
 
 
-def _dense(terms: dict) -> np.ndarray:
-    """The coefficients {exponent tuple: c} as a dense complex array whose
-    axis i runs through exponents 0..max of coordinate i.
-
-    The kernels spend time on every entry, so a huge but sparse exponent
-    (say z ** 10 ** 9) is refused here rather than run.
-    """
-    keys = list(terms)
-    shape = tuple(max(col) + 1 for col in zip(*keys))
-    if math.prod(shape) > MAX_DENSE:
-        raise ValueError(
-            f"exponents up to {[v - 1 for v in shape]} span "
-            f"{math.prod(shape)} dense coefficients, more than the "
-            f"{MAX_DENSE} the polynomial kernels take")
-    index = np.array(keys, dtype=np.intp).reshape(len(keys), len(shape))
-    out = np.zeros(shape, dtype=complex)
-    steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
-    out.reshape(-1)[index @ np.array(steps, dtype=np.intp)] = list(
-        terms.values())
-    return out
-
-
 def _nonzero(mask) -> bool:
     """Whether a bool, or nested lists of them, holds a True."""
     return any(map(_nonzero, mask)) if isinstance(mask, list) else mask
 
 
-def _horner(C, cols, n: int, live=None):
+def _horner(C, cols, n: int, live):
     """Nested Horner values of dense coefficients held in lanes: C has shape
     (lanes, *box), one box axis per column in cols (the first outermost),
     and row l of the (lanes, n) result is lane l's polynomial at the n
     points whose coordinates are the columns, each column given once per
     lane, shape (lanes, n); None when C is 0 in every lane.  `live` is
-    C.any(axis=0) as nested lists, computed here when not given.  A slab of
-    coefficients is skipped only where it is 0 in every lane; with finite
-    points the other lanes then add exact zeros, so each lane gets the
-    values it would get on its own."""
-    if live is None:
-        live = C.any(axis=0).tolist()
+    C.any(axis=0) as nested lists.  A slab of coefficients is skipped only
+    where it is 0 in every lane; with finite points the other lanes then
+    add exact zeros, so each lane gets the values it would get on its
+    own."""
     if not cols:
         return np.repeat(C[:, None], n, axis=1) if live else None
     z, rest = cols[0], cols[1:]
@@ -134,12 +116,24 @@ def _horner(C, cols, n: int, live=None):
     return acc
 
 
-def _sum_w_groups(W, groups, lanes: int, nz: int) -> np.ndarray:
-    """The (lanes, nw, nz) sum of w ** we * zs over the (we, zs) pairs of
-    groups, in their order, at the nw rows of W; zs is a (lanes, nz) array
-    of z-part values, or None for a group that is 0 in every lane."""
-    out = np.zeros((lanes, W.shape[0], nz), dtype=complex)
-    for we, zs in groups:
+def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
+    """Values of every lane of dense joint (w, z) coefficients on the product
+    grid: D has shape (lanes, *w-box, *z-box) with r w-axes, and
+    result[l, i, j] is lane l at (W[i], Z[j]).  Each w-exponent's z-part
+    is evaluated for all lanes by the Horner kernel, times its w-monomial,
+    in ascending order (one that is 0 in every lane is skipped), so the
+    product grid is never built and the rounding depends on the
+    coefficients alone."""
+    W = _as_grid(W, r)
+    Z = _as_grid(Z, D.ndim - 1 - r)
+    lanes, n = D.shape[0], Z.shape[0]
+    out = np.zeros((lanes, W.shape[0], n), dtype=complex)
+    live = D.any(axis=0)
+    if not live.any():
+        return out
+    cols = list(Z.T[:, None].repeat(lanes, axis=1))
+    for we in itertools.product(*map(range, live.shape[:r])):
+        zs = _horner(D[(slice(None),) + we], cols, n, live[we].tolist())
         if zs is None:
             continue
         wa = np.ones(W.shape[0], dtype=complex)
@@ -150,35 +144,21 @@ def _sum_w_groups(W, groups, lanes: int, nz: int) -> np.ndarray:
     return out
 
 
-def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
-    """Values of every lane of dense joint (w, z) coefficients on the product
-    grid: D has shape (lanes, *w-box, *z-box) with r w-axes, and
-    result[l, i, j] is lane l at (W[i], Z[j]).  Each w-exponent's z-part is
-    evaluated for all lanes by the Horner kernel and the w-groups are added
-    in ascending order, as Poly.eval_product adds them; a w-group that is 0
-    in every lane is skipped."""
-    W = _as_grid(W, r)
-    Z = _as_grid(Z, D.ndim - 1 - r)
-    cols = [np.tile(Z[:, i], (D.shape[0], 1)) for i in range(Z.shape[1])]
-    n = Z.shape[0]
-    return _sum_w_groups(W, ((we, _horner(D[(slice(None),) + we], cols, n))
-                             for we in np.ndindex(D.shape[1:1 + r])),
-                         D.shape[0], n)
-
-
 def diff_lanes(D: np.ndarray, orders) -> np.ndarray:
     """The mixed partial of every lane of dense joint (w, z) coefficients
     (lanes on axis 0, orders over the joint coordinates): entry k becomes
     entry k + orders times the falling factorials math.perm(k_i + o_i, o_i),
-    the weights of Poly.diff, multiplied out as integers."""
+    multiplied out as integers over the differentiated axes and rounded
+    once to a float."""
     out = D[(slice(None),) + tuple(slice(o, None) for o in orders)]
-    if not any(orders):
+    if not (any(orders) and out.size):
         return out
-    fac = np.ones((), dtype=object)
+    fac, shape = [1], []
     for o, m in zip(orders, out.shape[1:]):
-        fac = np.multiply.outer(fac, np.array(
-            [math.perm(k + o, o) for k in range(m)], dtype=object))
-    return out * fac.astype(float)
+        if o:
+            fac = [f * math.perm(k + o, o) for f in fac for k in range(m)]
+        shape.append(m if o else 1)
+    return out * np.array(fac, dtype=float).reshape(shape)
 
 
 def _recenter(A, Z, first: int) -> np.ndarray:
@@ -232,11 +212,25 @@ def _sparse(A: np.ndarray, r: int, d: int) -> "Poly":
 
 
 def joint_dense(p: "Poly") -> np.ndarray:
-    """p's coefficients over the joint (w, z) exponents as a dense array
-    (_dense); the zero polynomial is one zero entry."""
+    """p's coefficients as a dense complex array whose axis i runs through
+    exponents 0..max of joint (w, z) coordinate i; the zero polynomial is
+    one zero entry.  The kernels spend time on every entry, so a huge but
+    sparse box (say z ** 10 ** 9, or w ** 2000 + z ** 500) is refused."""
     if p.is_zero:
         return np.zeros((1,) * (p.r + p.d), dtype=complex)
-    return _dense({we + ze: c for (we, ze), c in p.terms.items()})
+    keys = [we + ze for we, ze in p.terms]
+    shape = tuple(max(col) + 1 for col in zip(*keys))
+    if math.prod(shape) > MAX_DENSE:
+        raise ValueError(
+            f"exponents up to {[v - 1 for v in shape]} span "
+            f"{math.prod(shape)} dense coefficients, more than the "
+            f"{MAX_DENSE} the polynomial kernels take")
+    index = np.array(keys, dtype=np.intp).reshape(len(keys), len(shape))
+    out = np.zeros(shape, dtype=complex)
+    steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    out.reshape(-1)[index @ np.array(steps, dtype=np.intp)] = list(
+        p.terms.values())
+    return out
 
 
 class Poly:
@@ -388,45 +382,23 @@ class Poly:
         return complex(self.eval_product([w], [z])[0, 0])
 
     def eval_product(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Values on the product grid: result[i, j] = p(W[i], Z[j]).
-
-        W is (nw, r), Z is (nz, d).  Terms are grouped by w-exponent, in
-        ascending order, so the product grid is never materialized; each
-        group's z-part is densified and evaluated by the Horner kernel as
-        one lane (first coordinate outermost), which keeps a few length-nz
-        columns per level.  The rounding depends on the coefficients alone,
-        not on how the polynomial was assembled, so recomputed sups do not
-        drift.
-        """
-        W = _as_grid(W, self.r)
-        Z = _as_grid(Z, self.d)
-        nz = Z.shape[0]
-        groups: dict[tuple[int, ...], dict] = {}
-        for (we, ze), c in self.terms.items():
-            groups.setdefault(we, {})[ze] = c
-        cols = [np.ascontiguousarray(Z[None, :, i]) for i in range(self.d)]
-        return _sum_w_groups(W, ((we, _horner(_dense(groups[we])[None], cols,
-                                               nz))
-                                 for we in sorted(groups)), 1, nz)[0]
+        """Values on the product grid: result[i, j] = p(W[i], Z[j]), W
+        (nw, r) and Z (nz, d); the one-lane case of eval_lanes on the joint
+        dense coefficients."""
+        return eval_lanes(joint_dense(self)[None], self.r, W, Z)[0]
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, op: DiffOp) -> "Poly":
-        """Apply a mixed partial over the joint (w, z) coordinates."""
+        """Apply a mixed partial over the joint (w, z) coordinates; the
+        one-lane case of diff_lanes."""
         if len(op.orders) != self.r + self.d:
             raise ValueError(
                 f"derivative arity {len(op.orders)} != {self.r + self.d}")
         if op.is_identity:
             return self
-        wo, zo = op.orders[:self.r], op.orders[self.r:]
-        # math.perm(e, o) is the falling factorial; it is 0 when o > e
-        p = Poly(self.r, self.d)
-        p.terms = _accumulate(
-            ((tuple(e - o for e, o in zip(we, wo)),
-              tuple(e - o for e, o in zip(ze, zo))), c * fac)
-            for (we, ze), c in self.terms.items()
-            if (fac := math.prod(map(math.perm, we + ze, op.orders))))
-        return p
+        return _sparse(diff_lanes(joint_dense(self)[None], op.orders)[0],
+                       self.r, self.d)
 
     def shift_center(self, zeta) -> "Poly":
         """Re-center in z: returns q with q(y) = p(y + zeta), i.e. the
@@ -632,10 +604,16 @@ def _packed_hessenberg(n: int):
 def _positive(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
     if not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
     return value
+
+
+AXIS_KEYS = frozenset(("scale", "norm", "hessenberg"))
 
 
 @dataclass
@@ -669,6 +647,9 @@ class Axis:
 
     @classmethod
     def from_json(cls, data: dict) -> "Axis":
+        if not isinstance(data, dict) or data.keys() != AXIS_KEYS:
+            raise ValueError("an axis holds exactly the keys "
+                             + ", ".join(sorted(AXIS_KEYS)))
         packed = _unpack(data["hessenberg"], "a Hessenberg matrix")
         # degree n packs n (n + 3) / 2 entries
         n = (math.isqrt(9 + 8 * len(packed)) - 3) // 2
@@ -701,6 +682,9 @@ class Block:
         self.r = int(r)
         self.center = tuple(complex(v) for v in center)
         self.d = len(self.center)
+        if not (isinstance(divisor, (list, tuple)) and len(divisor) == 2):
+            raise ValueError("divisor must be a list of two integers, got "
+                             f"{divisor!r}")
         self.i0, self.e = (check_int(v, "divisor") for v in divisor)
         self.budget = check_int(budget, "budget")
         self.axes = list(axes)
@@ -841,25 +825,30 @@ class BlockSum:
     """`poly` minus a sum of whole blocks, under one mixed partial: what a
     stage's fit aims at and what a certificate measures.
 
-    eval_product takes sample grids (the w grid None without parameters)
-    and evaluates each block through its recurrence on the grids'
+    eval_product takes sample grids (the w grid None without parameters),
+    evaluates `poly` under the partial with the lane kernels (diff_lanes,
+    eval_lanes) and each block through its recurrence on the grids'
     per-factor axes; a NaN anywhere stays in the values.
     """
 
-    def __init__(self, poly: Poly, blocks, op: DiffOp | None = None):
+    def __init__(self, poly: Poly, blocks):
         self.poly = poly
         self.blocks = list(blocks)
         self.r, self.d = poly.r, poly.d
-        self.op = op or DiffOp.identity(self.r + self.d)
+        self.op = DiffOp.identity(self.r + self.d)
         if any((b.r, b.d) != (self.r, self.d) for b in self.blocks):
             raise ValueError(f"blocks must have r = {self.r}, d = {self.d}")
+        # poly's coefficients as one lane, densified once for every partial
+        self.dense = joint_dense(poly)[None]
 
     def diff(self, op: DiffOp) -> "BlockSum":
-        return BlockSum(self.poly, self.blocks, DiffOp(
-            tuple(a + b for a, b in zip(self.op.orders, op.orders))))
+        out = copy.copy(self)
+        out.op = DiffOp(tuple(a + b for a, b in zip(self.op.orders, op.orders)))
+        return out
 
     def eval_product(self, W, Z) -> np.ndarray:
-        out = self.poly.diff(self.op).eval_product(W, Z)
+        out = eval_lanes(diff_lanes(self.dense, self.op.orders), self.r, W,
+                         Z)[0]
         axes = (W.per_factor if W is not None else []) + Z.per_factor
         for b in self.blocks:
             out -= b.values(axes, self.op.orders).reshape(out.shape)
@@ -926,7 +915,7 @@ class CoefficientStream:
                 degs is not None and self.enum.capture_index(degs) > n_max):
             raise ValueError("n_max must pass the frontier and cover the "
                              "block's degree box")
-        self.blocks.append(StreamBlock(str(stage_id), block, int(n_max)))
+        self.blocks.append(StreamBlock(stage_id, block, int(n_max)))
         self._poly_cache = None
 
     def total_z_degree(self) -> int:
@@ -991,6 +980,9 @@ class CoefficientStream:
             if not isinstance(b, dict) or b.keys() != BLOCK_KEYS:
                 raise ValueError("a stream block holds exactly the keys "
                                  + ", ".join(sorted(BLOCK_KEYS)))
+            if not isinstance(b["stage"], str):
+                raise ValueError("a block's stage must be a string, got "
+                                 f"{b['stage']!r}")
             stream.append_block(b["stage"], Block.from_json(
                 b, stream.r, stream.center), check_int(b["n_max"], "n_max"))
         return stream

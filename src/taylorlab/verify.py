@@ -144,7 +144,8 @@ def worst(sups) -> float:
 
 def sup_ops(delta, zg, wg, ops) -> float:
     """Sampled sup of |delta| and of |D delta| over the non-identity ops;
-    delta is a Poly or a BlockSum."""
+    delta is a BlockSum (construct and verify; its poly goes through the
+    lane kernels) or a Poly (the same kernels, one lane)."""
     # highest orders first: a block's rows to order o serve every lower one
     return worst([sup_norm(delta.diff(op), zg, wg)
                   for op in reversed(ops) if not op.is_identity]

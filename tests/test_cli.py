@@ -8,6 +8,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -788,6 +789,20 @@ REFUSALS = [
        f"artifact rejected: an axis {what} must be a number")
       for key, what in (("scale", "scale"), ("norm", "start normaliser"))
       for value in ("1.0", True)],
+    *[("stream", ("blocks", 0, "axes", 0, key), BIG, 2,
+       f"artifact rejected: an axis {what} is too large for a float")
+      for key, what in (("scale", "scale"), ("norm", "start normaliser"))],
+    # a block's stage is a string, its divisor two integers, and an axis
+    # holds exactly its three keys
+    *[("stream", ("blocks", 0, "stage"), value, 2,
+       "artifact rejected: a block's stage must be a string")
+      for value in (1, ["stage-1"])],
+    *[("stream", ("blocks", 0, "divisor"), value, 2,
+       "artifact rejected: divisor must be a list of two integers")
+      for value in ([0, 0, 0], 5, [0])],
+    *[("stream", ("blocks", 0, "axes", 0, key), value, 2,
+       "artifact rejected: an axis holds exactly the keys hessenberg, "
+       "norm, scale") for key, value in (("extra", 1), ("norm", DROP))],
     *[("stream", ("center", 0), value, 2, "artifact rejected: the stream "
        "center must be a list of [re, im] pairs")
       for value in ([0.0, 0.0, 0.0], [0.0], 0.0, ["a", "b"])],
@@ -1081,14 +1096,31 @@ def _oversized(name, path, value):
     # (1.3e8 entries), where one piece's dense (w, z) design has 1.7e7
     (_bidisk("strong-bidisk", 0.5, variant="strong", l=2),
      "design matrix would be too large"),
-], ids=["l", "budget", "divisor", "design-rows"])
+    # w^2000 + z^500: each w-exponent's z-part spans at most 501 dense
+    # coefficients, but the kernels densify the joint (w, z) box, 2001 x 501
+    (_oversized("parameterized", ("stages", 0, "target"), {
+        "r": 1, "d": 1, "terms": [
+            {"w_exp": [we], "z_exp": [ze], "re": 1.0, "im": 0.0}
+            for we, ze in ((2000, 0), (0, 500))]}),
+     "exponents up to [2000, 500] span 1002501 dense coefficients"),
+], ids=["l", "budget", "divisor", "design-rows", "joint-dense-box"])
 def test_oversized_input_is_refused_before_it_allocates(tmp_path, capfd, doc,
                                                        reason):
-    start = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, stdout, stderr = _run_construct(capfd, tmp_path, doc)
-    assert time.perf_counter() - start < 1.0
+    # this process's CPU time, not wall time, so the machine's load does
+    # not count; tracemalloc sees numpy's buffers too, and each case peaks
+    # at a few MiB, far below what its refused work would allocate
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = _run_construct(capfd, tmp_path, doc)
+        cpu = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert cpu < 1.0
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("scenario rejected: ")
