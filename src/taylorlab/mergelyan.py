@@ -45,8 +45,7 @@ from .geometry import (
     sampled_min_distance,
 )
 from .multiindex import DiffOp
-from .poly import (Axis, Block, BlockSum, Poly, graded_columns, recur_rows,
-                   start_rows)
+from .poly import Axis, Block, BlockSum, graded_columns, recur_rows, start_rows
 from .verify import sup_ops, worst
 
 # entries of the reduced least-squares system at the top budget
@@ -114,16 +113,8 @@ class FitResult:
     cond: float
     converged: bool
 
-    @property
-    def poly(self) -> Poly:
-        """The block's float Taylor view, expanded about the origin."""
-        return self.block.taylor().shift_center(
-            tuple(-c for c in self.block.center))
 
-
-def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
-                w_compact=None, derivative_orders=(), prefactor=None,
-                piece_tolerances=None, center=None) -> ApproxTask:
+def glue_target(pieces, i0: int, budgets, tolerance, **options) -> ApproxTask:
     """Validate the gluing geometry and package it as a task.
 
     The i0 factors of distinct pieces must stay a positive sampled distance
@@ -149,11 +140,7 @@ def glue_target(pieces, i0: int, budgets, tolerance, r: int = 0,
             if sampled_min_distance(Ka, Kb) <= 0:
                 raise ValueError(
                     f"pieces {a} and {b} touch on coordinate {i0}")
-    return ApproxTask(list(pieces), list(budgets), tolerance, r=r,
-                      w_compact=w_compact,
-                      derivative_orders=tuple(derivative_orders),
-                      prefactor=prefactor, piece_tolerances=piece_tolerances,
-                      center=center)
+    return ApproxTask(list(pieces), list(budgets), tolerance, **options)
 
 
 # ------------------------------------------------------------------ fit
@@ -241,7 +228,8 @@ def fit(task: ApproxTask) -> FitResult:
     candidate as one more block, on a grid at twice the density.  If no
     budget converges the best attempt is returned with converged = False;
     if no attempt scores below infinity (NaN or overflowing residuals),
-    the first one is.
+    the first one is.  A piece whose target is not finite on its fit
+    samples is refused before any solve.
     """
     r, k = task.r, task.r + task.d
     grids, verif = _task_grids(task), _task_grids(task, density=2)
@@ -286,7 +274,12 @@ def fit(task: ApproxTask) -> FitResult:
     blocks = []                       # (piece, op, weighted rhs)
     for p, ((wg, zg), gt, tol) in enumerate(zip(grids, targets, tols)):
         for op in ops:
-            y = gt.diff(op).eval_product(wg, zg).reshape(shapes[p])
+            # far outside its blocks' samples their recurrences overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = gt.diff(op).eval_product(wg, zg).reshape(shapes[p])
+            if not np.isfinite(y).all():
+                raise ValueError(f"piece {p}: the target is not finite on "
+                                 "its fit samples")
             blocks.append((p, op, y * (tol_min / tol)))
 
     history, best, best_score = [], None, math.inf

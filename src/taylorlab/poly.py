@@ -707,7 +707,6 @@ class Block:
         self.tensor = np.zeros([ax.degree + 1 for ax in self.axes],
                                dtype=complex)
         self.tensor[tuple(self.columns.T)] = self.coefs
-        self._taylor = None
         # the last ROWS_KEPT rows() results by axis and points: a stage's
         # fit and the certificate evaluate earlier blocks on one outer
         # compact again and again
@@ -799,15 +798,13 @@ class Block:
     def taylor(self) -> Poly:
         """The block's float Taylor coefficients in powers of
         (w, z - center); every one below y_i0^e is exactly 0."""
-        if self._taylor is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                T = self.contract([self._monomials(j)
-                                   for j in range(len(self.axes))])
-            if not np.isfinite(T).all():
-                raise ValueError("the block's Taylor coefficients overflow "
-                                 "a float")
-            self._taylor = _sparse(T, self.r, self.d)
-        return self._taylor
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = self.contract([self._monomials(j)
+                               for j in range(len(self.axes))])
+        if not np.isfinite(T).all():
+            raise ValueError("the block's Taylor coefficients overflow "
+                             "a float")
+        return _sparse(T, self.r, self.d)
 
     def to_json(self) -> dict:
         return {"divisor": [self.i0, self.e], "budget": self.budget,
@@ -893,7 +890,6 @@ class CoefficientStream:
         self.r = int(r)
         self.d = enum.d
         self.blocks: list[StreamBlock] = []
-        self._poly_cache: Poly | None = None
 
     @property
     def frontier(self) -> int:
@@ -916,7 +912,6 @@ class CoefficientStream:
             raise ValueError("n_max must pass the frontier and cover the "
                              "block's degree box")
         self.blocks.append(StreamBlock(stage_id, block, int(n_max)))
-        self._poly_cache = None
 
     def total_z_degree(self) -> int:
         return max((b.block.total_z_degree() for b in self.blocks),
@@ -947,9 +942,7 @@ class CoefficientStream:
 
     def poly(self) -> Poly:
         """The full Taylor view."""
-        if self._poly_cache is None:
-            self._poly_cache = self.partial_sum(self.frontier)
-        return self._poly_cache
+        return self.partial_sum(self.frontier)
 
     def to_json(self) -> dict:
         return {

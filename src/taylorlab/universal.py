@@ -42,8 +42,8 @@ from .mergelyan import fit, glue_target
 from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
 from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
-from .verify import (CERT_FORMAT, VARIANTS, capture_rank, catalog_poly,
-                     certify_stages, variant_ops)
+from .verify import (CERT_FORMAT, capture_rank, catalog_poly, certify_stages,
+                     variant_ops)
 
 
 @dataclass
@@ -58,36 +58,42 @@ class StageRequest:
     tolerance: float
     budgets: list
 
-    def validate(self, domain: DomainProduct, r: int, variant: str):
+    def validate(self, domain: DomainProduct, r: int, variant: str, center):
         d = domain.dim
         if (self.target.r, self.target.d) != (r, d):
-            raise ValueError("stage target arity does not match the plan")
+            raise ValueError("the target's arity does not match the plan")
         if self.outer.dim != d or self.inner.dim != d:
-            raise ValueError("stage compacts must match the domain dimension")
+            raise ValueError("the compacts must match the domain dimension")
         i0 = self.outer.disjoint_factor
         if i0 is None:
             raise ValueError("the outer compact needs a flagged factor that "
                              "stays off the domain")
         if not all(map(cmath.isfinite, self.target.terms.values())):
-            raise ValueError("stage target coefficients must be finite")
-        # (a non-finite inner factor fails the containment check below)
+            raise ValueError("the target's coefficients must be finite")
+        # (a non-finite inner factor fails the containment check below);
+        # far out, float64 rounding collapses a factor's samples, and the
+        # fit would quietly produce garbage on them
         for i, f in enumerate(self.outer.factors):
             if not all(map(cmath.isfinite, f.sample_boundary(n=128))):
                 raise ValueError(f"outer factor {i} is not finite")
+            if f.loses_shape():
+                raise ValueError(f"outer factor {i} loses its shape: float64 "
+                                 "rounding collapses its samples")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise ValueError("stage tolerance must be positive and finite")
+            raise ValueError("the tolerance must be positive and finite")
         b = self.budgets
         if (not isinstance(b, list) or not b
                 or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
                        for v in b)
                 or sorted(b) != b):
-            raise ValueError("stage budgets must be a nonempty ascending "
+            raise ValueError("the budgets must be a nonempty ascending "
                              f"list of natural numbers, got {b!r}")
 
         # sampled separation checks; the fit would quietly produce garbage
         # on geometry that violates them
         dom = domain.factors[i0]
         K = self.outer.factors[i0]
+        c0 = center[i0]
         # the closure variant (seminorms on closure truncations) keeps outer
         # compacts off the domain closure and lets inner ones touch it
         slack = -1e-9 if variant == "infty" else 0.0
@@ -96,6 +102,10 @@ class StageRequest:
                 raise ValueError(
                     f"outer factor {i0} reaches into the domain near "
                     f"{complex(z):.4g}")
+            if abs(complex(z) - c0) <= 1e-9:
+                raise ValueError(
+                    f"the divisor center {c0:.4g} touches the outer "
+                    "compact; its zero set would poison the fit")
         probes = [dom.center_point()]
         for p in (1, 3, 6):
             probes.extend(dom.exhaustion_factor(p).sample_boundary(n=64))
@@ -103,6 +113,9 @@ class StageRequest:
             raise ValueError(
                 f"outer factor {i0} overlaps the domain factor interior")
         for i, f in enumerate(self.inner.factors):
+            if f.loses_shape():
+                raise ValueError(f"inner factor {i} loses its shape: float64 "
+                                 "rounding collapses its samples")
             for z in f.sample_boundary(n=128):
                 if not domain.factors[i].contains(z, tol=slack):
                     raise ValueError(
@@ -135,6 +148,9 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
     assigned as the stages run (recorded per stage).  The inner-side error
     bookkeeping assumes the inner compacts are nested along the schedule,
     as an exhaustion is; the certificate measures the true sups either way.
+    The geometry, tolerances, budgets and the variant's operator family
+    are refused here, before any stage is fitted; a stage's refusal starts
+    with `stage N: `.
     """
     d = domain.dim
     if d < 1:
@@ -148,19 +164,21 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("center must have one entry per z coordinate")
     if not domain.contains(center):
         raise ValueError("the reference center must lie inside the domain")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     if l < 0:
         raise ValueError("derivative order bound must be a natural number")
     if r < 0:
         raise ValueError("parameter count must be a natural number")
+    variant_ops(variant, r, d, l)      # refuse the variant and its family
     grid_density("certificate", "z", d, cert_density)  # refuse it up front
     if r > 0 and (w_compact is None or w_compact.dim != r):
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
         raise ValueError("a plan needs at least one stage")
-    for req in requests:
-        req.validate(domain, r, variant)
+    for idx, req in enumerate(requests, start=1):
+        try:
+            req.validate(domain, r, variant, center)
+        except ValueError as exc:
+            raise type(exc)(f"stage {idx}: {exc}") from exc
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
                      variant, int(l), str(name), int(cert_density))
 
@@ -200,56 +218,31 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     corner ranks at or below the frontier).  The fit aims at the target
     minus the stream so far, evaluated block by block.
     """
-    enum, center, r = stream.enum, stream.center, stream.r
+    enum, r = stream.enum, stream.r
     frontier = stream.frontier
     e = sum(enum.unrank(frontier)) + 1 if frontier >= 0 else 0
 
     i0 = req.outer.disjoint_factor
-    c0 = center[i0]
-    reach = [abs(complex(z) - c0)
-             for z in req.outer.factors[i0].sample_boundary(n=128)]
-    if min(reach) <= 1e-9:
-        raise ValueError(
-            f"stage {stage_id}: the divisor center {c0:.4g} touches the "
-            "outer compact; its zero set would poison the fit")
-    # the fit aims at the target minus the stream so far on the outer
-    # compact; far outside the blocks' samples their recurrences overflow
     blocks = [b.block for b in stream.blocks]
-    if blocks:
-        wg = (plan.w_compact.sample(grid_density("fit", "w", r))
-              if r else None)
-        zg = req.outer.sample(grid_density("fit", "z", stream.d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            prior = BlockSum(Poly.zero(r, stream.d), blocks).eval_product(
-                wg, zg)
-        if not np.isfinite(prior).all():
-            raise ValueError(f"stage {stage_id}: the stream so far "
-                             "overflows on the outer compact")
-    for side, K in (("outer", req.outer), ("inner", req.inner)):
-        for i, f in enumerate(K.factors):
-            if f.loses_shape():
-                raise ValueError(
-                    f"stage {stage_id}: {side} factor {i} loses its shape: "
-                    "float64 rounding collapses its samples")
     pieces = [(req.inner, Poly.zero(r, stream.d)),
               (req.outer, BlockSum(req.target, blocks))]
     task = glue_target(
         pieces, i0, req.budgets, max(piece_tols),
         r=r, w_compact=plan.w_compact,
         derivative_orders=variant_ops(plan.variant, r, stream.d, plan.l)[1],
-        prefactor=(i0, e), piece_tolerances=list(piece_tols), center=center)
+        prefactor=(i0, e), piece_tolerances=list(piece_tols),
+        center=stream.center)
     res = fit(task)
     if not np.isfinite(res.block.coefs).all():
-        raise ValueError(f"stage {stage_id}: the fit has a non-finite "
-                         "coefficient")
+        raise ValueError("the fit has a non-finite coefficient")
 
     capture = capture_rank(enum, blocks + [res.block])
     try:
         lam = plan.mu.next_at_or_after(capture)
     except SparseIndexError as exc:
         raise SparseIndexError(
-            f"stage {stage_id}: the admissible index set has no member at or "
-            f"after the capture rank {capture}") from exc
+            "the admissible index set has no member at or after the "
+            f"capture rank {capture}") from exc
 
     stream.append_block(f"stage-{stage_id}", res.block, lam)
     return {
@@ -327,6 +320,7 @@ def run_construction(plan: StagePlan):
     A stage the admissible index set cannot serve aborts the remaining
     schedule but still yields a partial certificate for what was built;
     a fit that misses its tolerance is recorded and construction goes on.
+    Any other refusal of a stage is raised with `stage N: ` in front.
     """
     header = {
         "format": CERT_FORMAT,
@@ -350,8 +344,10 @@ def run_construction(plan: StagePlan):
         try:
             records.append(build_stage(stream, plan, req, idx, tol))
         except SparseIndexError as exc:
-            aborted = {"stage": idx, "reason": str(exc)}
+            aborted = {"stage": idx, "reason": f"stage {idx}: {exc}"}
             break
+        except ValueError as exc:
+            raise type(exc)(f"stage {idx}: {exc}") from exc
     summary = certify_stages(stream, header, records, aborted)
     return stream, Certificate(header, records, summary)
 

@@ -342,11 +342,7 @@ class PredicateSpec:
             except (TypeError, ValueError):
                 raise ValueError("fixed_center must be a list of [re, im] "
                                  f"pairs, got {fc!r}") from None
-        return cls(tau=data.get("tau", 1), p=data.get("p", 1),
-                   m=data.get("m", 1), j=data.get("j", 1),
-                   s=data.get("s", 1), n=data.get("n", 0),
-                   variant=data.get("variant", "plain"),
-                   l=data.get("l"), fixed_center=fc)
+        return cls(**dict(data, fixed_center=fc))
 
 
 def predicate_grids(kind: str, spec: PredicateSpec, domain: DomainProduct,

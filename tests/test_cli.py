@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taylorlab import verify
+from taylorlab import universal, verify
 from taylorlab.cli import build_parser, main, write_json
+from taylorlab.mergelyan import fit
 from taylorlab.multiindex import cantor_pair
 from taylorlab.poly import CoefficientStream
 from taylorlab.universal import (Certificate, plan_from_scenario,
@@ -755,7 +756,7 @@ REFUSALS = [
     ("scenario", ("stages", 0, "target"),
      {"r": 0, "d": 1,
       "terms": [{"w_exp": [], "z_exp": [10**30], "re": 1.0, "im": 0.0}]}, 2,
-     "scenario rejected: exponents up to [10000000000000000000000000000"),
+     "scenario rejected: stage 1: exponents up to [10000000000000000000000"),
     # a number too large for a float is refused by its field
     *[("scenario", path, value, 2,
        f"scenario rejected: {field} is too large for a float")
@@ -1090,8 +1091,20 @@ def _oversized(name, path, value):
     (_oversized("strong", ("l",), 10**308), "operators"),
     (_oversized("seleznev", ("stages", 0, "budgets", -1), 10**12),
      "design matrix would be too large"),
+    # an outer disk about 1e308 samples as a segment, refused at plan time;
+    # one of radius 1e90 about 1e100 keeps its shape, but stage 1's block
+    # overflows on it
     (_oversized("alternating_three", ("stages", 1, "outer", "center"),
-                [1e308, 0]), "overflows on the outer compact"),
+                [1e308, 0]), "stage 2: outer factor 0 loses its shape"),
+    (_oversized("alternating_three", ("stages", 1, "outer"),
+                {"type": "disk", "center": [1e100, 0], "radius": 1e90}),
+     "stage 2: piece 1: the target is not finite"),
+    # z^300 overflows on a disk about 1e6 by itself
+    (_oversized("seleznev", ("stages", 0), lambda stage: dict(
+        stage, outer={"type": "disk", "center": [1e6, 0], "radius": 0.25},
+        target={"r": 0, "d": 1, "terms": [
+            {"w_exp": [], "z_exp": [300], "re": 1.0, "im": 0.0}]})),
+     "stage 1: piece 1: the target is not finite"),
     # 2 pieces x 6 derivative rows x 96 x 61 reduced rows x 1891 columns
     # (1.3e8 entries), where one piece's dense (w, z) design has 1.7e7
     (_bidisk("strong-bidisk", 0.5, variant="strong", l=2),
@@ -1102,8 +1115,9 @@ def _oversized(name, path, value):
         "r": 1, "d": 1, "terms": [
             {"w_exp": [we], "z_exp": [ze], "re": 1.0, "im": 0.0}
             for we, ze in ((2000, 0), (0, 500))]}),
-     "exponents up to [2000, 500] span 1002501 dense coefficients"),
-], ids=["l", "budget", "divisor", "design-rows", "joint-dense-box"])
+     "stage 1: exponents up to [2000, 500] span 1002501 dense coefficients"),
+], ids=["l", "budget", "divisor", "divisor-overflow", "target-overflow",
+        "design-rows", "joint-dense-box"])
 def test_oversized_input_is_refused_before_it_allocates(tmp_path, capfd, doc,
                                                        reason):
     # this process's CPU time, not wall time, so the machine's load does
@@ -1127,3 +1141,23 @@ def test_oversized_input_is_refused_before_it_allocates(tmp_path, capfd, doc,
     assert reason in stderr
     assert stderr.count("\n") == 1
     assert not caught
+
+
+def test_a_late_stage_that_loses_its_shape_is_refused_before_any_fit(
+        tmp_path, capfd, monkeypatch):
+    # geometry the scenario alone decides is refused at plan time, so the
+    # two stages before it are never fitted
+    calls = []
+
+    def counted(task):
+        calls.append(task)
+        return fit(task)
+    monkeypatch.setattr(universal, "fit", counted)
+    doc = _oversized("alternating_three", ("stages", 2, "outer", "center"),
+                     [1e20, 0])
+    code, stdout, stderr = _run_construct(capfd, tmp_path, doc)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == ("scenario rejected: stage 3: outer factor 0 loses its "
+                      "shape: float64 rounding collapses its samples\n")
+    assert calls == []

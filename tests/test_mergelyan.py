@@ -39,7 +39,9 @@ def test_exact_reproduction_single_piece():
         assert res.converged
         pts = np.array(random_point(rng, 40, 1.0)).reshape(-1, 1) + 0.3
         W = np.zeros((1, 0))
-        vals = res.poly.eval_product(W, pts) - g.eval_product(W, pts)
+        # the block through its recurrence, about the task's center 0
+        vals = (res.block.values([pts[:, 0]], (0,))
+                - g.eval_product(W, pts))
         scale = 1 + max(abs(g.eval((), (z[0],))) for z in pts)
         assert np.abs(vals).max() <= 1e-9 * scale
 
@@ -113,10 +115,11 @@ def test_prefactor_divisibility():
     task = two_disk_task(budgets=(20, 40, 60, 80), prefactor=(0, 5))
     res = fit(task)
     assert res.converged
-    assert res.poly.z_degrees()[0] >= 5
-    assert all(ze[0] >= 5 for (_, ze) in res.poly.terms)
+    taylor = res.block.taylor()       # in powers of z - 0, the center
+    assert taylor.z_degrees()[0] >= 5
+    assert all(ze[0] >= 5 for (_, ze) in taylor.terms)
     # vanishing order shows up numerically near the divisor point
-    assert abs(res.poly.eval((), (1e-3,))) < 1e-10
+    assert abs(res.block.values([np.array([1e-3])], (0,))[0]) < 1e-10
 
 
 def test_prefactor_exact_multiple():
@@ -125,7 +128,7 @@ def test_prefactor_exact_multiple():
                       tolerance=1e-9, prefactor=(0, 7))
     res = fit(task)
     assert res.converged
-    assert res.poly.isclose(g, tol=1e-9)
+    assert res.block.taylor().isclose(g, tol=1e-9)
 
 
 def test_prefactor_zero_exponent_is_plain_fit():
@@ -213,7 +216,7 @@ def test_tiny_and_all_zero_axes_fit():
     res = fit(task(0.0, [8, 60]))
     assert res.converged
     assert res.block.axes[1].degree == 0
-    assert all(ze[1] == 0 for _, ze in res.poly.terms)
+    assert all(ze[1] == 0 for _, ze in res.block.taylor().terms)
 
 
 # ------------------------------------------- compressed vs dense design

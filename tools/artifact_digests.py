@@ -1,0 +1,114 @@
+"""Print the sha256 of every artifact a checkout's command line writes.
+
+    python3 tools/artifact_digests.py [--checkout DIR] [--seeds 0 7 ...]
+
+One line per artifact, `sha256  name`, sorted by name:
+
+- the `certificate.json`, `stream.json` and `history.csv` that `construct`
+  writes for each shipped scenario;
+- the standard output of `predicates` on the shipped demo
+  (`candidate_zsq.json` with `predicates_demo.json`);
+- for each seed, the same three files of every construct unit of the
+  `ladder` and `wide` benchmark workloads, and the standard output of
+  every predicates unit, with the inputs that the checkout's own
+  `bench/workloads.py` and `bench/run.py` generate.
+
+The program and the workload generators are imported from the checkout
+(default: the one this file is in); nothing in it is written, and the
+inputs and outputs live in a temporary directory removed at exit.  A
+refactor that must keep every artifact byte-identical is checked with one
+`diff` of two runs, one per checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+# one BLAS thread, as in the benchmark, set before numpy loads
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+SHIPPED = ("alternating_three", "parameterized", "seleznev", "strong",
+           "two_stage_conflict")
+ARTIFACTS = ("certificate.json", "stream.json", "history.csv")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _call(main, argv) -> str:
+    """Standard output of one command; a refused input (exit 2) stops the
+    run, since every digested input must construct."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code == 2:
+        raise SystemExit(f"artifact_digests: exit 2 from {' '.join(argv)}")
+    return out.getvalue()
+
+
+def _construct(main, scenario: str, out_dir: str, name: str) -> dict:
+    _call(main, ["construct", scenario, "--out-dir", out_dir])
+    digests = {}
+    for artifact in ARTIFACTS:
+        with open(os.path.join(out_dir, artifact), "rb") as fh:
+            digests[f"{name}/{artifact}"] = _digest(fh.read())
+    return digests
+
+
+def digests(checkout: str, seeds, work: str) -> dict:
+    sys.path[:0] = [os.path.join(checkout, "src"),
+                    os.path.join(checkout, "bench")]
+    from taylorlab.cli import main
+    import run
+    import workloads
+
+    scenarios = os.path.join(checkout, "scenarios")
+    out = {}
+    for name in SHIPPED:
+        out.update(_construct(main, os.path.join(scenarios, f"{name}.json"),
+                              os.path.join(work, "shipped", name),
+                              f"shipped/{name}"))
+    demo = _call(main, ["predicates",
+                        os.path.join(scenarios, "candidate_zsq.json"),
+                        os.path.join(scenarios, "predicates_demo.json")])
+    out["shipped/predicates_demo.stdout"] = _digest(demo.encode())
+    for seed in seeds:
+        for workload in workloads.WORKLOADS:
+            tag = f"{workload}/seed{seed}"
+            unit_dir = os.path.join(work, workload, str(seed))
+            os.makedirs(unit_dir)
+            units = workloads.construct_units(workload, seed, checkout,
+                                              unit_dir)
+            for unit in units:
+                out.update(_construct(main, unit.paths[0], unit.out_dir,
+                                      f"{tag}/{unit.name}"))
+            for unit in workloads.predicate_units(workload, seed, units,
+                                                  unit_dir, run._stream_poly):
+                text = _call(main, ["predicates", *unit.paths])
+                out[f"{tag}/{unit.name}.stdout"] = _digest(text.encode())
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--checkout", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
+    parser.add_argument("--seeds", type=int, nargs="*", default=[0, 7])
+    args = parser.parse_args(argv)
+    checkout = os.path.abspath(args.checkout)
+    with tempfile.TemporaryDirectory() as work:
+        found = digests(checkout, args.seeds, work)
+    for name in sorted(found):
+        print(f"{found[name]}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
