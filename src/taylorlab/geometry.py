@@ -62,12 +62,23 @@ class GridSizeError(ValueError):
 # --------------------------------------------------------------- compacts
 
 
+def _dist(z, c=0.0):
+    """|z - c| for an array of points z, rounded as Python's abs of a
+    complex rounds it (numpy's complex abs may differ in the last bit,
+    which moves points on a boundary across it)."""
+    y = np.asarray(z) - c
+    return np.hypot(y.real, y.imag)
+
+
 class PlanarCompact:
     """Base class for nonempty compact subsets of the plane."""
 
     complement_connected = True
 
-    def contains(self, z: complex, tol: float = 1e-9) -> bool:
+    def contains(self, z, tol: float = 1e-9):
+        """Whether each point of z lies in the set grown by tol (shrunk, for
+        a negative tol): a bool array of z's shape, so one point gives one
+        bool.  A non-finite point is outside, without a RuntimeWarning."""
         raise NotImplementedError
 
     def _curves(self):
@@ -135,7 +146,7 @@ class Disk(PlanarCompact):
             raise ValueError("disk radius must be nonnegative")
 
     def contains(self, z, tol=1e-9):
-        return abs(complex(z) - self.center) <= self.radius + tol
+        return _dist(z, self.center) <= self.radius + tol
 
     def _curves(self):
         c, R = self.center, self.radius
@@ -167,9 +178,9 @@ class Rectangle(PlanarCompact):
             raise ValueError("rectangle bounds out of order")
 
     def contains(self, z, tol=1e-9):
-        z = complex(z)
-        return (self.x0 - tol <= z.real <= self.x1 + tol
-                and self.y0 - tol <= z.imag <= self.y1 + tol)
+        x, y = np.real(z), np.imag(z)
+        return ((self.x0 - tol <= x) & (x <= self.x1 + tol)
+                & (self.y0 - tol <= y) & (y <= self.y1 + tol))
 
     def _curves(self):
         corners = [complex(self.x0, self.y0), complex(self.x1, self.y0),
@@ -216,14 +227,18 @@ class Segment(PlanarCompact):
     b: complex
 
     def contains(self, z, tol=1e-9):
-        z, a, b = complex(z), self.a, self.b
-        ab = b - a
+        a = complex(self.a)
+        ab = self.b - a
         L2 = abs(ab) ** 2
         if L2 == 0:
-            return abs(z - a) <= tol
-        t = ((z - a) * ab.conjugate()).real / L2
-        t = min(max(t, 0.0), 1.0)
-        return abs(z - (a + t * ab)) <= tol
+            return _dist(z, a) <= tol
+        x, y = np.real(z), np.imag(z)
+        # projecting an infinite point multiplies inf by 0: NaN, so False
+        with np.errstate(invalid="ignore"):
+            t = np.clip(((x - a.real) * ab.real + (y - a.imag) * ab.imag)
+                        / L2, 0.0, 1.0)
+            return np.hypot(x - (a.real + t * ab.real),
+                            y - (a.imag + t * ab.imag)) <= tol
 
     def _curves(self):
         a, b = self.a, self.b
@@ -253,14 +268,14 @@ class Arc(PlanarCompact):
             raise ValueError("arc must be shorter than a full circle")
 
     def contains(self, z, tol=1e-9):
-        z = complex(z) - self.center
-        if abs(abs(z) - self.radius) > tol:
-            return False
-        ang = math.atan2(z.imag, z.real)
-        for shift in (-2 * math.pi, 0.0, 2 * math.pi):
-            if self.theta0 - tol <= ang + shift <= self.theta1 + tol:
-                return True
-        return False
+        z = np.asarray(z) - self.center
+        ang = np.arctan2(np.imag(z), np.real(z))
+        # the angle, or the angle one turn before or after it, in the span
+        turns = [(self.theta0 - tol <= ang + shift)
+                 & (ang + shift <= self.theta1 + tol)
+                 for shift in (-2 * math.pi, 0.0, 2 * math.pi)]
+        return ((np.abs(_dist(z) - self.radius) <= tol)
+                & np.logical_or.reduce(turns))
 
     def _curves(self):
         c, R, t0, t1 = self.center, self.radius, self.theta0, self.theta1
@@ -273,11 +288,6 @@ class Arc(PlanarCompact):
     def to_json(self):
         return {"type": "arc", "center": [self.center.real, self.center.imag],
                 "radius": self.radius, "angles": [self.theta0, self.theta1]}
-
-
-def _ang_dist(a: float, b: float) -> float:
-    d = (a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 @dataclass(frozen=True)
@@ -301,12 +311,14 @@ class SlitAnnulus(PlanarCompact):
             raise ValueError("slit half-width must be in (0, pi)")
 
     def contains(self, z, tol=1e-9):
-        z = complex(z) - self.center
-        rad = abs(z)
-        if rad < self.inner - tol or rad > self.outer + tol:
-            return False
-        ang = math.atan2(z.imag, z.real)
-        return _ang_dist(ang, self.slit_angle) >= self.half_width - tol
+        z = np.asarray(z) - self.center
+        rad = _dist(z)
+        # the angular distance to the slit direction, in [0, pi]
+        turn = np.mod(np.arctan2(np.imag(z), np.real(z)) - self.slit_angle,
+                      2 * math.pi)
+        return ((self.inner - tol <= rad) & (rad <= self.outer + tol)
+                & (np.minimum(turn, 2 * math.pi - turn)
+                   >= self.half_width - tol))
 
     def _curves(self):
         c = self.center
@@ -355,15 +367,13 @@ class UnionCompact(PlanarCompact):
             # strict containment of boundary samples catches overlap but
             # tolerates tangency and shared edges
             samples = [p.sample_boundary(n=64) for p in parts]
-            for i in range(len(parts)):
-                for j in range(len(parts)):
-                    if i != j and any(parts[j].contains(z, tol=-1e-9)
-                                      for z in samples[i]):
-                        flag = False
+            flag = not any(parts[j].contains(samples[i], tol=-1e-9).any()
+                           for i in range(len(parts))
+                           for j in range(len(parts)) if i != j)
         self.complement_connected = flag
 
     def contains(self, z, tol=1e-9):
-        return any(p.contains(z, tol) for p in self.parts)
+        return np.logical_or.reduce([p.contains(z, tol) for p in self.parts])
 
     def _curves(self):
         return [c for p in self.parts for c in p._curves()]
@@ -384,15 +394,14 @@ class ClippedCompact(PlanarCompact):
         self.complement_connected = base.complement_connected
 
     def contains(self, z, tol=1e-9):
-        return self.base.contains(z, tol) and abs(complex(z)) <= self.bound + tol
+        return self.base.contains(z, tol) & (_dist(z) <= self.bound + tol)
 
     def sample_boundary(self, n):
         raw = self.base.sample_boundary(n)
         keep = raw[np.abs(raw) <= self.bound + 1e-12]
         k = max(64, len(raw))
         circle = self.bound * np.exp(2j * math.pi * np.arange(k) / k)
-        on_base = np.array([self.base.contains(z) for z in circle])
-        out = np.concatenate([keep, circle[on_base]])
+        out = np.concatenate([keep, circle[self.base.contains(circle)]])
         if len(out) == 0:
             raise ValueError("clip removed every sample point (empty set?)")
         return out
@@ -512,8 +521,10 @@ class OpenDisk:
     def exhaustion_factor(self, p: int) -> Disk:
         return Disk(self.center, self.radius * (1 - 0.5 ** p))
 
-    def contains(self, z, tol=0.0) -> bool:
-        return abs(complex(z) - self.center) < self.radius - tol
+    def contains(self, z, tol=0.0):
+        """Whether each point of z lies in the disk shrunk by tol, as
+        PlanarCompact.contains."""
+        return _dist(z, self.center) < self.radius - tol
 
     def center_point(self) -> complex:
         return self.center
@@ -540,10 +551,12 @@ class OpenRect:
         hx, hy = (self.x1 - self.x0) / 2 * s, (self.y1 - self.y0) / 2 * s
         return Rectangle(cx - hx, cx + hx, cy - hy, cy + hy)
 
-    def contains(self, z, tol=0.0) -> bool:
-        z = complex(z)
-        return (self.x0 + tol < z.real < self.x1 - tol
-                and self.y0 + tol < z.imag < self.y1 - tol)
+    def contains(self, z, tol=0.0):
+        """Whether each point of z lies in the rectangle shrunk by tol, as
+        PlanarCompact.contains."""
+        x, y = np.real(z), np.imag(z)
+        return ((self.x0 + tol < x) & (x < self.x1 - tol)
+                & (self.y0 + tol < y) & (y < self.y1 - tol))
 
     def center_point(self) -> complex:
         return complex((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
@@ -679,7 +692,7 @@ def cofinality_index(domain: DomainProduct, K: ProductCompact,
     j_found = None
     for j in range(1, MAX_OUTER_INDEX + 1):
         R = outer_compacts(domain.factors[i0], j, closure_variant)
-        if all(R.contains(z, tol=1e-9) for z in samples[i0]):
+        if R.contains(samples[i0], tol=1e-9).all():
             j_found = j
             break
     if j_found is None:
@@ -693,9 +706,64 @@ def cofinality_index(domain: DomainProduct, K: ProductCompact,
     m = d * tuple_pair((j_found - 1, *[v - 1 for v in radii])) + i0 + 1
     T = enumerate_Tm(domain, m, closure_variant)
     for col, f in zip(samples, T.factors):
-        if not all(f.contains(z, tol=1e-9) for z in col):
+        if not f.contains(col, tol=1e-9).all():
             raise AssertionError("pairing inversion produced a non-containing set")
     return m
+
+
+def domain_probes(factor) -> np.ndarray:
+    """Points of an open domain factor that no outer compact may contain:
+    its center and the boundaries of its exhaustion factors 1, 3 and 6."""
+    return np.concatenate([[factor.center_point()]] + [
+        factor.exhaustion_factor(p).sample_boundary(n=64) for p in (1, 3, 6)])
+
+
+def _first(mask):
+    """The index of the first True in a bool array, None if it has none."""
+    k = int(mask.argmax())
+    return k if mask[k] else None
+
+
+def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
+                         inner: ProductCompact, outer_samples, inner_samples,
+                         probes, variant: str, center):
+    """Refuse a stage's compacts that break the construction's hypotheses,
+    tested on samples of their factors (one array per factor):
+
+    - the flagged outer factor i0 stays off domain factor i0 and off the
+      divisor center center[i0], and contains none of probes[i0] (the
+      domain_probes of that factor);
+    - every inner factor keeps its shape and stays inside its domain
+      factor (the shape checked before the samples).
+
+    The closure variant "infty" (seminorms on closure truncations) keeps
+    outer factors off the domain closure and lets inner ones touch it.  A
+    ValueError names the factor and its first failing sample, a sample
+    inside the domain before one at the divisor center.
+    """
+    i0 = outer.disjoint_factor
+    slack = -1e-9 if variant == "infty" else 0.0
+    zs, c0 = outer_samples[i0], center[i0]
+    into = domain.factors[i0].contains(zs, tol=slack)
+    k = _first(into | (_dist(zs, c0) <= 1e-9))
+    if k is not None:
+        if into[k]:
+            raise ValueError(f"outer factor {i0} reaches into the domain "
+                             f"near {complex(zs[k]):.4g}")
+        raise ValueError(f"the divisor center {c0:.4g} touches the outer "
+                         "compact; its zero set would poison the fit")
+    if _first(outer.factors[i0].contains(probes[i0])) is not None:
+        raise ValueError(
+            f"outer factor {i0} overlaps the domain factor interior")
+    for i, (dom, f, zs) in enumerate(zip(domain.factors, inner.factors,
+                                         inner_samples)):
+        if f.loses_shape():
+            raise ValueError(f"inner factor {i} loses its shape: float64 "
+                             "rounding collapses its samples")
+        k = _first(~dom.contains(zs, tol=slack))
+        if k is not None:
+            raise ValueError(f"inner factor {i} leaves the open domain near "
+                             f"{complex(zs[k]):.4g}")
 
 
 # --------------------------------------------------------------- utilities
@@ -729,12 +797,6 @@ def center_grid(product: ProductCompact):
     return [tuple(row) for row in pts]
 
 
-def sampled_min_distance(A: PlanarCompact, B: PlanarCompact, n: int = 200) -> float:
-    a = A.sample_boundary(n=n)
-    b = B.sample_boundary(n=n)
-    return float(np.abs(a[:, None] - b[None, :]).min())
-
-
 def complement_escape(blockers: list[PlanarCompact], probe: complex) -> bool:
     """Breadth-first march from the probe to the bounding box edge through
     grid cells whose centers avoid every blocker.
@@ -752,15 +814,15 @@ def complement_escape(blockers: list[PlanarCompact], probe: complex) -> bool:
         n = int(math.ceil(2 * box_radius / h))
         if n * n > 4_000_000:
             break
-        xs = -box_radius + h * (np.arange(n) + 0.5)
-
-        def blocked(x, y):
-            z = complex(x, y)
-            return any(b.contains(z, tol=h / 4) for b in blockers)
-
         si = int((probe.real + box_radius) / h)
         sj = int((probe.imag + box_radius) / h)
-        if not (0 <= si < n and 0 <= sj < n) or blocked(xs[si], xs[sj]):
+        if not (0 <= si < n and 0 <= sj < n):
+            continue
+        # cell (i, j) is centered at xs[i] + 1j * xs[j]
+        xs = -box_radius + h * (np.arange(n) + 0.5)
+        blocked = np.logical_or.reduce(
+            [b.contains(xs[:, None] + 1j * xs, tol=h / 4) for b in blockers])
+        if blocked[si, sj]:
             continue
         seen = {(si, sj)}
         queue = [(si, sj)]
@@ -773,7 +835,7 @@ def complement_escape(blockers: list[PlanarCompact], probe: complex) -> bool:
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 ni, nj = i + di, j + dj
                 if 0 <= ni < n and 0 <= nj < n and (ni, nj) not in seen:
-                    if not blocked(xs[ni], xs[nj]):
+                    if not blocked[ni, nj]:
                         seen.add((ni, nj))
                         queue.append((ni, nj))
         if escaped:

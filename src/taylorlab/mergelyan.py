@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    GridSizeError,
-    ProductCompact,
-    grid_density,
-    sampled_min_distance,
-)
+from .geometry import GridSizeError, ProductCompact, grid_density
 from .multiindex import DiffOp
 from .poly import Axis, Block, BlockSum, graded_columns, recur_rows, start_rows
 from .verify import sup_ops, worst
@@ -117,27 +112,29 @@ class FitResult:
 def glue_target(pieces, i0: int, budgets, tolerance, **options) -> ApproxTask:
     """Validate the gluing geometry and package it as a task.
 
-    The i0 factors of distinct pieces must stay a positive sampled distance
-    apart and each must keep its complement connected; the remaining
-    coordinates are unconstrained.
+    The i0 factors of distinct pieces must not overlap (no 128-point
+    boundary sample of one strictly inside the other) nor touch (no
+    200-point boundary sample shared), and each must keep its complement
+    connected; the remaining coordinates are unconstrained.
     """
     if not pieces:
         raise ValueError("nothing to glue")
     d = pieces[0][0].dim
     if not (0 <= i0 < d):
         raise ValueError("gluing coordinate out of range")
-    samples = [K.factors[i0].sample_boundary(n=128) for K, _ in pieces]
-    for a in range(len(pieces)):
-        Ka = pieces[a][0].factors[i0]
+    factors = [K.factors[i0] for K, _ in pieces]
+    samples = [K.sample_boundary(n=128) for K in factors]
+    for a, Ka in enumerate(factors):
         if not Ka.complement_connected:
             raise ValueError(f"piece {a}: gluing factor may enclose holes")
         for b in range(a + 1, len(pieces)):
-            Kb = pieces[b][0].factors[i0]
-            if (any(Kb.contains(z, tol=-1e-12) for z in samples[a])
-                    or any(Ka.contains(z, tol=-1e-12) for z in samples[b])):
+            Kb = factors[b]
+            if (Kb.contains(samples[a], tol=-1e-12).any()
+                    or Ka.contains(samples[b], tol=-1e-12).any()):
                 raise ValueError(
                     f"pieces {a} and {b} overlap on coordinate {i0}")
-            if sampled_min_distance(Ka, Kb) <= 0:
+            on_a = set(Ka.sample_boundary(n=200).tolist())
+            if not on_a.isdisjoint(Kb.sample_boundary(n=200).tolist()):
                 raise ValueError(
                     f"pieces {a} and {b} touch on coordinate {i0}")
     return ApproxTask(list(pieces), list(budgets), tolerance, **options)
@@ -215,7 +212,9 @@ class _Arnoldi:
             np.conjugate(Q[k + 1], out=Qc[k + 1])
             self.degree = k + 1
             self.exhausted = k + 1 == len(self.H) - 1
-        recur_rows(self.fit, self.t, self.scale, self.H, k0, self.degree, 1)
+        if len(self.fit) > 1:                  # derivative rows to extend
+            recur_rows(self.fit, self.t, self.scale, self.H, k0, self.degree,
+                       1)
 
     def axis(self, degree: int) -> Axis:
         return Axis(self.scale, self.norm, self.H[:degree + 1, :degree])

@@ -32,7 +32,9 @@ import numpy as np
 from .geometry import (
     DomainProduct,
     ProductCompact,
+    check_stage_geometry,
     compact_from_json,
+    domain_probes,
     enumerate_Tm,
     exhaustion_M,
     grid_density,
@@ -58,7 +60,10 @@ class StageRequest:
     tolerance: float
     budgets: list
 
-    def validate(self, domain: DomainProduct, r: int, variant: str, center):
+    def validate(self, domain: DomainProduct, r: int, variant: str, center,
+                 probes):
+        """Refuse a stage the construction cannot serve; probes holds the
+        domain_probes of every domain factor."""
         d = domain.dim
         if (self.target.r, self.target.d) != (r, d):
             raise ValueError("the target's arity does not match the plan")
@@ -73,8 +78,10 @@ class StageRequest:
         # (a non-finite inner factor fails the containment check below);
         # far out, float64 rounding collapses a factor's samples, and the
         # fit would quietly produce garbage on them
+        outer_samples = []
         for i, f in enumerate(self.outer.factors):
-            if not all(map(cmath.isfinite, f.sample_boundary(n=128))):
+            outer_samples.append(f.sample_boundary(n=128))
+            if not np.isfinite(outer_samples[-1]).all():
                 raise ValueError(f"outer factor {i} is not finite")
             if f.loses_shape():
                 raise ValueError(f"outer factor {i} loses its shape: float64 "
@@ -88,39 +95,12 @@ class StageRequest:
                 or sorted(b) != b):
             raise ValueError("the budgets must be a nonempty ascending "
                              f"list of natural numbers, got {b!r}")
-
-        # sampled separation checks; the fit would quietly produce garbage
-        # on geometry that violates them
-        dom = domain.factors[i0]
-        K = self.outer.factors[i0]
-        c0 = center[i0]
-        # the closure variant (seminorms on closure truncations) keeps outer
-        # compacts off the domain closure and lets inner ones touch it
-        slack = -1e-9 if variant == "infty" else 0.0
-        for z in K.sample_boundary(n=128):
-            if dom.contains(z, tol=slack):
-                raise ValueError(
-                    f"outer factor {i0} reaches into the domain near "
-                    f"{complex(z):.4g}")
-            if abs(complex(z) - c0) <= 1e-9:
-                raise ValueError(
-                    f"the divisor center {c0:.4g} touches the outer "
-                    "compact; its zero set would poison the fit")
-        probes = [dom.center_point()]
-        for p in (1, 3, 6):
-            probes.extend(dom.exhaustion_factor(p).sample_boundary(n=64))
-        if any(K.contains(z) for z in probes):
-            raise ValueError(
-                f"outer factor {i0} overlaps the domain factor interior")
-        for i, f in enumerate(self.inner.factors):
-            if f.loses_shape():
-                raise ValueError(f"inner factor {i} loses its shape: float64 "
-                                 "rounding collapses its samples")
-            for z in f.sample_boundary(n=128):
-                if not domain.factors[i].contains(z, tol=slack):
-                    raise ValueError(
-                        f"inner factor {i} leaves the open domain near "
-                        f"{complex(z):.4g}")
+        # the fit would quietly produce garbage on geometry that breaks the
+        # sampled separation checks
+        check_stage_geometry(
+            domain, self.outer, self.inner, outer_samples,
+            [f.sample_boundary(n=128) for f in self.inner.factors], probes,
+            variant, center)
 
 
 @dataclass
@@ -174,9 +154,10 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
         raise ValueError("a plan needs at least one stage")
+    probes = [domain_probes(f) for f in domain.factors]
     for idx, req in enumerate(requests, start=1):
         try:
-            req.validate(domain, r, variant, center)
+            req.validate(domain, r, variant, center, probes)
         except ValueError as exc:
             raise type(exc)(f"stage {idx}: {exc}") from exc
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
@@ -403,7 +384,8 @@ def _check_float_range(value, path: str = ""):
 
 def plan_from_scenario(data: dict) -> StagePlan:
     """Build a plan from a parsed scenario file; a stage target written
-    "catalog:j" is catalog_poly(j, r, d)."""
+    "catalog:j" is catalog_poly(j, r, d).  A stage entry that does not
+    parse is refused with `stage N: ` in front, a missing key by name."""
     _check_float_range(data)
     domain = DomainProduct.from_json(data["domain"])
     d = domain.dim
@@ -421,13 +403,20 @@ def plan_from_scenario(data: dict) -> StagePlan:
     w_compact = (ProductCompact.from_json(data["w_compact"])
                  if data.get("w_compact") else None)
     requests = []
-    for s in data["stages"]:
-        requests.append(StageRequest(
-            target=_scenario_target(s["target"], r, d),
-            outer=_scenario_compact(s["outer"], domain, variant, outer=True),
-            inner=_scenario_compact(s["inner"], domain, variant, outer=False),
-            tolerance=float(s["tolerance"]),
-            budgets=list(s["budgets"])))
+    for idx, s in enumerate(data["stages"], start=1):
+        try:
+            requests.append(StageRequest(
+                target=_scenario_target(s["target"], r, d),
+                outer=_scenario_compact(s["outer"], domain, variant,
+                                        outer=True),
+                inner=_scenario_compact(s["inner"], domain, variant,
+                                        outer=False),
+                tolerance=float(s["tolerance"]),
+                budgets=list(s["budgets"])))
+        except KeyError as exc:
+            raise ValueError(f"stage {idx}: missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise type(exc)(f"stage {idx}: {exc}") from exc
     return plan_stages(
         domain, requests, enum=enum, mu=mu, center=center, r=r,
         w_compact=w_compact, variant=variant, l=l,

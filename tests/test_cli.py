@@ -744,8 +744,15 @@ REFUSALS = [
        {"factors": [factor], "disjoint_factor": 0}, code, prefix)
       for factor, code, prefix in (
           ({"type": "union", "parts": [CLIPPED]}, 2,
-           "scenario rejected: union part 0 is a clipped set"),
+           "scenario rejected: stage 1: union part 0 is a clipped set"),
           (CLIPPED, 0, "1 stage(s) pass"))],
+    # a stage entry that does not parse is refused with its stage
+    ("scenario", ("stages", 0, "target"), {}, 2,
+     "scenario rejected: stage 1: missing key 'terms'"),
+    ("scenario", ("stages", 0, "target"), None, 2,
+     "scenario rejected: stage 1: "),
+    ("scenario", ("stages", 0, "target"), {"constant": "x"}, 2,
+     "scenario rejected: stage 1: "),
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "

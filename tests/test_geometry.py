@@ -2,6 +2,7 @@
 outer-compact enumeration and the complement escape check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from taylorlab.geometry import (
     exhaustion_M,
     grid_density,
     outer_compacts,
-    sampled_min_distance,
     sup_norm,
 )
 from taylorlab.poly import Poly
@@ -186,6 +186,92 @@ def test_membership_oracles():
     assert not ann.contains(1.5)          # on the slit ray
     assert not ann.contains(0.5) and not ann.contains(2.5)
     assert ann.contains(1.5 * np.exp(0.41j))
+
+
+def _contains_reference(K, z, tol):
+    """The membership rule of K at one point, written per point."""
+    z = complex(z)
+    if isinstance(K, Disk):
+        return abs(z - K.center) <= K.radius + tol
+    if isinstance(K, OpenDisk):
+        return abs(z - K.center) < K.radius - tol
+    if isinstance(K, Rectangle):
+        return (K.x0 - tol <= z.real <= K.x1 + tol
+                and K.y0 - tol <= z.imag <= K.y1 + tol)
+    if isinstance(K, OpenRect):
+        return (K.x0 + tol < z.real < K.x1 - tol
+                and K.y0 + tol < z.imag < K.y1 - tol)
+    if isinstance(K, Segment):
+        ab = K.b - K.a
+        L2 = abs(ab) ** 2
+        if L2 == 0:
+            return abs(z - K.a) <= tol
+        t = ((z - K.a) * ab.conjugate()).real / L2
+        t = min(max(t, 0.0), 1.0)
+        return abs(z - (K.a + t * ab)) <= tol
+    if isinstance(K, Arc):
+        z -= K.center
+        if abs(abs(z) - K.radius) > tol:
+            return False
+        ang = math.atan2(z.imag, z.real)
+        return any(K.theta0 - tol <= ang + shift <= K.theta1 + tol
+                   for shift in (-2 * math.pi, 0.0, 2 * math.pi))
+    if isinstance(K, SlitAnnulus):
+        z -= K.center
+        if not K.inner - tol <= abs(z) <= K.outer + tol:
+            return False
+        turn = (math.atan2(z.imag, z.real) - K.slit_angle) % (2 * math.pi)
+        return min(turn, 2 * math.pi - turn) >= K.half_width - tol
+    if isinstance(K, UnionCompact):
+        return any(_contains_reference(p, z, tol) for p in K.parts)
+    if isinstance(K, ClippedCompact):
+        return (_contains_reference(K.base, z, tol)
+                and abs(z) <= K.bound + tol)
+    raise TypeError(type(K).__name__)
+
+
+CONTAINS_CASES = [
+    Disk(1 + 1j, 0.5), Disk(0.5, 0.0), Rectangle(-1.0, 0.5, -0.25, 1.0),
+    Rectangle(0.5, 0.5, -1.0, 1.0), Segment(-1 + 0.5j, 1 - 0.25j),
+    Segment(0.5j, 0.5j), Arc(0.25, 1.0, 2.5, 4.0),
+    SlitAnnulus(0.5j, 0.5, 1.5, 0.3, 0.4),
+    UnionCompact([Disk(0.0, 0.5), Segment(1.0, 2.0 + 1j)]),
+    ClippedCompact(Disk(0.5, 1.5), 1.25),
+    OpenDisk(-0.5 + 0.5j, 1.0), OpenRect(-1.0, 1.0, -0.5, 0.5)]
+
+
+@pytest.mark.parametrize("K", CONTAINS_CASES,
+                         ids=[type(K).__name__ for K in CONTAINS_CASES])
+def test_contains_takes_arrays(K):
+    rng = np.random.default_rng(3)
+    edge = (K.closure() if isinstance(K, (OpenDisk, OpenRect)) else K
+            ).sample_boundary(n=64)
+    near = edge + 1e-6 * rng.uniform(-1, 1, len(edge)) * np.exp(
+        2j * math.pi * rng.uniform(size=len(edge)))
+    pts = np.concatenate([
+        rng.uniform(-3, 3, 400) + 1j * rng.uniform(-3, 3, 400), edge, near])
+    tols = ((0.0, 1e-6, -1e-9) if isinstance(K, (OpenDisk, OpenRect))
+            else (1e-9, 0.0, -1e-12))
+    for tol in tols:
+        got = K.contains(pts, tol=tol)
+        want = [_contains_reference(K, z, tol) for z in pts]
+        assert got.dtype == bool and got.shape == pts.shape
+        assert got.tolist() == want
+        assert tol != tols[0] or 0 < got.sum() < len(pts)
+        assert got.reshape(2, -1).tolist() == K.contains(
+            pts.reshape(2, -1), tol=tol).tolist()
+    # one point gives one truth value
+    for z in (pts[0], complex(pts[-1]), 0.5, 0j):
+        one = K.contains(z)
+        assert np.ndim(one) == 0
+        assert bool(one) == _contains_reference(K, z, tols[0])
+    inf, nan = math.inf, math.nan
+    bad = np.array([nan, inf, -inf, complex(inf, inf), complex(-inf, 1.0),
+                    complex(0.5, inf), complex(inf, nan), complex(nan, 0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not K.contains(bad).any()
+        assert not any(K.contains(z) for z in bad)
 
 
 def test_union_and_clip():
@@ -398,12 +484,6 @@ def test_center_grid_on_clipped_disk_factors():
                         closure_variant=True)
     assert isinstance(edge.factors[0], ClippedCompact)
     assert center_grid(edge) == [(2.0,)]
-
-
-def test_sampled_min_distance():
-    a, b = Disk(0.0, 1.0), Disk(3.0, 0.5)
-    dist = sampled_min_distance(a, b)
-    assert dist == pytest.approx(1.5, abs=0.05)
 
 
 def test_escape_through_slit():

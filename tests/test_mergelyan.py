@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from taylorlab import mergelyan
-from taylorlab.geometry import Disk, GridSizeError, ProductCompact, Rectangle
+from taylorlab.geometry import (Disk, GridSizeError, ProductCompact, Rectangle,
+                                Segment)
 from taylorlab.mergelyan import ApproxTask, FitResult, fit, glue_target
 from taylorlab.multiindex import DiffOp, family_Fl
 from taylorlab.poly import Poly, graded_columns
@@ -171,6 +172,20 @@ def test_glue_rejects_touching_pieces():
     with pytest.raises(ValueError, match="overlap"):
         glue_target([_disk_piece(0.0, 1.0, zero), _disk_piece(1.5, 1.0, zero)],
                     i0=0, budgets=[4], tolerance=1e-3)
+
+
+def test_glue_refuses_pieces_that_share_a_boundary_sample():
+    # segments meeting end to end: neither holds a sample of the other
+    # strictly inside it, but both sample their common end point 1
+    zero = Poly.zero(0, 1)
+    a, b = (ProductCompact([Segment(x, x + 1.0)]) for x in (0.0, 1.0))
+    with pytest.raises(ValueError,
+                       match="^pieces 0 and 1 touch on coordinate 0$"):
+        glue_target([(a, zero), (b, zero)], i0=0, budgets=[4],
+                    tolerance=1e-3)
+    apart = ProductCompact([Segment(1.0 + 1e-9, 2.0)])
+    glue_target([(a, zero), (apart, zero)], i0=0, budgets=[4],
+                tolerance=1e-3)
 
 
 def test_task_validation_errors():

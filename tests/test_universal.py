@@ -8,6 +8,7 @@ point is oracle agreement rather than a frozen value.
 """
 
 import cmath
+import collections
 import json
 import os
 
@@ -19,6 +20,7 @@ from taylorlab.geometry import (
     DomainProduct,
     OpenDisk,
     ProductCompact,
+    Rectangle,
     SlitAnnulus,
     grid_density,
 )
@@ -98,6 +100,41 @@ def test_plan_refuses_inner_leaving_domain():
     req = StageRequest(_const(1.0), FAR_DISK, _inner(1.5), 1e-2, [10])
     with pytest.raises(ValueError, match="inner factor"):
         plan_stages(UNIT_DISK, [req])
+
+
+@pytest.mark.parametrize("outer, inner, variant, message", [
+    (ProductCompact([Disk(1 + 0j, 0.5)], disjoint_factor=0), _inner(0.5),
+     "plain", "outer factor 0 reaches into the domain near 0.8549+0.4785j"),
+    (ProductCompact([Disk(1.5 + 0j, 0.5)], disjoint_factor=0), _inner(0.5),
+     "infty", "outer factor 0 reaches into the domain near 1+6.123e-17j"),
+    (FAR_DISK, ProductCompact([Disk(0.5j, 0.6)]), "plain",
+     "inner factor 0 leaves the open domain near 0.4446+0.9029j"),
+    (FAR_DISK, ProductCompact([Rectangle(-0.5, 0.9, -0.8, 0.2)]), "plain",
+     "inner factor 0 leaves the open domain near 0.625-0.8j")])
+def test_geometry_refusal_names_the_first_failing_sample(outer, inner,
+                                                         variant, message):
+    # the first failing sample in sample order, as a per-point loop finds it
+    req = StageRequest(_const(1.0), outer, inner, 1e-2, [10])
+    with pytest.raises(ValueError) as err:
+        plan_stages(UNIT_DISK, [req], variant=variant,
+                    l=1 if variant == "infty" else 0)
+    assert str(err.value) == f"stage 1: {message}"
+
+
+def test_stage_checks_test_each_sample_array_at_once(monkeypatch):
+    # the plan's geometry checks and the gluing make a few containment
+    # calls a stage, one per sample array, never one per point
+    calls = collections.Counter()
+    for cls in (Disk, OpenDisk):
+        def counted(self, *args, _contains=cls.contains, _cls=cls, **kw):
+            calls[_cls] += 1
+            return _contains(self, *args, **kw)
+        monkeypatch.setattr(cls, "contains", counted)
+    stream, cert = run_construction(
+        plan_from_scenario(ladder_scenario(3, 2.5j)))
+    assert len(cert.stages) == 3
+    assert calls.keys() == {Disk, OpenDisk}
+    assert max(calls.values()) <= 5 * 3
 
 
 def test_outer_touching_boundary_needs_open_variant():
