@@ -724,26 +724,56 @@ def _first(mask):
     return k if mask[k] else None
 
 
-def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
-                         inner: ProductCompact, outer_samples, inner_samples,
-                         probes, variant: str, center):
-    """Refuse a stage's compacts that break the construction's hypotheses,
-    tested on samples of their factors (one array per factor):
+def check_gluing(factors, i0: int):
+    """Refuse gluing factors (coordinate i0 of each piece) that overlap (a
+    128-point boundary sample of one strictly inside another), touch (a
+    200-point boundary sample shared) or may enclose holes."""
+    samples = [K.sample_boundary(n=128) for K in factors]
+    for a, Ka in enumerate(factors):
+        if not Ka.complement_connected:
+            raise ValueError(f"piece {a}: gluing factor may enclose holes")
+        for b in range(a + 1, len(factors)):
+            Kb = factors[b]
+            if (Kb.contains(samples[a], tol=-1e-12).any()
+                    or Ka.contains(samples[b], tol=-1e-12).any()):
+                raise ValueError(
+                    f"pieces {a} and {b} overlap on coordinate {i0}")
+            on_a = set(Ka.sample_boundary(n=200).tolist())
+            if not on_a.isdisjoint(Kb.sample_boundary(n=200).tolist()):
+                raise ValueError(
+                    f"pieces {a} and {b} touch on coordinate {i0}")
 
+
+def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
+                         inner: ProductCompact, variant: str, center):
+    """Refuse a stage's compacts that break the construction's hypotheses,
+    tested on 128 boundary samples of each factor:
+
+    - every factor keeps its shape, and every outer factor is finite (a
+      non-finite inner factor leaves the domain);
     - the flagged outer factor i0 stays off domain factor i0 and off the
-      divisor center center[i0], and contains none of probes[i0] (the
-      domain_probes of that factor);
-    - every inner factor keeps its shape and stays inside its domain
-      factor (the shape checked before the samples).
+      divisor center center[i0], and contains none of its domain_probes;
+    - every inner factor stays inside its domain factor;
+    - factor i0 of (inner, outer) passes check_gluing, as the stage's fit
+      glues them.
 
     The closure variant "infty" (seminorms on closure truncations) keeps
     outer factors off the domain closure and lets inner ones touch it.  A
     ValueError names the factor and its first failing sample, a sample
     inside the domain before one at the divisor center.
     """
+    samples = {}
+    for side, K in (("outer", outer), ("inner", inner)):
+        for i, f in enumerate(K.factors):
+            zs = samples[side, i] = f.sample_boundary(n=128)
+            if side == "outer" and not np.isfinite(zs).all():
+                raise ValueError(f"outer factor {i} is not finite")
+            if f.loses_shape():
+                raise ValueError(f"{side} factor {i} loses its shape: "
+                                 "float64 rounding collapses its samples")
     i0 = outer.disjoint_factor
     slack = -1e-9 if variant == "infty" else 0.0
-    zs, c0 = outer_samples[i0], center[i0]
+    zs, c0 = samples["outer", i0], center[i0]
     into = domain.factors[i0].contains(zs, tol=slack)
     k = _first(into | (_dist(zs, c0) <= 1e-9))
     if k is not None:
@@ -752,18 +782,17 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
                              f"near {complex(zs[k]):.4g}")
         raise ValueError(f"the divisor center {c0:.4g} touches the outer "
                          "compact; its zero set would poison the fit")
-    if _first(outer.factors[i0].contains(probes[i0])) is not None:
+    probes = domain_probes(domain.factors[i0])
+    if _first(outer.factors[i0].contains(probes)) is not None:
         raise ValueError(
             f"outer factor {i0} overlaps the domain factor interior")
-    for i, (dom, f, zs) in enumerate(zip(domain.factors, inner.factors,
-                                         inner_samples)):
-        if f.loses_shape():
-            raise ValueError(f"inner factor {i} loses its shape: float64 "
-                             "rounding collapses its samples")
+    for i, dom in enumerate(domain.factors):
+        zs = samples["inner", i]
         k = _first(~dom.contains(zs, tol=slack))
         if k is not None:
             raise ValueError(f"inner factor {i} leaves the open domain near "
                              f"{complex(zs[k]):.4g}")
+    check_gluing([inner.factors[i0], outer.factors[i0]], i0)
 
 
 # --------------------------------------------------------------- utilities

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSizeError, ProductCompact, grid_density
+from .geometry import (GridSizeError, ProductCompact, check_gluing,
+                       grid_density)
 from .multiindex import DiffOp
 from .poly import Axis, Block, BlockSum, graded_columns, recur_rows, start_rows
 from .verify import sup_ops, worst
@@ -110,33 +111,16 @@ class FitResult:
 
 
 def glue_target(pieces, i0: int, budgets, tolerance, **options) -> ApproxTask:
-    """Validate the gluing geometry and package it as a task.
-
-    The i0 factors of distinct pieces must not overlap (no 128-point
-    boundary sample of one strictly inside the other) nor touch (no
-    200-point boundary sample shared), and each must keep its complement
-    connected; the remaining coordinates are unconstrained.
+    """Validate the gluing geometry and package it as a task: the i0
+    factors of the pieces must pass geometry.check_gluing; the remaining
+    coordinates are unconstrained.
     """
     if not pieces:
         raise ValueError("nothing to glue")
     d = pieces[0][0].dim
     if not (0 <= i0 < d):
         raise ValueError("gluing coordinate out of range")
-    factors = [K.factors[i0] for K, _ in pieces]
-    samples = [K.sample_boundary(n=128) for K in factors]
-    for a, Ka in enumerate(factors):
-        if not Ka.complement_connected:
-            raise ValueError(f"piece {a}: gluing factor may enclose holes")
-        for b in range(a + 1, len(pieces)):
-            Kb = factors[b]
-            if (Kb.contains(samples[a], tol=-1e-12).any()
-                    or Ka.contains(samples[b], tol=-1e-12).any()):
-                raise ValueError(
-                    f"pieces {a} and {b} overlap on coordinate {i0}")
-            on_a = set(Ka.sample_boundary(n=200).tolist())
-            if not on_a.isdisjoint(Kb.sample_boundary(n=200).tolist()):
-                raise ValueError(
-                    f"pieces {a} and {b} touch on coordinate {i0}")
+    check_gluing([K.factors[i0] for K, _ in pieces], i0)
     return ApproxTask(list(pieces), list(budgets), tolerance, **options)
 
 

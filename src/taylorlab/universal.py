@@ -34,13 +34,13 @@ from .geometry import (
     ProductCompact,
     check_stage_geometry,
     compact_from_json,
-    domain_probes,
     enumerate_Tm,
     exhaustion_M,
     grid_density,
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
-from .mergelyan import fit, glue_target
+from .mergelyan import ApproxTask, fit
+from .mergelyan import glue_target  # noqa: F401  (a lookup site of bench/tracer.py)
 from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
 from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
@@ -60,32 +60,18 @@ class StageRequest:
     tolerance: float
     budgets: list
 
-    def validate(self, domain: DomainProduct, r: int, variant: str, center,
-                 probes):
-        """Refuse a stage the construction cannot serve; probes holds the
-        domain_probes of every domain factor."""
+    def validate(self, domain: DomainProduct, r: int, variant: str, center):
+        """Refuse a stage the construction cannot serve."""
         d = domain.dim
         if (self.target.r, self.target.d) != (r, d):
             raise ValueError("the target's arity does not match the plan")
         if self.outer.dim != d or self.inner.dim != d:
             raise ValueError("the compacts must match the domain dimension")
-        i0 = self.outer.disjoint_factor
-        if i0 is None:
+        if self.outer.disjoint_factor is None:
             raise ValueError("the outer compact needs a flagged factor that "
                              "stays off the domain")
         if not all(map(cmath.isfinite, self.target.terms.values())):
             raise ValueError("the target's coefficients must be finite")
-        # (a non-finite inner factor fails the containment check below);
-        # far out, float64 rounding collapses a factor's samples, and the
-        # fit would quietly produce garbage on them
-        outer_samples = []
-        for i, f in enumerate(self.outer.factors):
-            outer_samples.append(f.sample_boundary(n=128))
-            if not np.isfinite(outer_samples[-1]).all():
-                raise ValueError(f"outer factor {i} is not finite")
-            if f.loses_shape():
-                raise ValueError(f"outer factor {i} loses its shape: float64 "
-                                 "rounding collapses its samples")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("the tolerance must be positive and finite")
         b = self.budgets
@@ -96,11 +82,8 @@ class StageRequest:
             raise ValueError("the budgets must be a nonempty ascending "
                              f"list of natural numbers, got {b!r}")
         # the fit would quietly produce garbage on geometry that breaks the
-        # sampled separation checks
-        check_stage_geometry(
-            domain, self.outer, self.inner, outer_samples,
-            [f.sample_boundary(n=128) for f in self.inner.factors], probes,
-            variant, center)
+        # sampled checks, and on samples that float64 rounding collapses
+        check_stage_geometry(domain, self.outer, self.inner, variant, center)
 
 
 @dataclass
@@ -154,10 +137,9 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
         raise ValueError("a plan needs at least one stage")
-    probes = [domain_probes(f) for f in domain.factors]
     for idx, req in enumerate(requests, start=1):
         try:
-            req.validate(domain, r, variant, center, probes)
+            req.validate(domain, r, variant, center)
         except ValueError as exc:
             raise type(exc)(f"stage {idx}: {exc}") from exc
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
@@ -207,13 +189,13 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     blocks = [b.block for b in stream.blocks]
     pieces = [(req.inner, Poly.zero(r, stream.d)),
               (req.outer, BlockSum(req.target, blocks))]
-    task = glue_target(
-        pieces, i0, req.budgets, max(piece_tols),
+    # the plan has checked the gluing geometry (check_stage_geometry)
+    res = fit(ApproxTask(
+        pieces, list(req.budgets), max(piece_tols),
         r=r, w_compact=plan.w_compact,
         derivative_orders=variant_ops(plan.variant, r, stream.d, plan.l)[1],
         prefactor=(i0, e), piece_tolerances=list(piece_tols),
-        center=stream.center)
-    res = fit(task)
+        center=stream.center))
     if not np.isfinite(res.block.coefs).all():
         raise ValueError("the fit has a non-finite coefficient")
 

@@ -1150,8 +1150,19 @@ def test_oversized_input_is_refused_before_it_allocates(tmp_path, capfd, doc,
     assert not caught
 
 
+HOLED = {"type": "union", "parts": [
+    {"type": "disk", "center": [2.5, 0.0], "radius": 0.15},
+    {"type": "disk", "center": [2.6, 0.0], "radius": 0.15}]}
+
+
+@pytest.mark.parametrize("path, value, reason", [
+    (("stages", 2, "outer", "center"), [1e20, 0],
+     "outer factor 0 loses its shape: float64 rounding collapses its samples"),
+    # overlapping disks: the union's complement may have holes
+    (("stages", 2, "outer"), HOLED,
+     "piece 1: gluing factor may enclose holes")], ids=["shape", "holed"])
 def test_a_late_stage_that_loses_its_shape_is_refused_before_any_fit(
-        tmp_path, capfd, monkeypatch):
+        tmp_path, capfd, monkeypatch, path, value, reason):
     # geometry the scenario alone decides is refused at plan time, so the
     # two stages before it are never fitted
     calls = []
@@ -1160,11 +1171,9 @@ def test_a_late_stage_that_loses_its_shape_is_refused_before_any_fit(
         calls.append(task)
         return fit(task)
     monkeypatch.setattr(universal, "fit", counted)
-    doc = _oversized("alternating_three", ("stages", 2, "outer", "center"),
-                     [1e20, 0])
+    doc = _oversized("alternating_three", path, value)
     code, stdout, stderr = _run_construct(capfd, tmp_path, doc)
     assert code == 2
     assert stdout == ""
-    assert stderr == ("scenario rejected: stage 3: outer factor 0 loses its "
-                      "shape: float64 rounding collapses its samples\n")
+    assert stderr == f"scenario rejected: stage 3: {reason}\n"
     assert calls == []

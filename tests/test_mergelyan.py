@@ -8,7 +8,7 @@ import pytest
 
 from taylorlab import mergelyan
 from taylorlab.geometry import (Disk, GridSizeError, ProductCompact, Rectangle,
-                                Segment)
+                                Segment, UnionCompact)
 from taylorlab.mergelyan import ApproxTask, FitResult, fit, glue_target
 from taylorlab.multiindex import DiffOp, family_Fl
 from taylorlab.poly import Poly, graded_columns
@@ -186,6 +186,17 @@ def test_glue_refuses_pieces_that_share_a_boundary_sample():
     apart = ProductCompact([Segment(1.0 + 1e-9, 2.0)])
     glue_target([(a, zero), (apart, zero)], i0=0, budgets=[4],
                 tolerance=1e-3)
+
+
+def test_glue_refuses_a_factor_that_may_enclose_holes():
+    # two overlapping disks: a union whose complement may have holes
+    zero = Poly.zero(0, 1)
+    holed = UnionCompact([Disk(2.5 + 0j, 0.15), Disk(2.6 + 0j, 0.15)])
+    with pytest.raises(ValueError,
+                       match="^piece 1: gluing factor may enclose holes$"):
+        glue_target([_disk_piece(0.0, 0.5, zero),
+                     (ProductCompact([holed]), zero)],
+                    i0=0, budgets=[4], tolerance=1e-3)
 
 
 def test_task_validation_errors():
