@@ -107,6 +107,27 @@ def check_int(value, what: str) -> int:
     return value
 
 
+def complex_pair(value, what: str) -> complex:
+    """complex(re, im) of a JSON [re, im] pair; ValueError naming `what`
+    otherwise."""
+    try:
+        re, im = value
+        return complex(re, im)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an [re, im] pair, got "
+                         f"{value!r}") from None
+
+
+def complex_pairs(value, what: str) -> list:
+    """complex_pair of each entry of a JSON list; ValueError naming `what`
+    otherwise."""
+    try:
+        return [complex_pair(v, what) for v in value]
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a list of [re, im] pairs, got "
+                         f"{value!r}") from None
+
+
 def check_multiindex(m, d: int) -> tuple[int, ...]:
     """Validate and normalize one multi-index to a tuple of naturals."""
     m = tuple(int(v) for v in m)

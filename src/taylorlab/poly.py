@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SampleGrid
-from .multiindex import DiffOp, Enumeration, check_int, check_multiindex
+from .multiindex import (DiffOp, Enumeration, check_int, check_multiindex,
+                         complex_pairs)
 
 
 # dense coefficients one evaluation or re-centering may span
@@ -963,11 +964,7 @@ class CoefficientStream:
                              "scenario")
         enum = Enumeration.from_tag(data["enumeration"],
                                     check_int(data["d"], "d"))
-        try:
-            center = [complex(re, im) for re, im in data["center"]]
-        except (TypeError, ValueError):
-            raise ValueError("the stream center must be a list of [re, im] "
-                             f"pairs, got {data['center']!r}") from None
+        center = complex_pairs(data["center"], "the stream center")
         stream = cls(enum, center, check_int(data["r"], "r"))
         for b in data["blocks"]:
             if not isinstance(b, dict) or b.keys() != BLOCK_KEYS:

@@ -41,7 +41,8 @@ from .geometry import (
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
 from .mergelyan import ApproxTask, fit
 from .mergelyan import glue_target  # noqa: F401  (a lookup site of bench/tracer.py)
-from .multiindex import Enumeration, IndexSet, SparseIndexError, check_int
+from .multiindex import (Enumeration, IndexSet, SparseIndexError, check_int,
+                         complex_pair, complex_pairs)
 from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 from .verify import (CERT_FORMAT, capture_rank, catalog_poly, certify_stages,
@@ -341,13 +342,27 @@ def _scenario_compact(spec, domain: DomainProduct, variant: str,
 
 
 def _scenario_target(spec, r: int, d: int) -> Poly:
+    """A stage target: "catalog:j", {"constant": [re, im]} or a polynomial
+    object; a wrong-typed one is refused naming its field."""
     if isinstance(spec, str):
         if spec.startswith("catalog:"):
-            return catalog_poly(int(spec.split(":", 1)[1]), r, d)
+            try:
+                j = int(spec.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"target {spec!r} must be catalog:j with j "
+                                 "an integer") from None
+            return catalog_poly(j, r, d)
         raise ValueError(f"cannot resolve target {spec!r}")
-    if isinstance(spec, dict) and "constant" in spec:
-        re, im = spec["constant"]
-        return Poly.constant(complex(re, im), r, d)
+    if not isinstance(spec, dict):
+        raise ValueError('target must be "catalog:j", {"constant": [re, im]} '
+                         f"or a polynomial object, got {spec!r}")
+    if "constant" in spec:
+        return Poly.constant(complex_pair(spec["constant"], "constant"), r, d)
+    terms = spec.get("terms", [])
+    if not (isinstance(terms, list) and all(isinstance(t, dict)
+                                            for t in terms)):
+        raise ValueError("target terms must be a list of objects, got "
+                         f"{terms!r}")
     return Poly.from_json(spec)
 
 
@@ -373,8 +388,7 @@ def plan_from_scenario(data: dict) -> StagePlan:
     d = domain.dim
     enum = Enumeration.from_tag(data.get("enumeration", "graded-lex"), d)
     mu = IndexSet.from_tag(data.get("mu", "mu:all"))
-    center = [complex(re, im) for re, im in
-              data.get("center", [[0.0, 0.0]] * d)]
+    center = complex_pairs(data.get("center", [[0.0, 0.0]] * d), "center")
     r, l, cert_density = (check_int(data.get(key, 0), key) for key in
                           ("r", "l", "cert_density"))
     if data.get("fixed_center", True) is not True:

@@ -37,7 +37,7 @@ from .geometry import (
     sup_norm,
 )
 from .multiindex import (Enumeration, IndexSet, cantor_unpair, check_int,
-                         family_Fl)
+                         complex_pairs, family_Fl)
 from .poly import (MAX_DENSE, BlockSum, CoefficientStream, Poly, diff_lanes,
                    eval_lanes, joint_dense, partial_sum_lanes)
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
@@ -337,11 +337,7 @@ class PredicateSpec:
             raise ValueError(f"unknown spec key {unknown[0]!r}")
         fc = data.get("fixed_center")
         if fc is not None:
-            try:
-                fc = tuple(complex(re, im) for re, im in fc)
-            except (TypeError, ValueError):
-                raise ValueError("fixed_center must be a list of [re, im] "
-                                 f"pairs, got {fc!r}") from None
+            fc = tuple(complex_pairs(fc, "fixed_center"))
         return cls(**dict(data, fixed_center=fc))
 
 
@@ -543,7 +539,8 @@ def verify_certificate(stream: CoefficientStream, cert) -> Verdict:
             "verification refused: certificate enumeration "
             f"{h.get('enumeration')!r} does not match the stream's "
             f"{stream.enum.tag!r}")
-    center = tuple(complex(re, im) for re, im in h.get("center", []))
+    center = tuple(complex_pairs(h.get("center", []),
+                                 "the certificate center"))
     if center != stream.center:
         raise VerificationRefused(
             "verification refused: certificate center does not match the "

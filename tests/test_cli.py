@@ -749,10 +749,21 @@ REFUSALS = [
     # a stage entry that does not parse is refused with its stage
     ("scenario", ("stages", 0, "target"), {}, 2,
      "scenario rejected: stage 1: missing key 'terms'"),
+    # and a wrong-typed target, [re, im] pair or center by its field
     ("scenario", ("stages", 0, "target"), None, 2,
-     "scenario rejected: stage 1: "),
+     'scenario rejected: stage 1: target must be "catalog:j", '
+     '{{"constant": [re, im]}} or a polynomial object, got None'),
     ("scenario", ("stages", 0, "target"), {"constant": "x"}, 2,
-     "scenario rejected: stage 1: "),
+     "scenario rejected: stage 1: constant must be an [re, im] pair, "
+     "got 'x'"),
+    ("scenario", ("stages", 0, "target"), "catalog:x", 2,
+     "scenario rejected: stage 1: target 'catalog:x' must be catalog:j "
+     "with j an integer"),
+    ("scenario", ("stages", 0, "target"), {"r": 0, "d": 1, "terms": "x"}, 2,
+     "scenario rejected: stage 1: target terms must be a list of objects, "
+     "got 'x'"),
+    ("scenario", ("center",), "x", 2, "scenario rejected: center must be a "
+     "list of [re, im] pairs, got 'x'"),
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "
@@ -846,6 +857,8 @@ REFUSALS = [
     *[("certificate", ("summary", key), DROP, 2, "artifact rejected")
       for key in ("aborted", "all_pass", "frontier")],
     ("certificate", ("header", "name"), DROP, 2, "artifact rejected"),
+    ("certificate", ("header", "center"), "x", 2, "artifact rejected: the "
+     "certificate center must be a list of [re, im] pairs, got 'x'"),
     ("certificate", ("stages", 0, "lambda"), -1, 2, "artifact rejected"),
     ("certificate", ("stages",), [1], 2, "artifact rejected"),
     ("certificate", ("stages",), {}, 2, "artifact rejected"),
