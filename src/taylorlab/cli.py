@@ -6,8 +6,10 @@ replays a certificate against its stream; `predicates` batch-evaluates
 membership predicates on an explicit polynomial.  Exit codes are part of
 the interface: 0 success, 1 a predicate or stage failed, 2 the input was
 unusable (missing file, malformed JSON, a number too large for a float, an
-unusable output directory, or refused by the library).  Every run setting
-lives in the scenario or spec file; the flags only name files and outputs.
+unusable output directory, or a universal.REFUSED error from the library,
+printed after the command's `scenario rejected`, `artifact rejected` or
+`specs rejected`).  Run settings live in the scenario or spec file; the
+flags name files and outputs, and `predicates --density` a grid density.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import sys
 
 from .geometry import DomainProduct
 from .poly import CoefficientStream, Poly
-from .universal import Certificate, plan_from_scenario, run_construction
+from .universal import (REFUSED, Certificate, plan_from_scenario,
+                        run_construction)
 from .verify import (PredicateSpec, VerificationRefused, predicate_record,
                      verify_certificate)
 
@@ -57,16 +60,8 @@ def write_json(path: str, data: dict, indent: int | None = 1):
 
 
 def cmd_construct(args) -> int:
-    data = _load_json(args.scenario)
-    try:
-        plan = plan_from_scenario(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"scenario rejected: {exc}") from None
-    try:
-        stream, cert = run_construction(plan)
-    except (ValueError, OverflowError) as exc:
-        raise InputError(f"scenario rejected: {exc}") from None
-
+    plan = plan_from_scenario(_load_json(args.scenario))
+    stream, cert = run_construction(plan)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         write_json(os.path.join(args.out_dir, "stream.json"), stream.to_json(),
@@ -101,18 +96,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sdata = _load_json(args.stream)
-    cdata = _load_json(args.certificate)
+    stream = CoefficientStream.from_json(_load_json(args.stream))
+    cert = Certificate.from_json(_load_json(args.certificate))
     try:
-        stream = CoefficientStream.from_json(sdata)
-        cert = Certificate.from_json(cdata)
         verdict = verify_certificate(stream, cert)
     except VerificationRefused as exc:
         print(exc)
         return 1
-    # LookupError: a missing field, or a lambda that ends no stream block
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"artifact rejected: {exc}") from None
     if verdict:
         print("certificate verified")
         return 0
@@ -132,39 +122,36 @@ def cmd_verify(args) -> int:
 def cmd_predicates(args) -> int:
     cdata = _load_json(args.candidate)
     sdata = _load_json(args.specs)
-    try:
-        unknown = sorted(sdata.keys() - {"domain", "w_domain", "specs"})
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r} in the spec file")
-        f = Poly.from_json(cdata)
-        if not all(map(cmath.isfinite, f.terms.values())):
-            raise ValueError("the candidate has a non-finite coefficient")
-        domain = DomainProduct.from_json(sdata["domain"])
-        w_domain = (DomainProduct.from_json(sdata["w_domain"])
-                    if sdata.get("w_domain") else None)
-        if domain.dim != f.d:
-            raise ValueError(f"candidate has d={f.d} but the domain "
-                             f"has {domain.dim} factor(s)")
-        if (w_domain.dim if w_domain else 0) != f.r:
-            raise ValueError(f"candidate has r={f.r} but the parameter "
-                             "domain disagrees")
-        rows = []
-        for entry in sdata.get("specs", []):
-            if not isinstance(entry, dict):
-                raise ValueError(f"spec entry {entry!r} is not an object")
-            kind = entry.get("predicate", "E")
-            if kind not in ("E", "F"):
-                raise ValueError(f"unknown predicate kind {kind!r}")
-            body = {k: v for k, v in entry.items() if k != "predicate"}
-            rows.append((kind, PredicateSpec.from_json(body)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"specs rejected: {exc}") from None
+    unknown = sorted(sdata.keys() - {"domain", "w_domain", "specs"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in the spec file")
+    f = Poly.from_json(cdata)
+    if not all(map(cmath.isfinite, f.terms.values())):
+        raise ValueError("the candidate has a non-finite coefficient")
+    domain = DomainProduct.from_json(sdata["domain"])
+    w_domain = (DomainProduct.from_json(sdata["w_domain"])
+                if sdata.get("w_domain") else None)
+    if domain.dim != f.d:
+        raise ValueError(f"candidate has d={f.d} but the domain "
+                         f"has {domain.dim} factor(s)")
+    if (w_domain.dim if w_domain else 0) != f.r:
+        raise ValueError(f"candidate has r={f.r} but the parameter "
+                         "domain disagrees")
+    rows = []
+    for entry in sdata.get("specs", []):
+        if not isinstance(entry, dict):
+            raise ValueError(f"spec entry {entry!r} is not an object")
+        kind = entry.get("predicate", "E")
+        if kind not in ("E", "F"):
+            raise ValueError(f"unknown predicate kind {kind!r}")
+        body = {k: v for k, v in entry.items() if k != "predicate"}
+        rows.append((kind, PredicateSpec.from_json(body)))
 
     try:
         report = [predicate_record(kind, f, spec, domain, w_domain,
                                    density=args.density)
                   for kind, spec in rows]
-    except (ValueError, OverflowError) as exc:
+    except REFUSED as exc:
         raise InputError(f"predicate run failed: {exc}") from None
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
@@ -188,11 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "history.csv (default: out)")
     pc.add_argument("-v", "--verbose", action="store_true",
                     help="print one line per stage on stderr")
+    pc.set_defaults(run=cmd_construct, rejected="scenario")
 
     pv = sub.add_parser("verify",
                         help="replay a certificate against its stream")
     pv.add_argument("stream", help="stream JSON path")
     pv.add_argument("certificate", help="certificate JSON path")
+    pv.set_defaults(run=cmd_verify, rejected="artifact")
 
     pp = sub.add_parser("predicates",
                         help="batch membership predicates on a polynomial")
@@ -201,18 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--density", type=int, default=0,
                     help="per-factor grid density override (default: 0, "
                          "the density table)")
+    pp.set_defaults(run=cmd_predicates, rejected="specs")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = {"construct": cmd_construct, "verify": cmd_verify,
-               "predicates": cmd_predicates}[args.command]
     try:
-        return command(args)
+        return args.run(args)
     except InputError as exc:
         print(exc, file=sys.stderr)
-        return 2
+    except REFUSED as exc:
+        print(f"{args.rejected} rejected: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

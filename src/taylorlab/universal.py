@@ -20,6 +20,7 @@ one reference center; sups over varying centers are the predicates' own
 from __future__ import annotations
 
 import cmath
+import contextlib
 import csv
 import hashlib
 import json
@@ -47,6 +48,21 @@ from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 from .verify import (CERT_FORMAT, capture_rank, catalog_poly, certify_stages,
                      variant_ops)
+
+# refused input: a missing key or entry, a bad type or value, an overflow
+REFUSED = (LookupError, TypeError, ValueError, OverflowError)
+
+
+@contextlib.contextmanager
+def naming_stage(idx: int):
+    """Put `stage idx: ` in front of a REFUSED error the block raises,
+    keeping its type; a KeyError becomes a ValueError naming the key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"stage {idx}: missing key {exc}") from exc
+    except REFUSED as exc:
+        raise type(exc)(f"stage {idx}: {exc}") from exc
 
 
 @dataclass
@@ -139,10 +155,8 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
     if not requests:
         raise ValueError("a plan needs at least one stage")
     for idx, req in enumerate(requests, start=1):
-        try:
+        with naming_stage(idx):
             req.validate(domain, r, variant, center)
-        except ValueError as exc:
-            raise type(exc)(f"stage {idx}: {exc}") from exc
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
                      variant, int(l), str(name), int(cert_density))
 
@@ -306,12 +320,11 @@ def run_construction(plan: StagePlan):
     aborted = None
     for idx, (req, tol) in enumerate(zip(plan.requests, tols), start=1):
         try:
-            records.append(build_stage(stream, plan, req, idx, tol))
+            with naming_stage(idx):
+                records.append(build_stage(stream, plan, req, idx, tol))
         except SparseIndexError as exc:
-            aborted = {"stage": idx, "reason": f"stage {idx}: {exc}"}
+            aborted = {"stage": idx, "reason": str(exc)}
             break
-        except ValueError as exc:
-            raise type(exc)(f"stage {idx}: {exc}") from exc
     summary = certify_stages(stream, header, records, aborted)
     return stream, Certificate(header, records, summary)
 
@@ -400,7 +413,7 @@ def plan_from_scenario(data: dict) -> StagePlan:
                  if data.get("w_compact") else None)
     requests = []
     for idx, s in enumerate(data["stages"], start=1):
-        try:
+        with naming_stage(idx):
             requests.append(StageRequest(
                 target=_scenario_target(s["target"], r, d),
                 outer=_scenario_compact(s["outer"], domain, variant,
@@ -409,10 +422,6 @@ def plan_from_scenario(data: dict) -> StagePlan:
                                         outer=False),
                 tolerance=float(s["tolerance"]),
                 budgets=list(s["budgets"])))
-        except KeyError as exc:
-            raise ValueError(f"stage {idx}: missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise type(exc)(f"stage {idx}: {exc}") from exc
     return plan_stages(
         domain, requests, enum=enum, mu=mu, center=center, r=r,
         w_compact=w_compact, variant=variant, l=l,
