@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import tuple_pair, tuple_unpair
+from .multiindex import check_number, complex_pair, tuple_pair, tuple_unpair
 
 MAX_GRID_POINTS = 10_000_000
 MIN_CURVE_POINTS = 4                 # per curve, at any density
@@ -176,6 +176,8 @@ class Rectangle(PlanarCompact):
     def __post_init__(self):
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValueError("rectangle bounds out of order")
+        if not math.isfinite(2 * ((self.x1 - self.x0) + (self.y1 - self.y0))):
+            raise ValueError("rectangle perimeter is too large for a float")
 
     def contains(self, z, tol=1e-9):
         x, y = np.real(z), np.imag(z)
@@ -426,25 +428,44 @@ class ClippedCompact(PlanarCompact):
         return {"type": "clipped", "base": self.base.to_json(), "bound": self.bound}
 
 
+def _point(data: dict, key: str) -> complex:
+    return complex_pair(data[key], f"{data['type']} {key}")
+
+
+def _number(data: dict, key: str) -> float:
+    return check_number(data[key], f"{data['type']} {key}")
+
+
+def _bounds(data: dict, key: str) -> list:
+    """data[key] as [lo, hi], two finite numbers."""
+    what, pair = f"{data['type']} {key}", data[key]
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"{what} must be a [lo, hi] pair, got {pair!r}")
+    return [check_number(v, what) for v in pair]
+
+
 def compact_from_json(data: dict) -> PlanarCompact:
+    """The compact a JSON record describes; a field that is not what its
+    type needs is refused by name (such as `rect x`)."""
     t = data["type"]
     if t == "disk":
-        return Disk(complex(*data["center"]), float(data["radius"]))
+        return Disk(_point(data, "center"), _number(data, "radius"))
     if t == "rect":
-        return Rectangle(data["x"][0], data["x"][1], data["y"][0], data["y"][1])
+        return Rectangle(*_bounds(data, "x"), *_bounds(data, "y"))
     if t == "segment":
-        return Segment(complex(*data["a"]), complex(*data["b"]))
+        return Segment(_point(data, "a"), _point(data, "b"))
     if t == "arc":
-        return Arc(complex(*data["center"]), float(data["radius"]),
-                   data["angles"][0], data["angles"][1])
+        return Arc(_point(data, "center"), _number(data, "radius"),
+                   *_bounds(data, "angles"))
     if t == "slit-annulus":
-        return SlitAnnulus(complex(*data["center"]), float(data["inner"]),
-                           float(data["outer"]), float(data["slit_angle"]),
-                           float(data["half_width"]))
+        return SlitAnnulus(_point(data, "center"), *(
+            _number(data, key)
+            for key in ("inner", "outer", "slit_angle", "half_width")))
     if t == "union":
         return UnionCompact([compact_from_json(p) for p in data["parts"]])
     if t == "clipped":
-        return ClippedCompact(compact_from_json(data["base"]), data["bound"])
+        return ClippedCompact(compact_from_json(data["base"]),
+                              _number(data, "bound"))
     raise ValueError(f"unknown compact type {t!r}")
 
 
@@ -567,11 +588,13 @@ class OpenRect:
 
 
 def domain_from_json(data: dict):
+    """The domain factor a JSON record describes, its fields read as
+    compact_from_json reads them."""
     t = data["type"]
     if t == "open-disk":
-        return OpenDisk(complex(*data["center"]), float(data["radius"]))
+        return OpenDisk(_point(data, "center"), _number(data, "radius"))
     if t == "open-rect":
-        return OpenRect(data["x"][0], data["x"][1], data["y"][0], data["y"][1])
+        return OpenRect(*_bounds(data, "x"), *_bounds(data, "y"))
     raise ValueError(f"unknown domain type {t!r}")
 
 
@@ -724,11 +747,12 @@ def _first(mask):
     return k if mask[k] else None
 
 
-def check_gluing(factors, i0: int):
+def check_gluing(factors, i0: int, samples=None):
     """Refuse gluing factors (coordinate i0 of each piece) that overlap (a
-    128-point boundary sample of one strictly inside another), touch (a
-    200-point boundary sample shared) or may enclose holes."""
-    samples = [K.sample_boundary(n=128) for K in factors]
+    128-point boundary sample of one strictly inside another; samples are
+    those, drawn here if not given), touch (a 200-point boundary sample
+    shared) or may enclose holes."""
+    samples = samples or [K.sample_boundary(n=128) for K in factors]
     for a, Ka in enumerate(factors):
         if not Ka.complement_connected:
             raise ValueError(f"piece {a}: gluing factor may enclose holes")
@@ -792,7 +816,8 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
         if k is not None:
             raise ValueError(f"inner factor {i} leaves the open domain near "
                              f"{complex(zs[k]):.4g}")
-    check_gluing([inner.factors[i0], outer.factors[i0]], i0)
+    check_gluing([inner.factors[i0], outer.factors[i0]], i0,
+                 [samples["inner", i0], samples["outer", i0]])
 
 
 # --------------------------------------------------------------- utilities

@@ -126,6 +126,22 @@ def glue_target(pieces, i0: int, budgets, tolerance, **options) -> ApproxTask:
 
 # ------------------------------------------------------------------ fit
 
+
+def check_design_size(shapes, derivative_orders, top: int):
+    """Refuse a fit whose reduced least-squares system at the top budget
+    would pass MAX_DESIGN_ENTRIES; shapes[p] are piece p's per-axis sample
+    counts (w axes, then z axes).  Per piece and operator (the identity and
+    every other derivative order), with two or more axes every axis shrinks
+    to its R factor of min(n_j, top + 1) rows; a single axis keeps its n."""
+    k = len(shapes[0])
+    n_ops = 1 + sum(not op.is_identity for op in derivative_orders)
+    reduced_rows = sum(math.prod(min(n, top + 1) if k > 1 else n
+                                 for n in shape) for shape in shapes)
+    if n_ops * reduced_rows * math.comb(top + k, k) > MAX_DESIGN_ENTRIES:
+        raise GridSizeError("design matrix would be too large; lower the "
+                            "budget or the sampling density")
+
+
 # an Arnoldi step whose new direction keeps less than this share of
 # t q_k has run out of distinct samples: its axis stops at that degree
 BREAKDOWN = 1e-10
@@ -225,15 +241,8 @@ def fit(task: ApproxTask) -> FitResult:
     ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
                                   if not op.is_identity]
     top = task.budgets[-1]
-    # the reduced system lstsq gets at the top budget: per piece and op,
-    # with two or more axes every axis shrinks to its R factor of
-    # min(n_j, top + 1) rows; a single axis keeps its n rows
     shapes = [[len(a) for a in ax] for ax in axes]
-    reduced_rows = sum(math.prod(min(n, top + 1) if k > 1 else n
-                                 for n in shape) for shape in shapes)
-    if len(ops) * reduced_rows * math.comb(top + k, k) > MAX_DESIGN_ENTRIES:
-        raise GridSizeError("design matrix would be too large; lower the "
-                            "budget or the sampling density")
+    check_design_size(shapes, task.derivative_orders, top)
 
     # one process per axis on the union of the pieces' samples (the pieces
     # share the w grid), in y = x - center; piece p owns the slice

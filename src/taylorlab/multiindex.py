@@ -107,6 +107,20 @@ def check_int(value, what: str) -> int:
     return value
 
 
+def check_number(value, what: str) -> float:
+    """float(value) of a finite JSON number (a bool is not one); ValueError
+    naming `what` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def complex_pair(value, what: str) -> complex:
     """complex(re, im) of a JSON [re, im] pair; ValueError naming `what`
     otherwise."""

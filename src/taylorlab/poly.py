@@ -34,7 +34,7 @@ import numpy as np
 
 from .geometry import SampleGrid
 from .multiindex import (DiffOp, Enumeration, check_int, check_multiindex,
-                         complex_pairs)
+                         check_number, complex_pairs)
 
 
 # dense coefficients one evaluation or re-centering may span
@@ -603,14 +603,9 @@ def _packed_hessenberg(n: int):
 
 
 def _positive(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    value = check_number(value, what)
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value!r}")
     return value
 
 

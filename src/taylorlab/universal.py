@@ -40,7 +40,7 @@ from .geometry import (
     grid_density,
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
-from .mergelyan import ApproxTask, fit
+from .mergelyan import ApproxTask, check_design_size, fit
 from .mergelyan import glue_target  # noqa: F401  (a lookup site of bench/tracer.py)
 from .multiindex import (Enumeration, IndexSet, SparseIndexError, check_int,
                          complex_pair, complex_pairs)
@@ -128,9 +128,9 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
     assigned as the stages run (recorded per stage).  The inner-side error
     bookkeeping assumes the inner compacts are nested along the schedule,
     as an exhaustion is; the certificate measures the true sups either way.
-    The geometry, tolerances, budgets and the variant's operator family
-    are refused here, before any stage is fitted; a stage's refusal starts
-    with `stage N: `.
+    The geometry, tolerances, budgets, design sizes and the variant's
+    operator family are refused here, before any stage is fitted; a
+    stage's refusal starts with `stage N: `.
     """
     d = domain.dim
     if d < 1:
@@ -148,15 +148,22 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("derivative order bound must be a natural number")
     if r < 0:
         raise ValueError("parameter count must be a natural number")
-    variant_ops(variant, r, d, l)      # refuse the variant and its family
+    orders = variant_ops(variant, r, d, l)[1]   # refuse it and its family
     grid_density("certificate", "z", d, cert_density)  # refuse it up front
     if r > 0 and (w_compact is None or w_compact.dim != r):
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
         raise ValueError("a plan needs at least one stage")
+    # per-axis sample counts of the fit grids (w axes, shared, then z axes)
+    nz = grid_density("fit", "z", d)
+    w_axes = [len(f.sample_boundary(grid_density("fit", "w", r)))
+              for f in w_compact.factors] if r else []
     for idx, req in enumerate(requests, start=1):
         with naming_stage(idx):
             req.validate(domain, r, variant, center)
+            check_design_size(
+                [w_axes + [len(f.sample_boundary(nz)) for f in K.factors]
+                 for K in (req.inner, req.outer)], orders, req.budgets[-1])
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
                      variant, int(l), str(name), int(cert_density))
 

@@ -713,6 +713,9 @@ def _bidisk(name, radius, **fields):
 CLIPPED = {"type": "clipped", "bound": 3.0, "base": {
     "type": "disk", "center": [2.0, 0.0], "radius": 0.25}}
 
+# a rectangle whose x bounds lack their upper end
+SHORT_RECT = {"type": "rect", "x": [2.0], "y": [0.0, 1.0]}
+
 # (file edited, path in it, new value, exit code, start of the message);
 # scenarios edit seleznev.json, streams and certificates its artifacts
 # (re-hashed after the edit), specs predicates_demo.json and the candidate
@@ -764,6 +767,28 @@ REFUSALS = [
      "got 'x'"),
     ("scenario", ("center",), "x", 2, "scenario rejected: center must be a "
      "list of [re, im] pairs, got 'x'"),
+    # a compact or domain field is read by its name: a rect's x as two
+    # finite numbers, a center as an [re, im] pair, a radius as a finite
+    # number
+    *[("scenario", path, value, 2, f"scenario rejected: {message}")
+      for path, value, message in (
+          (("stages", 0, "outer"), SHORT_RECT,
+           "stage 1: rect x must be a [lo, hi] pair, got [2.0]"),
+          (("domain", 0), dict(SHORT_RECT, type="open-rect"),
+           "open-rect x must be a [lo, hi] pair, got [2.0]"),
+          (("w_compact",), {"factors": [SHORT_RECT]},
+           "rect x must be a [lo, hi] pair, got [2.0]"),
+          (("stages", 0, "outer"), dict(SHORT_RECT, x=["2", "3"]),
+           "stage 1: rect x must be a number, got '2'"),
+          (("stages", 0, "inner", "center"), [],
+           "stage 1: disk center must be an [re, im] pair, got []"),
+          (("stages", 0, "inner", "center"), {},
+           "stage 1: disk center must be an [re, im] pair, got {{}}"),
+          (("stages", 0, "inner", "radius"), NAN,
+           "stage 1: disk radius must be finite, got nan"),
+          (("w_compact",), {"factors": [
+              {"type": "disk", "center": [0.0, 0.0], "radius": NAN}]},
+           "disk radius must be finite, got nan"))],
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "
@@ -913,6 +938,8 @@ REFUSALS = [
                           (("header", "cert_density"), "0"))],
     ("candidate", ("terms", 0, "re"), NAN, 2,
      "specs rejected: the candidate has a non-finite coefficient"),
+    ("specs", ("domain", 0), dict(SHORT_RECT, type="open-rect"), 2,
+     "specs rejected: open-rect x must be a [lo, hi] pair, got [2.0]"),
     ("specs", ("specs",), "x", 2, "specs rejected"),
     *[("specs", ("specs", 0), v, 2, "specs rejected")
       for v in (1.5, None, True)],
@@ -996,6 +1023,9 @@ def test_malformed_input_exits_with_a_message(
     message = stderr if code == 2 else stdout
     assert message.startswith(prefix.format(file=paths[file]))
     assert "Traceback" not in stdout + stderr
+    if code == 2:
+        assert stdout == ""
+        assert stderr.count("\n") == 1
 
 
 def _old_stream_is_refused(tmp_path, capsys, artifacts, layout):
@@ -1062,7 +1092,10 @@ def _key_paths(doc, prefix=()):
 
 
 MUTATED = {name: json.load(open(os.path.join(SCEN, f"{name}.json")))
-           for name in ("seleznev", "strong")}
+           for name in ("seleznev", "strong", "parameterized")}
+# a rect outer compact, so that the rect and w_compact readers are mutated
+MUTATED["parameterized"]["stages"][0]["outer"] = {
+    "type": "rect", "x": [2.35, 2.65], "y": [-0.15, 0.15]}
 MUTATION_SITES = [(name, path) for name, doc in MUTATED.items()
                   for path in _key_paths(doc)]
 MUTATION_VALUES = [DROP, 1e308, 10**12, BIG, NAN, -1, "x", [], {}, 0, None,
@@ -1173,7 +1206,11 @@ HOLED = {"type": "union", "parts": [
      "outer factor 0 loses its shape: float64 rounding collapses its samples"),
     # overlapping disks: the union's complement may have holes
     (("stages", 2, "outer"), HOLED,
-     "piece 1: gluing factor may enclose holes")], ids=["shape", "holed"])
+     "piece 1: gluing factor may enclose holes"),
+    # 2 pieces x 400 samples x 20001 columns passes MAX_DESIGN_ENTRIES
+    (("stages", 2, "budgets"), [40, 60, 20000],
+     "design matrix would be too large; lower the budget or the sampling "
+     "density")], ids=["shape", "holed", "design"])
 def test_a_late_stage_that_loses_its_shape_is_refused_before_any_fit(
         tmp_path, capfd, monkeypatch, path, value, reason):
     # geometry the scenario alone decides is refused at plan time, so the

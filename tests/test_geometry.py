@@ -307,6 +307,41 @@ def test_json_roundtrip_compacts():
             assert s.contains(z) == back.contains(z)
 
 
+@pytest.mark.parametrize("reader, data, message", [
+    (compact_from_json, {"type": "disk", "center": {}, "radius": 1.0},
+     "disk center must be an [re, im] pair, got {}"),
+    (compact_from_json, {"type": "segment", "a": [0.0, 0.0], "b": [1.0]},
+     "segment b must be an [re, im] pair, got [1.0]"),
+    (compact_from_json, {"type": "rect", "x": [0.0, 1.0], "y": [2.0]},
+     "rect y must be a [lo, hi] pair, got [2.0]"),
+    (compact_from_json, {"type": "rect", "x": [0.0, "1"], "y": [0.0, 1.0]},
+     "rect x must be a number, got '1'"),
+    (compact_from_json, {"type": "arc", "center": [0.0, 0.0], "radius": 1.0,
+                         "angles": [0.0, math.inf]},
+     "arc angles must be finite, got inf"),
+    (compact_from_json, {"type": "slit-annulus", "center": [0.0, 0.0],
+                         "inner": 1.0, "outer": 2.0, "slit_angle": None,
+                         "half_width": 0.5},
+     "slit-annulus slit_angle must be a number, got None"),
+    (compact_from_json, {"type": "clipped", "bound": math.nan,
+                         "base": {"type": "disk", "center": [0.0, 0.0],
+                                  "radius": 1.0}},
+     "clipped bound must be finite, got nan"),
+    (compact_from_json, {"type": "rect", "x": [-1e308, 1e308],
+                         "y": [0.0, 1.0]},
+     "rectangle perimeter is too large for a float"),
+    (domain_from_json, {"type": "open-disk", "center": [0.0, 0.0],
+                        "radius": True},
+     "open-disk radius must be a number, got True"),
+    (domain_from_json, {"type": "open-rect", "x": [0.0, 1.0, 2.0],
+                        "y": [0.0, 1.0]},
+     "open-rect x must be a [lo, hi] pair, got [0.0, 1.0, 2.0]")])
+def test_json_readers_name_the_malformed_field(reader, data, message):
+    with pytest.raises(ValueError) as err:
+        reader(data)
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------- domains
 
 

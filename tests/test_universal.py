@@ -137,6 +137,20 @@ def test_stage_checks_test_each_sample_array_at_once(monkeypatch):
     assert max(calls.values()) <= 5 * 3
 
 
+def test_plan_draws_each_stage_factor_once_at_128_points(monkeypatch):
+    # the gluing test reads the 128-point samples the stage check drew
+    sizes = collections.Counter()
+
+    def counted(self, n, _sample=Disk.sample_boundary):
+        sizes[n] += 1
+        return _sample(self, n)
+    monkeypatch.setattr(Disk, "sample_boundary", counted)
+    with open(os.path.join(SCEN, "alternating_three.json")) as fh:
+        plan_from_scenario(json.load(fh))
+    # per stage: 2 factors at 128 and at 200, 3 domain probes at 64
+    assert (sizes[128], sizes[200], sizes[64]) == (6, 6, 9)
+
+
 def test_outer_touching_boundary_needs_open_variant():
     # a compact tangent to the unit circle from outside: fine for the
     # open-disjointness variants, refused when the closure must stay clear

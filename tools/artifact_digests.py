@@ -5,10 +5,11 @@
 One line per artifact, `sha256  name`, sorted by name:
 
 - the `certificate.json`, `stream.json` and `history.csv` that `construct`
-  writes for each shipped scenario;
+  writes for each shipped scenario, and the exit code and standard output
+  of `verify` on them (`verify.out`);
 - the standard output of `predicates` on the shipped demo
   (`candidate_zsq.json` with `predicates_demo.json`);
-- for each seed, the same three files of every construct unit of the
+- for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
   `bench/workloads.py` and `bench/run.py` generate.
@@ -42,15 +43,16 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _call(main, argv) -> str:
-    """Standard output of one command; a refused input (exit 2) stops the
-    run, since every digested input must construct."""
+def _call(main, argv) -> tuple:
+    """Exit code and standard output of one command; a refused input (exit
+    2) stops the run, since every digested input must construct and
+    replay."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     if code == 2:
         raise SystemExit(f"artifact_digests: exit 2 from {' '.join(argv)}")
-    return out.getvalue()
+    return code, out.getvalue()
 
 
 def _construct(main, scenario: str, out_dir: str, name: str) -> dict:
@@ -59,6 +61,9 @@ def _construct(main, scenario: str, out_dir: str, name: str) -> dict:
     for artifact in ARTIFACTS:
         with open(os.path.join(out_dir, artifact), "rb") as fh:
             digests[f"{name}/{artifact}"] = _digest(fh.read())
+    code, text = _call(main, ["verify", os.path.join(out_dir, "stream.json"),
+                              os.path.join(out_dir, "certificate.json")])
+    digests[f"{name}/verify.out"] = _digest(f"exit {code}\n{text}".encode())
     return digests
 
 
@@ -75,7 +80,7 @@ def digests(checkout: str, seeds, work: str) -> dict:
         out.update(_construct(main, os.path.join(scenarios, f"{name}.json"),
                               os.path.join(work, "shipped", name),
                               f"shipped/{name}"))
-    demo = _call(main, ["predicates",
+    _, demo = _call(main, ["predicates",
                         os.path.join(scenarios, "candidate_zsq.json"),
                         os.path.join(scenarios, "predicates_demo.json")])
     out["shipped/predicates_demo.stdout"] = _digest(demo.encode())
@@ -91,7 +96,7 @@ def digests(checkout: str, seeds, work: str) -> dict:
                                       f"{tag}/{unit.name}"))
             for unit in workloads.predicate_units(workload, seed, units,
                                                   unit_dir, run._stream_poly):
-                text = _call(main, ["predicates", *unit.paths])
+                _, text = _call(main, ["predicates", *unit.paths])
                 out[f"{tag}/{unit.name}.stdout"] = _digest(text.encode())
     return out
 
