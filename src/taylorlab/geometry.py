@@ -747,12 +747,11 @@ def _first(mask):
     return k if mask[k] else None
 
 
-def check_gluing(factors, i0: int, samples=None):
-    """Refuse gluing factors (coordinate i0 of each piece) that overlap (a
-    128-point boundary sample of one strictly inside another; samples are
-    those, drawn here if not given), touch (a 200-point boundary sample
-    shared) or may enclose holes."""
-    samples = samples or [K.sample_boundary(n=128) for K in factors]
+def check_gluing(factors, samples, i0: int):
+    """Refuse gluing factors (coordinate i0 of each piece) that overlap (one
+    of the samples, each factor's 128-point boundary sample, strictly
+    inside another factor), touch (a 200-point boundary sample shared) or
+    may enclose holes."""
     for a, Ka in enumerate(factors):
         if not Ka.complement_connected:
             raise ValueError(f"piece {a}: gluing factor may enclose holes")
@@ -816,8 +815,8 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
         if k is not None:
             raise ValueError(f"inner factor {i} leaves the open domain near "
                              f"{complex(zs[k]):.4g}")
-    check_gluing([inner.factors[i0], outer.factors[i0]], i0,
-                 [samples["inner", i0], samples["outer", i0]])
+    check_gluing([inner.factors[i0], outer.factors[i0]],
+                 [samples["inner", i0], samples["outer", i0]], i0)
 
 
 # --------------------------------------------------------------- utilities

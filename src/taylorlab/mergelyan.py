@@ -120,7 +120,8 @@ def glue_target(pieces, i0: int, budgets, tolerance, **options) -> ApproxTask:
     d = pieces[0][0].dim
     if not (0 <= i0 < d):
         raise ValueError("gluing coordinate out of range")
-    check_gluing([K.factors[i0] for K, _ in pieces], i0)
+    factors = [K.factors[i0] for K, _ in pieces]
+    check_gluing(factors, [f.sample_boundary(n=128) for f in factors], i0)
     return ApproxTask(list(pieces), list(budgets), tolerance, **options)
 
 
