@@ -81,8 +81,8 @@ def digests(checkout: str, seeds, work: str) -> dict:
                               os.path.join(work, "shipped", name),
                               f"shipped/{name}"))
     _, demo = _call(main, ["predicates",
-                        os.path.join(scenarios, "candidate_zsq.json"),
-                        os.path.join(scenarios, "predicates_demo.json")])
+                           os.path.join(scenarios, "candidate_zsq.json"),
+                           os.path.join(scenarios, "predicates_demo.json")])
     out["shipped/predicates_demo.stdout"] = _digest(demo.encode())
     for seed in seeds:
         for workload in workloads.WORKLOADS:
