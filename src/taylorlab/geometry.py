@@ -93,11 +93,15 @@ class PlanarCompact:
         """About n boundary samples, shared among the boundary curves by
         arclength, at least MIN_CURVE_POINTS on each curve.
 
-        Sets without interior (segments, arcs) sample the whole set.
+        Sets without interior (segments, arcs) sample the whole set.  A
+        boundary whose length overflows a float is refused.
         """
         curves = self._curves()
         pts = []
         total_len = sum(c[0] for c in curves)
+        if not math.isfinite(total_len):
+            raise ValueError(f"{self.to_json()['type']} boundary length "
+                             "overflows a float")
         for length, closed, fn in curves:
             k = max(MIN_CURVE_POINTS,
                     math.ceil(n * length / max(total_len, 1e-300)))

@@ -88,33 +88,58 @@ def _nonzero(mask) -> bool:
     return any(map(_nonzero, mask)) if isinstance(mask, list) else mask
 
 
-def _horner(C, cols, n: int, live):
+def _horner(C, cols, shapes, live):
     """Nested Horner values of dense coefficients held in lanes: C has shape
-    (lanes, *box), one box axis per column in cols (the first outermost),
-    and row l of the (lanes, n) result is lane l's polynomial at the n
-    points whose coordinates are the columns, each column given once per
-    lane, shape (lanes, n); None when C is 0 in every lane.  `live` is
+    (lanes, *box), one box axis per coordinate array in cols (the first
+    outermost), and the coordinate arrays, each given once per lane on
+    axis 0, broadcast against each other.  Level i's values have shape
+    shapes[i], the broadcast shape of cols[i:], so a level's inner
+    polynomials are evaluated once per distinct point of the coordinates
+    inside it: on a product grid's factors, each on an axis of its own,
+    each inner level runs on its factors' own points.  Each entry of the
+    result is its lane's polynomial at the point whose coordinates
+    broadcast to it; None when C is 0 in every lane.  `live` is
     C.any(axis=0) as nested lists.  A slab of coefficients is skipped only
     where it is 0 in every lane; with finite points the other lanes then
     add exact zeros, so each lane gets the values it would get on its
     own."""
     if not cols:
-        return np.repeat(C[:, None], n, axis=1) if live else None
-    z, rest = cols[0], cols[1:]
-    # the slabs along the first box axis, as (lanes, 1) columns on the last
-    slabs = C if rest else C.T[:, :, None]
+        return C[:, None] if live else None
+    z, rest, shape = cols[0], cols[1:], shapes[0]
+    # the slabs along the first box axis, as lane columns on the last axes
+    slabs = C if rest else C.T[(...,) + (None,) * (len(shape) - 1)]
     acc = None
     for k in reversed(range(C.shape[1])):
         if acc is not None:
             acc *= z
         if not _nonzero(live[k]):
             continue
-        c = _horner(C[:, k], rest, n, live[k]) if rest else slabs[k]
+        if rest:
+            c = _horner(C[:, k], rest, shapes[1:], live[k])
+        else:
+            c = slabs[k]
         if acc is None:
-            acc = c if rest else np.repeat(c, n, axis=1)
+            # a copy in this level's shape, updated in place from here on
+            acc = (np.repeat(c, shape[-1], axis=-1) if not rest
+                   else c if c.shape == shape
+                   else np.broadcast_to(c, shape).copy())
         else:
             acc += c
     return acc
+
+
+def _coordinates(Z, d: int, lanes: int):
+    """(cols, mesh): Z's d coordinates as arrays that broadcast against each
+    other, each repeated once per lane on axis 0, and the shape `mesh` of
+    the points they broadcast to.  A SampleGrid's per-factor samples each
+    lie on an axis of their own, so the mesh is the grid in its point
+    order; a plain point array's coordinates all lie on one shared axis."""
+    if isinstance(Z, SampleGrid) and d and len(Z.per_factor) == d:
+        return [np.asarray(a, dtype=complex).reshape(
+            (1,) * (i + 1) + (-1,) + (1,) * (d - 1 - i)).repeat(lanes, axis=0)
+            for i, a in enumerate(Z.per_factor)], tuple(map(len, Z.per_factor))
+    Z = _as_grid(Z, d)
+    return list(Z.T[:, None].repeat(lanes, axis=1)), (Z.shape[0],)
 
 
 def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
@@ -124,25 +149,27 @@ def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
     is evaluated for all lanes by the Horner kernel, times its w-monomial,
     in ascending order (one that is 0 in every lane is skipped), so the
     product grid is never built and the rounding depends on the
-    coefficients alone."""
+    coefficients alone.  A SampleGrid Z is evaluated factor by factor
+    (_coordinates); its values are those of its points."""
     W = _as_grid(W, r)
-    Z = _as_grid(Z, D.ndim - 1 - r)
-    lanes, n = D.shape[0], Z.shape[0]
-    out = np.zeros((lanes, W.shape[0], n), dtype=complex)
+    lanes, d = D.shape[0], D.ndim - 1 - r
+    cols, mesh = _coordinates(Z, d, lanes)
+    out = np.zeros((lanes, W.shape[0]) + mesh, dtype=complex)
     live = D.any(axis=0)
     if not live.any():
-        return out
-    cols = list(Z.T[:, None].repeat(lanes, axis=1))
+        return out.reshape(lanes, W.shape[0], -1)
+    shapes = [np.broadcast_shapes(*(c.shape for c in cols[i:]))
+              for i in range(d)]
     for we in itertools.product(*map(range, live.shape[:r])):
-        zs = _horner(D[(slice(None),) + we], cols, n, live[we].tolist())
+        zs = _horner(D[(slice(None),) + we], cols, shapes, live[we].tolist())
         if zs is None:
             continue
         wa = np.ones(W.shape[0], dtype=complex)
         for i, e in enumerate(we):
             if e:
                 wa = wa * W[:, i] ** e
-        out += wa[None, :, None] * zs[:, None, :]
-    return out
+        out += wa.reshape((1, -1) + (1,) * len(mesh)) * zs[:, None]
+    return out.reshape(lanes, W.shape[0], -1)
 
 
 def diff_lanes(D: np.ndarray, orders) -> np.ndarray:
@@ -182,24 +209,26 @@ def _recenter(A, Z, first: int) -> np.ndarray:
             "the re-centering kernel takes")
     for i in np.flatnonzero(moving.any(axis=0)):
         ax = first + int(i)
-        C = np.moveaxis(A, ax, -1)
-        off = Z[:, i].reshape((-1,) + (1,) * (C.ndim - 1))
-        n = C.shape[-1] - 1
+        # the moved axis leads, so each step's slab src[1:k + 2] is one
+        # contiguous run over the lanes and the other axes
+        C = np.moveaxis(A, ax, 0)
+        off = Z[:, i].reshape((-1,) + (1,) * (C.ndim - 2))
+        n = C.shape[0] - 1
         # Horner in (y + off): q <- (y + off) q + c_m for m = n-1..0, one
-        # anti-diagonal of Ruffini's table per step.  Entry 0 of the last
+        # anti-diagonal of Ruffini's table per step.  Entry 0 of the leading
         # axis holds c_m and entries 1.. hold q with a zero past its top,
         # so a step is q_i <- q_{i-1} + off * q_i for i = 0..deg q + 1: the
         # multiply-adds of the scalar Ruffini-Horner loop, vectorised over
         # the lanes.
-        src = np.zeros(C.shape[:-1] + (n + 2,), dtype=complex)
+        src = np.zeros((n + 2,) + C.shape[1:], dtype=complex)
         dst = np.zeros_like(src)
-        src[..., 1] = C[..., n]
+        src[1] = C[n]
         for k in range(1, n + 1):
-            src[..., 0] = C[..., n - k]
-            np.multiply(src[..., 1:k + 2], off, out=dst[..., 1:k + 2])
-            dst[..., 1:k + 2] += src[..., :k + 1]
+            src[0] = C[n - k]
+            np.multiply(src[1:k + 2], off, out=dst[1:k + 2])
+            dst[1:k + 2] += src[:k + 1]
             src, dst = dst, src
-        A = np.moveaxis(src[..., 1:], -1, ax)
+        A = np.moveaxis(src[1:], 0, ax)
     return A
 
 

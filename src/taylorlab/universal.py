@@ -43,7 +43,7 @@ from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
 from .mergelyan import ApproxTask, check_design_size, fit
 from .mergelyan import glue_target  # noqa: F401  (a lookup site of bench/tracer.py)
 from .multiindex import (Enumeration, IndexSet, SparseIndexError, check_int,
-                         complex_pair, complex_pairs)
+                         check_number, complex_pair, complex_pairs)
 from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 from .verify import (CERT_FORMAT, capture_rank, catalog_poly, certify_stages,
@@ -427,7 +427,7 @@ def plan_from_scenario(data: dict) -> StagePlan:
                                         outer=True),
                 inner=_scenario_compact(s["inner"], domain, variant,
                                         outer=False),
-                tolerance=float(s["tolerance"]),
+                tolerance=check_number(s["tolerance"], "tolerance"),
                 budgets=list(s["budgets"])))
     return plan_stages(
         domain, requests, enum=enum, mu=mu, center=center, r=r,

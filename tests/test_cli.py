@@ -789,6 +789,13 @@ REFUSALS = [
           (("w_compact",), {"factors": [
               {"type": "disk", "center": [0.0, 0.0], "radius": NAN}]},
            "disk radius must be finite, got nan"))],
+    # a finite radius whose boundary length overflows, and a tolerance that
+    # is not a number (a bool is not one), are refused by name
+    ("scenario", ("stages", 0, "outer", "radius"), 1e308, 2,
+     "scenario rejected: stage 1: disk boundary length overflows a float"),
+    *[("scenario", ("stages", 0, "tolerance"), value, 2,
+       f"scenario rejected: stage 1: tolerance must be a number, "
+       f"got {value!r}") for value in ("x", True)],
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taylorlab.geometry import Disk, ProductCompact, Rectangle, SampleGrid
 from taylorlab.multiindex import DiffOp, Enumeration
-from taylorlab.poly import (Axis, Block, CoefficientStream, Poly, gamma,
+from taylorlab.poly import (Axis, Block, CoefficientStream, Poly, _as_grid,
+                            _nonzero, _recenter, eval_lanes, gamma,
                             gamma_poly, graded_columns, partial_sum)
 
 from util import (
@@ -302,6 +304,174 @@ def test_shift_preserves_degree_box():
         zeta = random_point(rng, 2)
         q = p.shift_center(zeta)
         assert q.z_degrees() == p.z_degrees()
+
+
+# ------------------------------------------------------------ lane kernels
+#
+# Reference copies of the lane kernels as they were before they ran on
+# contiguous rows and evaluated product grids factor by factor: the points
+# repeated per lane, every Horner level on every point, and the shifted
+# axis last.  The kernels must give the same bits.
+
+def _reference_horner(C, cols, n, live):
+    if not cols:
+        return np.repeat(C[:, None], n, axis=1) if live else None
+    z, rest = cols[0], cols[1:]
+    slabs = C if rest else C.T[:, :, None]
+    acc = None
+    for k in reversed(range(C.shape[1])):
+        if acc is not None:
+            acc *= z
+        if not _nonzero(live[k]):
+            continue
+        c = _reference_horner(C[:, k], rest, n, live[k]) if rest else slabs[k]
+        if acc is None:
+            acc = c if rest else np.repeat(c, n, axis=1)
+        else:
+            acc += c
+    return acc
+
+
+def _reference_eval_lanes(D, r, W, Z):
+    W = _as_grid(W, r)
+    Z = _as_grid(Z, D.ndim - 1 - r)
+    lanes, n = D.shape[0], Z.shape[0]
+    out = np.zeros((lanes, W.shape[0], n), dtype=complex)
+    live = D.any(axis=0)
+    if not live.any():
+        return out
+    cols = list(Z.T[:, None].repeat(lanes, axis=1))
+    for we in itertools.product(*map(range, live.shape[:r])):
+        zs = _reference_horner(D[(slice(None),) + we], cols, n,
+                               live[we].tolist())
+        if zs is None:
+            continue
+        wa = np.ones(W.shape[0], dtype=complex)
+        for i, e in enumerate(we):
+            if e:
+                wa = wa * W[:, i] ** e
+        out += wa[None, :, None] * zs[:, None, :]
+    return out
+
+
+def _reference_recenter(A, Z, first):
+    for i in np.flatnonzero((Z != 0).any(axis=0)):
+        ax = first + int(i)
+        C = np.moveaxis(A, ax, -1)
+        off = Z[:, i].reshape((-1,) + (1,) * (C.ndim - 1))
+        n = C.shape[-1] - 1
+        src = np.zeros(C.shape[:-1] + (n + 2,), dtype=complex)
+        dst = np.zeros_like(src)
+        src[..., 1] = C[..., n]
+        for k in range(1, n + 1):
+            src[..., 0] = C[..., n - k]
+            np.multiply(src[..., 1:k + 2], off, out=dst[..., 1:k + 2])
+            dst[..., 1:k + 2] += src[..., :k + 1]
+            src, dst = dst, src
+        A = np.moveaxis(src[..., 1:], -1, ax)
+    return A
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert (np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+
+
+def _grid(per_factor):
+    """The SampleGrid of the given per-factor samples, points in the order
+    ProductCompact.sample writes them."""
+    per_factor = [np.asarray(a, dtype=complex) for a in per_factor]
+    mesh = np.meshgrid(*per_factor, indexing="ij")
+    return SampleGrid(np.stack([m.reshape(-1) for m in mesh], axis=1),
+                      per_factor)
+
+
+def _lanes(rng, lanes, shape, r, flat=None):
+    """Random dense lanes over a joint box, with zero slabs on each z-axis:
+    its slab 1 in the first half of the lanes only, and the top slab of
+    the first z-axis in every lane, so a Horner level starts below its
+    top.  On z-axis `flat` every slab past 0 is zero in every lane, so
+    that level hands back the values of the levels inside it alone."""
+    D = rng.standard_normal((lanes, *shape)) + 1j * rng.standard_normal(
+        (lanes, *shape))
+    for i in range(len(shape) - r):
+        axis = (slice(None),) * (r + i)
+        D[(slice(lanes // 2),) + axis + (1,)] = 0
+        if i == 0:
+            D[(slice(None),) + axis + (-1,)] = 0
+        if i == flat:
+            D[(slice(None),) + axis + (slice(1, None),)] = 0
+    return D
+
+
+def _samples(rng, sizes):
+    return [rng.uniform(-1.5, 1.5, m) + 1j * rng.uniform(-1.5, 1.5, m)
+            for m in sizes]
+
+
+# per-factor sample counts, some factors of a single point
+SAMPLE_SIZES = {1: [(9,), (1,)], 2: [(7, 6), (1, 4), (5, 1)],
+                3: [(7, 6, 5), (1, 4, 3), (5, 1, 4)]}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1])
+def test_eval_lanes_matches_the_reference_kernel_bit_for_bit(r, d):
+    rng = np.random.default_rng(100 + 10 * d + r)
+    shape = (3,) * r + (6, 5, 4)[:d]
+    W = _samples(rng, [4])[0].reshape(4, 1) if r else None
+    flats = [None] + ([d - 2] if d > 1 else [])
+    for D in [_lanes(rng, 5, shape, r, flat) for flat in flats]:
+        for sizes in SAMPLE_SIZES[d]:
+            grid = _grid(_samples(rng, sizes))
+            want = _reference_eval_lanes(D, r, W, grid.points)
+            _assert_same_bits(eval_lanes(D, r, W, grid), want)
+            _assert_same_bits(eval_lanes(D, r, W, grid.points), want)
+    # no live lane at all
+    _assert_same_bits(eval_lanes(0 * D, r, W, grid),
+                      _reference_eval_lanes(0 * D, r, W, grid.points))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_eval_lanes_on_a_grid_is_eval_lanes_on_its_points(d):
+    rng = np.random.default_rng(130 + d)
+    factors = [Disk(0.2, 1.3), Rectangle(-1.0, 0.5, -0.7, 0.9),
+               Disk(-0.4j, 0.8)][:d]
+    grid = ProductCompact(factors).sample(n_per_factor=12 if d == 2 else 6)
+    for r in (0, 1):
+        D = _lanes(rng, 4, (2,) * r + (9, 7, 5)[:d], r)
+        W = ProductCompact([Disk(0.0, 0.7)] * r).sample(n_per_factor=8)
+        _assert_same_bits(eval_lanes(D, r, W, grid),
+                          eval_lanes(D, r, W, grid.points))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf + 1j, np.nan])
+def test_eval_lanes_keeps_a_non_finite_coordinate_as_the_reference(bad):
+    rng = np.random.default_rng(140)
+    D = _lanes(rng, 3, (5, 4), 0)
+    per_factor = [rng.uniform(-1, 1, 6) + 0j, rng.uniform(-1, 1, 5) + 0j]
+    per_factor[1][2] = bad
+    grid = _grid(per_factor)
+    with np.errstate(all="ignore"):
+        got = eval_lanes(D, 0, None, grid)
+        want = _reference_eval_lanes(D, 0, None, grid.points)
+    assert not np.isfinite(got).all()
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [0, 1])
+def test_recenter_matches_the_reference_kernel_bit_for_bit(r, d):
+    rng = np.random.default_rng(150 + 10 * d + r)
+    A = _lanes(rng, 6, (3,) * r + (7, 5, 4)[:d], r)
+    Z = rng.uniform(-2, 2, (6, d)) + 1j * rng.uniform(-2, 2, (6, d))
+    Z[:2, 0] = 0                  # some lanes stay put on a moving axis
+    if d > 1:
+        Z[:, 1] = 0               # an axis no lane moves is skipped
+    for lanes in (A, np.broadcast_to(A[0], A.shape)):
+        _assert_same_bits(_recenter(lanes, Z, 1 + r),
+                          _reference_recenter(lanes, Z, 1 + r))
 
 
 # ------------------------------------------------------------ gamma

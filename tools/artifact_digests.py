@@ -8,7 +8,9 @@ One line per artifact, `sha256  name`, sorted by name:
   writes for each shipped scenario, and the exit code and standard output
   of `verify` on them (`verify.out`);
 - the standard output of `predicates` on the shipped demo
-  (`candidate_zsq.json` with `predicates_demo.json`);
+  (`candidate_zsq.json` with `predicates_demo.json`), and on a partial sum
+  of the shipped `parameterized` stream with an r = 1, strong-variant
+  (l = 1) F and E spec, whose lanes carry a w-axis and derivatives;
 - for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
@@ -27,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -37,6 +40,14 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 SHIPPED = ("alternating_three", "parameterized", "seleznev", "strong",
            "two_stage_conflict")
 ARTIFACTS = ("certificate.json", "stream.json", "history.csv")
+UNIT_DISK = {"type": "open-disk", "center": [0.0, 0.0], "radius": 1.0}
+# predicates on the parameterized stream's partial sum through rank
+# PARAM_RANK (its top rank is 12), each spec cutting it at rank 6
+PARAM_RANK = 9
+PARAM_SPECS = {"domain": [UNIT_DISK], "w_domain": [UNIT_DISK], "specs": [
+    {"predicate": "F", "p": 1, "s": 10, "n": 6, "variant": "strong", "l": 1},
+    {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 6, "variant": "strong",
+     "l": 1}]}
 
 
 def _digest(data: bytes) -> str:
@@ -67,6 +78,21 @@ def _construct(main, scenario: str, out_dir: str, name: str) -> dict:
     return digests
 
 
+def _param_predicates(main, stream_path: str, work: str) -> str:
+    """Standard output of `predicates` with PARAM_SPECS on the partial sum
+    through PARAM_RANK of the stream at stream_path."""
+    from taylorlab.poly import CoefficientStream
+    with open(stream_path) as fh:
+        stream = CoefficientStream.from_json(json.load(fh))
+    paths = []
+    for name, data in (("candidate", stream.partial_sum(PARAM_RANK).to_json()),
+                       ("specs", PARAM_SPECS)):
+        paths.append(os.path.join(work, f"parameterized-{name}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(data, fh)
+    return _call(main, ["predicates", *paths])[1]
+
+
 def digests(checkout: str, seeds, work: str) -> dict:
     sys.path[:0] = [os.path.join(checkout, "src"),
                     os.path.join(checkout, "bench")]
@@ -84,6 +110,11 @@ def digests(checkout: str, seeds, work: str) -> dict:
                            os.path.join(scenarios, "candidate_zsq.json"),
                            os.path.join(scenarios, "predicates_demo.json")])
     out["shipped/predicates_demo.stdout"] = _digest(demo.encode())
+    param = _param_predicates(
+        main, os.path.join(work, "shipped", "parameterized", "stream.json"),
+        work)
+    out["shipped/predicates_parameterized_strong.stdout"] = _digest(
+        param.encode())
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             tag = f"{workload}/seed{seed}"
