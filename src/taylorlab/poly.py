@@ -92,12 +92,12 @@ def _horner(C, cols, shapes, live):
     """Nested Horner values of dense coefficients held in lanes: C has shape
     (lanes, *box), one box axis per coordinate array in cols (the first
     outermost), and the coordinate arrays, each given once per lane on
-    axis 0, broadcast against each other.  Level i's values have shape
-    shapes[i], the broadcast shape of cols[i:], so a level's inner
-    polynomials are evaluated once per distinct point of the coordinates
-    inside it: on a product grid's factors, each on an axis of its own,
-    each inner level runs on its factors' own points.  Each entry of the
-    result is its lane's polynomial at the point whose coordinates
+    axis 0, broadcast against each other (_coordinates).  Level i's
+    values have shape shapes[i], the broadcast shape of cols[i:], so a
+    level's inner polynomials are evaluated once per distinct point of the
+    coordinates inside it: on a product grid's factors, each on an axis of
+    its own, each inner level runs on its factors' own points.  Each entry
+    of the result is its lane's polynomial at the point whose coordinates
     broadcast to it; None when C is 0 in every lane.  `live` is
     C.any(axis=0) as nested lists.  A slab of coefficients is skipped only
     where it is 0 in every lane; with finite points the other lanes then
@@ -114,10 +114,7 @@ def _horner(C, cols, shapes, live):
             acc *= z
         if not _nonzero(live[k]):
             continue
-        if rest:
-            c = _horner(C[:, k], rest, shapes[1:], live[k])
-        else:
-            c = slabs[k]
+        c = _horner(C[:, k], rest, shapes[1:], live[k]) if rest else slabs[k]
         if acc is None:
             # a copy in this level's shape, updated in place from here on
             acc = (np.repeat(c, shape[-1], axis=-1) if not rest
@@ -129,17 +126,24 @@ def _horner(C, cols, shapes, live):
 
 
 def _coordinates(Z, d: int, lanes: int):
-    """(cols, mesh): Z's d coordinates as arrays that broadcast against each
-    other, each repeated once per lane on axis 0, and the shape `mesh` of
-    the points they broadcast to.  A SampleGrid's per-factor samples each
-    lie on an axis of their own, so the mesh is the grid in its point
-    order; a plain point array's coordinates all lie on one shared axis."""
+    """(cols, shapes, mesh) for _horner: Z's d coordinates as arrays that
+    broadcast against each other, each repeated once per lane on axis 0,
+    the shape shapes[i] that cols[i:] broadcast to, and the shape `mesh`
+    of the points.  A SampleGrid's per-factor samples each lie on an axis
+    of their own, so the mesh is the grid in its point order; a plain
+    point array's coordinates all lie on one shared axis."""
     if isinstance(Z, SampleGrid) and d and len(Z.per_factor) == d:
-        return [np.asarray(a, dtype=complex).reshape(
-            (1,) * (i + 1) + (-1,) + (1,) * (d - 1 - i)).repeat(lanes, axis=0)
-            for i, a in enumerate(Z.per_factor)], tuple(map(len, Z.per_factor))
-    Z = _as_grid(Z, d)
-    return list(Z.T[:, None].repeat(lanes, axis=1)), (Z.shape[0],)
+        mesh = tuple(map(len, Z.per_factor))
+        cols = [np.asarray(a, dtype=complex).reshape(
+            (1,) * (i + 1) + (-1,) + (1,) * (d - 1 - i))
+            for i, a in enumerate(Z.per_factor)]
+        shapes = [(lanes,) + (1,) * i + mesh[i:] for i in range(d)]
+    else:
+        Z = _as_grid(Z, d)
+        mesh = (Z.shape[0],)
+        cols = list(Z.T[:, None])
+        shapes = [(lanes,) + mesh] * d
+    return [c.repeat(lanes, axis=0) for c in cols], shapes, mesh
 
 
 def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
@@ -152,14 +156,12 @@ def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
     coefficients alone.  A SampleGrid Z is evaluated factor by factor
     (_coordinates); its values are those of its points."""
     W = _as_grid(W, r)
-    lanes, d = D.shape[0], D.ndim - 1 - r
-    cols, mesh = _coordinates(Z, d, lanes)
+    lanes = D.shape[0]
+    cols, shapes, mesh = _coordinates(Z, D.ndim - 1 - r, lanes)
     out = np.zeros((lanes, W.shape[0]) + mesh, dtype=complex)
     live = D.any(axis=0)
     if not live.any():
         return out.reshape(lanes, W.shape[0], -1)
-    shapes = [np.broadcast_shapes(*(c.shape for c in cols[i:]))
-              for i in range(d)]
     for we in itertools.product(*map(range, live.shape[:r])):
         zs = _horner(D[(slice(None),) + we], cols, shapes, live[we].tolist())
         if zs is None:
