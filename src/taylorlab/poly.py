@@ -117,7 +117,7 @@ def _horner(C, cols, shapes, live):
         c = _horner(C[:, k], rest, shapes[1:], live[k]) if rest else slabs[k]
         if acc is None:
             # a copy in this level's shape, updated in place from here on
-            acc = (np.repeat(c, shape[-1], axis=-1) if not rest
+            acc = (c.repeat(shape[-1], axis=-1) if not rest
                    else c if c.shape == shape
                    else np.broadcast_to(c, shape).copy())
         else:
@@ -129,21 +129,20 @@ def _coordinates(Z, d: int, lanes: int):
     """(cols, shapes, mesh) for _horner: Z's d coordinates as arrays that
     broadcast against each other, each repeated once per lane on axis 0,
     the shape shapes[i] that cols[i:] broadcast to, and the shape `mesh`
-    of the points.  A SampleGrid's per-factor samples each lie on an axis
-    of their own, so the mesh is the grid in its point order; a plain
-    point array's coordinates all lie on one shared axis."""
-    if isinstance(Z, SampleGrid) and d and len(Z.per_factor) == d:
+    of the points.  The per-factor samples of a SampleGrid of two or more
+    factors each lie on an axis of their own, so the mesh is the grid in
+    its point order; the coordinates of plain points, or of a grid of one
+    factor, all lie on one shared axis."""
+    if isinstance(Z, SampleGrid) and len(Z.per_factor) == d > 1:
         mesh = tuple(map(len, Z.per_factor))
         cols = [np.asarray(a, dtype=complex).reshape(
             (1,) * (i + 1) + (-1,) + (1,) * (d - 1 - i))
             for i, a in enumerate(Z.per_factor)]
-        shapes = [(lanes,) + (1,) * i + mesh[i:] for i in range(d)]
-    else:
-        Z = _as_grid(Z, d)
-        mesh = (Z.shape[0],)
-        cols = list(Z.T[:, None])
-        shapes = [(lanes,) + mesh] * d
-    return [c.repeat(lanes, axis=0) for c in cols], shapes, mesh
+        return ([c.repeat(lanes, axis=0) for c in cols],
+                [(lanes,) + (1,) * i + mesh[i:] for i in range(d)], mesh)
+    Z = _as_grid(Z, d)
+    return (list(Z.T[:, None].repeat(lanes, axis=1)),
+            [(lanes, len(Z))] * d, (len(Z),))
 
 
 def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
@@ -156,12 +155,12 @@ def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
     coefficients alone.  A SampleGrid Z is evaluated factor by factor
     (_coordinates); its values are those of its points."""
     W = _as_grid(W, r)
-    lanes = D.shape[0]
-    cols, shapes, mesh = _coordinates(Z, D.ndim - 1 - r, lanes)
-    out = np.zeros((lanes, W.shape[0]) + mesh, dtype=complex)
+    lanes, d = D.shape[0], D.ndim - 1 - r
     live = D.any(axis=0)
     if not live.any():
-        return out.reshape(lanes, W.shape[0], -1)
+        return np.zeros((lanes, len(W), len(_as_grid(Z, d))), dtype=complex)
+    cols, shapes, mesh = _coordinates(Z, d, lanes)
+    out = np.zeros((lanes, len(W)) + mesh, dtype=complex)
     for we in itertools.product(*map(range, live.shape[:r])):
         zs = _horner(D[(slice(None),) + we], cols, shapes, live[we].tolist())
         if zs is None:
@@ -171,7 +170,7 @@ def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
             if e:
                 wa = wa * W[:, i] ** e
         out += wa.reshape((1, -1) + (1,) * len(mesh)) * zs[:, None]
-    return out.reshape(lanes, W.shape[0], -1)
+    return out.reshape(lanes, len(W), -1)
 
 
 def diff_lanes(D: np.ndarray, orders) -> np.ndarray:
