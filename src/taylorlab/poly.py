@@ -152,8 +152,9 @@ def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
     is evaluated for all lanes by the Horner kernel, times its w-monomial,
     in ascending order (one that is 0 in every lane is skipped), so the
     product grid is never built and the rounding depends on the
-    coefficients alone.  A SampleGrid Z is evaluated factor by factor
-    (_coordinates); its values are those of its points."""
+    coefficients alone.  A SampleGrid Z of two or more factors is
+    evaluated factor by factor (_coordinates), with the values of its
+    points bit for bit."""
     W = _as_grid(W, r)
     lanes, d = D.shape[0], D.ndim - 1 - r
     live = D.any(axis=0)
