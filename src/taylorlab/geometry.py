@@ -785,14 +785,19 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
       glues them.
 
     The closure variant "infty" (seminorms on closure truncations) keeps
-    outer factors off the domain closure and lets inner ones touch it.  A
+    outer factors off the domain closure and lets inner ones touch it.
+    The plain variant lets an outer sample lie 4 float steps (at its own
+    magnitude) inside the domain: that is a boundary point, rounded.  A
     ValueError names the factor and its first failing sample, a sample
     inside the domain before one at the divisor center.
     """
     samples = {}
     for side, K in (("outer", outer), ("inner", inner)):
         for i, f in enumerate(K.factors):
-            zs = samples[side, i] = f.sample_boundary(n=128)
+            try:
+                zs = samples[side, i] = f.sample_boundary(n=128)
+            except ValueError as exc:
+                raise ValueError(f"{side} factor {i}: {exc}") from exc
             if side == "outer" and not np.isfinite(zs).all():
                 raise ValueError(f"outer factor {i} is not finite")
             if f.loses_shape():
@@ -801,7 +806,8 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
     i0 = outer.disjoint_factor
     slack = -1e-9 if variant == "infty" else 0.0
     zs, c0 = samples["outer", i0], center[i0]
-    into = domain.factors[i0].contains(zs, tol=slack)
+    margin = slack if variant == "infty" else 4 * np.spacing(np.abs(zs))
+    into = domain.factors[i0].contains(zs, tol=margin)
     k = _first(into | (_dist(zs, c0) <= 1e-9))
     if k is not None:
         if into[k]:

@@ -511,15 +511,14 @@ def partial_sum_lanes(f: Poly, centers, n: int, enum: Enumeration):
     of dense joint (w, z) coefficients in f's box (joint_dense).
 
     Keeps the terms whose re-centered z-exponent has rank <= n under the
-    enumeration, then re-expands about the origin.  All centers are
-    re-centered in one pass: f is densified once and broadcast over a lane
-    axis of centers, every lane is shifted to its center, the rank mask is
-    applied once, and the kept terms are shifted back.  Yields (B, cut) for
-    consecutive chunks of the centers, each of at most MAX_DENSE dense
-    coefficients: B[i] is one center's partial sum, and cut[i] is false
-    where no term is dropped, in which case B[i] holds f's own
-    coefficients.  When the degree box lies within rank n (capture) every
-    lane is f: one chunk of read-only lanes, none of them cut.
+    enumeration, then re-expands about the origin.  Re-centering keeps f's
+    top-degree terms and adds only lower ones, so in a graded order the cut
+    drops a term at every center or at none, as it does for f: it is
+    decided once.  Yields (B, cut), B[i] one center's partial sum.  Uncut,
+    every lane is f: one chunk of read-only lanes.  Cut, f is broadcast
+    over a lane axis of centers in chunks of at most MAX_DENSE dense
+    coefficients, and every lane is shifted to its center, masked and
+    shifted back.
     """
     if enum.d != f.d:
         raise ValueError("enumeration dimension does not match the polynomial")
@@ -531,33 +530,28 @@ def partial_sum_lanes(f: Poly, centers, n: int, enum: Enumeration):
             raise ValueError(
                 f"center has length {len(zeta)}, expected {f.d}")
     A = joint_dense(f)
-    if f.is_zero or n >= enum.capture_index(f.z_degrees()):
-        yield np.broadcast_to(A, (len(Z),) + A.shape), np.zeros(len(Z), bool)
-        return
     drop = np.broadcast_to(~_rank_mask(A.shape[f.r:], n, enum), A.shape)
+    if not A[drop].any():
+        yield np.broadcast_to(A, (len(Z),) + A.shape), False
+        return
     first = 1 + f.r
     step = max(1, MAX_DENSE // A.size)
     for lo in range(0, len(Z), step):
         Zc = np.array(Z[lo:lo + step], dtype=complex)
         B = _recenter(np.broadcast_to(A, (len(Zc),) + A.shape), Zc, first)
-        # a lane where every re-centered term survives the cut (though the
-        # box bound did not prove it) is f itself
-        cut = B[:, drop].any(axis=1)
-        lanes = np.array(np.broadcast_to(A, B.shape))
-        lanes[cut] = _recenter(np.where(drop, 0, B[cut]), -Zc[cut], first)
-        yield lanes, cut
+        yield _recenter(np.where(drop, 0, B), -Zc, first), True
 
 
 def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
     """Partial sums through rank n of f expanded about each center, one
-    Poly per center (partial_sum_lanes).  A center for which no term would
-    be dropped gets the input object itself (capture: the partial sum IS
-    the polynomial); so does every center when the degree box lies within
-    rank n.
+    Poly per center (partial_sum_lanes).  When the cut drops nothing every
+    center gets the input object itself (the partial sum IS the
+    polynomial).
     """
     out = []
     for lanes, cut in partial_sum_lanes(f, centers, n, enum):
-        out += [_sparse(B, f.r, f.d) if c else f for B, c in zip(lanes, cut)]
+        out += ([_sparse(B, f.r, f.d) for B in lanes] if cut
+                else [f] * len(lanes))
     return out
 
 

@@ -223,7 +223,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
 
     capture = capture_rank(enum, blocks + [res.block])
     try:
-        lam = plan.mu.next_at_or_after(capture)
+        lam = plan.mu.next_at_or_after(max(capture, frontier + 1))
     except SparseIndexError as exc:
         raise SparseIndexError(
             "the admissible index set has no member at or after the "

@@ -168,9 +168,9 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
     points (x dense size, when that is larger): the target's coefficients
     are subtracted from all lanes at once, each op is a dense
     falling-factorial slice (diff_lanes), and eval_lanes evaluates every
-    lane.  The lanes where nothing is dropped all hold f, so f is measured
-    once for them, as for every center in the capture case.  Each center
-    gets, bit for bit, sup_ops(S - target) of its partial sum S.
+    lane.  When the cut drops nothing every lane holds f, so f is measured
+    once.  Each center gets, bit for bit, sup_ops(S - target) of its
+    partial sum S.
     """
     target, zg, wg, ops = side
     T = joint_dense(target)
@@ -191,14 +191,8 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
                     for o in orders]
         return out
 
-    measured, uncut = [], None
-    for lanes, cut in partial_sum_lanes(f, centers, n, enum):
-        if cut.any():
-            measured += sups(lanes[cut])
-        if uncut is None and not cut.all():
-            i = int(np.argmin(cut))
-            uncut = lanes[i:i + 1]
-    return worst(measured + (sups(uncut) if uncut is not None else []))
+    return worst(v for lanes, cut in partial_sum_lanes(f, centers, n, enum)
+                 for v in sups(lanes if cut else lanes[:1]))
 
 
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
@@ -239,7 +233,8 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                               "stream block")
         s = cuts[lam]
         capture = capture_rank(stream.enum, blocks[:s])
-        if mu.next_at_or_after(capture) != lam:
+        prev = stream.blocks[s - 2].n_max if s > 1 else -1
+        if mu.next_at_or_after(max(capture, prev + 1)) != lam:
             raise LookupError(f"lambda {lam} is not the first member of "
                               f"{mu.tag} at or after capture index {capture}")
         zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)

@@ -290,6 +290,23 @@ def test_multi_stage_divisor_center_off_zero_constructs(
     assert (rv == 0) == cert["summary"]["all_pass"]
 
 
+def test_two_zero_blocks_in_a_row_construct_and_verify(tmp_path):
+    # a zero block has no degree box, so its lambda is one past the last
+    with open(os.path.join(SCEN, "alternating_three.json")) as fh:
+        data = json.load(fh)
+    for stage in data["stages"][:2]:
+        stage["target"] = {"constant": [0, 0]}
+    scen = tmp_path / "zeros.json"
+    scen.write_text(json.dumps(data))
+    out = str(tmp_path / "out")
+    assert main(["construct", str(scen), "--out-dir", out]) == 0
+    with open(os.path.join(out, "certificate.json")) as fh:
+        cert = json.load(fh)
+    assert [rec["lambda"] for rec in cert["stages"]] == [0, 1, 42]
+    assert main(["verify", os.path.join(out, "stream.json"),
+                 os.path.join(out, "certificate.json")]) == 0
+
+
 def test_multi_stage_center_off_the_divisor_axis_constructs(tmp_path):
     def disk(c, rad):
         return {"type": "disk", "center": [c, 0.0], "radius": rad}
@@ -616,6 +633,23 @@ def test_predicates_oversized_recentering_is_exit_2(tmp_path, capfd):
     assert not caught
 
 
+def test_predicates_rank_keeping_every_term_recenters_nothing(tmp_path,
+                                                              capsys):
+    # z1^400 + z2^400 cut at the rank of z2^400 is itself about every
+    # center, though re-centering its (400, 400) box would pass the bound
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"r": 0, "d": 2, "terms": [
+        {"w_exp": [], "z_exp": e, "re": 1.0, "im": 0.0}
+        for e in ([400, 0], [0, 400])]}))
+    disk = {"type": "open-disk", "center": [0.0, 0.0], "radius": 1.0}
+    specs = _specs_path(tmp_path, [
+        {"predicate": "F", "p": 1, "s": 10, "n": 80600}], domain=[disk, disk])
+    assert main(["predicates", str(path), specs]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["achieved"] == 0.0 and report["pass"]
+    assert report["grid_density"]["n_centers"] == 81
+
+
 def test_predicates_shipped_demo(capsys):
     code = main(["predicates",
                  os.path.join(SCEN, "candidate_zsq.json"),
@@ -791,8 +825,9 @@ REFUSALS = [
            "disk radius must be finite, got nan"))],
     # a finite radius whose boundary length overflows, and a tolerance that
     # is not a number (a bool is not one), are refused by name
-    ("scenario", ("stages", 0, "outer", "radius"), 1e308, 2,
-     "scenario rejected: stage 1: disk boundary length overflows a float"),
+    *[("scenario", ("stages", 0, side, "radius"), 1e308, 2,
+       f"scenario rejected: stage 1: {side} factor 0: disk boundary length "
+       "overflows a float") for side in ("outer", "inner")],
     *[("scenario", ("stages", 0, "tolerance"), value, 2,
        f"scenario rejected: stage 1: tolerance must be a number, "
        f"got {value!r}") for value in ("x", True)],

@@ -680,17 +680,18 @@ def test_batched_partial_sum_matches_single_center_reference():
 
 
 def test_batched_partial_sum_lane_with_nothing_dropped_is_f():
-    # z1^2 + z2^2 re-centers to total degree 2 about every center, so a cut
-    # after the last degree-2 rank drops nothing though the degree box
-    # (2, 2) reaches rank 12
-    enum = Enumeration(2, "graded-lex")
+    # z1^2 + z2^2 re-centers to total degree 2 about every center, so in
+    # either graded order a cut after the last degree-2 rank drops nothing
+    # though the degree box (2, 2) reaches rank 12
     f = Poly(0, 2, {((), (2, 0)): 1.0, ((), (0, 2)): -1.0})
-    n = max(enum.rank(e) for e in ((2, 0), (1, 1), (0, 2)))
-    assert n < enum.capture_index(f.z_degrees()) == 12
     centers = [(0.7 - 0.2j, 1.1j), (0.0, 0.4), (0.0, 0.0)]
-    assert all(s is f for s in partial_sum(f, centers, n, enum))
-    _assert_matches_reference(f, centers, n, enum)
-    _assert_matches_reference(f, centers, n - 1, enum)
+    for scheme in ("graded-lex", "graded-revlex"):
+        enum = Enumeration(2, scheme)
+        n = max(enum.rank(e) for e in ((2, 0), (1, 1), (0, 2)))
+        assert n < enum.capture_index(f.z_degrees()) == 12
+        assert all(s is f for s in partial_sum(f, centers, n, enum))
+        _assert_matches_reference(f, centers, n, enum)
+        _assert_matches_reference(f, centers, n - 1, enum)
 
 
 def test_batched_partial_sum_chunks_by_max_dense(monkeypatch):

@@ -110,7 +110,11 @@ def test_plan_refuses_inner_leaving_domain():
     (FAR_DISK, ProductCompact([Disk(0.5j, 0.6)]), "plain",
      "inner factor 0 leaves the open domain near 0.4446+0.9029j"),
     (FAR_DISK, ProductCompact([Rectangle(-0.5, 0.9, -0.8, 0.2)]), "plain",
-     "inner factor 0 leaves the open domain near 0.625-0.8j")])
+     "inner factor 0 leaves the open domain near 0.625-0.8j"),
+    # 1e-9 inside is a reach, not a rounded boundary point
+    (ProductCompact([Disk(2 + 0j, 1 + 1e-9)], disjoint_factor=0),
+     _inner(0.5), "plain",
+     "outer factor 0 reaches into the domain near 1+1.225e-16j")])
 def test_geometry_refusal_names_the_first_failing_sample(outer, inner,
                                                          variant, message):
     # the first failing sample in sample order, as a per-point loop finds it
@@ -159,6 +163,19 @@ def test_outer_touching_boundary_needs_open_variant():
     plan_stages(UNIT_DISK, [req])
     with pytest.raises(ValueError, match="reaches into the domain"):
         plan_stages(UNIT_DISK, [req], variant="infty")
+
+
+def test_plain_tm_outer_compacts_plan():
+    # T_m's slit annulus has its inner ring at radius 1, and some of its
+    # samples round a float step inside the unit disk: still off the domain
+    for m in range(1, 17):
+        plan_from_scenario({
+            "domain": [{"type": "open-disk", "center": [0.0, 0.0],
+                        "radius": 1.0}],
+            "stages": [{"target": {"constant": [1.0, 0.0]},
+                        "outer": {"family": "tm", "m": m},
+                        "inner": {"family": "mp", "p": 1},
+                        "tolerance": 1e-3, "budgets": [10]}]})
 
 
 def test_infty_variant_allows_closure_inner():

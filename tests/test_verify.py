@@ -251,11 +251,15 @@ def _center_cases(variant):
 
 @pytest.mark.parametrize("variant", verify.VARIANTS)
 def test_center_sups_equal_per_center_sups_bit_for_bit(variant):
-    # n runs from 0 through the capture index, where every lane is f
+    # n runs from 0 through the capture index, and through the rank of f's
+    # top term, from which on every lane is f (for d = 2 below the capture
+    # index)
     for f, centers, enum, sides in _center_cases(variant):
         cap = enum.capture_index(f.z_degrees())
+        top = max(enum.rank(ze) for _, ze in f.terms)
         for side in sides:
-            for n in (0, 1, cap // 2, cap - 1, cap, cap + 3):
+            for n in (0, 1, max(top - 1, 0), top, cap // 2, cap - 1, cap,
+                      cap + 3):
                 got = center_sups(f, centers, n, enum, side)
                 want = _per_center_sup(f, centers, n, enum, side)
                 assert got.hex() == want.hex()

@@ -10,7 +10,9 @@ One line per artifact, `sha256  name`, sorted by name:
 - the standard output of `predicates` on the shipped demo
   (`candidate_zsq.json` with `predicates_demo.json`), and on a partial sum
   of the shipped `parameterized` stream with an r = 1, strong-variant
-  (l = 1) F and E spec, whose lanes carry a w-axis and derivatives;
+  (l = 1) F and E spec, whose lanes carry a w-axis and derivatives, and
+  of z1^2 + z2^2 on the bidisk cut at the rank of its top term (every lane
+  is f, though the degree box reaches past that rank) and below it;
 - for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
@@ -48,6 +50,14 @@ PARAM_SPECS = {"domain": [UNIT_DISK], "w_domain": [UNIT_DISK], "specs": [
     {"predicate": "F", "p": 1, "s": 10, "n": 6, "variant": "strong", "l": 1},
     {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 6, "variant": "strong",
      "l": 1}]}
+# z1^2 + z2^2, whose top term z1^2 has graded-lex rank 5 (its degree box
+# corner z1^2 z2^2 has rank 12), at sampled centers on the bidisk
+BIDISK_SQ = {"r": 0, "d": 2, "terms": [
+    {"w_exp": [], "z_exp": e, "re": 1.0, "im": 0.0} for e in ([2, 0], [0, 2])]}
+BIDISK_SPECS = {"domain": [UNIT_DISK, UNIT_DISK], "specs": [
+    {"predicate": "F", "p": 1, "s": 10, "n": 5},
+    {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 5},
+    {"predicate": "F", "p": 2, "s": 10, "n": 4}]}
 
 
 def _digest(data: bytes) -> str:
@@ -78,19 +88,16 @@ def _construct(main, scenario: str, out_dir: str, name: str) -> dict:
     return digests
 
 
-def _param_predicates(main, stream_path: str, work: str) -> str:
-    """Standard output of `predicates` with PARAM_SPECS on the partial sum
-    through PARAM_RANK of the stream at stream_path."""
-    from taylorlab.poly import CoefficientStream
-    with open(stream_path) as fh:
-        stream = CoefficientStream.from_json(json.load(fh))
+def _predicates(main, work: str, tag: str, candidate: dict,
+                specs: dict) -> str:
+    """Digest of the standard output of `predicates` on a candidate and a
+    spec file, written to work under tag."""
     paths = []
-    for name, data in (("candidate", stream.partial_sum(PARAM_RANK).to_json()),
-                       ("specs", PARAM_SPECS)):
-        paths.append(os.path.join(work, f"parameterized-{name}.json"))
+    for name, data in (("candidate", candidate), ("specs", specs)):
+        paths.append(os.path.join(work, f"{tag}-{name}.json"))
         with open(paths[-1], "w") as fh:
             json.dump(data, fh)
-    return _call(main, ["predicates", *paths])[1]
+    return _digest(_call(main, ["predicates", *paths])[1].encode())
 
 
 def digests(checkout: str, seeds, work: str) -> dict:
@@ -110,11 +117,15 @@ def digests(checkout: str, seeds, work: str) -> dict:
                            os.path.join(scenarios, "candidate_zsq.json"),
                            os.path.join(scenarios, "predicates_demo.json")])
     out["shipped/predicates_demo.stdout"] = _digest(demo.encode())
-    param = _param_predicates(
-        main, os.path.join(work, "shipped", "parameterized", "stream.json"),
-        work)
-    out["shipped/predicates_parameterized_strong.stdout"] = _digest(
-        param.encode())
+    from taylorlab.poly import CoefficientStream
+    with open(os.path.join(work, "shipped", "parameterized",
+                           "stream.json")) as fh:
+        stream = CoefficientStream.from_json(json.load(fh))
+    out["shipped/predicates_parameterized_strong.stdout"] = _predicates(
+        main, work, "parameterized", stream.partial_sum(PARAM_RANK).to_json(),
+        PARAM_SPECS)
+    out["predicates_bidisk_top_rank.stdout"] = _predicates(
+        main, work, "bidisk", BIDISK_SQ, BIDISK_SPECS)
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             tag = f"{workload}/seed{seed}"
