@@ -94,14 +94,14 @@ class PlanarCompact:
         arclength, at least MIN_CURVE_POINTS on each curve.
 
         Sets without interior (segments, arcs) sample the whole set.  A
-        boundary whose length overflows a float is refused.
+        boundary whose length overflows a float is refused (OverflowError).
         """
         curves = self._curves()
         pts = []
         total_len = sum(c[0] for c in curves)
         if not math.isfinite(total_len):
-            raise ValueError(f"{self.to_json()['type']} boundary length "
-                             "overflows a float")
+            raise OverflowError(f"{self.to_json()['type']} boundary length "
+                                "overflows a float")
         for length, closed, fn in curves:
             k = max(MIN_CURVE_POINTS,
                     math.ceil(n * length / max(total_len, 1e-300)))
@@ -796,8 +796,8 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
         for i, f in enumerate(K.factors):
             try:
                 zs = samples[side, i] = f.sample_boundary(n=128)
-            except ValueError as exc:
-                raise ValueError(f"{side} factor {i}: {exc}") from exc
+            except OverflowError as exc:
+                raise OverflowError(f"{side} factor {i}: {exc}") from exc
             if side == "outer" and not np.isfinite(zs).all():
                 raise ValueError(f"outer factor {i} is not finite")
             if f.loses_shape():
