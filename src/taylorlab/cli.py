@@ -15,7 +15,6 @@ flags name files and outputs, and `predicates --density` a grid density.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import os
@@ -126,8 +125,6 @@ def cmd_predicates(args) -> int:
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in the spec file")
     f = Poly.from_json(cdata)
-    if not all(map(cmath.isfinite, f.terms.values())):
-        raise ValueError("the candidate has a non-finite coefficient")
     domain = DomainProduct.from_json(sdata["domain"])
     w_domain = (DomainProduct.from_json(sdata["w_domain"])
                 if sdata.get("w_domain") else None)

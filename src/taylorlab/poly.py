@@ -28,6 +28,7 @@ import base64
 import copy
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ MAX_DENSE = 1_000_000
 # multiply-adds one re-centering may take: the dense size times the length
 # of each moved axis, added up
 MAX_SHIFT_WORK = 100_000_000
+# the keys of a term of a polynomial object (Poly.from_json)
+TERM_KEYS = {"w_exp", "z_exp", "re", "im"}
 
 
 def _as_grid(arr, ncols: int) -> np.ndarray:
@@ -59,15 +62,6 @@ def _as_grid(arr, ncols: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != ncols:
         raise ValueError(f"grid must be (n, {ncols}), got shape {arr.shape}")
     return arr
-
-
-def _as_exp(t, n, what):
-    t = tuple(int(v) for v in t)
-    if len(t) != n:
-        raise ValueError(f"{what} exponent {t} has length {len(t)}, expected {n}")
-    if any(v < 0 for v in t):
-        raise ValueError(f"{what} exponent {t} has a negative entry")
-    return t
 
 
 def _accumulate(pairs, out=None) -> dict:
@@ -277,7 +271,7 @@ class Poly:
         self.d = d
         items = terms.items() if hasattr(terms, "items") else terms or ()
         self.terms = _accumulate(
-            ((_as_exp(we, r, "w"), _as_exp(ze, d, "z")), c)
+            ((check_multiindex(we, r), check_multiindex(ze, d)), c)
             for (we, ze), c in ((k, complex(v)) for k, v in items) if c != 0)
 
     # -- constructors --------------------------------------------------
@@ -464,11 +458,45 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: dict) -> "Poly":
-        terms = {}
-        for t in data["terms"]:
-            key = (tuple(t["w_exp"]), tuple(t["z_exp"]))
-            terms[key] = complex(t["re"], t["im"])
-        return cls(int(data["r"]), int(data["d"]), terms)
+        """The polynomial of a JSON object: integers r and d, and terms,
+        each with exactly the keys w_exp and z_exp (lists of r and d JSON
+        integers, none negative) and re and im (finite numbers), no two
+        with one exponent pair.  Each rule is tested over all terms in one
+        pass, and a refusal names the first term that breaks it.  Zero
+        terms are dropped; order is kept."""
+        terms = data["terms"]
+        p = cls(check_int(data["r"], "r"), check_int(data["d"], "d"))
+        if not isinstance(terms, list):
+            raise ValueError(f"terms must be a list, not {type(terms).__name__}")
+        ok = [type(t) is dict and t.keys() == TERM_KEYS for t in terms]
+        if not all(ok):
+            raise ValueError(f"terms[{ok.index(False)}] must be an object with "
+                             "exactly the keys w_exp, z_exp, re, im")
+        for key, n in (("w_exp", p.r), ("z_exp", p.d)):
+            exps = [t[key] for t in terms]
+            ok = [type(e) is list and len(e) == n and {*map(type, e)} <= {int}
+                  and min(e, default=0) >= 0 for e in exps]
+            if not all(ok):
+                i = ok.index(False)
+                raise ValueError(f"terms[{i}].{key} must be a list of {n} "
+                                 f"natural number(s), got {exps[i]!r}")
+        nums = [(t["re"], t["im"]) for t in terms]
+        ok = [{*map(type, c)} <= {int, float}
+              and abs(c[0]) <= sys.float_info.max >= abs(c[1]) for c in nums]
+        if not all(ok):
+            i = ok.index(False)
+            check_number(nums[i][0], f"terms[{i}].re")
+            check_number(nums[i][1], f"terms[{i}].im")
+        keys = [(tuple(t["w_exp"]), tuple(t["z_exp"])) for t in terms]
+        first = {}
+        ok = [first.setdefault(k, i) == i for i, k in enumerate(keys)]
+        if not all(ok):
+            i = ok.index(False)
+            raise ValueError(f"terms[{i}] repeats the exponents of "
+                             f"terms[{first[keys[i]]}]")
+        p.terms = {k: c for k, c in zip(keys, itertools.starmap(complex, nums))
+                   if c}
+        return p
 
 
 # -- Taylor data ------------------------------------------------------------

@@ -378,11 +378,6 @@ def _scenario_target(spec, r: int, d: int) -> Poly:
                          f"or a polynomial object, got {spec!r}")
     if "constant" in spec:
         return Poly.constant(complex_pair(spec["constant"], "constant"), r, d)
-    terms = spec.get("terms", [])
-    if not (isinstance(terms, list) and all(isinstance(t, dict)
-                                            for t in terms)):
-        raise ValueError("target terms must be a list of objects, got "
-                         f"{terms!r}")
     return Poly.from_json(spec)
 
 

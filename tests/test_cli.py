@@ -750,6 +750,30 @@ CLIPPED = {"type": "clipped", "bound": 3.0, "base": {
 # a rectangle whose x bounds lack their upper end
 SHORT_RECT = {"type": "rect", "x": [2.0], "y": [0.0, 1.0]}
 
+def _repeated(terms):
+    """The term list with its first term again, with another coefficient."""
+    return terms + [dict(terms[0], re=2.0)]
+
+
+def _poly_z(path, value):
+    """z as a polynomial object, with the entry at `path` set to `value`."""
+    return _edit({"r": 0, "d": 1, "terms": [
+        {"w_exp": [], "z_exp": [1], "re": 1.0, "im": 0.0}]}, path, value)
+
+
+# a polynomial object (a candidate or a scenario target) that breaks one
+# rule of the format, and the refusal, which names the first term that
+# breaks it; each was read as some polynomial before, and ran (exit 0)
+BAD_POLYS = [
+    *[(("terms", 0, "z_exp"), v, "terms[0].z_exp must be a list of 1 "
+       f"natural number(s), got {v!r}") for v in ([1.7], ["2"], [True])],
+    (("d",), 1.9, "d must be an integer, got 1.9"),
+    (("terms", 0, "re"), True, "terms[0].re must be a number, got True"),
+    (("terms",), _repeated, "terms[1] repeats the exponents of terms[0]"),
+    (("terms", 0, "extra"), 1, "terms[0] must be an object with exactly "
+     "the keys w_exp, z_exp, re, im"),
+]
+
 # (file edited, path in it, new value, exit code, start of the message);
 # scenarios edit seleznev.json, streams and certificates its artifacts
 # (re-hashed after the edit), specs predicates_demo.json and the candidate
@@ -797,8 +821,10 @@ REFUSALS = [
      "scenario rejected: stage 1: target 'catalog:x' must be catalog:j "
      "with j an integer"),
     ("scenario", ("stages", 0, "target"), {"r": 0, "d": 1, "terms": "x"}, 2,
-     "scenario rejected: stage 1: target terms must be a list of objects, "
-     "got 'x'"),
+     "scenario rejected: stage 1: terms must be a list, not str"),
+    *[("scenario", ("stages", 0, "target"), _poly_z(path, value), 2,
+       f"scenario rejected: stage 1: {message}")
+      for path, value, message in BAD_POLYS],
     ("scenario", ("center",), "x", 2, "scenario rejected: center must be a "
      "list of [re, im] pairs, got 'x'"),
     # a compact or domain field is read by its name: a rect's x as two
@@ -979,7 +1005,9 @@ REFUSALS = [
                           (("header", "l"), "0"), (("header", "r"), 0.0),
                           (("header", "cert_density"), "0"))],
     ("candidate", ("terms", 0, "re"), NAN, 2,
-     "specs rejected: the candidate has a non-finite coefficient"),
+     "specs rejected: terms[0].re must be finite, got nan"),
+    *[("candidate", path, value, 2, f"specs rejected: {message}")
+      for path, value, message in BAD_POLYS],
     ("specs", ("domain", 0), dict(SHORT_RECT, type="open-rect"), 2,
      "specs rejected: open-rect x must be a [lo, hi] pair, got [2.0]"),
     ("specs", ("specs",), "x", 2, "specs rejected"),
