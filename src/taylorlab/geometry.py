@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import check_number, complex_pair, tuple_pair, tuple_unpair
+from .multiindex import (check_int, check_number, complex_pair, tuple_pair,
+                         tuple_unpair)
 
 MAX_GRID_POINTS = 10_000_000
 MIN_CURVE_POINTS = 4                 # per curve, at any density
@@ -528,8 +529,10 @@ class ProductCompact:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProductCompact":
-        return cls([compact_from_json(f) for f in data["factors"]],
-                   data.get("disjoint_factor"))
+        factors = [compact_from_json(f) for f in data["factors"]]
+        i0 = data.get("disjoint_factor")
+        return cls(factors, None if i0 is None else
+                   check_int(i0, "disjoint_factor"))
 
 
 # --------------------------------------------------------------- domains

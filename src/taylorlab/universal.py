@@ -51,6 +51,10 @@ from .verify import (CERT_FORMAT, capture_rank, catalog_poly, certify_stages,
 
 # refused input: a missing key or entry, a bad type or value, an overflow
 REFUSED = (LookupError, TypeError, ValueError, OverflowError)
+# the keys of a scenario file and of each of its stages
+SCENARIO_KEYS = frozenset("name domain enumeration mu center r l cert_density "
+                          "fixed_center variant w_compact stages".split())
+STAGE_KEYS = frozenset("target outer inner tolerance budgets".split())
 
 
 @contextlib.contextmanager
@@ -397,7 +401,11 @@ def _check_float_range(value, path: str = ""):
 def plan_from_scenario(data: dict) -> StagePlan:
     """Build a plan from a parsed scenario file; a stage target written
     "catalog:j" is catalog_poly(j, r, d).  A stage entry that does not
-    parse is refused with `stage N: ` in front, a missing key by name."""
+    parse is refused with `stage N: ` in front, a missing key by name, and
+    an unknown key, which would leave a default in place, by name too."""
+    unknown = sorted(data.keys() - SCENARIO_KEYS)
+    if unknown:
+        raise ValueError(f"unknown scenario key {unknown[0]!r}")
     _check_float_range(data)
     domain = DomainProduct.from_json(data["domain"])
     d = domain.dim
@@ -416,6 +424,10 @@ def plan_from_scenario(data: dict) -> StagePlan:
     requests = []
     for idx, s in enumerate(data["stages"], start=1):
         with naming_stage(idx):
+            unknown = sorted(s.keys() - STAGE_KEYS if isinstance(s, dict)
+                             else ())
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
             requests.append(StageRequest(
                 target=_scenario_target(s["target"], r, d),
                 outer=_scenario_compact(s["outer"], domain, variant,

@@ -858,6 +858,16 @@ REFUSALS = [
        f"scenario rejected: stage 1: tolerance must be a number, "
        f"got {value!r}") for value in ("x", True)],
     ("scenario", ("l",), 1.5, 2, "scenario rejected"),
+    # a misspelt key would leave its default in place: a plain certificate
+    ("scenario", ("varient",), "strong", 2,
+     "scenario rejected: unknown scenario key 'varient'"),
+    ("scenario", ("stages", 0, "budget"), [10], 2,
+     "scenario rejected: stage 1: unknown key 'budget'"),
+    # a flagged factor is an integer: true is not factor 1, nor 0.0 factor 0
+    *[("scenario", ("stages", 0, "outer"), {"factors": [
+        {"type": "disk", "center": [2.0, 0.0], "radius": 0.25}],
+        "disjoint_factor": v}, 2, "scenario rejected: stage 1: "
+       f"disjoint_factor must be an integer, got {v!r}") for v in (True, 0.0)],
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "
      "for sups over varying centers run `predicates`"),
