@@ -916,6 +916,18 @@ def test_stream_partial_sum_cuts_inside_blocks(center):
 
 
 def test_poly_json_roundtrip():
+    # r = 0, 1 and 2, from the object and from its JSON text; to_json sorts
+    # the terms, and from_json keeps a file's order
     rng = np.random.default_rng(61)
-    p = random_poly(rng, 2, 1, max_deg=5, nterms=9)
-    assert Poly.from_json(p.to_json()) == p
+    for r, d in ((0, 1), (1, 2), (2, 1)):
+        p = random_poly(rng, r, d, max_deg=5, nterms=9)
+        for doc in (p.to_json(), json.loads(json.dumps(p.to_json()))):
+            back = Poly.from_json(doc)
+            assert back == p and list(back.terms) == sorted(p.terms)
+    # written by hand: integer coefficients, a zero term, terms out of order
+    back = Poly.from_json(json.loads(json.dumps({"r": 0, "d": 1, "terms": [
+        {"w_exp": [], "z_exp": [2], "re": 1, "im": 0},
+        {"w_exp": [], "z_exp": [0], "re": 0, "im": 0.0},
+        {"w_exp": [], "z_exp": [1], "re": -0.5, "im": 2}]})))
+    assert list(back.terms.items()) == [(((), (2,)), 1 + 0j),
+                                        (((), (1,)), -0.5 + 2j)]

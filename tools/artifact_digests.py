@@ -12,7 +12,9 @@ One line per artifact, `sha256  name`, sorted by name:
   of the shipped `parameterized` stream with an r = 1, strong-variant
   (l = 1) F and E spec, whose lanes carry a w-axis and derivatives, and
   of z1^2 + z2^2 on the bidisk cut at the rank of its top term (every lane
-  is f, though the degree box reaches past that rank) and below it;
+  is f, though the degree box reaches past that rank) and below it, and of
+  a candidate written by hand (integer coefficients, a zero term, terms
+  out of order), which must read as the polynomial its terms spell;
 - for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
@@ -58,6 +60,16 @@ BIDISK_SPECS = {"domain": [UNIT_DISK, UNIT_DISK], "specs": [
     {"predicate": "F", "p": 1, "s": 10, "n": 5},
     {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 5},
     {"predicate": "F", "p": 2, "s": 10, "n": 4}]}
+
+# 2 z^3 - 0.5 z + 0.25j, as a person might write it
+HANDWRITTEN = {"r": 0, "d": 1, "terms": [
+    {"w_exp": [], "z_exp": [3], "re": 2, "im": 0},
+    {"w_exp": [], "z_exp": [2], "re": 0, "im": 0},
+    {"w_exp": [], "z_exp": [0], "re": 0, "im": 0.25},
+    {"w_exp": [], "z_exp": [1], "re": -0.5, "im": 0}]}
+HANDWRITTEN_SPECS = {"domain": [UNIT_DISK], "specs": [
+    {"predicate": "F", "p": 1, "s": 10, "n": 2},
+    {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 3}]}
 
 
 def _digest(data: bytes) -> str:
@@ -126,6 +138,8 @@ def digests(checkout: str, seeds, work: str) -> dict:
         PARAM_SPECS)
     out["predicates_bidisk_top_rank.stdout"] = _predicates(
         main, work, "bidisk", BIDISK_SQ, BIDISK_SPECS)
+    out["predicates_handwritten.stdout"] = _predicates(
+        main, work, "handwritten", HANDWRITTEN, HANDWRITTEN_SPECS)
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             tag = f"{workload}/seed{seed}"
