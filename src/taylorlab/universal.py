@@ -226,12 +226,7 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         raise ValueError("the fit has a non-finite coefficient")
 
     capture = capture_rank(enum, blocks + [res.block])
-    try:
-        lam = plan.mu.next_at_or_after(max(capture, frontier + 1))
-    except SparseIndexError as exc:
-        raise SparseIndexError(
-            "the admissible index set has no member at or after the "
-            f"capture rank {capture}") from exc
+    lam = plan.mu.next_at_or_after(max(capture, frontier + 1))
 
     stream.append_block(f"stage-{stage_id}", res.block, lam)
     return {

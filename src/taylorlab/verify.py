@@ -233,10 +233,12 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                               "stream block")
         s = cuts[lam]
         capture = capture_rank(stream.enum, blocks[:s])
-        prev = stream.blocks[s - 2].n_max if s > 1 else -1
-        if mu.next_at_or_after(max(capture, prev + 1)) != lam:
+        floor = max(capture, stream.blocks[s - 2].n_max + 1 if s > 1 else 0)
+        if mu.next_at_or_after(floor) != lam:
             raise LookupError(f"lambda {lam} is not the first member of "
-                              f"{mu.tag} at or after capture index {capture}")
+                              f"{mu.tag} at or after {floor}, the larger of "
+                              "the capture index and one past the previous "
+                              "lambda")
         zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)
         zI = ProductCompact.from_json(rec["inner"]).sample(n_per_factor=nz)
         # a block that overflows on a grid (a forged stream's, say)

@@ -307,6 +307,36 @@ def test_two_zero_blocks_in_a_row_construct_and_verify(tmp_path):
                  os.path.join(out, "certificate.json")]) == 0
 
 
+def test_lambda_refusals_name_the_floor(tmp_path, capsys):
+    # stage 2's capture index is 0, but its lambda must pass stage 1's 0:
+    # both refusals name lambda's floor, 1
+    with open(os.path.join(SCEN, "alternating_three.json")) as fh:
+        data = json.load(fh)
+    for stage in data["stages"][:2]:
+        stage["target"] = {"constant": [0, 0]}
+    scen, out = tmp_path / "zeros.json", str(tmp_path / "out")
+    scen.write_text(json.dumps(dict(data, mu="mu:list:0")))
+    assert main(["construct", str(scen), "--out-dir", out]) == 1
+    assert capsys.readouterr().out.startswith(
+        "aborted at stage 2: stage 2: index set 'mu:list:0' has no member "
+        "at or beyond 1\n")
+    scen.write_text(json.dumps(data))
+    assert main(["construct", str(scen), "--out-dir", out]) == 0
+    path = os.path.join(out, "certificate.json")
+    with open(path) as fh:
+        cert = json.load(fh)
+    cert["header"]["mu"] = "mu:list:0,2,42:beyond"
+    cert["sha256"] = Certificate(cert["header"], cert["stages"],
+                                 cert["summary"]).sha256
+    write_json(path, cert)
+    capsys.readouterr()
+    assert main(["verify", os.path.join(out, "stream.json"), path]) == 2
+    assert capsys.readouterr().err == (
+        "artifact rejected: lambda 1 is not the first member of "
+        "mu:list:0,2,42:beyond at or after 1, the larger of the capture "
+        "index and one past the previous lambda\n")
+
+
 def test_multi_stage_center_off_the_divisor_axis_constructs(tmp_path):
     def disk(c, rad):
         return {"type": "disk", "center": [c, 0.0], "radius": rad}
