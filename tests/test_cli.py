@@ -1027,6 +1027,9 @@ REFUSALS = [
                           (("header", "seed"), 0),
                           (("header", "fixed_center"), False))],
     ("certificate", ("header", "variant"), "bogus", 2, "artifact rejected"),
+    # a record's target is read as a candidate is: true is not 1.0
+    ("certificate", ("stages", 0, "target", "terms", 0, "re"), True, 2,
+     "artifact rejected: terms[0].re must be a number, got True"),
     ("certificate", ("header", "cert_density"), BIG, 2, "artifact rejected"),
     # the stream's blocks 1..s give these record fields; verify derives
     # them with construct's function
