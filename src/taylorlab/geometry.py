@@ -18,6 +18,7 @@ are not reachable; disk domains have no such gap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -452,6 +453,8 @@ def _bounds(data: dict, key: str) -> list:
 def compact_from_json(data: dict) -> PlanarCompact:
     """The compact a JSON record describes; a field that is not what its
     type needs is refused by name (such as `rect x`)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a compact must be an object, got {data!r}")
     t = data["type"]
     if t == "disk":
         return Disk(_point(data, "center"), _number(data, "radius"))
@@ -477,15 +480,30 @@ def compact_from_json(data: dict) -> PlanarCompact:
 # --------------------------------------------------------------- products
 
 
-@dataclass
 class SampleGrid:
-    """Joint sample points and the per-factor samples they multiply out."""
+    """The product of per-factor samples.  Its joint points, an (N, k)
+    complex array in the order of np.meshgrid(.., indexing="ij"), are built
+    on first read; the kernels read the factors and the length."""
 
-    points: np.ndarray               # (N, k) complex
-    per_factor: list[np.ndarray]
+    def __init__(self, per_factor: list[np.ndarray]):
+        self.per_factor = list(per_factor)
 
     def __len__(self):
-        return len(self.points)
+        return math.prod(map(len, self.per_factor))
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        if not self.per_factor:
+            return np.zeros((1, 0), dtype=complex)
+        mesh = np.meshgrid(*self.per_factor, indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+    def check_arity(self, k: int):
+        """Refuse the grid unless its points have k coordinates (k = 0
+        takes any grid), without building them."""
+        if k and len(self.per_factor) != k:
+            raise ValueError(f"grid must be (n, {k}), got shape "
+                             f"{(len(self), len(self.per_factor))}")
 
 
 class ProductCompact:
@@ -512,23 +530,28 @@ class ProductCompact:
     def sample(self, n_per_factor: int) -> SampleGrid:
         """The distinguished boundary: the product of every factor's
         sample_boundary(n_per_factor); one empty point for no factors."""
-        if self.dim == 0:
-            return SampleGrid(np.zeros((1, 0), dtype=complex), [])
-        cols = [f.sample_boundary(n_per_factor) for f in self.factors]
-        total = math.prod(len(c) for c in cols)
-        if total > MAX_GRID_POINTS:
-            raise GridSizeError(
-                f"product grid would hold {total} points (cap {MAX_GRID_POINTS})")
-        mesh = np.meshgrid(*cols, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        return SampleGrid(pts, cols)
+        grid = SampleGrid(f.sample_boundary(n_per_factor)
+                          for f in self.factors)
+        if len(grid) > MAX_GRID_POINTS:
+            raise GridSizeError(f"product grid would hold {len(grid)} points "
+                                f"(cap {MAX_GRID_POINTS})")
+        return grid
 
     def to_json(self):
         return {"factors": [f.to_json() for f in self.factors],
                 "disjoint_factor": self.disjoint_factor}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ProductCompact":
+    def from_json(cls, data: dict,
+                  what: str = "a product compact") -> "ProductCompact":
+        """The product a JSON object describes; a value that is not an
+        object, or whose factors are not a list, is refused naming `what`
+        (the field it was read from)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{what} must be an object, got {data!r}")
+        if not isinstance(data["factors"], list):
+            raise ValueError(f"{what} factors must be a list, got "
+                             f"{data['factors']!r}")
         factors = [compact_from_json(f) for f in data["factors"]]
         i0 = data.get("disjoint_factor")
         return cls(factors, None if i0 is None else

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import base64
 import copy
+import functools
 import itertools
 import math
 import sys
@@ -52,6 +53,7 @@ def _as_grid(arr, ncols: int) -> np.ndarray:
     yields one empty row per input row (a single row when the input is
     empty or None)."""
     if isinstance(arr, SampleGrid):
+        arr.check_arity(ncols)
         arr = arr.points
     arr = np.asarray(np.zeros((1, 0)) if arr is None else arr, dtype=complex)
     if ncols == 0:
@@ -62,6 +64,15 @@ def _as_grid(arr, ncols: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != ncols:
         raise ValueError(f"grid must be (n, {ncols}), got shape {arr.shape}")
     return arr
+
+
+def _count(Z, d: int) -> int:
+    """How many points Z holds, refused as _as_grid refuses it; a
+    SampleGrid's points are counted, not built."""
+    if isinstance(Z, SampleGrid):
+        Z.check_arity(d)
+        return len(Z)
+    return len(_as_grid(Z, d))
 
 
 def _accumulate(pairs, out=None) -> dict:
@@ -123,11 +134,11 @@ def _coordinates(Z, d: int, lanes: int):
     """(cols, shapes, mesh) for _horner: Z's d coordinates as arrays that
     broadcast against each other, each repeated once per lane on axis 0,
     the shape shapes[i] that cols[i:] broadcast to, and the shape `mesh`
-    of the points.  The per-factor samples of a SampleGrid of two or more
-    factors each lie on an axis of their own, so the mesh is the grid in
-    its point order; the coordinates of plain points, or of a grid of one
-    factor, all lie on one shared axis."""
-    if isinstance(Z, SampleGrid) and len(Z.per_factor) == d > 1:
+    of the points.  The per-factor samples of a SampleGrid each lie on an
+    axis of their own, so the mesh is the grid in its point order and its
+    points are never built; the coordinates of plain points all lie on one
+    shared axis."""
+    if isinstance(Z, SampleGrid) and len(Z.per_factor) == d > 0:
         mesh = tuple(map(len, Z.per_factor))
         cols = [np.asarray(a, dtype=complex).reshape(
             (1,) * (i + 1) + (-1,) + (1,) * (d - 1 - i))
@@ -146,14 +157,13 @@ def eval_lanes(D: np.ndarray, r: int, W, Z) -> np.ndarray:
     is evaluated for all lanes by the Horner kernel, times its w-monomial,
     in ascending order (one that is 0 in every lane is skipped), so the
     product grid is never built and the rounding depends on the
-    coefficients alone.  A SampleGrid Z of two or more factors is
-    evaluated factor by factor (_coordinates), with the values of its
-    points bit for bit."""
+    coefficients alone.  A SampleGrid Z is evaluated factor by factor
+    (_coordinates), with the values of its points bit for bit."""
     W = _as_grid(W, r)
     lanes, d = D.shape[0], D.ndim - 1 - r
     live = D.any(axis=0)
     if not live.any():
-        return np.zeros((lanes, len(W), len(_as_grid(Z, d))), dtype=complex)
+        return np.zeros((lanes, len(W), _count(Z, d)), dtype=complex)
     cols, shapes, mesh = _coordinates(Z, d, lanes)
     out = np.zeros((lanes, len(W)) + mesh, dtype=complex)
     for we in itertools.product(*map(range, live.shape[:r])):
@@ -194,6 +204,7 @@ def _recenter(A, Z, first: int) -> np.ndarray:
     over all lanes, with each lane's own offset; an axis is skipped only
     when every offset on it is 0.  A single center's work (its dense size
     times the length of each axis it moves) may not pass MAX_SHIFT_WORK.
+    The shifts share buffers allocated once per call.
     """
     moving = Z != 0
     lengths = np.array(A.shape[first:first + Z.shape[1]], dtype=np.int64)
@@ -203,21 +214,31 @@ def _recenter(A, Z, first: int) -> np.ndarray:
             f"re-centering exponents up to {[v - 1 for v in A.shape[1:]]} "
             f"takes {work} multiply-adds, more than the {MAX_SHIFT_WORK} "
             "the re-centering kernel takes")
-    for i in np.flatnonzero(moving.any(axis=0)):
-        ax = first + int(i)
+    moved = [first + int(i) for i in np.flatnonzero(moving.any(axis=0))]
+    # two buffers for an axis's shift and one holding the previous axis's
+    # result, which the shift reads; each fits the largest shift
+    size = max([A.size // A.shape[ax] * (A.shape[ax] + 1) for ax in moved],
+               default=0)
+    buffers = np.empty((min(len(moved) + 1, 3), size), dtype=complex)
+    held = None
+    for ax in moved:
         # the moved axis leads, so each step's slab src[1:k + 2] is one
         # contiguous run over the lanes and the other axes
         C = np.moveaxis(A, ax, 0)
-        off = Z[:, i].reshape((-1,) + (1,) * (C.ndim - 2))
+        off = Z[:, ax - first].reshape((-1,) + (1,) * (C.ndim - 2))
         n = C.shape[0] - 1
+        shape = (n + 2,) + C.shape[1:]
+        a, b = [i for i in range(len(buffers)) if i != held][:2]
+        src, dst = (buffers[i, :math.prod(shape)].reshape(shape)
+                    for i in (a, b))
+        src.fill(0)
+        dst.fill(0)
         # Horner in (y + off): q <- (y + off) q + c_m for m = n-1..0, one
         # anti-diagonal of Ruffini's table per step.  Entry 0 of the leading
         # axis holds c_m and entries 1.. hold q with a zero past its top,
         # so a step is q_i <- q_{i-1} + off * q_i for i = 0..deg q + 1: the
         # multiply-adds of the scalar Ruffini-Horner loop, vectorised over
         # the lanes.
-        src = np.zeros((n + 2,) + C.shape[1:], dtype=complex)
-        dst = np.zeros_like(src)
         src[1] = C[n]
         for k in range(1, n + 1):
             src[0] = C[n - k]
@@ -225,6 +246,7 @@ def _recenter(A, Z, first: int) -> np.ndarray:
             dst[1:k + 2] += src[:k + 1]
             src, dst = dst, src
         A = np.moveaxis(src[1:], 0, ax)
+        held = b if n % 2 else a
     return A
 
 
@@ -588,10 +610,11 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
 
 def start_rows(R, t, scale: float, start: int, norm: float, first: int = 0):
     """Row 0 of each R[o], o >= first: the o-th y-derivative of
-    q_0 = t^start / norm at the points t = y / scale."""
+    q_0 = t^start / norm at the points t = y / scale.  Rows run along the
+    second-to-last axis of R[o] (recur_rows)."""
     for o in range(first, len(R)):
-        R[o][0] = (math.perm(start, o) / (norm * scale ** o)
-                   * t ** (start - o) if o <= start else 0)
+        R[o][..., 0, :] = (math.perm(start, o) / (norm * scale ** o)
+                           * t ** (start - o) if o <= start else 0)
 
 
 def recur_rows(R, t, scale: float, H, k0: int, k1: int, first: int = 0):
@@ -601,28 +624,45 @@ def recur_rows(R, t, scale: float, H, k0: int, k1: int, first: int = 0):
 
         H[k + 1, k] q_{k+1}^(o) = t q_k^(o) + (o / scale) q_k^(o-1)
                                   - sum_{i <= k} H[i, k] q_i^(o)
+
+    R[o] is (rows, points), or a stack (sets, rows, points) of point sets
+    of one size with t (sets, points): the products by H then run as one
+    BLAS call per set, as on each set alone, so every set gets its own
+    rows bit for bit (a product over the sets side by side would round
+    differently wherever a set ends inside the kernel's block of points).
     """
     for k in range(k0, k1):
         inv = 1 / H[k + 1, k]
         h = H[:k + 1, k] * -inv
         for o in range(first, len(R)):
-            out = R[o][k + 1]
-            np.multiply(t, R[o][k], out=out)
+            out = R[o][..., k + 1, :]
+            np.multiply(t, R[o][..., k, :], out=out)
             out *= inv
-            out += h @ R[o][:k + 1]
+            out += h @ R[o][..., :k + 1, :]
             if o:
-                out += (o * inv / scale) * R[o - 1][k]
+                out += (o * inv / scale) * R[o - 1][..., k, :]
 
 
 def graded_columns(degrees, budget: int) -> np.ndarray:
     """Joint exponents g with total degree <= budget and g_j <= degrees[j],
-    in graded-lex order (family_Fl's), as the rows of an integer array; the
-    columns of a smaller budget are a prefix of those of a larger one."""
+    in graded-lex order (family_Fl's), as the rows of a read-only integer
+    array, built once per argument; the columns of a smaller budget are a
+    prefix of those of a larger one."""
+    return _graded_columns(tuple(map(int, degrees)), int(budget))
+
+
+@functools.lru_cache(maxsize=256)
+def _graded_columns(degrees: tuple, budget: int) -> np.ndarray:
     box = np.indices([min(m, budget) + 1 for m in degrees]).reshape(
         len(degrees), -1).T
     total = box.sum(axis=1)
     order = np.argsort(total, kind="stable")
-    return box[order[total[order] <= budget]]
+    return _read_only(box[order[total[order] <= budget]])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # stream arrays are stored as base64 of these bytes
@@ -647,12 +687,13 @@ def _unpack(blob, what: str) -> np.ndarray:
     return np.frombuffer(raw, PACKED)
 
 
+@functools.lru_cache(maxsize=256)
 def _packed_hessenberg(n: int):
     """Row and column indices of the entries H[0..k+1, k], k = 0..n-1, of
     an (n + 1, n) Hessenberg matrix, column by column: the order in which
-    a stream packs them."""
+    a stream packs them; read-only, built once per n."""
     cols, rows = np.tril_indices(n, 1, n + 1)
-    return rows, cols
+    return _read_only(rows), _read_only(cols)
 
 
 def _positive(value, what: str) -> float:
@@ -712,6 +753,12 @@ class Axis:
 
 # rows() results a block keeps
 ROWS_KEPT = 16
+# bytes of rows one stacked recurrence (Block.fill_rows) may span: each
+# step sweeps the rows before it, and a stack that outgrows a core's cache
+# runs slower than its sets one by one (on the deep ladder of
+# tools/artifact_digests.py, unbounded stacks of up to 14 MB made verify
+# about 10 % slower)
+STACK_BYTES = 1 << 20
 
 
 class Block:
@@ -770,20 +817,57 @@ class Block:
         R = self._rows.get(key, [])
         if len(R) <= order:
             # a cached entry keeps its orders and gains only the missing ones
-            ax, first = self.axes[j], len(R)
-            c = self.center[j - self.r] if j >= self.r else 0
-            t = (x - c) / ax.scale
-            R = R + [np.empty((ax.degree + 1, len(t)), dtype=complex)
-                     for _ in range(first, order + 1)]
-            start_rows(R, t, ax.scale, self.starts[j], ax.norm, first)
-            recur_rows(R, t, ax.scale, ax.H, 0, ax.degree, first)
-            for M in R[first:]:
-                M.flags.writeable = False
-            self._rows.pop(key, None)
-            if len(self._rows) >= ROWS_KEPT:
-                self._rows.pop(next(iter(self._rows)))
-            self._rows[key] = R
+            R = self._recur(j, x, R, order)
+            self._keep(key, R)
         return R
+
+    def fill_rows(self, j: int, xs, order: int):
+        """Cache what rows(j, x, order) returns for each point set x in xs,
+        newest last.  A set cached through `order` moves to the newest end;
+        the others come from recurrences over stacks of sets of one size,
+        up to STACK_BYTES of rows a stack, each set's rows bit for bit its
+        own (recur_rows).  Only the ROWS_KEPT newest entries stay, so a
+        caller measures a block on at most that many sets, over all its
+        axes, between fills."""
+        todo = {}
+        for x in xs:
+            x = np.ascontiguousarray(x, dtype=complex)
+            key = (j, x.tobytes())
+            R = self._rows.pop(key, [])
+            if len(R) > order:
+                self._rows[key] = R
+            else:
+                todo.setdefault(len(x), {})[key] = x
+        per_point = (order + 1) * (self.axes[j].degree + 1) * 16
+        for n, sets in todo.items():
+            keys = list(sets)
+            step = max(1, STACK_BYTES // (per_point * n))
+            for lo in range(0, len(keys), step):
+                part = keys[lo:lo + step]
+                R = self._recur(j, np.stack([sets[k] for k in part]), [],
+                                order)
+                for i, key in enumerate(part):
+                    self._keep(key, [M[i] for M in R])
+
+    def _recur(self, j: int, x, R: list, order: int) -> list:
+        """R, axis j's rows at x (a point set, or a stack of them) through
+        some order, extended through `order` with read-only arrays."""
+        ax, first = self.axes[j], len(R)
+        c = self.center[j - self.r] if j >= self.r else 0
+        t = (x - c) / ax.scale
+        R = R + [np.empty(t.shape[:-1] + (ax.degree + 1, t.shape[-1]),
+                          dtype=complex) for _ in range(first, order + 1)]
+        start_rows(R, t, ax.scale, self.starts[j], ax.norm, first)
+        recur_rows(R, t, ax.scale, ax.H, 0, ax.degree, first)
+        for M in R[first:]:
+            M.flags.writeable = False
+        return R
+
+    def _keep(self, key, R: list):
+        self._rows.pop(key, None)
+        if len(self._rows) >= ROWS_KEPT:
+            self._rows.pop(next(iter(self._rows)))
+        self._rows[key] = R
 
     def contract(self, mats) -> np.ndarray:
         """The coefficient tensor contracted with one (degree + 1, n_j)
@@ -801,22 +885,25 @@ class Block:
 
     # -- structure: read off the non-zero coefficients ---------------------
 
-    def z_degrees(self):
-        """Per-coordinate max z-exponent of the block; None when it is 0."""
+    @functools.cached_property
+    def _box(self) -> tuple:
+        """(z_degrees, total_z_degree), read off the coefficients once."""
         index = np.nonzero(self.tensor)
         if not len(index[0]):
-            return None
-        return tuple(int(index[j].max()) + self.starts[j]
-                     for j in range(self.r, self.r + self.d))
+            return None, -1
+        return (tuple(int(index[j].max()) + self.starts[j]
+                      for j in range(self.r, self.r + self.d)),
+                int(sum(index[self.r:]).max()) + self.e)
+
+    def z_degrees(self):
+        """Per-coordinate max z-exponent of the block; None when it is 0."""
+        return self._box[0]
 
     def total_z_degree(self) -> int:
         """Max total z-degree of the block; -1 when it is 0.  Each q_k has
         exact degree start + k, so distinct columns of top degree cannot
         cancel."""
-        index = np.nonzero(self.tensor)
-        if not len(index[0]):
-            return -1
-        return int(sum(index[self.r:]).max()) + self.e
+        return self._box[1]
 
     def term_count(self) -> int:
         """Monomials the block can hold: y^(start + m) for every m at or
@@ -886,6 +973,12 @@ class BlockSum:
             raise ValueError(f"blocks must have r = {self.r}, d = {self.d}")
         # poly's coefficients as one lane, densified once for every partial
         self.dense = joint_dense(poly)[None]
+
+    def check_grids(self, W, Z):
+        """Refuse grids of the wrong arity as eval_product would, before
+        anything is evaluated."""
+        _as_grid(W, self.r)
+        _count(Z, self.d)
 
     def diff(self, op: DiffOp) -> "BlockSum":
         out = copy.copy(self)

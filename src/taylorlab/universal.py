@@ -348,7 +348,7 @@ def _scenario_compact(spec, domain: DomainProduct, variant: str,
     if isinstance(spec, dict) and spec.get("family") == "mp":
         return exhaustion_M(domain, check_int(spec["p"], "p"), closure)
     if isinstance(spec, dict) and "factors" in spec:
-        K = ProductCompact.from_json(spec)
+        K = ProductCompact.from_json(spec, "outer" if outer else "inner")
     else:
         K = ProductCompact([compact_from_json(spec)])
     if outer and K.disjoint_factor is None:
@@ -397,7 +397,9 @@ def plan_from_scenario(data: dict) -> StagePlan:
     """Build a plan from a parsed scenario file; a stage target written
     "catalog:j" is catalog_poly(j, r, d).  A stage entry that does not
     parse is refused with `stage N: ` in front, a missing key by name, and
-    an unknown key, which would leave a default in place, by name too."""
+    an unknown key, which would leave a default in place, by name too; an
+    entry of the wrong JSON type (stages, a stage, w_compact, a product's
+    factors) is refused by its field."""
     unknown = sorted(data.keys() - SCENARIO_KEYS)
     if unknown:
         raise ValueError(f"unknown scenario key {unknown[0]!r}")
@@ -414,13 +416,16 @@ def plan_from_scenario(data: dict) -> StagePlan:
                          "for sups over varying centers run `predicates` "
                          "on the stream")
     variant = data.get("variant", "plain")
-    w_compact = (ProductCompact.from_json(data["w_compact"])
+    w_compact = (ProductCompact.from_json(data["w_compact"], "w_compact")
                  if data.get("w_compact") else None)
+    if not isinstance(data["stages"], list):
+        raise ValueError(f"stages must be a list, got {data['stages']!r}")
     requests = []
     for idx, s in enumerate(data["stages"], start=1):
         with naming_stage(idx):
-            unknown = sorted(s.keys() - STAGE_KEYS if isinstance(s, dict)
-                             else ())
+            if not isinstance(s, dict):
+                raise ValueError(f"a stage must be an object, got {s!r}")
+            unknown = sorted(s.keys() - STAGE_KEYS)
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r}")
             requests.append(StageRequest(

@@ -22,6 +22,7 @@ Every sup fold carries a NaN through (worst), so a NaN sup fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -38,8 +39,8 @@ from .geometry import (
 )
 from .multiindex import (Enumeration, IndexSet, cantor_unpair, check_int,
                          complex_pairs, family_Fl)
-from .poly import (MAX_DENSE, BlockSum, CoefficientStream, Poly, diff_lanes,
-                   eval_lanes, joint_dense, partial_sum_lanes)
+from .poly import (MAX_DENSE, ROWS_KEPT, BlockSum, CoefficientStream, Poly,
+                   diff_lanes, eval_lanes, joint_dense, partial_sum_lanes)
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 
 VARIANTS = ("plain", "strong", "infty")
@@ -195,6 +196,37 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
                  for v in sups(lanes if cut else lanes[:1]))
 
 
+def _same(a, b) -> bool:
+    """Whether two JSON values are equal with each number of one type
+    (1, 1.0 and true read as three values: a reader refuses some)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _fill_rows(blocks, window, wg):
+    """Fill each block's row cache for every grid a window of records
+    measures it on, the w grid included: per axis, one Block.fill_rows
+    through the highest derivative order asked of that axis.  window holds
+    (s, E side, F side) per record, a side (BlockSum, z grid, ops); blocks
+    1..s are on the E side."""
+    w_axes = wg.per_factor if wg is not None else []
+    for i, block in enumerate(blocks):
+        sets = [[] for _ in block.axes]
+        orders = [0] * len(block.axes)
+        for s, *sides in window:
+            _, zg, ops = sides[i >= s]
+            for j, x in enumerate(w_axes + zg.per_factor):
+                sets[j].append(x)
+                orders[j] = max([orders[j]] + [op.orders[j] for op in ops])
+        for j, (xs, order) in enumerate(zip(sets, orders)):
+            block.fill_rows(j, xs, order)
+
+
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                    aborted) -> dict:
     """Measure every stage record of a certificate on the finished stream
@@ -213,6 +245,13 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     The summary adds the stream's frontier, the degree, term count and
     capture index of its blocks, and the worst sups; all_pass needs no
     abort, one record per block of the stream, and every stage to pass.
+
+    Every record is read and checked, in order, before any is measured, so
+    a refusal names the first faulty record.  Each distinct compact is
+    sampled once.  The records are then measured in windows: before each,
+    every block's rows on the window's grids come from one recurrence per
+    axis (Block.fill_rows), in windows small enough that the block keeps
+    them all (ROWS_KEPT).
     """
     r, d, l, density = (check_int(header[key], key)
                         for key in ("r", "d", "l", "cert_density"))
@@ -224,6 +263,31 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
           if nw else None)
     blocks = [b.block for b in stream.blocks]
     cuts = {b.n_max: s for s, b in enumerate(stream.blocks, start=1)}
+    # running prefixes, entry s for blocks 1..s: the degree box holding
+    # their z-exponents (None while every block is 0) and the largest total
+    # degree, floored at 0
+    boxes, tops = [None], [0]
+    for b in blocks:
+        g, box = b.z_degrees(), boxes[-1]
+        boxes.append(box if g is None else g if box is None
+                     else tuple(map(max, box, g)))
+        tops.append(max(tops[-1], b.total_z_degree()))
+
+    @functools.cache
+    def capture(s):
+        return 0 if boxes[s] is None else stream.enum.capture_index(boxes[s])
+
+    grids = []
+
+    def sample(spec):
+        for seen, grid in grids:
+            if spec == seen and _same(spec, seen):
+                return grid
+        grids.append((spec, ProductCompact.from_json(spec).sample(
+            n_per_factor=nz)))
+        return grids[-1][1]
+
+    work = []
     for rec in stages:
         lam, tol = check_int(rec["lambda"], "lambda"), rec["tolerance"]
         if type(tol) is not float:
@@ -232,38 +296,46 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
             raise LookupError(f"lambda {lam} is not the last rank of a "
                               "stream block")
         s = cuts[lam]
-        capture = capture_rank(stream.enum, blocks[:s])
-        floor = max(capture, stream.blocks[s - 2].n_max + 1 if s > 1 else 0)
+        floor = max(capture(s),
+                    stream.blocks[s - 2].n_max + 1 if s > 1 else 0)
         if mu.next_at_or_after(floor) != lam:
             raise LookupError(f"lambda {lam} is not the first member of "
                               f"{mu.tag} at or after {floor}, the larger of "
                               "the capture index and one past the previous "
                               "lambda")
-        zT = ProductCompact.from_json(rec["outer"]).sample(n_per_factor=nz)
-        zI = ProductCompact.from_json(rec["inner"]).sample(n_per_factor=nz)
+        zT, zI = sample(rec["outer"]), sample(rec["inner"])
+        E = BlockSum(Poly.from_json(rec["target"]), blocks[:s])
+        E.check_grids(wg, zT)
+        F = BlockSum(Poly.zero(r, d), blocks[s:])
+        F.check_grids(wg, zI)
+        work.append((s, (E, zT, e_ops), (F, zI, f_ops)))
+
+    step = max(1, ROWS_KEPT // (stream.r + stream.d))
+    for lo in range(0, len(work), step):
+        window = work[lo:lo + step]
         # a block that overflows on a grid (a forged stream's, say)
         # measures inf or NaN there, and fails
         with np.errstate(over="ignore", invalid="ignore"):
-            e = sup_ops(BlockSum(Poly.from_json(rec["target"]), blocks[:s]),
-                        zT, wg, e_ops)
-            fv = sup_ops(BlockSum(Poly.zero(r, d), blocks[s:]), zI, wg,
-                         f_ops)
-        last = blocks[s - 1]
-        rec.update(capture_index=capture, divisor_exponent=last.e,
-                   budget=last.budget, n_columns=len(last.columns),
-                   max_degree=max([0] + [b.total_z_degree()
-                                         for b in blocks[:s]]),
-                   density={"nz_per_factor": nz, "nw_per_factor": nw,
-                            "nz_points": len(zT.points),
-                            "nw_points": len(wg.points) if wg else 0},
-                   e_side_error=e, f_side_error=fv,
-                   pass_e=e <= tol, pass_f=fv <= tol)
+            _fill_rows(blocks, window, wg)
+            sups = [[sup_ops(delta, zg, wg, ops) for delta, zg, ops in sides]
+                    for _, *sides in window]
+        for rec, (s, (_, zT, _), _), (e, fv) in zip(stages[lo:lo + step],
+                                                     window, sups):
+            last, tol = blocks[s - 1], rec["tolerance"]
+            rec.update(capture_index=capture(s), divisor_exponent=last.e,
+                       budget=last.budget, n_columns=len(last.columns),
+                       max_degree=tops[s],
+                       density={"nz_per_factor": nz, "nw_per_factor": nw,
+                                "nz_points": len(zT),
+                                "nw_points": len(wg) if wg else 0},
+                       e_side_error=e, f_side_error=fv,
+                       pass_e=e <= tol, pass_f=fv <= tol)
     return {
         "stages": len(stages),
         "frontier": stream.frontier,
         "final_degree": stream.total_z_degree(),
         "final_term_count": stream.term_count(),
-        "final_capture": capture_rank(stream.enum, blocks),
+        "final_capture": capture(len(blocks)),
         "e_side_max": worst(rec["e_side_error"] for rec in stages),
         "f_side_max": worst(rec["f_side_error"] for rec in stages),
         "all_pass": aborted is None and len(stages) == len(stream.blocks)

@@ -898,6 +898,14 @@ REFUSALS = [
         {"type": "disk", "center": [2.0, 0.0], "radius": 0.25}],
         "disjoint_factor": v}, 2, "scenario rejected: stage 1: "
        f"disjoint_factor must be an integer, got {v!r}") for v in (True, 0.0)],
+    # an entry of the wrong JSON type is refused by its field
+    *[("scenario", path, value, 2, f"scenario rejected: {message}")
+      for path, value, message in (
+          (("stages", 0), 0, "stage 1: a stage must be an object, got 0"),
+          (("stages",), 0, "stages must be a list, got 0"),
+          (("w_compact",), True, "w_compact must be an object, got True"),
+          (("stages", 0, "outer"), {"factors": "x", "disjoint_factor": 0},
+           "stage 1: outer factors must be a list, got 'x'"))],
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "
      "for sups over varying centers run `predicates`"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taylorlab import poly
 from taylorlab.geometry import Disk, ProductCompact, Rectangle, SampleGrid
 from taylorlab.multiindex import DiffOp, Enumeration
 from taylorlab.poly import (Axis, Block, CoefficientStream, Poly, _as_grid,
@@ -372,6 +373,15 @@ def _reference_recenter(A, Z, first):
     return A
 
 
+def test_recenter_moving_every_axis_matches_the_reference_bit_for_bit():
+    # each axis's shift reads the previous one's result while the call's
+    # buffers serve every axis
+    rng = np.random.default_rng(170)
+    A = _lanes(rng, 4, (3, 7, 5, 4), 1)
+    Z = rng.uniform(-2, 2, (4, 3)) + 1j * rng.uniform(-2, 2, (4, 3))
+    _assert_same_bits(_recenter(A, Z, 2), _reference_recenter(A, Z, 2))
+
+
 def _assert_same_bits(got, want):
     assert got.shape == want.shape
     assert (np.ascontiguousarray(got).tobytes()
@@ -379,12 +389,15 @@ def _assert_same_bits(got, want):
 
 
 def _grid(per_factor):
-    """The SampleGrid of the given per-factor samples, points in the order
-    ProductCompact.sample writes them."""
+    """The SampleGrid of the given per-factor samples, whose lazily built
+    points must be the product in np.meshgrid's "ij" order."""
     per_factor = [np.asarray(a, dtype=complex) for a in per_factor]
+    grid = SampleGrid(per_factor)
     mesh = np.meshgrid(*per_factor, indexing="ij")
-    return SampleGrid(np.stack([m.reshape(-1) for m in mesh], axis=1),
-                      per_factor)
+    _assert_same_bits(grid.points,
+                      np.stack([m.reshape(-1) for m in mesh], axis=1))
+    assert len(grid) == len(grid.points)
+    return grid
 
 
 def _lanes(rng, lanes, shape, r, flat=None):
@@ -757,6 +770,60 @@ def test_block_rows_extend_a_cached_entry_by_its_missing_orders(order):
         assert len(high) == len(fresh) == order + 1
         assert all(np.array_equal(a, b) for a, b in zip(high, fresh))
         assert not any(M.flags.writeable for M in high)
+
+
+def _no_recurrence(*args):
+    raise AssertionError("rows() ran a recurrence after fill_rows")
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_rows_are_each_sets_own_rows_bit_for_bit(monkeypatch, d,
+                                                         order):
+    # sets of odd sizes, where a product over sets laid side by side would
+    # round otherwise than each set alone, three of one size, and a repeat
+    def make():
+        return _random_block(np.random.default_rng(7 + d), 1,
+                             (0.2, -0.1j)[:d], (d - 1, 2), 9)
+    rng = np.random.default_rng(160 + 10 * d + order)
+    sets = [rng.normal(size=m) + 1j * rng.normal(size=m)
+            for m in (13, 13, 5, 401, 13)]
+    sets.append(sets[0])
+    want = [[make().rows(j, x, order) for x in sets] for j in range(1 + d)]
+    # one stack per size, then a stack per set
+    for stack in (poly.STACK_BYTES, 1):
+        monkeypatch.setattr(poly, "STACK_BYTES", stack)
+        block = make()
+        for j in range(1 + d):
+            block.fill_rows(j, sets, order)
+        with monkeypatch.context() as m:
+            m.setattr(poly, "recur_rows", _no_recurrence)
+            for j, rows in enumerate(want):
+                for x, R in zip(sets, rows):
+                    got = block.rows(j, x, order)
+                    assert len(got) == order + 1
+                    for a, b in zip(got, R):
+                        _assert_same_bits(a, b)
+                        assert not a.flags.writeable
+
+
+def test_fill_rows_keeps_a_cached_set_and_every_set_it_fills(monkeypatch):
+    block = _random_block(np.random.default_rng(9), 0, (0.0,), (0, 2), 5)
+    rng = np.random.default_rng(10)
+    sets = [rng.normal(size=7) + 1j * rng.normal(size=7)
+            for _ in range(2 * poly.ROWS_KEPT)]
+    kept = block.rows(0, sets[0], 1)
+    for x in sets[1:poly.ROWS_KEPT]:
+        block.rows(0, x, 0)
+    # the oldest entry moves to the newest end, so the new sets evict the
+    # others
+    fill = sets[:1] + sets[poly.ROWS_KEPT + 1:]
+    assert len(fill) == poly.ROWS_KEPT
+    block.fill_rows(0, fill, 1)
+    monkeypatch.setattr(poly, "recur_rows", _no_recurrence)
+    assert block.rows(0, sets[0], 1) is kept
+    for x in fill:
+        block.rows(0, x, 1)
 
 
 def _random_stream(rng, center, r=1, budgets=(2, 3, 1)):

@@ -16,13 +16,14 @@ from taylorlab.geometry import (
     center_grid,
     exhaustion_M,
 )
-from taylorlab import verify
+from taylorlab import poly, verify
 from taylorlab.multiindex import (DiffOp, Enumeration, cantor_pair,
                                   cantor_unpair, tuple_pair, tuple_unpair)
 from taylorlab.poly import CoefficientStream, Poly, partial_sum
 from taylorlab.universal import (
     Certificate,
     StageRequest,
+    plan_from_scenario,
     plan_stages,
     run_construction,
 )
@@ -40,8 +41,8 @@ from taylorlab.verify import (
     verify_certificate,
 )
 
-from util import (oracle_eval, oracle_partial_sum_value, random_point,
-                  random_poly)
+from util import (ladder_scenario, oracle_eval, oracle_partial_sum_value,
+                  random_point, random_poly)
 
 UNIT_DISK = DomainProduct([OpenDisk(0j, 1.0)])
 ORIGIN = (0j,)
@@ -581,6 +582,75 @@ def test_certificate_mismatch_is_refused():
     shifted = CoefficientStream(Enumeration(1, "graded-revlex"), ORIGIN, 0)
     with pytest.raises(ValueError, match="refused"):
         verify_certificate(shifted, cert)
+
+
+def _ladder_artifacts(T):
+    """The stream and certificate of the benchmark's depth-T ladder, the
+    stream read back from its JSON, so its blocks hold no cached rows."""
+    stream, cert = run_construction(plan_from_scenario(
+        ladder_scenario(T, 2.5j)))
+    return CoefficientStream.from_json(json.loads(json.dumps(
+        stream.to_json()))), cert
+
+
+def _counted(calls, fn):
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counting
+
+
+@pytest.mark.parametrize("kept", [None, 3])
+def test_certify_stages_samples_each_compact_once_and_recurs_once_per_axis(
+        monkeypatch, kept):
+    if kept:
+        # a block keeps rows for 3 sets: the records go in windows of 3
+        monkeypatch.setattr(poly, "ROWS_KEPT", kept)
+        monkeypatch.setattr(verify, "ROWS_KEPT", kept)
+    stream, cert = _ladder_artifacts(6)
+    recurrences, samples = [], []
+    monkeypatch.setattr(poly, "recur_rows",
+                        _counted(recurrences, poly.recur_rows))
+    monkeypatch.setattr(ProductCompact, "sample",
+                        _counted(samples, ProductCompact.sample))
+    fresh = [{k: rec[k] for k in verify.STAGE_INPUTS} for rec in cert.stages]
+    summary = certify_stages(stream, cert.header, fresh, None)
+    # every recurrence fills a stack; none runs for a row the measurement
+    # misses
+    assert all(R[0].ndim == 3 for R, *_ in recurrences)
+    if not kept:
+        assert len(recurrences) == len(stream.blocks) * (stream.r + stream.d)
+    # one outer disk and six inner ones
+    compacts = {json.dumps(rec[side]) for rec in cert.stages
+                for side in ("outer", "inner")}
+    assert len(samples) == len(compacts) == 7
+    # bit for bit what construct measured with rows cached by the fits
+    for rec, again in zip(cert.stages, fresh):
+        assert [rec[k] for k in verify.STAGE_MEASURED] == [
+            again[k] for k in verify.STAGE_MEASURED]
+    assert summary == cert.summary
+
+
+def test_a_refusal_names_the_first_faulty_record():
+    stream, cert = _ladder_artifacts(2)
+
+    def fresh():
+        return [{k: rec[k] for k in verify.STAGE_INPUTS}
+                for rec in cert.stages]
+    # every record is checked before any is measured, in order
+    records = fresh()
+    records[0]["outer"] = {"factors": "x", "disjoint_factor": 0}
+    records[1]["lambda"] = -5
+    with pytest.raises(ValueError, match="factors must be a list, got 'x'"):
+        certify_stages(stream, cert.header, records, None)
+    # a compact equal to an earlier one but for a number's type is read on
+    # its own: 0.0 is not factor 0
+    records = fresh()
+    records[1]["outer"] = dict(records[0]["outer"], disjoint_factor=0.0)
+    assert records[1]["outer"] == records[0]["outer"]
+    with pytest.raises(ValueError, match="disjoint_factor must be an "
+                       "integer, got 0.0"):
+        certify_stages(stream, cert.header, records, None)
 
 
 def test_predicate_record_shape():

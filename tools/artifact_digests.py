@@ -15,6 +15,11 @@ One line per artifact, `sha256  name`, sorted by name:
   is f, though the degree box reaches past that rank) and below it, and of
   a candidate written by hand (integer coefficients, a zero term, terms
   out of order), which must read as the polynomial its terms spell;
+- the same four digests of a deep ladder, the checkout's
+  `bench/workloads.ladder_scenario(18, 2.5j)` with inner radii capped at
+  0.95: its late blocks are measured on more grids than a block keeps
+  rows for (`poly.ROWS_KEPT`), which no shipped scenario or benchmark unit
+  reaches;
 - for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
@@ -67,6 +72,9 @@ HANDWRITTEN = {"r": 0, "d": 1, "terms": [
     {"w_exp": [], "z_exp": [2], "re": 0, "im": 0},
     {"w_exp": [], "z_exp": [0], "re": 0, "im": 0.25},
     {"w_exp": [], "z_exp": [1], "re": -0.5, "im": 0}]}
+# the deep ladder: depth, outer disk center, and cap on the inner radii
+# (uncapped, stage 10's inner disk would reach the unit circle)
+DEEP_LADDER = (18, 2.5j, 0.95)
 HANDWRITTEN_SPECS = {"domain": [UNIT_DISK], "specs": [
     {"predicate": "F", "p": 1, "s": 10, "n": 2},
     {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 3}]}
@@ -140,6 +148,15 @@ def digests(checkout: str, seeds, work: str) -> dict:
         main, work, "bidisk", BIDISK_SQ, BIDISK_SPECS)
     out["predicates_handwritten.stdout"] = _predicates(
         main, work, "handwritten", HANDWRITTEN, HANDWRITTEN_SPECS)
+    depth, outer, cap = DEEP_LADDER
+    deep = workloads.ladder_scenario(depth, outer)
+    for stage in deep["stages"]:
+        stage["inner"]["radius"] = min(stage["inner"]["radius"], cap)
+    path = os.path.join(work, "deep_ladder.json")
+    with open(path, "w") as fh:
+        json.dump(deep, fh)
+    out.update(_construct(main, path, os.path.join(work, "deep_ladder"),
+                          "deep_ladder"))
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             tag = f"{workload}/seed{seed}"
