@@ -543,7 +543,7 @@ class ProductCompact:
 
     @classmethod
     def from_json(cls, data: dict,
-                  what: str = "a product compact") -> "ProductCompact":
+                  what: str = "product compact") -> "ProductCompact":
         """The product a JSON object describes; a value that is not an
         object, or whose factors are not a list, is refused naming `what`
         (the field it was read from)."""

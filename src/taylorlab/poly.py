@@ -53,7 +53,6 @@ def _as_grid(arr, ncols: int) -> np.ndarray:
     yields one empty row per input row (a single row when the input is
     empty or None)."""
     if isinstance(arr, SampleGrid):
-        arr.check_arity(ncols)
         arr = arr.points
     arr = np.asarray(np.zeros((1, 0)) if arr is None else arr, dtype=complex)
     if ncols == 0:
@@ -838,7 +837,8 @@ class Block:
                 self._rows[key] = R
             else:
                 todo.setdefault(len(x), {})[key] = x
-        per_point = (order + 1) * (self.axes[j].degree + 1) * 16
+        per_point = ((order + 1) * (self.axes[j].degree + 1)
+                     * np.dtype(complex).itemsize)
         for n, sets in todo.items():
             keys = list(sets)
             step = max(1, STACK_BYTES // (per_point * n))

@@ -259,8 +259,8 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     mu = IndexSet.from_tag(header["mu"])
     nz = grid_density("certificate", "z", d, density)
     nw = grid_density("certificate", "w", r)
-    wg = (ProductCompact.from_json(header["w_compact"]).sample(n_per_factor=nw)
-          if nw else None)
+    wg = (ProductCompact.from_json(header["w_compact"], "w_compact").sample(
+        n_per_factor=nw) if nw else None)
     blocks = [b.block for b in stream.blocks]
     cuts = {b.n_max: s for s, b in enumerate(stream.blocks, start=1)}
     # running prefixes, entry s for blocks 1..s: the degree box holding
@@ -279,11 +279,12 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
 
     grids = []
 
-    def sample(spec):
+    def sample(rec, side):
+        spec = rec[side]
         for seen, grid in grids:
             if spec == seen and _same(spec, seen):
                 return grid
-        grids.append((spec, ProductCompact.from_json(spec).sample(
+        grids.append((spec, ProductCompact.from_json(spec, side).sample(
             n_per_factor=nz)))
         return grids[-1][1]
 
@@ -303,7 +304,7 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                               f"{mu.tag} at or after {floor}, the larger of "
                               "the capture index and one past the previous "
                               "lambda")
-        zT, zI = sample(rec["outer"]), sample(rec["inner"])
+        zT, zI = sample(rec, "outer"), sample(rec, "inner")
         E = BlockSum(Poly.from_json(rec["target"]), blocks[:s])
         E.check_grids(wg, zT)
         F = BlockSum(Poly.zero(r, d), blocks[s:])

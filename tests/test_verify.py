@@ -641,7 +641,8 @@ def test_a_refusal_names_the_first_faulty_record():
     records = fresh()
     records[0]["outer"] = {"factors": "x", "disjoint_factor": 0}
     records[1]["lambda"] = -5
-    with pytest.raises(ValueError, match="factors must be a list, got 'x'"):
+    with pytest.raises(ValueError,
+                       match="^outer factors must be a list, got 'x'"):
         certify_stages(stream, cert.header, records, None)
     # a compact equal to an earlier one but for a number's type is read on
     # its own: 0.0 is not factor 0
