@@ -607,13 +607,21 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
 # -- blocks in an Arnoldi basis ---------------------------------------------
 
 
+def _stacks(R, t):
+    """R's arrays and t with a leading axis of point sets: a single set
+    (rows, points) and its t (points) become a stack of one, as views."""
+    return [M if M.ndim == 3 else M[None] for M in R], t.reshape(
+        -1, t.shape[-1])
+
+
 def start_rows(R, t, scale: float, start: int, norm: float, first: int = 0):
     """Row 0 of each R[o], o >= first: the o-th y-derivative of
-    q_0 = t^start / norm at the points t = y / scale.  Rows run along the
-    second-to-last axis of R[o] (recur_rows)."""
+    q_0 = t^start / norm at the points t = y / scale.  R[o] and t are as
+    in recur_rows."""
+    R, t = _stacks(R, t)
     for o in range(first, len(R)):
-        R[o][..., 0, :] = (math.perm(start, o) / (norm * scale ** o)
-                           * t ** (start - o) if o <= start else 0)
+        R[o][:, 0] = (math.perm(start, o) / (norm * scale ** o)
+                      * t ** (start - o) if o <= start else 0)
 
 
 def recur_rows(R, t, scale: float, H, k0: int, k1: int, first: int = 0):
@@ -630,16 +638,17 @@ def recur_rows(R, t, scale: float, H, k0: int, k1: int, first: int = 0):
     rows bit for bit (a product over the sets side by side would round
     differently wherever a set ends inside the kernel's block of points).
     """
+    R, t = _stacks(R, t)
     for k in range(k0, k1):
         inv = 1 / H[k + 1, k]
         h = H[:k + 1, k] * -inv
         for o in range(first, len(R)):
-            out = R[o][..., k + 1, :]
-            np.multiply(t, R[o][..., k, :], out=out)
+            out = R[o][:, k + 1]
+            np.multiply(t, R[o][:, k], out=out)
             out *= inv
-            out += h @ R[o][..., :k + 1, :]
+            out += h @ R[o][:, :k + 1]
             if o:
-                out += (o * inv / scale) * R[o - 1][..., k, :]
+                out += (o * inv / scale) * R[o - 1][:, k]
 
 
 def graded_columns(degrees, budget: int) -> np.ndarray:
