@@ -318,19 +318,18 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
         # measures inf or NaN there, and fails
         with np.errstate(over="ignore", invalid="ignore"):
             _fill_rows(blocks, window, wg)
-            sups = [[sup_ops(delta, zg, wg, ops) for delta, zg, ops in sides]
-                    for _, *sides in window]
-        for rec, (s, (_, zT, _), _), (e, fv) in zip(stages[lo:lo + step],
-                                                     window, sups):
-            last, tol = blocks[s - 1], rec["tolerance"]
-            rec.update(capture_index=capture(s), divisor_exponent=last.e,
-                       budget=last.budget, n_columns=len(last.columns),
-                       max_degree=tops[s],
-                       density={"nz_per_factor": nz, "nw_per_factor": nw,
-                                "nz_points": len(zT),
-                                "nw_points": len(wg) if wg else 0},
-                       e_side_error=e, f_side_error=fv,
-                       pass_e=e <= tol, pass_f=fv <= tol)
+            for rec, (s, *sides) in zip(stages[lo:lo + step], window):
+                e, fv = (sup_ops(delta, zg, wg, ops)
+                         for delta, zg, ops in sides)
+                last, tol = blocks[s - 1], rec["tolerance"]
+                rec.update(capture_index=capture(s), divisor_exponent=last.e,
+                           budget=last.budget, n_columns=len(last.columns),
+                           max_degree=tops[s],
+                           density={"nz_per_factor": nz, "nw_per_factor": nw,
+                                    "nz_points": len(sides[0][1]),
+                                    "nw_points": len(wg) if wg else 0},
+                           e_side_error=e, f_side_error=fv,
+                           pass_e=e <= tol, pass_f=fv <= tol)
     return {
         "stages": len(stages),
         "frontier": stream.frontier,
