@@ -16,10 +16,11 @@ One line per artifact, `sha256  name`, sorted by name:
   a candidate written by hand (integer coefficients, a zero term, terms
   out of order), which must read as the polynomial its terms spell;
 - the same four digests of a deep ladder, the checkout's
-  `bench/workloads.ladder_scenario(18, 2.5j)` with inner radii capped at
-  0.95: its late blocks are measured on more grids than a block keeps
-  rows for (`poly.ROWS_KEPT`), which no shipped scenario or benchmark unit
-  reaches;
+  `bench/workloads.ladder_scenario(18, 2.5j)` with inner radii
+  0.5 + 0.025 (s + 1), all distinct, the last 0.95: its early blocks are
+  measured on more grids than a block keeps rows for (`poly.ROWS_KEPT`),
+  so its row caches evict, which no shipped scenario or benchmark unit
+  does;
 - for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
@@ -72,9 +73,10 @@ HANDWRITTEN = {"r": 0, "d": 1, "terms": [
     {"w_exp": [], "z_exp": [2], "re": 0, "im": 0},
     {"w_exp": [], "z_exp": [0], "re": 0, "im": 0.25},
     {"w_exp": [], "z_exp": [1], "re": -0.5, "im": 0}]}
-# the deep ladder: depth, outer disk center, and cap on the inner radii
-# (uncapped, stage 10's inner disk would reach the unit circle)
-DEEP_LADDER = (18, 2.5j, 0.95)
+# the deep ladder: depth, outer disk center, and the step of its inner
+# radii 0.5 + step (s + 1) (at the ladder's own 0.05, stage 10's inner disk
+# would reach the unit circle)
+DEEP_LADDER = (18, 2.5j, 0.025)
 HANDWRITTEN_SPECS = {"domain": [UNIT_DISK], "specs": [
     {"predicate": "F", "p": 1, "s": 10, "n": 2},
     {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 3}]}
@@ -148,10 +150,10 @@ def digests(checkout: str, seeds, work: str) -> dict:
         main, work, "bidisk", BIDISK_SQ, BIDISK_SPECS)
     out["predicates_handwritten.stdout"] = _predicates(
         main, work, "handwritten", HANDWRITTEN, HANDWRITTEN_SPECS)
-    depth, outer, cap = DEEP_LADDER
+    depth, outer, step = DEEP_LADDER
     deep = workloads.ladder_scenario(depth, outer)
-    for stage in deep["stages"]:
-        stage["inner"]["radius"] = min(stage["inner"]["radius"], cap)
+    for s, stage in enumerate(deep["stages"]):
+        stage["inner"]["radius"] = 0.5 + step * (s + 1)
     path = os.path.join(work, "deep_ladder.json")
     with open(path, "w") as fh:
         json.dump(deep, fh)
