@@ -797,13 +797,32 @@ def check_gluing(factors, samples, i0: int):
                     f"pieces {a} and {b} touch on coordinate {i0}")
 
 
+def factor_samples(K: ProductCompact, name: str) -> list:
+    """128 boundary samples of each factor of K, refusing a factor whose
+    boundary length overflows a float, whose samples are not all finite or
+    that loses its shape (float64 rounding collapses its samples); a
+    refusal names `{name} factor i`."""
+    out = []
+    for i, f in enumerate(K.factors):
+        try:
+            zs = f.sample_boundary(n=128)
+        except OverflowError as exc:
+            raise OverflowError(f"{name} factor {i}: {exc}") from exc
+        if not np.isfinite(zs).all():
+            raise ValueError(f"{name} factor {i} is not finite")
+        if f.loses_shape():
+            raise ValueError(f"{name} factor {i} loses its shape: "
+                             "float64 rounding collapses its samples")
+        out.append(zs)
+    return out
+
+
 def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
                          inner: ProductCompact, variant: str, center):
     """Refuse a stage's compacts that break the construction's hypotheses,
     tested on 128 boundary samples of each factor:
 
-    - every factor keeps its shape, and every outer factor is finite (a
-      non-finite inner factor leaves the domain);
+    - every factor passes factor_samples;
     - the flagged outer factor i0 stays off domain factor i0 and off the
       divisor center center[i0], and contains none of its domain_probes;
     - every inner factor stays inside its domain factor;
@@ -817,21 +836,11 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
     ValueError names the factor and its first failing sample, a sample
     inside the domain before one at the divisor center.
     """
-    samples = {}
-    for side, K in (("outer", outer), ("inner", inner)):
-        for i, f in enumerate(K.factors):
-            try:
-                zs = samples[side, i] = f.sample_boundary(n=128)
-            except OverflowError as exc:
-                raise OverflowError(f"{side} factor {i}: {exc}") from exc
-            if side == "outer" and not np.isfinite(zs).all():
-                raise ValueError(f"outer factor {i} is not finite")
-            if f.loses_shape():
-                raise ValueError(f"{side} factor {i} loses its shape: "
-                                 "float64 rounding collapses its samples")
+    samples = {"outer": factor_samples(outer, "outer"),
+               "inner": factor_samples(inner, "inner")}
     i0 = outer.disjoint_factor
     slack = -1e-9 if variant == "infty" else 0.0
-    zs, c0 = samples["outer", i0], center[i0]
+    zs, c0 = samples["outer"][i0], center[i0]
     margin = slack if variant == "infty" else 4 * np.spacing(np.abs(zs))
     into = domain.factors[i0].contains(zs, tol=margin)
     k = _first(into | (_dist(zs, c0) <= 1e-9))
@@ -846,13 +855,13 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
         raise ValueError(
             f"outer factor {i0} overlaps the domain factor interior")
     for i, dom in enumerate(domain.factors):
-        zs = samples["inner", i]
+        zs = samples["inner"][i]
         k = _first(~dom.contains(zs, tol=slack))
         if k is not None:
             raise ValueError(f"inner factor {i} leaves the open domain near "
                              f"{complex(zs[k]):.4g}")
     check_gluing([inner.factors[i0], outer.factors[i0]],
-                 [samples["inner", i0], samples["outer", i0]], i0)
+                 [samples["inner"][i0], samples["outer"][i0]], i0)
 
 
 # --------------------------------------------------------------- utilities

@@ -187,7 +187,8 @@ class _Arnoldi:
         self.fit = [np.empty((top + 1, len(y)), dtype=complex)
                     for _ in range(order + 1)]
         self.conj = np.empty_like(self.fit[0])    # fit[0]'s rows, conjugated
-        start_rows(self.fit, self.t, self.scale, start, self.norm)
+        start_rows([M[None] for M in self.fit], self.t[None], self.scale,
+                   start, self.norm)
         np.conjugate(self.fit[0][0], out=self.conj[0])
         self.degree = 0
         self.exhausted = top == 0
@@ -214,8 +215,8 @@ class _Arnoldi:
             self.degree = k + 1
             self.exhausted = k + 1 == len(self.H) - 1
         if len(self.fit) > 1:                  # derivative rows to extend
-            recur_rows(self.fit, self.t, self.scale, self.H, k0, self.degree,
-                       1)
+            recur_rows([M[None] for M in self.fit], self.t[None], self.scale,
+                       self.H, k0, self.degree, 1)
 
     def axis(self, degree: int) -> Axis:
         return Axis(self.scale, self.norm, self.H[:degree + 1, :degree])
@@ -266,14 +267,18 @@ def fit(task: ApproxTask) -> FitResult:
     tol_min = min(tols)
     blocks = []                       # (piece, op, weighted rhs)
     for p, ((wg, zg), gt, tol) in enumerate(zip(grids, targets, tols)):
-        for op in ops:
+        ys = []
+        # highest orders first: a block's rows to order o serve every lower
+        # one
+        for op in reversed(ops):
             # far outside its blocks' samples their recurrences overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 y = gt.diff(op).eval_product(wg, zg).reshape(shapes[p])
             if not np.isfinite(y).all():
                 raise ValueError(f"piece {p}: the target is not finite on "
                                  "its fit samples")
-            blocks.append((p, op, y * (tol_min / tol)))
+            ys.append(y * (tol_min / tol))
+        blocks += [(p, op, y) for op, y in zip(ops, reversed(ys))]
 
     history, best, best_score = [], None, math.inf
     for budget in task.budgets:

@@ -122,14 +122,16 @@ def check_number(value, what: str) -> float:
 
 
 def complex_pair(value, what: str) -> complex:
-    """complex(re, im) of a JSON [re, im] pair; ValueError naming `what`
+    """complex(re, im) of a JSON [re, im] pair, each part a finite number
+    (check_number: a bool is not one); ValueError naming `what`
     otherwise."""
     try:
         re, im = value
-        return complex(re, im)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be an [re, im] pair, got "
                          f"{value!r}") from None
+    return complex(check_number(re, f"{what}[0]"),
+                   check_number(im, f"{what}[1]"))
 
 
 def complex_pairs(value, what: str) -> list:

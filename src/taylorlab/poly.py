@@ -607,19 +607,10 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
 # -- blocks in an Arnoldi basis ---------------------------------------------
 
 
-def _stacks(R, t):
-    """R's arrays and t with a leading axis of point sets: a single set
-    (rows, points) and its t (points) become a stack of one, as views."""
-    return [M if M.ndim == 3 else M[None] for M in R], t.reshape(
-        -1, t.shape[-1])
-
-
-def start_rows(R, t, scale: float, start: int, norm: float, first: int = 0):
-    """Row 0 of each R[o], o >= first: the o-th y-derivative of
-    q_0 = t^start / norm at the points t = y / scale.  R[o] and t are as
-    in recur_rows."""
-    R, t = _stacks(R, t)
-    for o in range(first, len(R)):
+def start_rows(R, t, scale: float, start: int, norm: float):
+    """Row 0 of each R[o]: the o-th y-derivative of q_0 = t^start / norm at
+    the points t = y / scale.  R[o] and t are as in recur_rows."""
+    for o in range(len(R)):
         R[o][:, 0] = (math.perm(start, o) / (norm * scale ** o)
                       * t ** (start - o) if o <= start else 0)
 
@@ -632,13 +623,12 @@ def recur_rows(R, t, scale: float, H, k0: int, k1: int, first: int = 0):
         H[k + 1, k] q_{k+1}^(o) = t q_k^(o) + (o / scale) q_k^(o-1)
                                   - sum_{i <= k} H[i, k] q_i^(o)
 
-    R[o] is (rows, points), or a stack (sets, rows, points) of point sets
-    of one size with t (sets, points): the products by H then run as one
-    BLAS call per set, as on each set alone, so every set gets its own
-    rows bit for bit (a product over the sets side by side would round
-    differently wherever a set ends inside the kernel's block of points).
+    R[o] is a stack (sets, rows, points) of point sets of one size, with t
+    (sets, points): the products by H run as one BLAS call per set, as on
+    each set alone, so every set gets its own rows bit for bit (a product
+    over the sets side by side would round differently wherever a set ends
+    inside the kernel's block of points).
     """
-    R, t = _stacks(R, t)
     for k in range(k0, k1):
         inv = 1 / H[k + 1, k]
         h = H[:k + 1, k] * -inv
@@ -759,9 +749,9 @@ class Axis:
         return cls(data["scale"], data["norm"], H)
 
 
-# rows() results a block keeps
+# point sets a block keeps rows for (Block.rows)
 ROWS_KEPT = 16
-# bytes of rows one stacked recurrence (Block.fill_rows) may span: each
+# bytes of rows one stacked recurrence (Block.rows) may span: each
 # step sweeps the rows before it, and a stack that outgrows a core's cache
 # runs slower than its sets one by one (on the deep ladder of
 # tools/artifact_digests.py, unbounded stacks of up to 14 MB made verify
@@ -811,33 +801,22 @@ class Block:
         self.tensor = np.zeros([ax.degree + 1 for ax in self.axes],
                                dtype=complex)
         self.tensor[tuple(self.columns.T)] = self.coefs
-        # the last ROWS_KEPT rows() results by axis and points: a stage's
-        # fit and the certificate evaluate earlier blocks on one outer
-        # compact again and again
+        # the rows of the ROWS_KEPT newest point sets by axis and points: a
+        # stage's fit and the certificate evaluate earlier blocks on one
+        # outer compact again and again
         self._rows = {}
 
-    def rows(self, j: int, x, order: int) -> list:
+    def rows(self, j: int, xs, order: int) -> list:
         """Axis j's q_0..q_degree and their y-derivatives through `order`
-        at the coordinate values x: one (degree + 1, len(x)) array per
-        order, read-only."""
-        x = np.ascontiguousarray(x, dtype=complex)
-        key = (j, x.tobytes())
-        R = self._rows.get(key, [])
-        if len(R) <= order:
-            # a cached entry keeps its orders and gains only the missing ones
-            R = self._recur(j, x, R, order)
-            self._keep(key, R)
-        return R
-
-    def fill_rows(self, j: int, xs, order: int):
-        """Cache what rows(j, x, order) returns for each point set x in xs,
-        newest last.  A set cached through `order` moves to the newest end;
-        the others come from recurrences over stacks of sets of one size,
-        up to STACK_BYTES of rows a stack, each set's rows bit for bit its
-        own (recur_rows).  Only the ROWS_KEPT newest entries stay, so a
-        caller measures a block on at most that many sets, over all its
-        axes, between fills."""
-        todo = {}
+        at each point set x in xs: per set, one (degree + 1, len(x)) array
+        per order, read-only.  A set cached through `order` moves to the
+        newest end of the cache; every other set comes from a recurrence
+        over a stack of sets of its size, up to STACK_BYTES of rows a
+        stack, with its rows bit for bit its own (recur_rows), and is
+        cached.  Only the ROWS_KEPT newest sets stay, so a caller measures
+        a block on at most that many sets, over all its axes, between
+        calls."""
+        found, todo = [], {}
         for x in xs:
             x = np.ascontiguousarray(x, dtype=complex)
             key = (j, x.tobytes())
@@ -846,37 +825,31 @@ class Block:
                 self._rows[key] = R
             else:
                 todo.setdefault(len(x), {})[key] = x
-        per_point = ((order + 1) * (self.axes[j].degree + 1)
+            found.append((key, R))
+        if not todo:
+            return [R for _, R in found]
+        ax = self.axes[j]
+        c = self.center[j - self.r] if j >= self.r else 0
+        per_point = ((order + 1) * (ax.degree + 1)
                      * np.dtype(complex).itemsize)
+        new = {}
         for n, sets in todo.items():
             keys = list(sets)
             step = max(1, STACK_BYTES // (per_point * n))
             for lo in range(0, len(keys), step):
                 part = keys[lo:lo + step]
-                R = self._recur(j, np.stack([sets[k] for k in part]), [],
-                                order)
+                t = (np.stack([sets[key] for key in part]) - c) / ax.scale
+                R = [np.empty((len(part), ax.degree + 1, n), dtype=complex)
+                     for _ in range(order + 1)]
+                start_rows(R, t, ax.scale, self.starts[j], ax.norm)
+                recur_rows(R, t, ax.scale, ax.H, 0, ax.degree)
+                for M in R:
+                    M.flags.writeable = False
                 for i, key in enumerate(part):
-                    self._keep(key, [M[i] for M in R])
-
-    def _recur(self, j: int, x, R: list, order: int) -> list:
-        """R, axis j's rows at x (a point set, or a stack of them) through
-        some order, extended through `order` with read-only arrays."""
-        ax, first = self.axes[j], len(R)
-        c = self.center[j - self.r] if j >= self.r else 0
-        t = (x - c) / ax.scale
-        R = R + [np.empty(t.shape[:-1] + (ax.degree + 1, t.shape[-1]),
-                          dtype=complex) for _ in range(first, order + 1)]
-        start_rows(R, t, ax.scale, self.starts[j], ax.norm, first)
-        recur_rows(R, t, ax.scale, ax.H, 0, ax.degree, first)
-        for M in R[first:]:
-            M.flags.writeable = False
-        return R
-
-    def _keep(self, key, R: list):
-        self._rows.pop(key, None)
-        if len(self._rows) >= ROWS_KEPT:
-            self._rows.pop(next(iter(self._rows)))
-        self._rows[key] = R
+                    if len(self._rows) >= ROWS_KEPT:
+                        self._rows.pop(next(iter(self._rows)))
+                    self._rows[key] = new[key] = [M[i] for M in R]
+        return [new.get(key, R) for key, R in found]
 
     def contract(self, mats) -> np.ndarray:
         """The coefficient tensor contracted with one (degree + 1, n_j)
@@ -889,7 +862,7 @@ class Block:
     def values(self, axes_points, orders) -> np.ndarray:
         """The mixed partial `orders` of the block on the product of the
         per-axis points (w axes, then z axes)."""
-        return self.contract([self.rows(j, x, o)[o] for j, (x, o) in
+        return self.contract([self.rows(j, [x], o)[0][o] for j, (x, o) in
                               enumerate(zip(axes_points, orders))])
 
     # -- structure: read off the non-zero coefficients ---------------------

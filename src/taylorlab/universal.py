@@ -37,6 +37,7 @@ from .geometry import (
     compact_from_json,
     enumerate_Tm,
     exhaustion_M,
+    factor_samples,
     grid_density,
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
@@ -132,9 +133,9 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
     assigned as the stages run (recorded per stage).  The inner-side error
     bookkeeping assumes the inner compacts are nested along the schedule,
     as an exhaustion is; the certificate measures the true sups either way.
-    The geometry, tolerances, budgets, design sizes and the variant's
-    operator family are refused here, before any stage is fitted; a
-    stage's refusal starts with `stage N: `.
+    The geometry (the w compact's factors included), tolerances, budgets,
+    design sizes and the variant's operator family are refused here,
+    before any stage is fitted; a stage's refusal starts with `stage N: `.
     """
     d = domain.dim
     if d < 1:
@@ -158,6 +159,8 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("parameterized plans need a w compact of arity r")
     if not requests:
         raise ValueError("a plan needs at least one stage")
+    if w_compact is not None:
+        factor_samples(w_compact, "w_compact")
     # per-axis sample counts of the fit grids (w axes, shared, then z axes)
     nz = grid_density("fit", "z", d)
     w_axes = [len(f.sample_boundary(grid_density("fit", "w", r)))

@@ -210,7 +210,7 @@ def _same(a, b) -> bool:
 
 def _fill_rows(blocks, window, wg):
     """Fill each block's row cache for every grid a window of records
-    measures it on, the w grid included: per axis, one Block.fill_rows
+    measures it on, the w grid included: per axis, one Block.rows call
     through the highest derivative order asked of that axis.  window holds
     (s, E side, F side) per record, a side (BlockSum, z grid, ops); blocks
     1..s are on the E side."""
@@ -224,7 +224,7 @@ def _fill_rows(blocks, window, wg):
                 sets[j].append(x)
                 orders[j] = max([orders[j]] + [op.orders[j] for op in ops])
         for j, (xs, order) in enumerate(zip(sets, orders)):
-            block.fill_rows(j, xs, order)
+            block.rows(j, xs, order)
 
 
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
@@ -249,9 +249,9 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     Every record is read and checked, in order, before any is measured, so
     a refusal names the first faulty record.  Each distinct compact is
     sampled once.  The records are then measured in windows: before each,
-    every block's rows on the window's grids come from one recurrence per
-    axis (Block.fill_rows), in windows small enough that the block keeps
-    them all (ROWS_KEPT).
+    every block's rows on the window's grids come from one Block.rows call
+    per axis, in windows small enough that the block keeps them all
+    (ROWS_KEPT).
     """
     r, d, l, density = (check_int(header[key], key)
                         for key in ("r", "d", "l", "cert_density"))
@@ -590,12 +590,13 @@ def verify_certificate(stream: CoefficientStream, cert) -> Verdict:
     certify_stages reruns on copies of each record's STAGE_INPUTS and on
     the recorded `aborted`.  The certificate agrees when its header,
     records and summary hold exactly the v4 keys (KeyError when one is
-    missing) and every re-derived STAGE_MEASURED field and the whole
-    summary agree with the record (floats within 1e-12, anything else
-    equal); it verifies when it agrees and all_pass holds.  A certificate
-    of another format, or whose enumeration or center does not match the
-    stream, is refused (VerificationRefused, not a Verdict); a stored
-    whole-body hash that no longer matches disagrees immediately.
+    missing), every record's `stage` is its 1-based position, and every
+    re-derived STAGE_MEASURED field and the whole summary agree with the
+    record (floats within 1e-12, anything else equal); it verifies when
+    it agrees and all_pass holds.  A certificate of another format, or
+    whose enumeration or center does not match the stream, is refused
+    (VerificationRefused, not a Verdict); a stored whole-body hash that no
+    longer matches disagrees immediately.
     """
     h = cert.header
     if h.get("format") != CERT_FORMAT:
@@ -629,8 +630,10 @@ def verify_certificate(stream: CoefficientStream, cert) -> Verdict:
 
     fresh = [{k: rec[k] for k in STAGE_INPUTS} for rec in stages]
     derived = certify_stages(stream, h, fresh, summary["aborted"])
-    recorded = ([rec[k] for rec in stages for k in STAGE_MEASURED]
+    recorded = ([rec["stage"] for rec in stages]
+                + [rec[k] for rec in stages for k in STAGE_MEASURED]
                 + [summary[k] for k in SUMMARY_KEYS])
-    again = ([rec[k] for rec in fresh for k in STAGE_MEASURED]
+    again = (list(range(1, len(stages) + 1))
+             + [rec[k] for rec in fresh for k in STAGE_MEASURED]
              + [derived[k] for k in SUMMARY_KEYS])
     return Verdict(all(map(_agrees, recorded, again)), derived["all_pass"])

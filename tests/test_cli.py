@@ -805,7 +805,8 @@ BAD_POLYS = [
 ]
 
 # (file edited, path in it, new value, exit code, start of the message);
-# scenarios edit seleznev.json, streams and certificates its artifacts
+# scenarios edit seleznev.json (parameterized ones parameterized.json),
+# streams and certificates its artifacts
 # (re-hashed after the edit), specs predicates_demo.json and the candidate
 # candidate_zsq.json
 REFUSALS = [
@@ -857,6 +858,23 @@ REFUSALS = [
       for path, value, message in BAD_POLYS],
     ("scenario", ("center",), "x", 2, "scenario rejected: center must be a "
      "list of [re, im] pairs, got 'x'"),
+    # each part of an [re, im] pair is a number: false is not 0, nor true 1
+    ("scenario", ("stages", 0, "target", "constant"), [True, 0], 2,
+     "scenario rejected: stage 1: constant[0] must be a number, got True"),
+    ("scenario", ("center",), [[0.0, False]], 2, "scenario rejected: center "
+     "must be a list of [re, im] pairs, got [[0.0, False]]"),
+    ("scenario", ("stages", 0, "outer", "center"), [2.0, False], 2,
+     "scenario rejected: stage 1: disk center[1] must be a number, got "
+     "False"),
+    # the w compact's factors are checked as a stage's are, before any fit
+    *[("parameterized", ("w_compact", "factors", 0, key), value, 2,
+       f"scenario rejected: w_compact factor 0{message}")
+      for key, value, message in (
+          ("radius", 1e-320, " loses its shape: float64 rounding "
+           "collapses its samples"),
+          ("radius", 1e308, ": disk boundary length overflows a float"),
+          ("center", [1e300, 0], " loses its shape: float64 rounding "
+           "collapses its samples"))],
     # a compact or domain field is read by its name: a rect's x as two
     # finite numbers, a center as an [re, im] pair, a radius as a finite
     # number
@@ -1009,6 +1027,10 @@ REFUSALS = [
     # densities, pass flags and the whole summary are recomputed from the
     # header, the stage inputs and the stream, not read; a key outside the
     # v3 schema is a mismatch too
+    # a record's stage is its 1-based position, as a JSON integer
+    *[("certificate", ("stages", 0, "stage"), value, 1,
+       "certificate does NOT match")
+      for value in ("x", None, {}, -1, True, 1.0, 2)],
     *[("certificate", path, value, 1, "certificate does NOT match")
       for path, value in ((("header", "cert_density"), 999),
                           (("stages", 0, "density"), "x"),
@@ -1120,6 +1142,7 @@ def test_malformed_input_exits_with_a_message(
     def read(name):
         return open(os.path.join(SCEN, name)).read()
     texts = dict(seleznev_artifacts, scenario=read("seleznev.json"),
+                 parameterized=read("parameterized.json"),
                  candidate=read("candidate_zsq.json"),
                  specs=read("predicates_demo.json"))
     doc = _edit(json.loads(texts[file]), path, value)
@@ -1136,7 +1159,8 @@ def test_malformed_input_exits_with_a_message(
     out = str(tmp_path / "out")
     verify = ["verify", paths["stream"], paths["certificate"]]
     predicates = ["predicates", paths["candidate"], paths["specs"]]
-    argv = {"scenario": ["construct", paths["scenario"], "--out-dir", out],
+    argv = {**{name: ["construct", paths[name], "--out-dir", out]
+               for name in ("scenario", "parameterized")},
             "stream": verify, "certificate": verify,
             "specs": predicates, "candidate": predicates}[file]
     assert main(argv) == code

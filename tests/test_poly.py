@@ -756,24 +756,25 @@ def _random_block(rng, r, center, divisor, budget):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_block_rows_extend_a_cached_entry_by_its_missing_orders(order):
+def test_rows_through_a_higher_order_equal_fresh_rows_bit_for_bit(order):
     def make():
         return _random_block(np.random.default_rng(5), 1, (0.2, 0.0),
                              (0, 3), 6)
     x = np.random.default_rng(6).normal(size=9) + 0.5j
     block = make()
     for j in range(3):                        # the w axis, then z_i0, z_1
-        low = block.rows(j, x, 0)
-        high = block.rows(j, x, order)
-        fresh = make().rows(j, x, order)
-        assert high[0] is low[0]
-        assert len(high) == len(fresh) == order + 1
-        assert all(np.array_equal(a, b) for a, b in zip(high, fresh))
+        [low] = block.rows(j, [x], 0)
+        [high] = block.rows(j, [x], order)
+        [fresh] = make().rows(j, [x], order)
+        assert len(low) == 1 and len(high) == len(fresh) == order + 1
+        _assert_same_bits(high[0], low[0])
+        for a, b in zip(high, fresh):
+            _assert_same_bits(a, b)
         assert not any(M.flags.writeable for M in high)
 
 
 def _no_recurrence(*args):
-    raise AssertionError("rows() ran a recurrence after fill_rows")
+    raise AssertionError("rows() ran a recurrence for a cached set")
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -789,41 +790,40 @@ def test_stacked_rows_are_each_sets_own_rows_bit_for_bit(monkeypatch, d,
     sets = [rng.normal(size=m) + 1j * rng.normal(size=m)
             for m in (13, 13, 5, 401, 13)]
     sets.append(sets[0])
-    want = [[make().rows(j, x, order) for x in sets] for j in range(1 + d)]
+    want = [[make().rows(j, [x], order)[0] for x in sets]
+            for j in range(1 + d)]
     # one stack per size, then a stack per set
     for stack in (poly.STACK_BYTES, 1):
         monkeypatch.setattr(poly, "STACK_BYTES", stack)
         block = make()
-        for j in range(1 + d):
-            block.fill_rows(j, sets, order)
+        stacked = [block.rows(j, sets, order) for j in range(1 + d)]
         with monkeypatch.context() as m:
             m.setattr(poly, "recur_rows", _no_recurrence)
             for j, rows in enumerate(want):
-                for x, R in zip(sets, rows):
-                    got = block.rows(j, x, order)
-                    assert len(got) == order + 1
-                    for a, b in zip(got, R):
+                for x, R, S in zip(sets, rows, stacked[j]):
+                    [got] = block.rows(j, [x], order)
+                    assert len(got) == len(S) == order + 1
+                    for a, b, c in zip(got, R, S):
                         _assert_same_bits(a, b)
+                        _assert_same_bits(c, b)
                         assert not a.flags.writeable
 
 
-def test_fill_rows_keeps_a_cached_set_and_every_set_it_fills(monkeypatch):
+def test_rows_keep_a_cached_set_and_every_set_they_fill(monkeypatch):
     block = _random_block(np.random.default_rng(9), 0, (0.0,), (0, 2), 5)
     rng = np.random.default_rng(10)
     sets = [rng.normal(size=7) + 1j * rng.normal(size=7)
             for _ in range(2 * poly.ROWS_KEPT)]
-    kept = block.rows(0, sets[0], 1)
-    for x in sets[1:poly.ROWS_KEPT]:
-        block.rows(0, x, 0)
+    [kept] = block.rows(0, sets[:1], 1)
+    block.rows(0, sets[1:poly.ROWS_KEPT], 0)
     # the oldest entry moves to the newest end, so the new sets evict the
     # others
     fill = sets[:1] + sets[poly.ROWS_KEPT + 1:]
     assert len(fill) == poly.ROWS_KEPT
-    block.fill_rows(0, fill, 1)
+    assert block.rows(0, fill, 1)[0] is kept
     monkeypatch.setattr(poly, "recur_rows", _no_recurrence)
-    assert block.rows(0, sets[0], 1) is kept
-    for x in fill:
-        block.rows(0, x, 1)
+    assert block.rows(0, sets[:1], 1)[0] is kept
+    block.rows(0, fill, 1)
 
 
 def _random_stream(rng, center, r=1, budgets=(2, 3, 1)):
