@@ -5,11 +5,12 @@ a coefficient stream, a certificate, and an error-history CSV; `verify`
 replays a certificate against its stream; `predicates` batch-evaluates
 membership predicates on an explicit polynomial.  Exit codes are part of
 the interface: 0 success, 1 a predicate or stage failed, 2 the input was
-unusable (missing file, malformed JSON, a number too large for a float, an
-unusable output directory, or a universal.REFUSED error from the library,
-printed after the command's `scenario rejected`, `artifact rejected` or
-`specs rejected`).  Run settings live in the scenario or spec file; the
-flags name files and outputs, and `predicates --density` a grid density.
+unusable (missing file, malformed or too deeply nested JSON, a number too
+large for a float, an unusable output directory, or a universal.REFUSED
+error from the library, printed after the command's `scenario rejected`,
+`artifact rejected` or `specs rejected`, a KeyError as `missing key 'x'`).
+Run settings live in the scenario or spec file; the flags name files and
+outputs, and `predicates --density` a grid density.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: {exc.strerror}") from None
     except ValueError as exc:         # invalid JSON names line and column
         raise InputError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: the top level must be a JSON object")
     return data
@@ -126,7 +129,7 @@ def cmd_predicates(args) -> int:
         raise ValueError(f"unknown key {unknown[0]!r} in the spec file")
     f = Poly.from_json(cdata)
     domain = DomainProduct.from_json(sdata["domain"])
-    w_domain = (DomainProduct.from_json(sdata["w_domain"])
+    w_domain = (DomainProduct.from_json(sdata["w_domain"], "w_domain")
                 if sdata.get("w_domain") else None)
     if domain.dim != f.d:
         raise ValueError(f"candidate has d={f.d} but the domain "
@@ -134,8 +137,11 @@ def cmd_predicates(args) -> int:
     if (w_domain.dim if w_domain else 0) != f.r:
         raise ValueError(f"candidate has r={f.r} but the parameter "
                          "domain disagrees")
+    entries = sdata.get("specs", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"specs must be a list, got {entries!r}")
     rows = []
-    for entry in sdata.get("specs", []):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"spec entry {entry!r} is not an object")
         kind = entry.get("predicate", "E")
@@ -197,6 +203,8 @@ def main(argv=None) -> int:
         return args.run(args)
     except InputError as exc:
         print(exc, file=sys.stderr)
+    except KeyError as exc:
+        print(f"{args.rejected} rejected: missing key {exc}", file=sys.stderr)
     except REFUSED as exc:
         print(f"{args.rejected} rejected: {exc}", file=sys.stderr)
     return 2

@@ -646,7 +646,16 @@ class DomainProduct:
         return [f.to_json() for f in self.factors]
 
     @classmethod
-    def from_json(cls, data) -> "DomainProduct":
+    def from_json(cls, data, what: str = "domain") -> "DomainProduct":
+        """The product a JSON list of factor objects describes; a value
+        that is not a list, or a factor that is not an object, is refused
+        naming `what` (the field it was read from)."""
+        if not isinstance(data, list):
+            raise ValueError(f"{what} must be a list, got {data!r}")
+        for i, f in enumerate(data):
+            if not isinstance(f, dict):
+                raise ValueError(f"{what} factor {i} must be an object, got "
+                                 f"{f!r}")
         return cls([domain_from_json(f) for f in data])
 
 

@@ -27,7 +27,7 @@ times it, an orthonormal change of rows that keeps the dense problem's
 minimizer and singular values; one lstsq call solves it, and its
 singular values give the recorded condition number.  Residuals are
 measured with the certificate's kernel (verify.sup_ops) on a grid twice as
-dense, so they replay from the stream.  The result is a poly.Block: the
+dense, and recorded, not replayed.  The result is a poly.Block: the
 Hessenberg matrices and the coefficients, never Taylor coefficients.
 """
 
@@ -187,8 +187,7 @@ class _Arnoldi:
         self.fit = [np.empty((top + 1, len(y)), dtype=complex)
                     for _ in range(order + 1)]
         self.conj = np.empty_like(self.fit[0])    # fit[0]'s rows, conjugated
-        start_rows([M[None] for M in self.fit], self.t[None], self.scale,
-                   start, self.norm)
+        start_rows(self.fit, self.t, self.scale, start, self.norm)
         np.conjugate(self.fit[0][0], out=self.conj[0])
         self.degree = 0
         self.exhausted = top == 0
@@ -215,8 +214,8 @@ class _Arnoldi:
             self.degree = k + 1
             self.exhausted = k + 1 == len(self.H) - 1
         if len(self.fit) > 1:                  # derivative rows to extend
-            recur_rows([M[None] for M in self.fit], self.t[None], self.scale,
-                       self.H, k0, self.degree, 1)
+            recur_rows(self.fit, self.t, self.scale, self.H, k0, self.degree,
+                       1)
 
     def axis(self, degree: int) -> Axis:
         return Axis(self.scale, self.norm, self.H[:degree + 1, :degree])

@@ -611,34 +611,29 @@ def start_rows(R, t, scale: float, start: int, norm: float):
     """Row 0 of each R[o]: the o-th y-derivative of q_0 = t^start / norm at
     the points t = y / scale.  R[o] and t are as in recur_rows."""
     for o in range(len(R)):
-        R[o][:, 0] = (math.perm(start, o) / (norm * scale ** o)
-                      * t ** (start - o) if o <= start else 0)
+        R[o][0] = (math.perm(start, o) / (norm * scale ** o)
+                   * t ** (start - o) if o <= start else 0)
 
 
 def recur_rows(R, t, scale: float, H, k0: int, k1: int, first: int = 0):
-    """Rows k0 + 1 .. k1 of each R[o], o >= first, from the rows before
-    them, by the Arnoldi relation t q_k = sum_{i <= k + 1} H[i, k] q_i
-    differentiated o times in y = scale * t:
+    """Rows k0 + 1 .. k1 of each (rows, points) array R[o], o >= first, at
+    the points t, from the rows before them, by the Arnoldi relation
+    t q_k = sum_{i <= k + 1} H[i, k] q_i differentiated o times in
+    y = scale * t:
 
         H[k + 1, k] q_{k+1}^(o) = t q_k^(o) + (o / scale) q_k^(o-1)
                                   - sum_{i <= k} H[i, k] q_i^(o)
-
-    R[o] is a stack (sets, rows, points) of point sets of one size, with t
-    (sets, points): the products by H run as one BLAS call per set, as on
-    each set alone, so every set gets its own rows bit for bit (a product
-    over the sets side by side would round differently wherever a set ends
-    inside the kernel's block of points).
     """
     for k in range(k0, k1):
         inv = 1 / H[k + 1, k]
         h = H[:k + 1, k] * -inv
         for o in range(first, len(R)):
-            out = R[o][:, k + 1]
-            np.multiply(t, R[o][:, k], out=out)
+            out = R[o][k + 1]
+            np.multiply(t, R[o][k], out=out)
             out *= inv
-            out += h @ R[o][:, :k + 1]
+            out += h @ R[o][:k + 1]
             if o:
-                out += (o * inv / scale) * R[o - 1][:, k]
+                out += (o * inv / scale) * R[o - 1][k]
 
 
 def graded_columns(degrees, budget: int) -> np.ndarray:
@@ -751,12 +746,6 @@ class Axis:
 
 # point sets a block keeps rows for (Block.rows)
 ROWS_KEPT = 16
-# bytes of rows one stacked recurrence (Block.rows) may span: each
-# step sweeps the rows before it, and a stack that outgrows a core's cache
-# runs slower than its sets one by one (on the deep ladder of
-# tools/artifact_digests.py, unbounded stacks of up to 14 MB made verify
-# about 10 % slower)
-STACK_BYTES = 1 << 20
 
 
 class Block:
@@ -806,50 +795,30 @@ class Block:
         # outer compact again and again
         self._rows = {}
 
-    def rows(self, j: int, xs, order: int) -> list:
+    def rows(self, j: int, x, order: int) -> list:
         """Axis j's q_0..q_degree and their y-derivatives through `order`
-        at each point set x in xs: per set, one (degree + 1, len(x)) array
-        per order, read-only.  A set cached through `order` moves to the
-        newest end of the cache; every other set comes from a recurrence
-        over a stack of sets of its size, up to STACK_BYTES of rows a
-        stack, with its rows bit for bit its own (recur_rows), and is
-        cached.  Only the ROWS_KEPT newest sets stay, so a caller measures
-        a block on at most that many sets, over all its axes, between
-        calls."""
-        found, todo = [], {}
-        for x in xs:
-            x = np.ascontiguousarray(x, dtype=complex)
-            key = (j, x.tobytes())
-            R = self._rows.pop(key, [])
-            if len(R) > order:
-                self._rows[key] = R
-            else:
-                todo.setdefault(len(x), {})[key] = x
-            found.append((key, R))
-        if not todo:
-            return [R for _, R in found]
-        ax = self.axes[j]
-        c = self.center[j - self.r] if j >= self.r else 0
-        per_point = ((order + 1) * (ax.degree + 1)
-                     * np.dtype(complex).itemsize)
-        new = {}
-        for n, sets in todo.items():
-            keys = list(sets)
-            step = max(1, STACK_BYTES // (per_point * n))
-            for lo in range(0, len(keys), step):
-                part = keys[lo:lo + step]
-                t = (np.stack([sets[key] for key in part]) - c) / ax.scale
-                R = [np.empty((len(part), ax.degree + 1, n), dtype=complex)
-                     for _ in range(order + 1)]
-                start_rows(R, t, ax.scale, self.starts[j], ax.norm)
-                recur_rows(R, t, ax.scale, ax.H, 0, ax.degree)
-                for M in R:
-                    M.flags.writeable = False
-                for i, key in enumerate(part):
-                    if len(self._rows) >= ROWS_KEPT:
-                        self._rows.pop(next(iter(self._rows)))
-                    self._rows[key] = new[key] = [M[i] for M in R]
-        return [new.get(key, R) for key, R in found]
+        at the coordinate values x: one (degree + 1, len(x)) array per
+        order, read-only.  A set cached through `order` moves to the newest
+        end of the cache; any other comes from one recurrence (recur_rows)
+        and is cached, and only the ROWS_KEPT newest sets stay."""
+        x = np.ascontiguousarray(x, dtype=complex)
+        key = (j, x.tobytes())
+        R = self._rows.pop(key, [])
+        if len(R) <= order:
+            # evict first, so the new rows can take the freed memory
+            if len(self._rows) >= ROWS_KEPT:
+                self._rows.pop(next(iter(self._rows)))
+            ax = self.axes[j]
+            c = self.center[j - self.r] if j >= self.r else 0
+            t = (x - c) / ax.scale
+            R = [np.empty((ax.degree + 1, len(t)), dtype=complex)
+                 for _ in range(order + 1)]
+            start_rows(R, t, ax.scale, self.starts[j], ax.norm)
+            recur_rows(R, t, ax.scale, ax.H, 0, ax.degree)
+            for M in R:
+                M.flags.writeable = False
+        self._rows[key] = R
+        return R
 
     def contract(self, mats) -> np.ndarray:
         """The coefficient tensor contracted with one (degree + 1, n_j)
@@ -862,7 +831,7 @@ class Block:
     def values(self, axes_points, orders) -> np.ndarray:
         """The mixed partial `orders` of the block on the product of the
         per-axis points (w axes, then z axes)."""
-        return self.contract([self.rows(j, [x], o)[0][o] for j, (x, o) in
+        return self.contract([self.rows(j, x, o)[o] for j, (x, o) in
                               enumerate(zip(axes_points, orders))])
 
     # -- structure: read off the non-zero coefficients ---------------------
@@ -1089,6 +1058,9 @@ class CoefficientStream:
                                     check_int(data["d"], "d"))
         center = complex_pairs(data["center"], "the stream center")
         stream = cls(enum, center, check_int(data["r"], "r"))
+        if not isinstance(data["blocks"], list):
+            raise ValueError(f"stream blocks must be a list, got "
+                             f"{data['blocks']!r}")
         for b in data["blocks"]:
             if not isinstance(b, dict) or b.keys() != BLOCK_KEYS:
                 raise ValueError("a stream block holds exactly the keys "

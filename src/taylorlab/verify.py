@@ -12,11 +12,10 @@ tables on product compacts, and verify_certificate replays a finished
 certificate against its coefficient stream.
 
 This module also holds the stage-measurement kernel (sup_ops,
-variant_ops, certify_stages) that the predicates, the construction in
-universal and the certificate replay share, so a certificate is written
-and re-checked by the same code; certify_stages measures sums of whole
-stream blocks (poly.BlockSum), center_sups measures the predicates' centers
-as lanes of dense coefficients.
+variant_ops, certify_stages), so a certificate is written and re-checked
+by the same code: certify_stages measures sums of whole stream blocks
+(poly.BlockSum), center_sups the predicates' centers as lanes of dense
+coefficients.
 Every sup fold carries a NaN through (worst), so a NaN sup fails.
 """
 
@@ -39,8 +38,8 @@ from .geometry import (
 )
 from .multiindex import (Enumeration, IndexSet, cantor_unpair, check_int,
                          complex_pairs, family_Fl)
-from .poly import (MAX_DENSE, ROWS_KEPT, BlockSum, CoefficientStream, Poly,
-                   diff_lanes, eval_lanes, joint_dense, partial_sum_lanes)
+from .poly import (MAX_DENSE, BlockSum, CoefficientStream, Poly, diff_lanes,
+                   eval_lanes, joint_dense, partial_sum_lanes)
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
 
 VARIANTS = ("plain", "strong", "infty")
@@ -208,25 +207,6 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _fill_rows(blocks, window, wg):
-    """Fill each block's row cache for every grid a window of records
-    measures it on, the w grid included: per axis, one Block.rows call
-    through the highest derivative order asked of that axis.  window holds
-    (s, E side, F side) per record, a side (BlockSum, z grid, ops); blocks
-    1..s are on the E side."""
-    w_axes = wg.per_factor if wg is not None else []
-    for i, block in enumerate(blocks):
-        sets = [[] for _ in block.axes]
-        orders = [0] * len(block.axes)
-        for s, *sides in window:
-            _, zg, ops = sides[i >= s]
-            for j, x in enumerate(w_axes + zg.per_factor):
-                sets[j].append(x)
-                orders[j] = max([orders[j]] + [op.orders[j] for op in ops])
-        for j, (xs, order) in enumerate(zip(sets, orders)):
-            block.rows(j, xs, order)
-
-
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                    aborted) -> dict:
     """Measure every stage record of a certificate on the finished stream
@@ -248,10 +228,7 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
 
     Every record is read and checked, in order, before any is measured, so
     a refusal names the first faulty record.  Each distinct compact is
-    sampled once.  The records are then measured in windows: before each,
-    every block's rows on the window's grids come from one Block.rows call
-    per axis, in windows small enough that the block keeps them all
-    (ROWS_KEPT).
+    sampled once.
     """
     r, d, l, density = (check_int(header[key], key)
                         for key in ("r", "d", "l", "cert_density"))
@@ -311,25 +288,20 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
         F.check_grids(wg, zI)
         work.append((s, (E, zT, e_ops), (F, zI, f_ops)))
 
-    step = max(1, ROWS_KEPT // (stream.r + stream.d))
-    for lo in range(0, len(work), step):
-        window = work[lo:lo + step]
-        # a block that overflows on a grid (a forged stream's, say)
-        # measures inf or NaN there, and fails
-        with np.errstate(over="ignore", invalid="ignore"):
-            _fill_rows(blocks, window, wg)
-            for rec, (s, *sides) in zip(stages[lo:lo + step], window):
-                e, fv = (sup_ops(delta, zg, wg, ops)
-                         for delta, zg, ops in sides)
-                last, tol = blocks[s - 1], rec["tolerance"]
-                rec.update(capture_index=capture(s), divisor_exponent=last.e,
-                           budget=last.budget, n_columns=len(last.columns),
-                           max_degree=tops[s],
-                           density={"nz_per_factor": nz, "nw_per_factor": nw,
-                                    "nz_points": len(sides[0][1]),
-                                    "nw_points": len(wg) if wg else 0},
-                           e_side_error=e, f_side_error=fv,
-                           pass_e=e <= tol, pass_f=fv <= tol)
+    # a block that overflows on a grid (a forged stream's, say) measures
+    # inf or NaN there, and fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rec, (s, *sides) in zip(stages, work):
+            e, fv = (sup_ops(delta, zg, wg, ops) for delta, zg, ops in sides)
+            last, tol = blocks[s - 1], rec["tolerance"]
+            rec.update(capture_index=capture(s), divisor_exponent=last.e,
+                       budget=last.budget, n_columns=len(last.columns),
+                       max_degree=tops[s],
+                       density={"nz_per_factor": nz, "nw_per_factor": nw,
+                                "nz_points": len(sides[0][1]),
+                                "nw_points": len(wg) if wg else 0},
+                       e_side_error=e, f_side_error=fv,
+                       pass_e=e <= tol, pass_f=fv <= tol)
     return {
         "stages": len(stages),
         "frontier": stream.frontier,

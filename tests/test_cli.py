@@ -1109,6 +1109,28 @@ REFUSALS = [
       for path, value in ((("specs", 3, "m"), BIG), (("specs", 0, "p"), BIG),
                           (("specs", 0, "s"), BIG),
                           (("specs", 3, "j"), OVERFLOW_J))],
+    # a container of the wrong JSON type is refused by its field, and a
+    # missing key by name
+    *[(file, path, value, 2, f"{rejected} rejected: {message}")
+      for file, rejected, path, value, message in (
+          ("scenario", "scenario", ("domain",), 5,
+           "domain must be a list, got 5"),
+          ("scenario", "scenario", ("domain",), [5],
+           "domain factor 0 must be an object, got 5"),
+          ("scenario", "scenario", ("domain", 0, "center"), DROP,
+           "missing key 'center'"),
+          ("specs", "specs", ("domain",), 5, "domain must be a list, got 5"),
+          ("specs", "specs", ("domain",), [5],
+           "domain factor 0 must be an object, got 5"),
+          ("specs", "specs", ("domain", 0, "center"), DROP,
+           "missing key 'center'"),
+          ("specs", "specs", ("w_domain",), 5,
+           "w_domain must be a list, got 5"),
+          ("specs", "specs", ("specs",), 5, "specs must be a list, got 5"),
+          ("specs", "specs", ("specs",), {"a": 1},
+           "specs must be a list, got {{'a': 1}}"),
+          ("stream", "artifact", ("blocks",), 5,
+           "stream blocks must be a list, got 5"))],
 ]
 
 
@@ -1171,6 +1193,20 @@ def test_malformed_input_exits_with_a_message(
     if code == 2:
         assert stdout == ""
         assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "predicates"])
+def test_too_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys,
+                                                         command):
+    path = str(tmp_path / "nested.json")
+    with open(path, "w") as fh:
+        fh.write("[" * 100_000 + "]" * 100_000)
+    argv = {"construct": [path, "--out-dir", str(tmp_path / "out")],
+            "verify": [path, path], "predicates": [path, path]}[command]
+    assert main([command, *argv]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == f"{path}: JSON nested too deeply to read\n"
 
 
 def _old_stream_is_refused(tmp_path, capsys, artifacts, layout):

@@ -763,9 +763,9 @@ def test_rows_through_a_higher_order_equal_fresh_rows_bit_for_bit(order):
     x = np.random.default_rng(6).normal(size=9) + 0.5j
     block = make()
     for j in range(3):                        # the w axis, then z_i0, z_1
-        [low] = block.rows(j, [x], 0)
-        [high] = block.rows(j, [x], order)
-        [fresh] = make().rows(j, [x], order)
+        low = block.rows(j, x, 0)
+        high = block.rows(j, x, order)
+        fresh = make().rows(j, x, order)
         assert len(low) == 1 and len(high) == len(fresh) == order + 1
         _assert_same_bits(high[0], low[0])
         for a, b in zip(high, fresh):
@@ -777,53 +777,30 @@ def _no_recurrence(*args):
     raise AssertionError("rows() ran a recurrence for a cached set")
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("d", [1, 2])
-def test_stacked_rows_are_each_sets_own_rows_bit_for_bit(monkeypatch, d,
-                                                         order):
-    # sets of odd sizes, where a product over sets laid side by side would
-    # round otherwise than each set alone, three of one size, and a repeat
-    def make():
-        return _random_block(np.random.default_rng(7 + d), 1,
-                             (0.2, -0.1j)[:d], (d - 1, 2), 9)
-    rng = np.random.default_rng(160 + 10 * d + order)
-    sets = [rng.normal(size=m) + 1j * rng.normal(size=m)
-            for m in (13, 13, 5, 401, 13)]
-    sets.append(sets[0])
-    want = [[make().rows(j, [x], order)[0] for x in sets]
-            for j in range(1 + d)]
-    # one stack per size, then a stack per set
-    for stack in (poly.STACK_BYTES, 1):
-        monkeypatch.setattr(poly, "STACK_BYTES", stack)
-        block = make()
-        stacked = [block.rows(j, sets, order) for j in range(1 + d)]
-        with monkeypatch.context() as m:
-            m.setattr(poly, "recur_rows", _no_recurrence)
-            for j, rows in enumerate(want):
-                for x, R, S in zip(sets, rows, stacked[j]):
-                    [got] = block.rows(j, [x], order)
-                    assert len(got) == len(S) == order + 1
-                    for a, b, c in zip(got, R, S):
-                        _assert_same_bits(a, b)
-                        _assert_same_bits(c, b)
-                        assert not a.flags.writeable
-
-
 def test_rows_keep_a_cached_set_and_every_set_they_fill(monkeypatch):
     block = _random_block(np.random.default_rng(9), 0, (0.0,), (0, 2), 5)
     rng = np.random.default_rng(10)
     sets = [rng.normal(size=7) + 1j * rng.normal(size=7)
             for _ in range(2 * poly.ROWS_KEPT)]
-    [kept] = block.rows(0, sets[:1], 1)
-    block.rows(0, sets[1:poly.ROWS_KEPT], 0)
+    kept = block.rows(0, sets[0], 1)
+    for x in sets[1:poly.ROWS_KEPT]:
+        block.rows(0, x, 0)
     # the oldest entry moves to the newest end, so the new sets evict the
     # others
     fill = sets[:1] + sets[poly.ROWS_KEPT + 1:]
     assert len(fill) == poly.ROWS_KEPT
-    assert block.rows(0, fill, 1)[0] is kept
+    filled = [block.rows(0, x, 1) for x in fill]
+    assert filled[0] is kept
     monkeypatch.setattr(poly, "recur_rows", _no_recurrence)
-    assert block.rows(0, sets[:1], 1)[0] is kept
-    block.rows(0, fill, 1)
+    assert block.rows(0, sets[0], 1) is kept
+    for x, R in zip(fill, filled):
+        assert block.rows(0, x, 1) is R
+        assert not any(M.flags.writeable for M in R)
+    # the sets filled through order 0 alone were evicted
+    calls = []
+    monkeypatch.setattr(poly, "recur_rows", lambda *args: calls.append(args))
+    block.rows(0, sets[1], 0)
+    assert len(calls) == 1
 
 
 def _random_stream(rng, center, r=1, budgets=(2, 3, 1)):

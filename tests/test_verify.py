@@ -600,13 +600,12 @@ def _counted(calls, fn):
     return counting
 
 
-@pytest.mark.parametrize("kept", [None, 3])
+@pytest.mark.parametrize("kept", [None, 1])
 def test_certify_stages_samples_each_compact_once_and_recurs_once_per_axis(
         monkeypatch, kept):
     if kept:
-        # a block keeps rows for 3 sets: the records go in windows of 3
+        # a block keeps rows for one set: every change of grid evicts
         monkeypatch.setattr(poly, "ROWS_KEPT", kept)
-        monkeypatch.setattr(verify, "ROWS_KEPT", kept)
     stream, cert = _ladder_artifacts(6)
     recurrences, samples = [], []
     monkeypatch.setattr(poly, "recur_rows",
@@ -615,11 +614,16 @@ def test_certify_stages_samples_each_compact_once_and_recurs_once_per_axis(
                         _counted(samples, ProductCompact.sample))
     fresh = [{k: rec[k] for k in verify.STAGE_INPUTS} for rec in cert.stages]
     summary = certify_stages(stream, cert.header, fresh, None)
-    # every recurrence fills a stack; none runs for a row the measurement
-    # misses
-    assert all(R[0].ndim == 3 for R, *_ in recurrences)
+    # every recurrence fills one point set's (rows, points) arrays
+    assert all(R[0].ndim == 2 for R, *_ in recurrences)
     if not kept:
-        assert len(recurrences) == len(stream.blocks) * (stream.r + stream.d)
+        # one recurrence per block, axis and grid: blocks 1..s on stage s's
+        # outer disk (one for all stages) and the rest on its inner disk
+        fills = {(i, j, json.dumps(rec["outer" if i < s else "inner"]))
+                 for s, rec in enumerate(cert.stages, start=1)
+                 for i in range(len(stream.blocks))
+                 for j in range(stream.r + stream.d)}
+        assert len(recurrences) == len(fills) == 6 + 15
     # one outer disk and six inner ones
     compacts = {json.dumps(rec[side]) for rec in cert.stages
                 for side in ("outer", "inner")}
