@@ -21,6 +21,10 @@ One line per artifact, `sha256  name`, sorted by name:
   measured on more grids than a block keeps rows for (`poly.ROWS_KEPT`),
   so its row caches evict, which no shipped scenario or benchmark unit
   does;
+- the same four digests of `alternating_three` with zero targets at
+  stages 1 and 2, under `mu:all` (lambda = 0, 1, 42: a zero block has no
+  degree box, so lambda's floor is one past the previous lambda) and
+  under `mu:list:0` (construct aborts at stage 2 with exit 1);
 - for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
@@ -77,6 +81,9 @@ HANDWRITTEN = {"r": 0, "d": 1, "terms": [
 # radii 0.5 + step (s + 1) (at the ladder's own 0.05, stage 10's inner disk
 # would reach the unit circle)
 DEEP_LADDER = (18, 2.5j, 0.025)
+# alternating_three with zero targets at stages 1 and 2, by name and mu
+ZERO_TARGETS = (("zero_targets", "mu:all"),
+                ("zero_targets_abort", "mu:list:0"))
 HANDWRITTEN_SPECS = {"domain": [UNIT_DISK], "specs": [
     {"predicate": "F", "p": 1, "s": 10, "n": 2},
     {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 3}]}
@@ -159,6 +166,15 @@ def digests(checkout: str, seeds, work: str) -> dict:
         json.dump(deep, fh)
     out.update(_construct(main, path, os.path.join(work, "deep_ladder"),
                           "deep_ladder"))
+    with open(os.path.join(scenarios, "alternating_three.json")) as fh:
+        zeros = json.load(fh)
+    for stage in zeros["stages"][:2]:
+        stage["target"] = {"constant": [0, 0]}
+    for name, mu in ZERO_TARGETS:
+        path = os.path.join(work, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(dict(zeros, mu=mu), fh)
+        out.update(_construct(main, path, os.path.join(work, name), name))
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             tag = f"{workload}/seed{seed}"
