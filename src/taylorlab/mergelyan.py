@@ -128,12 +128,13 @@ def glue_target(pieces, i0: int, budgets, tolerance, **options) -> ApproxTask:
 # ------------------------------------------------------------------ fit
 
 
-def check_design_size(shapes, derivative_orders, top: int):
+def check_design_size(grids, derivative_orders, top: int):
     """Refuse a fit whose reduced least-squares system at the top budget
-    would pass MAX_DESIGN_ENTRIES; shapes[p] are piece p's per-axis sample
-    counts (w axes, then z axes).  Per piece and operator (the identity and
-    every other derivative order), with two or more axes every axis shrinks
-    to its R factor of min(n_j, top + 1) rows; a single axis keeps its n."""
+    would pass MAX_DESIGN_ENTRIES; grids are the pieces' (w grid, z grid)
+    (fit_grids).  Per piece and operator (the identity and every other
+    derivative order), with two or more axes every axis shrinks to its R
+    factor of min(n_j, top + 1) rows; a single axis keeps its n."""
+    shapes = [[len(a) for a in _axes(wg, zg)] for wg, zg in grids]
     k = len(shapes[0])
     n_ops = 1 + sum(not op.is_identity for op in derivative_orders)
     reduced_rows = sum(math.prod(min(n, top + 1) if k > 1 else n
@@ -148,17 +149,18 @@ def check_design_size(shapes, derivative_orders, top: int):
 BREAKDOWN = 1e-10
 
 
-def _task_grids(task: ApproxTask, density: int = 1):
-    """Per piece the (w grid, z grid) at the task's density; the w grid is
-    None without parameters."""
-    nz = grid_density("fit", "z", task.d, task.n_per_factor) * density
+def fit_grids(compacts, r: int, w_compact, n_per_factor: int, density: int):
+    """Per compact the (w grid, z grid) a fit samples, at `density` times
+    the per-factor counts (n_per_factor, or the fit's default for 0); the
+    w grid is None without parameters."""
+    nz = grid_density("fit", "z", compacts[0].dim, n_per_factor) * density
     wg = None
-    if task.r:
-        if task.w_compact is None or task.w_compact.dim != task.r:
+    if r:
+        if w_compact is None or w_compact.dim != r:
             raise ValueError("parameterized task needs a w compact of arity r")
-        nw = grid_density("fit", "w", task.r, task.n_per_factor)
-        wg = task.w_compact.sample(n_per_factor=nw * density)
-    return [(wg, K.sample(n_per_factor=nz)) for K, _ in task.pieces]
+        nw = grid_density("fit", "w", r, n_per_factor)
+        wg = w_compact.sample(n_per_factor=nw * density)
+    return [(wg, K.sample(n_per_factor=nz)) for K in compacts]
 
 
 def _axes(wg, zg) -> list:
@@ -232,7 +234,8 @@ def fit(task: ApproxTask) -> FitResult:
     samples is refused before any solve.
     """
     r, k = task.r, task.r + task.d
-    grids, verif = _task_grids(task), _task_grids(task, density=2)
+    grids, verif = (fit_grids([K for K, _ in task.pieces], r, task.w_compact,
+                              task.n_per_factor, n) for n in (1, 2))
     axes = [_axes(wg, zg) for wg, zg in grids]
     # every piece target as a BlockSum, so a candidate block joins its
     # blocks and the certificate's kernel measures the residual
@@ -242,8 +245,8 @@ def fit(task: ApproxTask) -> FitResult:
     ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
                                   if not op.is_identity]
     top = task.budgets[-1]
+    check_design_size(grids, task.derivative_orders, top)
     shapes = [[len(a) for a in ax] for ax in axes]
-    check_design_size(shapes, task.derivative_orders, top)
 
     # one process per axis on the union of the pieces' samples (the pieces
     # share the w grid), in y = x - center; piece p owns the slice

@@ -954,14 +954,30 @@ STREAM_FORMAT = "taylorlab-stream-v5"
 BLOCK_KEYS = frozenset("stage n_max divisor budget axes coefs".split())
 
 
+@dataclass(frozen=True)
+class Ledger:
+    """What blocks 1..s of a stream fix: the degree box of their
+    z-exponents (None while every block is 0), its capture index (0 then),
+    lambda's floor (the larger of that and one past block s - 1's n_max),
+    their largest total z-degree (-1 while every block is 0) and the
+    monomials they can hold (no two blocks share one)."""
+
+    box: tuple | None
+    capture: int
+    floor: int
+    degree: int
+    terms: int
+
+
 @dataclass
 class StreamBlock:
     """One appended stage: a block whose z-exponents rank in
-    (previous frontier, n_max]."""
+    (previous frontier, n_max], and the ledger of blocks 1..s."""
 
     stage_id: str
     block: Block
     n_max: int
+    ledger: Ledger
 
 
 class CoefficientStream:
@@ -970,9 +986,11 @@ class CoefficientStream:
     Each block is a multiple of (z_i0 - center_i0)^e with e past the total
     degree at the frontier rank, so in a graded enumeration every term it
     adds ranks past the frontier: every rank at or below the frontier is
-    frozen, and each stage's cut falls between whole blocks.  Blocks stay
-    in their Arnoldi bases; their Taylor coefficients (partial_sum, poly)
-    are a derived float view that construction and replay never build.
+    frozen, and each stage's cut falls between whole blocks.  Construct
+    and verify read the stage schedule from the blocks' ledgers.  Blocks
+    stay in their Arnoldi bases; their Taylor coefficients (partial_sum,
+    poly) are a derived float view that construction and replay never
+    build.
     """
 
     def __init__(self, enum: Enumeration, center, r: int):
@@ -988,32 +1006,44 @@ class CoefficientStream:
     def frontier(self) -> int:
         return self.blocks[-1].n_max if self.blocks else -1
 
+    @property
+    def ledger(self) -> Ledger:
+        """The ledger of every block so far (of none: no box, degree -1)."""
+        return self.blocks[-1].ledger if self.blocks else Ledger(
+            None, 0, 0, -1, 0)
+
+    @property
+    def next_exponent(self) -> int:
+        """The least divisor exponent of the next block: one past the total
+        degree at the frontier rank, 0 for the first block."""
+        return sum(self.enum.unrank(self.frontier)) + 1 if self.blocks else 0
+
+    def ledger_with(self, block: Block) -> Ledger:
+        """The ledger the stream would have with `block` appended next."""
+        last, g = self.ledger, block.z_degrees()
+        box = (last.box if g is None else g if last.box is None
+               else tuple(map(max, last.box, g)))
+        capture = 0 if box is None else self.enum.capture_index(box)
+        return Ledger(box, capture, max(capture, self.frontier + 1),
+                      max(last.degree, block.total_z_degree()),
+                      last.terms + block.term_count())
+
     def append_block(self, stage_id: str, block: Block, n_max: int):
-        """Append `block` as the ranks (frontier, n_max]."""
+        """Append `block` as the ranks (frontier, n_max]; n_max must reach
+        lambda's floor."""
         if (block.r, block.d, block.center) != (self.r, self.d, self.center):
             raise ValueError(f"a block must have r = {self.r}, d = {self.d} "
                              "and the stream's center")
-        if self.blocks:
-            top = sum(self.enum.unrank(self.frontier))
-            if block.e <= top:
-                raise ValueError(
-                    f"block divisor exponent {block.e} does not pass the "
-                    f"total degree {top} at the frontier {self.frontier}")
-        degs = block.z_degrees()
-        if n_max <= self.frontier or (
-                degs is not None and self.enum.capture_index(degs) > n_max):
+        if block.e < self.next_exponent:
+            raise ValueError(
+                f"block divisor exponent {block.e} does not pass the total "
+                f"degree {self.next_exponent - 1} at the frontier "
+                f"{self.frontier}")
+        ledger = self.ledger_with(block)
+        if n_max < ledger.floor:
             raise ValueError("n_max must pass the frontier and cover the "
                              "block's degree box")
-        self.blocks.append(StreamBlock(stage_id, block, int(n_max)))
-
-    def total_z_degree(self) -> int:
-        return max((b.block.total_z_degree() for b in self.blocks),
-                   default=-1)
-
-    def term_count(self) -> int:
-        """Monomials the stream can hold; blocks never share one, since
-        each starts past the total degree of those before it."""
-        return sum(b.block.term_count() for b in self.blocks)
+        self.blocks.append(StreamBlock(stage_id, block, int(n_max), ledger))
 
     def partial_sum(self, n: int) -> Poly:
         """The float Taylor view of the sum of a_k(w) (z - center)^{N_k}

@@ -41,14 +41,13 @@ from .geometry import (
     grid_density,
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
-from .mergelyan import ApproxTask, check_design_size, fit
+from .mergelyan import ApproxTask, check_design_size, fit, fit_grids
 from .mergelyan import glue_target  # noqa: F401  (a lookup site of bench/tracer.py)
 from .multiindex import (Enumeration, IndexSet, SparseIndexError, check_int,
                          check_number, complex_pair, complex_pairs)
 from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
-from .verify import (CERT_FORMAT, capture_rank, catalog_poly, certify_stages,
-                     variant_ops)
+from .verify import CERT_FORMAT, catalog_poly, certify_stages, variant_ops
 
 # refused input: a missing key or entry, a bad type or value, an overflow
 REFUSED = (LookupError, TypeError, ValueError, OverflowError)
@@ -153,6 +152,8 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("derivative order bound must be a natural number")
     if r < 0:
         raise ValueError("parameter count must be a natural number")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     orders = variant_ops(variant, r, d, l)[1]   # refuse it and its family
     grid_density("certificate", "z", d, cert_density)  # refuse it up front
     if r > 0 and (w_compact is None or w_compact.dim != r):
@@ -161,18 +162,13 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError("a plan needs at least one stage")
     if w_compact is not None:
         factor_samples(w_compact, "w_compact")
-    # per-axis sample counts of the fit grids (w axes, shared, then z axes)
-    nz = grid_density("fit", "z", d)
-    w_axes = [len(f.sample_boundary(grid_density("fit", "w", r)))
-              for f in w_compact.factors] if r else []
     for idx, req in enumerate(requests, start=1):
         with naming_stage(idx):
             req.validate(domain, r, variant, center)
-            check_design_size(
-                [w_axes + [len(f.sample_boundary(nz)) for f in K.factors]
-                 for K in (req.inner, req.outer)], orders, req.budgets[-1])
+            check_design_size(fit_grids([req.inner, req.outer], r, w_compact,
+                                        0, 1), orders, req.budgets[-1])
     return StagePlan(domain, enum, mu, center, list(requests), r, w_compact,
-                     variant, int(l), str(name), int(cert_density))
+                     variant, int(l), name, int(cert_density))
 
 
 # ------------------------------------------------------------------ stages
@@ -204,17 +200,13 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
     """Fit one correction block, append it, and return the stage record;
     piece_tols are the [inner, outer] fit tolerances.
 
-    The divisor exponent passes the total degree at the current frontier
-    rank, so in a graded enumeration the new block's ranks land strictly
-    beyond the frontier (and so past the frozen prefix's degree box, whose
-    corner ranks at or below the frontier).  The fit aims at the target
-    minus the stream so far, evaluated block by block.
+    The stream gives the divisor exponent, past the total degree at the
+    frontier rank, so in a graded enumeration the new block's ranks land
+    beyond the frontier (and the frozen prefix's degree box), and lambda's
+    floor (ledger_with).  The fit aims at the target minus the stream so
+    far, evaluated block by block.
     """
-    enum, r = stream.enum, stream.r
-    frontier = stream.frontier
-    e = sum(enum.unrank(frontier)) + 1 if frontier >= 0 else 0
-
-    i0 = req.outer.disjoint_factor
+    r, i0 = stream.r, req.outer.disjoint_factor
     blocks = [b.block for b in stream.blocks]
     pieces = [(req.inner, Poly.zero(r, stream.d)),
               (req.outer, BlockSum(req.target, blocks))]
@@ -223,14 +215,12 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
         pieces, list(req.budgets), max(piece_tols),
         r=r, w_compact=plan.w_compact,
         derivative_orders=variant_ops(plan.variant, r, stream.d, plan.l)[1],
-        prefactor=(i0, e), piece_tolerances=list(piece_tols),
-        center=stream.center))
+        prefactor=(i0, stream.next_exponent),
+        piece_tolerances=list(piece_tols), center=stream.center))
     if not np.isfinite(res.block.coefs).all():
         raise ValueError("the fit has a non-finite coefficient")
 
-    capture = capture_rank(enum, blocks + [res.block])
-    lam = plan.mu.next_at_or_after(max(capture, frontier + 1))
-
+    lam = plan.mu.next_at_or_after(stream.ledger_with(res.block).floor)
     stream.append_block(f"stage-{stage_id}", res.block, lam)
     return {
         "stage": stage_id,

@@ -21,7 +21,6 @@ Every sup fold carries a NaN through (worst), so a NaN sup fails.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -152,13 +151,6 @@ def sup_ops(delta, zg, wg, ops) -> float:
                  + [sup_norm(delta, zg, wg)])
 
 
-def capture_rank(enum: Enumeration, blocks) -> int:
-    """The capture index of the degree box that holds every z-exponent of
-    the blocks (poly.Block), 0 when they are all 0."""
-    degrees = [g for g in (b.z_degrees() for b in blocks) if g is not None]
-    return enum.capture_index(tuple(map(max, zip(*degrees)))) if degrees else 0
-
-
 def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
     """Worst sup over expansion centers of one side (target, z-grid,
     w-grid, ops).
@@ -214,17 +206,17 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
 
     Inputs: the header's variant, r, d, l, mu, w_compact and cert_density
     (numbers as ints), each record's STAGE_INPUTS (the tolerance a float),
-    and `aborted` (None, or why the schedule stopped early).  A record's
-    lambda must end a stream block s and be mu's first member at or after
-    the capture index of blocks 1..s.  The record gets its STAGE_MEASURED
-    fields: what blocks 1..s give (their capture index and largest degree,
-    block s's divisor exponent, budget and column count), the density, the
-    E-side sup (blocks 1..s against the target on `outer`) and the F-side
-    sup (blocks s+1.. on `inner`), with their pass flags.  Blocks are
-    evaluated through their recurrences; no Taylor coefficient is formed.
-    The summary adds the stream's frontier, the degree, term count and
-    capture index of its blocks, and the worst sups; all_pass needs no
-    abort, one record per block of the stream, and every stage to pass.
+    and `aborted` (None, or why the schedule stopped early).  Record s's
+    lambda must end stream block s and be mu's first member at or after
+    the floor in block s's ledger.  The record gets its STAGE_MEASURED
+    fields: block s's ledger (capture index, largest degree, 0 for zero
+    blocks) and its divisor exponent, budget and column count, the
+    density, the E-side sup (blocks 1..s against the target on `outer`)
+    and the F-side sup (blocks s+1.. on `inner`), with pass flags.
+    Blocks are evaluated through their recurrences; no Taylor coefficient
+    is formed.  The summary adds the stream's frontier, its ledger's
+    degree, term count and capture index, and the worst sups; all_pass
+    needs no abort, one record per block, and every stage to pass.
 
     Every record is read and checked, in order, before any is measured, so
     a refusal names the first faulty record.  Each distinct compact is
@@ -239,20 +231,6 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     wg = (ProductCompact.from_json(header["w_compact"], "w_compact").sample(
         n_per_factor=nw) if nw else None)
     blocks = [b.block for b in stream.blocks]
-    cuts = {b.n_max: s for s, b in enumerate(stream.blocks, start=1)}
-    # running prefixes, entry s for blocks 1..s: the degree box holding
-    # their z-exponents (None while every block is 0) and the largest total
-    # degree, floored at 0
-    boxes, tops = [None], [0]
-    for b in blocks:
-        g, box = b.z_degrees(), boxes[-1]
-        boxes.append(box if g is None else g if box is None
-                     else tuple(map(max, box, g)))
-        tops.append(max(tops[-1], b.total_z_degree()))
-
-    @functools.cache
-    def capture(s):
-        return 0 if boxes[s] is None else stream.enum.capture_index(boxes[s])
 
     grids = []
 
@@ -266,37 +244,35 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
         return grids[-1][1]
 
     work = []
-    for rec in stages:
+    for s, rec in enumerate(stages, start=1):
         lam, tol = check_int(rec["lambda"], "lambda"), rec["tolerance"]
         if type(tol) is not float:
             raise ValueError(f"a stage tolerance must be a float, got {tol!r}")
-        if lam not in cuts:
-            raise LookupError(f"lambda {lam} is not the last rank of a "
-                              "stream block")
-        s = cuts[lam]
-        floor = max(capture(s),
-                    stream.blocks[s - 2].n_max + 1 if s > 1 else 0)
-        if mu.next_at_or_after(floor) != lam:
+        last = stream.blocks[s - 1] if s <= len(blocks) else None
+        if last is None or last.n_max != lam:
+            raise LookupError(f"lambda {lam} is not the last rank of stream "
+                              f"block {s} (the stream has {len(blocks)})")
+        if mu.next_at_or_after(last.ledger.floor) != lam:
             raise LookupError(f"lambda {lam} is not the first member of "
-                              f"{mu.tag} at or after {floor}, the larger of "
-                              "the capture index and one past the previous "
-                              "lambda")
+                              f"{mu.tag} at or after {last.ledger.floor}, "
+                              "the larger of the capture index and one past "
+                              "the previous lambda")
         zT, zI = sample(rec, "outer"), sample(rec, "inner")
         E = BlockSum(Poly.from_json(rec["target"]), blocks[:s])
         E.check_grids(wg, zT)
         F = BlockSum(Poly.zero(r, d), blocks[s:])
         F.check_grids(wg, zI)
-        work.append((s, (E, zT, e_ops), (F, zI, f_ops)))
+        work.append((last, (E, zT, e_ops), (F, zI, f_ops)))
 
     # a block that overflows on a grid (a forged stream's, say) measures
     # inf or NaN there, and fails
     with np.errstate(over="ignore", invalid="ignore"):
-        for rec, (s, *sides) in zip(stages, work):
+        for rec, (last, *sides) in zip(stages, work):
             e, fv = (sup_ops(delta, zg, wg, ops) for delta, zg, ops in sides)
-            last, tol = blocks[s - 1], rec["tolerance"]
-            rec.update(capture_index=capture(s), divisor_exponent=last.e,
-                       budget=last.budget, n_columns=len(last.columns),
-                       max_degree=tops[s],
+            b, tol = last.block, rec["tolerance"]
+            rec.update(capture_index=last.ledger.capture, divisor_exponent=b.e,
+                       budget=b.budget, n_columns=len(b.columns),
+                       max_degree=max(last.ledger.degree, 0),
                        density={"nz_per_factor": nz, "nw_per_factor": nw,
                                 "nz_points": len(sides[0][1]),
                                 "nw_points": len(wg) if wg else 0},
@@ -305,9 +281,9 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     return {
         "stages": len(stages),
         "frontier": stream.frontier,
-        "final_degree": stream.total_z_degree(),
-        "final_term_count": stream.term_count(),
-        "final_capture": capture(len(blocks)),
+        "final_degree": stream.ledger.degree,
+        "final_term_count": stream.ledger.terms,
+        "final_capture": stream.ledger.capture,
         "e_side_max": worst(rec["e_side_error"] for rec in stages),
         "f_side_max": worst(rec["f_side_error"] for rec in stages),
         "all_pass": aborted is None and len(stages) == len(stream.blocks)

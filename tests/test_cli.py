@@ -337,6 +337,35 @@ def test_lambda_refusals_name_the_floor(tmp_path, capsys):
         "index and one past the previous lambda\n")
 
 
+def test_verify_refuses_a_record_that_does_not_end_its_block(tmp_path,
+                                                             capsys):
+    # record 1 becomes a copy of record 2 (lambda 25, which ends block 2)
+    # and the summary's worst sups follow: every field agrees with what
+    # block 2 measures, but block 1's stage is never certified
+    out = str(tmp_path / "out")
+    assert main(["construct", os.path.join(SCEN, "alternating_three.json"),
+                 "--out-dir", out]) == 0
+    paths = [os.path.join(out, f"{name}.json")
+             for name in ("stream", "certificate")]
+    assert main(["verify", *paths]) == 0
+    with open(paths[1]) as fh:
+        cert = json.load(fh)
+    stages = cert["stages"]
+    assert [rec["lambda"] for rec in stages] == [12, 25, 66]
+    stages[0] = dict(stages[1], stage=1)
+    for side in ("e", "f"):
+        cert["summary"][f"{side}_side_max"] = max(
+            rec[f"{side}_side_error"] for rec in stages)
+    cert["sha256"] = Certificate(cert["header"], stages,
+                                 cert["summary"]).sha256
+    write_json(paths[1], cert)
+    capsys.readouterr()
+    assert main(["verify", *paths]) == 2
+    assert capsys.readouterr().err == (
+        "artifact rejected: lambda 25 is not the last rank of stream block "
+        "1 (the stream has 3)\n")
+
+
 def test_multi_stage_center_off_the_divisor_axis_constructs(tmp_path):
     def disk(c, rad):
         return {"type": "disk", "center": [c, 0.0], "radius": rad}
@@ -780,6 +809,11 @@ CLIPPED = {"type": "clipped", "bound": 3.0, "base": {
 # a rectangle whose x bounds lack their upper end
 SHORT_RECT = {"type": "rect", "x": [2.0], "y": [0.0, 1.0]}
 
+def _stage_twice(stages):
+    """The records with the first again as record 2."""
+    return stages + [dict(stages[0], stage=2)]
+
+
 def _repeated(terms):
     """The term list with its first term again, with another coefficient."""
     return terms + [dict(terms[0], re=2.0)]
@@ -924,6 +958,8 @@ REFUSALS = [
           (("w_compact",), True, "w_compact must be an object, got True"),
           (("stages", 0, "outer"), {"factors": "x", "disjoint_factor": 0},
            "stage 1: outer factors must be a list, got 'x'"))],
+    ("scenario", ("name",), {"a": [1, None]}, 2,
+     "scenario rejected: name must be a string, got {{'a': [1, None]}}"),
     ("scenario", ("fixed_center",), False, 2,
      "scenario rejected: a construction is measured about its one center; "
      "for sups over varying centers run `predicates`"),
@@ -1068,6 +1104,9 @@ REFUSALS = [
       for key, value in (("capture_index", 0), ("divisor_exponent", 999),
                          ("max_degree", 1), ("budget", 60),
                          ("n_columns", 7))],
+    # record s's lambda must end block s, and block s must be there
+    ("certificate", ("stages",), _stage_twice, 2, "artifact rejected: "
+     "lambda 40 is not the last rank of stream block 2 (the stream has 1)"),
     # a lambda must be mu's first member at or after the capture index
     ("certificate", ("header", "mu"), "mu:arith:7,1000", 2,
      "artifact rejected: lambda 40 is not the first member"),

@@ -250,6 +250,12 @@ def test_tiny_and_all_zero_axes_fit():
 LSTSQ = np.linalg.lstsq
 
 
+def _fit_grids(task):
+    """The (w grid, z grid) of each piece that a fit of the task samples."""
+    return mergelyan.fit_grids([K for K, _ in task.pieces], task.r,
+                               task.w_compact, task.n_per_factor, 1)
+
+
 def _dense_sweep(task, procs):
     """The budget sweep on the explicitly formed (w, z) design: per piece
     and op, the Kronecker product of the fit's per-axis basis rows (taken
@@ -257,7 +263,7 @@ def _dense_sweep(task, procs):
     columns, rows weighted by tolerance.  Per budget: (design, rhs,
     solution, singular values)."""
     r, k = task.r, task.r + task.d
-    grids = mergelyan._task_grids(task)
+    grids = _fit_grids(task)
     tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
     ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
                                   if not op.is_identity]
@@ -399,7 +405,7 @@ def test_every_axis_shrinks_to_its_r_factor(make_task, monkeypatch):
     procs = _Recorded.made
     ops = 1 + sum(not op.is_identity for op in task.derivative_orders)
     samples = [[len(a) for a in mergelyan._axes(wg, zg)]
-               for wg, zg in mergelyan._task_grids(task)]
+               for wg, zg in _fit_grids(task)]
     for budget, shape in zip(task.budgets, shapes):
         degs = [min(budget, proc.degree) for proc in procs]
         # each (piece, op) block: prod_j min(n_j, deg_j + 1) rows

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from taylorlab import poly
 from taylorlab.geometry import Disk, ProductCompact, Rectangle, SampleGrid
 from taylorlab.multiindex import DiffOp, Enumeration
-from taylorlab.poly import (Axis, Block, CoefficientStream, Poly, _as_grid,
-                            _nonzero, _recenter, eval_lanes, gamma,
+from taylorlab.poly import (Axis, Block, CoefficientStream, Ledger, Poly,
+                            _as_grid, _nonzero, _recenter, eval_lanes, gamma,
                             gamma_poly, graded_columns, partial_sum)
 
 from util import (
@@ -804,14 +804,15 @@ def test_rows_keep_a_cached_set_and_every_set_they_fill(monkeypatch):
 
 
 def _random_stream(rng, center, r=1, budgets=(2, 3, 1)):
-    """Blocks on alternating divisor axes, each past the frontier."""
-    enum = Enumeration(len(center), "graded-lex")
-    stream = CoefficientStream(enum, center, r)
+    """Blocks on alternating divisor axes, each at the stream's least
+    divisor exponent, with n_max s past lambda's floor."""
+    stream = CoefficientStream(Enumeration(len(center), "graded-lex"),
+                               center, r)
     for s, budget in enumerate(budgets):
-        e = sum(enum.unrank(stream.frontier)) + 1 if stream.blocks else 0
-        block = _random_block(rng, r, center, (s % len(center), e), budget)
+        block = _random_block(rng, r, center,
+                              (s % len(center), stream.next_exponent), budget)
         stream.append_block(f"s{s}", block,
-                            enum.capture_index(block.z_degrees()) + s)
+                            stream.ledger_with(block).floor + s)
     return stream
 
 
@@ -861,6 +862,33 @@ def test_stream_rejects_frozen_overlap():
                                         [_power_axis(0)] * 2, [1.0]), 20)
     with pytest.raises(ValueError, match="center"):
         stream.append_block("s2", _block([1.0], e=4, center=(0.1,)), 4)
+
+
+def test_stream_ledger_takes_the_joint_degree_box():
+    # d = 2: block 1 spans z1^0..z1^2 and block 2 is z2^3; their joint
+    # degree box (2, 3) captures at a rank past both blocks' own boxes
+    enum = Enumeration(2, "graded-lex")
+    stream = CoefficientStream(enum, (0.0, 0.0), 0)
+    assert stream.next_exponent == 0
+    first = Block(0, (0.0, 0.0), (0, 0), 2, [_power_axis(2), _power_axis(0)],
+                  [1.0, 2.0, 3.0])
+    stream.append_block("s1", first, stream.ledger_with(first).floor)
+    assert stream.ledger == Ledger((2, 0), enum.rank((2, 0)),
+                                   enum.rank((2, 0)), 2, 3)
+    # the total degree at the frontier is 2
+    assert stream.next_exponent == 3
+    second = Block(0, (0.0, 0.0), (1, 3), 0, [_power_axis(0)] * 2, [1.0])
+    joint = enum.capture_index((2, 3))
+    assert joint > enum.capture_index((0, 3)) > enum.capture_index((2, 0))
+    assert stream.ledger_with(second) == Ledger((2, 3), joint, joint, 3, 4)
+    # an n_max that covers block 2's own box but not the joint one
+    with pytest.raises(ValueError, match="n_max"):
+        stream.append_block("s2", second, enum.capture_index((0, 3)))
+    stream.append_block("s2", second, joint)
+    back = CoefficientStream.from_json(json.loads(json.dumps(
+        stream.to_json())))
+    assert [b.ledger for b in back.blocks] == [b.ledger
+                                              for b in stream.blocks]
 
 
 def test_stream_partial_sum_beyond_frontier_errors():

@@ -25,7 +25,7 @@ from taylorlab.geometry import (
     grid_density,
 )
 from taylorlab.multiindex import IndexSet, SparseIndexError
-from taylorlab.poly import BlockSum, Poly, partial_sum
+from taylorlab.poly import BlockSum, CoefficientStream, Poly, partial_sum
 from taylorlab.universal import (
     StageRequest,
     plan_from_scenario,
@@ -312,6 +312,46 @@ def test_conflict_blocks_are_degree_separated():
     min2 = min(sum(ze) for _, ze in b2.taylor().terms)
     assert min2 == b2.e > max1
     assert cert.stages[1]["divisor_exponent"] == max1 + 1
+
+
+def _zero_targets_scenario():
+    """alternating_three with zero targets at stages 1 and 2."""
+    with open(os.path.join(SCEN, "alternating_three.json")) as fh:
+        data = json.load(fh)
+    for stage in data["stages"][:2]:
+        stage["target"] = {"constant": [0, 0]}
+    return data
+
+
+@pytest.mark.parametrize("scenario, lambdas", [
+    (ladder_scenario(3, 2.5j), None), (_zero_targets_scenario(), [0, 1, 42])],
+    ids=["ladder-3", "zero-blocks"])
+def test_stream_ledger_survives_json_and_gives_the_records(scenario,
+                                                           lambdas):
+    # each block's ledger is derived as it is appended, so a stream read
+    # back from JSON carries the one construct built and certified from
+    stream, cert = run_construction(plan_from_scenario(scenario))
+    assert cert.summary["all_pass"]
+    back = CoefficientStream.from_json(json.loads(json.dumps(
+        stream.to_json())))
+    assert [b.ledger for b in back.blocks] == [b.ledger
+                                              for b in stream.blocks]
+    assert back.ledger == stream.ledger
+    for b, rec in zip(stream.blocks, cert.stages, strict=True):
+        assert rec["lambda"] == b.n_max >= b.ledger.floor
+        assert rec["capture_index"] == b.ledger.capture
+        assert rec["max_degree"] == max(b.ledger.degree, 0)
+    if lambdas is not None:
+        assert [b.n_max for b in stream.blocks] == lambdas
+        # two zero blocks: no degree box, so the floor is one past the
+        # previous lambda
+        assert [b.ledger.box for b in stream.blocks[:2]] == [None, None]
+        assert [b.ledger.floor for b in stream.blocks[:2]] == [0, 1]
+        assert stream.blocks[1].ledger.degree == -1
+    summary = cert.summary
+    assert (summary["final_capture"], summary["final_degree"],
+            summary["final_term_count"]) == (
+        stream.ledger.capture, stream.ledger.degree, stream.ledger.terms)
 
 
 def test_three_alternating_targets_stay_under_degree_200():
