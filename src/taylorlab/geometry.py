@@ -897,11 +897,7 @@ def center_grid(product: ProductCompact):
         axes.append(np.array([c]) if step <= 0 else
                     np.array([c + complex(a, b) * step
                               for a in (-1, 0, 1) for b in (-1, 0, 1)]))
-    if not axes:
-        return [()]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return [tuple(row) for row in pts]
+    return [tuple(row) for row in SampleGrid(axes).points]
 
 
 def complement_escape(blockers: list[PlanarCompact], probe: complex) -> bool:

@@ -149,15 +149,21 @@ def check_design_size(grids, derivative_orders, top: int):
 BREAKDOWN = 1e-10
 
 
+def check_w_compact(r: int, w_compact):
+    """Refuse a w_compact that cannot carry the r parameters."""
+    if r and (w_compact is None or w_compact.dim != r):
+        got = "none" if w_compact is None else f"arity {w_compact.dim}"
+        raise ValueError(f"r = {r} needs a w_compact of arity r, got {got}")
+
+
 def fit_grids(compacts, r: int, w_compact, n_per_factor: int, density: int):
     """Per compact the (w grid, z grid) a fit samples, at `density` times
     the per-factor counts (n_per_factor, or the fit's default for 0); the
     w grid is None without parameters."""
+    check_w_compact(r, w_compact)
     nz = grid_density("fit", "z", compacts[0].dim, n_per_factor) * density
     wg = None
     if r:
-        if w_compact is None or w_compact.dim != r:
-            raise ValueError("parameterized task needs a w compact of arity r")
         nw = grid_density("fit", "w", r, n_per_factor)
         wg = w_compact.sample(n_per_factor=nw * density)
     return [(wg, K.sample(n_per_factor=nz)) for K in compacts]

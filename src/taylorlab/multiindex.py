@@ -10,9 +10,13 @@ disturbs already-frozen positions, and nothing downstream re-checks it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 SCHEMES = ("graded-lex", "graded-revlex")
+# the forms IndexSet.tag writes
+MU_TAG = re.compile(r"mu:(?:(all)|arith:([0-9]+),([0-9]+)"
+                    r"|list:([0-9]+(?:,[0-9]+)*)(:beyond)?)")
 
 
 class SparseIndexError(ValueError):
@@ -177,17 +181,9 @@ class Enumeration:
         self.d = d
         self.scheme = scheme
 
-    @property
-    def tag(self) -> str:
-        return self.scheme
-
-    @classmethod
-    def from_tag(cls, tag: str, d: int) -> "Enumeration":
-        return cls(d, tag)
-
     def __eq__(self, other):
         return (isinstance(other, Enumeration)
-                and self.d == other.d and self.tag == other.tag)
+                and self.d == other.d and self.scheme == other.scheme)
 
     def __repr__(self):
         return f"Enumeration(d={self.d}, scheme={self.scheme!r})"
@@ -295,21 +291,6 @@ class IndexSet:
             if any(v < 0 for v in self.values):
                 raise ValueError("index values must be natural numbers")
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind != "list" or self.beyond
-
-    def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if self.kind == "all":
-            return True
-        if self.kind == "arith":
-            return n >= self.a and (n - self.a) % self.b == 0
-        if self.beyond and n > self.values[-1]:
-            return True
-        return n in set(self.values)
-
     def next_at_or_after(self, n: int) -> int:
         """Smallest member >= n; SparseIndexError when no such member exists."""
         n = max(0, int(n))
@@ -339,23 +320,22 @@ class IndexSet:
 
     @classmethod
     def from_tag(cls, tag: str) -> "IndexSet":
-        if not isinstance(tag, str):
-            raise ValueError(f"index-set tag must be a string, got {tag!r}")
-        parts = tag.split(":")
-        if parts[0] != "mu" or len(parts) < 2:
-            raise ValueError(f"malformed index-set tag {tag!r}")
-        if parts[1] == "all":
-            return cls("all")
-        if len(parts) < 3:
-            raise ValueError(f"index-set tag {tag!r} is missing its values")
-        if parts[1] == "arith":
-            a, b = (int(x) for x in parts[2].split(","))
-            return cls("arith", a=a, b=b)
-        if parts[1] == "list":
-            values = [int(x) for x in parts[2].split(",") if x]
-            beyond = len(parts) > 3 and parts[3] == "beyond"
-            return cls("list", values=values, beyond=beyond)
-        raise ValueError(f"malformed index-set tag {tag!r}")
+        """Parse a form that `tag` writes; every refusal names the tag."""
+        m = MU_TAG.fullmatch(tag) if isinstance(tag, str) else None
+        if m is None:
+            raise ValueError(f"malformed index-set tag {tag!r}, expected "
+                             "mu:all, mu:arith:a,b or mu:list:v1,v2,...[:beyond]")
+        everything, a, b, values, beyond = m.groups()
+        try:
+            if everything:
+                return cls("all")
+            if a is not None:
+                return cls("arith", a=int(a), b=int(b))
+            return cls("list", values=[int(v) for v in values.split(",")],
+                       beyond=bool(beyond))
+        except ValueError as exc:
+            raise ValueError(f"index-set tag {tag!r}: {exc}") from None
 
     def __repr__(self):
         return f"IndexSet({self.tag!r})"
+

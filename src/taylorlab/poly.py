@@ -309,18 +309,6 @@ class Poly:
     def monomial(cls, r: int, d: int, w_exp, z_exp, coeff=1.0) -> "Poly":
         return cls(r, d, {(tuple(w_exp), tuple(z_exp)): complex(coeff)})
 
-    @classmethod
-    def z_var(cls, i: int, r: int, d: int) -> "Poly":
-        e = [0] * d
-        e[i] = 1
-        return cls.monomial(r, d, (0,) * r, e)
-
-    @classmethod
-    def w_var(cls, i: int, r: int, d: int) -> "Poly":
-        e = [0] * r
-        e[i] = 1
-        return cls.monomial(r, d, e, (0,) * d)
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -331,13 +319,6 @@ class Poly:
         return (isinstance(other, Poly) and self.r == other.r
                 and self.d == other.d and self.terms == other.terms)
 
-    def isclose(self, other: "Poly", tol: float = 1e-10) -> bool:
-        if self.r != other.r or self.d != other.d:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) <= tol
-                   for k in keys)
-
     def z_degrees(self):
         """Per-coordinate max z-exponent over the support; None for zero."""
         if self.is_zero:
@@ -347,13 +328,6 @@ class Poly:
             for i, e in enumerate(ze):
                 degs[i] = max(degs[i], e)
         return tuple(degs)
-
-    def total_z_degree(self) -> int:
-        """Max total z-degree over the support; -1 for the zero polynomial."""
-        return max((sum(ze) for (_, ze) in self.terms), default=-1)
-
-    def coeff_norm(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __repr__(self):
         return f"Poly(r={self.r}, d={self.d}, nterms={len(self.terms)})"
@@ -1041,8 +1015,8 @@ class CoefficientStream:
                 f"{self.frontier}")
         ledger = self.ledger_with(block)
         if n_max < ledger.floor:
-            raise ValueError("n_max must pass the frontier and cover the "
-                             "block's degree box")
+            raise ValueError(f"n_max {n_max} is below lambda's floor "
+                             f"{ledger.floor}")
         self.blocks.append(StreamBlock(stage_id, block, int(n_max), ledger))
 
     def partial_sum(self, n: int) -> Poly:
@@ -1070,7 +1044,7 @@ class CoefficientStream:
     def to_json(self) -> dict:
         return {
             "format": STREAM_FORMAT,
-            "enumeration": self.enum.tag,
+            "enumeration": self.enum.scheme,
             "d": self.d,
             "r": self.r,
             "center": [[v.real, v.imag] for v in self.center],
@@ -1084,8 +1058,7 @@ class CoefficientStream:
             raise ValueError(f"stream format {data.get('format')!r} is not "
                              f"{STREAM_FORMAT!r}; re-run construct on the "
                              "scenario")
-        enum = Enumeration.from_tag(data["enumeration"],
-                                    check_int(data["d"], "d"))
+        enum = Enumeration(check_int(data["d"], "d"), data["enumeration"])
         center = complex_pairs(data["center"], "the stream center")
         stream = cls(enum, center, check_int(data["r"], "r"))
         if not isinstance(data["blocks"], list):

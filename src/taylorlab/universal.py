@@ -41,13 +41,15 @@ from .geometry import (
     grid_density,
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
-from .mergelyan import ApproxTask, check_design_size, fit, fit_grids
+from .mergelyan import (ApproxTask, check_design_size, check_w_compact, fit,
+                        fit_grids)
 from .mergelyan import glue_target  # noqa: F401  (a lookup site of bench/tracer.py)
 from .multiindex import (Enumeration, IndexSet, SparseIndexError, check_int,
                          check_number, complex_pair, complex_pairs)
 from .poly import BlockSum, CoefficientStream, Poly
 from .poly import partial_sum  # noqa: F401  (a lookup site of bench/tracer.py)
-from .verify import CERT_FORMAT, catalog_poly, certify_stages, variant_ops
+from .verify import (CERT_FORMAT, CERT_KEYS, catalog_poly, certify_stages,
+                     variant_ops)
 
 # refused input: a missing key or entry, a bad type or value, an overflow
 REFUSED = (LookupError, TypeError, ValueError, OverflowError)
@@ -156,8 +158,7 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
         raise ValueError(f"name must be a string, got {name!r}")
     orders = variant_ops(variant, r, d, l)[1]   # refuse it and its family
     grid_density("certificate", "z", d, cert_density)  # refuse it up front
-    if r > 0 and (w_compact is None or w_compact.dim != r):
-        raise ValueError("parameterized plans need a w compact of arity r")
+    check_w_compact(r, w_compact)
     if not requests:
         raise ValueError("a plan needs at least one stage")
     if w_compact is not None:
@@ -255,6 +256,8 @@ class Certificate:
         self.header = header
         self.stages = stages
         self.summary = summary
+        self.stored_hash = None   # from_json: the top level beside the body
+        self.extra_keys = []
 
     def body(self) -> dict:
         return {"header": self.header, "stages": self.stages,
@@ -272,13 +275,16 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
+        """A missing key of CERT_KEYS is a KeyError; verify reads a key
+        outside them as a mismatch."""
         cert = cls(data["header"], data["stages"], data["summary"])
         if not (isinstance(cert.header, dict) and isinstance(cert.summary, dict)
                 and isinstance(cert.stages, list)
                 and all(isinstance(rec, dict) for rec in cert.stages)):
             raise ValueError("a certificate's header and summary must be "
                              "objects and its stages a list of objects")
-        cert.stored_hash = data.get("sha256")
+        cert.stored_hash = data["sha256"]
+        cert.extra_keys = sorted(data.keys() - CERT_KEYS)
         return cert
 
     def write_csv(self, path):
@@ -302,7 +308,7 @@ def run_construction(plan: StagePlan):
     header = {
         "format": CERT_FORMAT,
         "name": plan.name,
-        "enumeration": plan.enum.tag,
+        "enumeration": plan.enum.scheme,
         "d": plan.domain.dim,
         "r": plan.r,
         "center": [[v.real, v.imag] for v in plan.center],
@@ -399,7 +405,7 @@ def plan_from_scenario(data: dict) -> StagePlan:
     _check_float_range(data)
     domain = DomainProduct.from_json(data["domain"])
     d = domain.dim
-    enum = Enumeration.from_tag(data.get("enumeration", "graded-lex"), d)
+    enum = Enumeration(d, data.get("enumeration", "graded-lex"))
     mu = IndexSet.from_tag(data.get("mu", "mu:all"))
     center = complex_pairs(data.get("center", [[0.0, 0.0]] * d), "center")
     r, l, cert_density = (check_int(data.get(key, 0), key) for key in

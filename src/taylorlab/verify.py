@@ -21,6 +21,7 @@ Every sup fold carries a NaN through (worst), so a NaN sup fails.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 
@@ -52,6 +53,7 @@ STAGE_MEASURED = ("capture_index", "divisor_exponent", "budget", "n_columns",
                   "max_degree", "density", "e_side_error", "f_side_error",
                   "pass_e", "pass_f")
 # the v4 schema: construct writes exactly these keys, verify accepts no other
+CERT_KEYS = frozenset(("header", "stages", "summary", "sha256"))
 HEADER_KEYS = frozenset("format name enumeration d r center mu variant l "
                         "domain w_compact cert_density".split())
 RECORD_KEYS = frozenset(STAGE_INPUTS + STAGE_MEASURED + tuple(
@@ -187,18 +189,6 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
                  for v in sups(lanes if cut else lanes[:1]))
 
 
-def _same(a, b) -> bool:
-    """Whether two JSON values are equal with each number of one type
-    (1, 1.0 and true read as three values: a reader refuses some)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
-
-
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                    aborted) -> dict:
     """Measure every stage record of a certificate on the finished stream
@@ -232,16 +222,17 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
         n_per_factor=nw) if nw else None)
     blocks = [b.block for b in stream.blocks]
 
-    grids = []
+    # keyed by the compact's canonical JSON text, the form the hash covers:
+    # there 1, 1.0 and true stay three values, so a compact that differs from
+    # an earlier one only in a number's type is read, and refused, on its own
+    grids = {}
 
     def sample(rec, side):
-        spec = rec[side]
-        for seen, grid in grids:
-            if spec == seen and _same(spec, seen):
-                return grid
-        grids.append((spec, ProductCompact.from_json(spec, side).sample(
-            n_per_factor=nz)))
-        return grids[-1][1]
+        key = json.dumps(rec[side], sort_keys=True)
+        if key not in grids:
+            grids[key] = ProductCompact.from_json(rec[side], side).sample(
+                n_per_factor=nz)
+        return grids[key]
 
     work = []
     for s, rec in enumerate(stages, start=1):
@@ -543,8 +534,9 @@ def verify_certificate(stream: CoefficientStream, cert) -> Verdict:
     record (floats within 1e-12, anything else equal); it verifies when
     it agrees and all_pass holds.  A certificate of another format, or
     whose enumeration or center does not match the stream, is refused
-    (VerificationRefused, not a Verdict); a stored whole-body hash that no
-    longer matches disagrees immediately.
+    (VerificationRefused, not a Verdict); a loaded certificate with a
+    top-level key outside CERT_KEYS, or whose stored whole-body hash no
+    longer matches, disagrees immediately.
     """
     h = cert.header
     if h.get("format") != CERT_FORMAT:
@@ -552,11 +544,11 @@ def verify_certificate(stream: CoefficientStream, cert) -> Verdict:
             f"verification refused: certificate format {h.get('format')!r} "
             f"is not {CERT_FORMAT!r}; re-run construct on the scenario to "
             "re-certify")
-    if h.get("enumeration") != stream.enum.tag:
+    if h.get("enumeration") != stream.enum.scheme:
         raise VerificationRefused(
             "verification refused: certificate enumeration "
             f"{h.get('enumeration')!r} does not match the stream's "
-            f"{stream.enum.tag!r}")
+            f"{stream.enum.scheme!r}")
     center = tuple(complex_pairs(h.get("center", []),
                                  "the certificate center"))
     if center != stream.center:
@@ -564,8 +556,8 @@ def verify_certificate(stream: CoefficientStream, cert) -> Verdict:
             "verification refused: certificate center does not match the "
             "stream's expansion center")
 
-    stored = getattr(cert, "stored_hash", None)
-    if stored is not None and stored != cert.sha256:
+    if cert.extra_keys or (cert.stored_hash is not None
+                           and cert.stored_hash != cert.sha256):
         return Verdict(False)
     stages, summary = cert.stages, cert.summary
     schema = [(h, HEADER_KEYS), (summary, SUMMARY_KEYS),

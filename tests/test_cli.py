@@ -841,7 +841,7 @@ BAD_POLYS = [
 # (file edited, path in it, new value, exit code, start of the message);
 # scenarios edit seleznev.json (parameterized ones parameterized.json),
 # streams and certificates its artifacts
-# (re-hashed after the edit), specs predicates_demo.json and the candidate
+# (re-hashed after the edit, unless it drops the hash), specs predicates_demo.json and the candidate
 # candidate_zsq.json
 REFUSALS = [
     ("scenario", (), [], 2, "{file}: the top level must be a JSON object"),
@@ -900,6 +900,9 @@ REFUSALS = [
     ("scenario", ("stages", 0, "outer", "center"), [2.0, False], 2,
      "scenario rejected: stage 1: disk center[1] must be a number, got "
      "False"),
+    # one rule for the w compact's arity, stated for the plan, not a stage
+    ("parameterized", ("w_compact",), DROP, 2,
+     "scenario rejected: r = 1 needs a w_compact of arity r, got none"),
     # the w compact's factors are checked as a stage's are, before any fit
     *[("parameterized", ("w_compact", "factors", 0, key), value, 2,
        f"scenario rejected: w_compact factor 0{message}")
@@ -1042,6 +1045,23 @@ REFUSALS = [
     ("stream", (), _as_v4, 2, "artifact rejected: stream format "
      "'taylorlab-stream-v4' is not 'taylorlab-stream-v5'; re-run construct"),
     ("certificate", ("header",), [], 2, "artifact rejected"),
+    # the top level holds exactly header, stages, summary and sha256
+    ("certificate", ("sha256",), DROP, 2,
+     "artifact rejected: missing key 'sha256'"),
+    ("certificate", ("note",), "x", 1, "certificate does NOT match"),
+    # a malformed mu tag is refused by the tag, in a scenario and in a
+    # certificate's header
+    *[(file, path, tag, 2, f"{rejected} rejected: {message}")
+      for file, path, rejected in (("scenario", ("mu",), "scenario"),
+                                   ("certificate", ("header", "mu"),
+                                    "artifact"))
+      for tag, message in (
+          *((tag, f"malformed index-set tag {tag!r}, expected mu:all, "
+             "mu:arith:a,b or mu:list:v1,v2,...[:beyond]")
+            for tag in ("mu:arith:1", "mu:arith:x,1", "mu:list:a",
+                        "mu:list:1:after")),
+          ("mu:arith:3,0", "index-set tag 'mu:arith:3,0': arithmetic "
+           "progression needs a >= 0, b >= 1"))],
     ("certificate", ("header", "r"), DROP, 2, "artifact rejected"),
     ("certificate", ("header", "d"), DROP, 2, "artifact rejected"),
     # every key of the v3 schema must be there
@@ -1207,7 +1227,7 @@ def test_malformed_input_exits_with_a_message(
                  candidate=read("candidate_zsq.json"),
                  specs=read("predicates_demo.json"))
     doc = _edit(json.loads(texts[file]), path, value)
-    if file == "certificate":
+    if file == "certificate" and "sha256" in doc:
         doc["sha256"] = Certificate(doc["header"], doc["stages"],
                                     doc["summary"]).sha256
     texts[file] = json.dumps(doc)

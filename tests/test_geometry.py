@@ -482,14 +482,14 @@ def test_cofinality_one_factor():
 
 
 def test_sup_norm_identity_on_circle():
-    p = Poly.z_var(0, 0, 1)
+    p = Poly.monomial(0, 1, (), (1,))
     grid = ProductCompact([Disk(0.0, 1.0)]).sample(4)
     assert sup_norm(p, grid) == 1.0
 
 
 def test_sup_norm_with_parameters():
     # |w * z| peaks at the product of the factor radii
-    p = Poly.w_var(0, 1, 1) * Poly.z_var(0, 1, 1)
+    p = Poly.monomial(1, 1, (1,), (1,))
     zg = ProductCompact([Disk(0.0, 2.0)]).sample(n_per_factor=64)
     wg = ProductCompact([Disk(0.0, 3.0)]).sample(n_per_factor=64)
     assert sup_norm(p, zg, wg) == pytest.approx(6.0, rel=1e-9)

@@ -189,8 +189,12 @@ def test_infty_variant_allows_closure_inner():
 def test_plan_requires_w_compact_for_parameterized():
     wz = Poly.monomial(1, 1, (1,), (1,))
     req = StageRequest(wz, FAR_DISK, _inner(0.5), 1e-2, [10])
-    with pytest.raises(ValueError, match="w compact"):
-        plan_stages(UNIT_DISK, [req], r=1)
+    # the rule fit_grids applies, refused once for the plan, not per stage
+    for w_compact, got in ((None, "none"),
+                           (ProductCompact([Disk(0j, 0.5)] * 2), "arity 2")):
+        with pytest.raises(ValueError, match="^r = 1 needs a w_compact of "
+                           f"arity r, got {got}$"):
+            plan_stages(UNIT_DISK, [req], r=1, w_compact=w_compact)
 
 
 def test_stage_rejects_bad_budgets_and_tolerance():
@@ -308,7 +312,7 @@ def test_conflict_blocks_are_degree_separated():
     stream, cert = run_construction(conflict_plan())
     b1, b2 = (b.block for b in stream.blocks)
     max1 = b1.total_z_degree()
-    assert max1 == b1.taylor().total_z_degree()
+    assert max1 == max(sum(ze) for _, ze in b1.taylor().terms)
     min2 = min(sum(ze) for _, ze in b2.taylor().terms)
     assert min2 == b2.e > max1
     assert cert.stages[1]["divisor_exponent"] == max1 + 1

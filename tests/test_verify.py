@@ -600,6 +600,15 @@ def _counted(calls, fn):
     return counting
 
 
+def _reversed_keys(doc):
+    """The JSON value with the keys of every object in reverse order."""
+    if isinstance(doc, dict):
+        return {k: _reversed_keys(doc[k]) for k in reversed(doc)}
+    if isinstance(doc, list):
+        return [_reversed_keys(v) for v in doc]
+    return doc
+
+
 @pytest.mark.parametrize("kept", [None, 1])
 def test_certify_stages_samples_each_compact_once_and_recurs_once_per_axis(
         monkeypatch, kept):
@@ -613,6 +622,11 @@ def test_certify_stages_samples_each_compact_once_and_recurs_once_per_axis(
     monkeypatch.setattr(ProductCompact, "sample",
                         _counted(samples, ProductCompact.sample))
     fresh = [{k: rec[k] for k in verify.STAGE_INPUTS} for rec in cert.stages]
+    # a compact is keyed by its canonical JSON text: the last record's
+    # outer disk with every object's keys reversed is still the one disk
+    fresh[-1]["outer"] = _reversed_keys(fresh[-1]["outer"])
+    assert (list(fresh[-1]["outer"]) != list(fresh[0]["outer"])
+            and fresh[-1]["outer"] == fresh[0]["outer"])
     summary = certify_stages(stream, cert.header, fresh, None)
     # every recurrence fills one point set's (rows, points) arrays
     assert all(R[0].ndim == 2 for R, *_ in recurrences)
@@ -649,13 +663,15 @@ def test_a_refusal_names_the_first_faulty_record():
                        match="^outer factors must be a list, got 'x'"):
         certify_stages(stream, cert.header, records, None)
     # a compact equal to an earlier one but for a number's type is read on
-    # its own: 0.0 is not factor 0
-    records = fresh()
-    records[1]["outer"] = dict(records[0]["outer"], disjoint_factor=0.0)
-    assert records[1]["outer"] == records[0]["outer"]
-    with pytest.raises(ValueError, match="disjoint_factor must be an "
-                       "integer, got 0.0"):
-        certify_stages(stream, cert.header, records, None)
+    # its own: neither 0.0 nor false is factor 0
+    for factor in (0.0, False):
+        records = fresh()
+        records[1]["outer"] = dict(records[0]["outer"],
+                                   disjoint_factor=factor)
+        assert records[1]["outer"] == records[0]["outer"]
+        with pytest.raises(ValueError, match="disjoint_factor must be an "
+                           f"integer, got {factor}"):
+            certify_stages(stream, cert.header, records, None)
 
 
 def test_predicate_record_shape():

@@ -86,6 +86,21 @@ def oracle_partial_sum_value(f, w, zeta, z, n, enum):
     return total
 
 
+def isclose(p, q, tol=1e-10):
+    """Whether two polynomials of one shape agree coefficient by
+    coefficient within tol."""
+    if (p.r, p.d) != (q.r, q.d):
+        return False
+    keys = set(p.terms) | set(q.terms)
+    return all(abs(p.terms.get(k, 0j) - q.terms.get(k, 0j)) <= tol
+               for k in keys)
+
+
+def coeff_norm(p):
+    """Largest coefficient modulus; 0 for the zero polynomial."""
+    return max((abs(c) for c in p.terms.values()), default=0.0)
+
+
 def fd_derivative(fn, x, h=1e-5):
     """Central difference along one complex coordinate of a callable C -> C."""
     return (fn(x + h) - fn(x - h)) / (2 * h)
