@@ -498,13 +498,6 @@ class SampleGrid:
         mesh = np.meshgrid(*self.per_factor, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
-    def check_arity(self, k: int):
-        """Refuse the grid unless its points have k coordinates (k = 0
-        takes any grid), without building them."""
-        if k and len(self.per_factor) != k:
-            raise ValueError(f"grid must be (n, {k}), got shape "
-                             f"{(len(self), len(self.per_factor))}")
-
 
 class ProductCompact:
     """Product of planar compact factors; samples the distinguished boundary."""

@@ -2,7 +2,8 @@
 
 A task carries pieces (product compact, target) and asks for one
 polynomial close to every piece target on that piece's sampled distinguished
-boundary, optionally matching mixed partials and optionally constrained to a
+boundary, within its one tolerance field (one number, or one per piece),
+optionally matching mixed partials and optionally constrained to a
 multiple of (z_i0 - c)^e, c the task's center.  The divisor is baked into
 the fit basis, so the least squares problem ranges over the cofactor only
 and the returned block vanishes at c to the requested order by
@@ -48,29 +49,41 @@ from .verify import sup_ops, worst
 MAX_DESIGN_ENTRIES = 8_000_000
 
 
+def check_budgets(b):
+    """Refuse budgets b unless a nonempty ascending list of naturals."""
+    if (not isinstance(b, list) or not b
+            or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
+                   for v in b)
+            or sorted(b) != b):
+        raise ValueError("the budgets must be a nonempty ascending list of "
+                         f"natural numbers, got {b!r}")
+
+
 @dataclass
 class ApproxTask:
     """What to glue: pieces, degree budgets, tolerance, optional extras."""
 
     pieces: list                      # [(ProductCompact, Poly or BlockSum)]
     budgets: list
-    tolerance: float
+    tolerance: float | list           # one for all pieces, or one per piece
     r: int = 0
     w_compact: ProductCompact | None = None
     derivative_orders: tuple = ()
-    prefactor: tuple | None = None    # (i0, exponent)
+    prefactor: tuple | None = None    # (i0, exponent); (0, 0) by default
     center: tuple | None = None       # of the z axes; zeros by default
     n_per_factor: int = 0             # 0 picks a dimension-based default
-    piece_tolerances: list | None = None
 
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a task needs at least one piece")
-        if self.piece_tolerances is not None:
-            if len(self.piece_tolerances) != len(self.pieces):
-                raise ValueError("need one tolerance per piece")
-            if any(t <= 0 for t in self.piece_tolerances):
-                raise ValueError("piece tolerances must be positive")
+        tols = self.tolerance
+        self.tolerance = (list(tols) if isinstance(tols, (list, tuple))
+                          else [tols] * len(self.pieces))
+        if len(self.tolerance) != len(self.pieces):
+            raise ValueError("need one tolerance per piece")
+        if not all(0 < t < math.inf for t in self.tolerance):
+            raise ValueError("every tolerance must be positive and finite, "
+                             f"got {tols!r}")
         d = self.pieces[0][0].dim
         if d < 1:
             raise ValueError("pieces need at least one z coordinate")
@@ -79,17 +92,15 @@ class ApproxTask:
                 raise ValueError("piece dimensions disagree")
             if (g.r, g.d) != (self.r, d):
                 raise ValueError("target arity does not match the task")
-        if sorted(self.budgets) != list(self.budgets):
-            raise ValueError("budgets must be ascending")
+        check_budgets(self.budgets)
         self.center = tuple(complex(v) for v in self.center or (0,) * d)
         if len(self.center) != d:
             raise ValueError("the center needs one entry per z coordinate")
-        if self.prefactor is not None:
-            i0, e = self.prefactor
-            if not (0 <= i0 < d):
-                raise ValueError("prefactor coordinate out of range")
-            if e < 0:
-                raise ValueError("prefactor exponent must be a natural number")
+        i0, e = self.prefactor = tuple(self.prefactor or (0, 0))
+        if not (0 <= i0 < d):
+            raise ValueError("prefactor coordinate out of range")
+        if e < 0:
+            raise ValueError("prefactor exponent must be a natural number")
         for op in self.derivative_orders:
             if len(op.orders) != self.r + d:
                 raise ValueError("derivative arity does not match the task")
@@ -247,7 +258,7 @@ def fit(task: ApproxTask) -> FitResult:
     # blocks and the certificate's kernel measures the residual
     targets = [gt if isinstance(gt, BlockSum) else BlockSum(gt, [])
                for _, gt in task.pieces]
-    i0, e = task.prefactor or (0, 0)
+    i0, e = task.prefactor
     ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
                                   if not op.is_identity]
     top = task.budgets[-1]
@@ -268,25 +279,21 @@ def fit(task: ApproxTask) -> FitResult:
         procs.append(_Arnoldi(union - shift[j], e if j == r + i0 else 0,
                               max(op.orders[j] for op in ops), top))
 
-    tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
+    tols = task.tolerance
     # weighted least squares: a piece with a tighter tolerance gets
     # proportionally heavier rows, so the solver works in units of
     # residual-over-tolerance (measurement below stays unweighted)
     tol_min = min(tols)
     blocks = []                       # (piece, op, weighted rhs)
     for p, ((wg, zg), gt, tol) in enumerate(zip(grids, targets, tols)):
-        ys = []
-        # highest orders first: a block's rows to order o serve every lower
-        # one
-        for op in reversed(ops):
+        for op in ops:
             # far outside its blocks' samples their recurrences overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 y = gt.diff(op).eval_product(wg, zg).reshape(shapes[p])
             if not np.isfinite(y).all():
                 raise ValueError(f"piece {p}: the target is not finite on "
                                  "its fit samples")
-            ys.append(y * (tol_min / tol))
-        blocks += [(p, op, y) for op, y in zip(ops, reversed(ys))]
+            blocks.append((p, op, y * (tol_min / tol)))
 
     history, best, best_score = [], None, math.inf
     for budget in task.budgets:
@@ -326,7 +333,7 @@ def fit(task: ApproxTask) -> FitResult:
         res = worst(piece_res)
         history.append((budget, res))
         converged = all(r <= t for r, t in zip(piece_res, tols))
-        cand = FitResult(block, budget, res, piece_res, list(history), cond,
+        cand = FitResult(block, budget, res, piece_res, history, cond,
                          converged)
         # prefer the budget that best satisfies the per-piece tolerances
         score = worst(r / t for r, t in zip(piece_res, tols))
@@ -335,5 +342,4 @@ def fit(task: ApproxTask) -> FitResult:
             best, best_score = cand, score if score < math.inf else math.inf
         if converged:
             break
-    best.residual_history = history
     return best

@@ -66,10 +66,9 @@ def _as_grid(arr, ncols: int) -> np.ndarray:
 
 
 def _count(Z, d: int) -> int:
-    """How many points Z holds, refused as _as_grid refuses it; a
-    SampleGrid's points are counted, not built."""
-    if isinstance(Z, SampleGrid):
-        Z.check_arity(d)
+    """How many points Z holds, refused as _as_grid refuses it; the points
+    of a SampleGrid with d factors are counted, not built."""
+    if isinstance(Z, SampleGrid) and len(Z.per_factor) == d:
         return len(Z)
     return len(_as_grid(Z, d))
 
@@ -581,10 +580,10 @@ def partial_sum(f: Poly, centers, n: int, enum: Enumeration) -> list:
 # -- blocks in an Arnoldi basis ---------------------------------------------
 
 
-def start_rows(R, t, scale: float, start: int, norm: float):
-    """Row 0 of each R[o]: the o-th y-derivative of q_0 = t^start / norm at
-    the points t = y / scale.  R[o] and t are as in recur_rows."""
-    for o in range(len(R)):
+def start_rows(R, t, scale: float, start: int, norm: float, first: int = 0):
+    """Row 0 of each R[o], o >= first: the o-th y-derivative of q_0 =
+    t^start / norm at the points t = y / scale (R[o], t as in recur_rows)."""
+    for o in range(first, len(R)):
         R[o][0] = (math.perm(start, o) / (norm * scale ** o)
                    * t ** (start - o) if o <= start else 0)
 
@@ -772,24 +771,25 @@ class Block:
     def rows(self, j: int, x, order: int) -> list:
         """Axis j's q_0..q_degree and their y-derivatives through `order`
         at the coordinate values x: one (degree + 1, len(x)) array per
-        order, read-only.  A set cached through `order` moves to the newest
-        end of the cache; any other comes from one recurrence (recur_rows)
-        and is cached, and only the ROWS_KEPT newest sets stay."""
+        order, read-only.  The set moves to the newest end of the cache; a
+        cached set keeps its arrays and gains the orders it lacks from one
+        recurrence (recur_rows: order o reads only orders <= o), and only
+        the ROWS_KEPT newest sets stay."""
         x = np.ascontiguousarray(x, dtype=complex)
         key = (j, x.tobytes())
         R = self._rows.pop(key, [])
+        if not R and len(self._rows) >= ROWS_KEPT:
+            # a new set: evict first, so its rows can take the freed memory
+            self._rows.pop(next(iter(self._rows)))
         if len(R) <= order:
-            # evict first, so the new rows can take the freed memory
-            if len(self._rows) >= ROWS_KEPT:
-                self._rows.pop(next(iter(self._rows)))
-            ax = self.axes[j]
+            ax, first = self.axes[j], len(R)
             c = self.center[j - self.r] if j >= self.r else 0
             t = (x - c) / ax.scale
-            R = [np.empty((ax.degree + 1, len(t)), dtype=complex)
-                 for _ in range(order + 1)]
-            start_rows(R, t, ax.scale, self.starts[j], ax.norm)
-            recur_rows(R, t, ax.scale, ax.H, 0, ax.degree)
-            for M in R:
+            R = R + [np.empty((ax.degree + 1, len(t)), dtype=complex)
+                     for _ in range(first, order + 1)]
+            start_rows(R, t, ax.scale, self.starts[j], ax.norm, first)
+            recur_rows(R, t, ax.scale, ax.H, 0, ax.degree, first)
+            for M in R[first:]:
                 M.flags.writeable = False
         self._rows[key] = R
         return R
@@ -898,12 +898,6 @@ class BlockSum:
             raise ValueError(f"blocks must have r = {self.r}, d = {self.d}")
         # poly's coefficients as one lane, densified once for every partial
         self.dense = joint_dense(poly)[None]
-
-    def check_grids(self, W, Z):
-        """Refuse grids of the wrong arity as eval_product would, before
-        anything is evaluated."""
-        _as_grid(W, self.r)
-        _count(Z, self.d)
 
     def diff(self, op: DiffOp) -> "BlockSum":
         out = copy.copy(self)

@@ -41,8 +41,8 @@ from .geometry import (
     grid_density,
 )
 from .geometry import sup_norm  # noqa: F401  (a lookup site of bench/tracer.py)
-from .mergelyan import (ApproxTask, check_design_size, check_w_compact, fit,
-                        fit_grids)
+from .mergelyan import (ApproxTask, check_budgets, check_design_size,
+                        check_w_compact, fit, fit_grids)
 from .mergelyan import glue_target  # noqa: F401  (a lookup site of bench/tracer.py)
 from .multiindex import (Enumeration, IndexSet, SparseIndexError, check_int,
                          check_number, complex_pair, complex_pairs)
@@ -97,13 +97,7 @@ class StageRequest:
             raise ValueError("the target's coefficients must be finite")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("the tolerance must be positive and finite")
-        b = self.budgets
-        if (not isinstance(b, list) or not b
-                or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
-                       for v in b)
-                or sorted(b) != b):
-            raise ValueError("the budgets must be a nonempty ascending "
-                             f"list of natural numbers, got {b!r}")
+        check_budgets(self.budgets)
         # the fit would quietly produce garbage on geometry that breaks the
         # sampled checks, and on samples that float64 rounding collapses
         check_stage_geometry(domain, self.outer, self.inner, variant, center)
@@ -213,11 +207,10 @@ def build_stage(stream: CoefficientStream, plan: StagePlan, req: StageRequest,
               (req.outer, BlockSum(req.target, blocks))]
     # the plan has checked the gluing geometry (check_stage_geometry)
     res = fit(ApproxTask(
-        pieces, list(req.budgets), max(piece_tols),
+        pieces, list(req.budgets), list(piece_tols),
         r=r, w_compact=plan.w_compact,
         derivative_orders=variant_ops(plan.variant, r, stream.d, plan.l)[1],
-        prefactor=(i0, stream.next_exponent),
-        piece_tolerances=list(piece_tols), center=stream.center))
+        prefactor=(i0, stream.next_exponent), center=stream.center))
     if not np.isfinite(res.block.coefs).all():
         raise ValueError("the fit has a non-finite coefficient")
 

@@ -147,9 +147,8 @@ def sup_ops(delta, zg, wg, ops) -> float:
     """Sampled sup of |delta| and of |D delta| over the non-identity ops;
     delta is a BlockSum (construct and verify; its poly goes through the
     lane kernels) or a Poly (the same kernels, one lane)."""
-    # highest orders first: a block's rows to order o serve every lower one
     return worst([sup_norm(delta.diff(op), zg, wg)
-                  for op in reversed(ops) if not op.is_identity]
+                  for op in ops if not op.is_identity]
                  + [sup_norm(delta, zg, wg)])
 
 
@@ -189,6 +188,14 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
                  for v in sups(lanes if cut else lanes[:1]))
 
 
+def _sample(data, what: str, name: str, arity: int, n: int):
+    """The grid of a certificate's compact, refused unless of `arity`."""
+    K = ProductCompact.from_json(data, what)
+    if K.dim != arity:
+        raise ValueError(f"{what} has {K.dim} factors, {name} = {arity}")
+    return K.sample(n_per_factor=n)
+
+
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                    aborted) -> dict:
     """Measure every stage record of a certificate on the finished stream
@@ -210,7 +217,8 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
 
     Every record is read and checked, in order, before any is measured, so
     a refusal names the first faulty record.  Each distinct compact is
-    sampled once.
+    sampled once, and refused unless it has d factors (the header's
+    w_compact, when r > 0: r factors).
     """
     r, d, l, density = (check_int(header[key], key)
                         for key in ("r", "d", "l", "cert_density"))
@@ -218,8 +226,7 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     mu = IndexSet.from_tag(header["mu"])
     nz = grid_density("certificate", "z", d, density)
     nw = grid_density("certificate", "w", r)
-    wg = (ProductCompact.from_json(header["w_compact"], "w_compact").sample(
-        n_per_factor=nw) if nw else None)
+    wg = _sample(header["w_compact"], "w_compact", "r", r, nw) if nw else None
     blocks = [b.block for b in stream.blocks]
 
     # keyed by the compact's canonical JSON text, the form the hash covers:
@@ -230,8 +237,7 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     def sample(rec, side):
         key = json.dumps(rec[side], sort_keys=True)
         if key not in grids:
-            grids[key] = ProductCompact.from_json(rec[side], side).sample(
-                n_per_factor=nz)
+            grids[key] = _sample(rec[side], side, "d", d, nz)
         return grids[key]
 
     work = []
@@ -250,9 +256,7 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                               "the previous lambda")
         zT, zI = sample(rec, "outer"), sample(rec, "inner")
         E = BlockSum(Poly.from_json(rec["target"]), blocks[:s])
-        E.check_grids(wg, zT)
         F = BlockSum(Poly.zero(r, d), blocks[s:])
-        F.check_grids(wg, zI)
         work.append((last, (E, zT, e_ops), (F, zI, f_ops)))
 
     # a block that overflows on a grid (a forged stream's, say) measures

@@ -814,6 +814,11 @@ def _stage_twice(stages):
     return stages + [dict(stages[0], stage=2)]
 
 
+def _twice(factors):
+    """The factor list written out twice."""
+    return factors * 2
+
+
 def _repeated(terms):
     """The term list with its first term again, with another coefficient."""
     return terms + [dict(terms[0], re=2.0)]
@@ -1127,6 +1132,9 @@ REFUSALS = [
     # record s's lambda must end block s, and block s must be there
     ("certificate", ("stages",), _stage_twice, 2, "artifact rejected: "
      "lambda 40 is not the last rank of stream block 2 (the stream has 1)"),
+    # a record's compacts must have d factors, as the stream's grids do
+    ("certificate", ("stages", 0, "outer", "factors"), _twice, 2,
+     "artifact rejected: outer has 2 factors, d = 1"),
     # a lambda must be mu's first member at or after the capture index
     ("certificate", ("header", "mu"), "mu:arith:7,1000", 2,
      "artifact rejected: lambda 40 is not the first member"),

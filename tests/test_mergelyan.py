@@ -217,6 +217,20 @@ def test_task_validation_errors():
                        tolerance=1e-3, r=1))
 
 
+@pytest.mark.parametrize("kw, message", [
+    *[({"tolerance": tol}, "every tolerance must be positive and finite")
+      for tol in (0.0, -1e-3, math.nan, [math.nan, 1.0])],
+    ({"tolerance": [1e-3]}, "need one tolerance per piece"),
+    *[({"budgets": b}, "the budgets must be a nonempty ascending list of "
+       "natural numbers") for b in ([], [-1], [2.0], [True])]])
+def test_task_refuses_bad_tolerances_and_budgets(kw, message):
+    zero = Poly.zero(0, 1)
+    args = {"budgets": [4], "tolerance": 1e-3, **kw}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ApproxTask([_disk_piece(0.0, 0.5, zero), _disk_piece(2.0, 0.25, zero)],
+                   **args)
+
+
 def test_design_size_guard():
     zero2 = Poly.zero(0, 2)
     K = ProductCompact([Disk(0.0, 1.0), Disk(0.0, 1.0)])
@@ -265,7 +279,7 @@ def _dense_sweep(task, procs):
     solution, singular values)."""
     r, k = task.r, task.r + task.d
     grids = _fit_grids(task)
-    tols = task.piece_tolerances or [task.tolerance] * len(task.pieces)
+    tols = task.tolerance
     ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
                                   if not op.is_identity]
     axes = [mergelyan._axes(wg, zg) for wg, zg in grids]
@@ -333,10 +347,10 @@ def _strong_param_task():
     return ApproxTask(
         [(ProductCompact([Disk(0.0, 0.5)]), Poly.zero(1, 1)),
          (ProductCompact([Rectangle(2.35, 2.65, -0.3, 0.3)]), wz + 1.0)],
-        [2, 4, 6, 8], tolerance=0.6, r=1,
+        [2, 4, 6, 8], tolerance=[0.3, 0.6], r=1,
         w_compact=ProductCompact([Rectangle(-0.5, 0.5, -0.25, 0.25)]),
         derivative_orders=tuple(family_Fl(1, 1, 1)), prefactor=(0, 2),
-        n_per_factor=16, piece_tolerances=[0.3, 0.6])
+        n_per_factor=16)
 
 
 def _bidisk_task():
@@ -379,8 +393,8 @@ def test_compressed_solve_matches_dense_design(make_task, monkeypatch):
 
 
 def test_single_axis_solve_is_the_dense_solve(monkeypatch):
-    task = two_disk_task(budgets=(10, 20, 40), prefactor=(0, 5),
-                         piece_tolerances=[5e-4, 1e-3])
+    task = two_disk_task(budgets=(10, 20, 40), tol=[5e-4, 1e-3],
+                         prefactor=(0, 5))
     res, calls, procs = _spy_fit(task, monkeypatch)
     sweep = _dense_sweep(task, procs)
     assert len(calls) == len(res.residual_history) == len(sweep)

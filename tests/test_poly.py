@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from taylorlab import poly
 from taylorlab.geometry import Disk, ProductCompact, Rectangle, SampleGrid
-from taylorlab.multiindex import DiffOp, Enumeration
-from taylorlab.poly import (Axis, Block, CoefficientStream, Ledger, Poly,
-                            _as_grid, _nonzero, _recenter, eval_lanes, gamma,
-                            gamma_poly, graded_columns, partial_sum)
+from taylorlab.multiindex import DiffOp, Enumeration, family_Fl
+from taylorlab.poly import (Axis, Block, BlockSum, CoefficientStream, Ledger,
+                            Poly, _as_grid, _nonzero, _recenter, eval_lanes,
+                            gamma, gamma_poly, graded_columns, partial_sum)
+from taylorlab.verify import sup_ops
 
 from util import (
     coeff_norm,
@@ -758,22 +759,52 @@ def _random_block(rng, r, center, divisor, budget):
                  rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+def _counting_recurrence(monkeypatch, block):
+    """Patch poly.recur_rows to record (axis, order) for every order each
+    call fills, the axis None off the block's axes; returns the record."""
+    filled, recur = [], poly.recur_rows
+
+    def counted(R, t, scale, H, k0, k1, first=0):
+        j = next((j for j, ax in enumerate(block.axes) if ax.H is H), None)
+        filled.extend((j, o) for o in range(first, len(R)))
+        return recur(R, t, scale, H, k0, k1, first)
+
+    monkeypatch.setattr(poly, "recur_rows", counted)
+    return filled
+
+
 @pytest.mark.parametrize("order", [1, 2])
-def test_rows_through_a_higher_order_equal_fresh_rows_bit_for_bit(order):
+def test_rows_through_a_higher_order_equal_fresh_rows_bit_for_bit(
+        order, monkeypatch):
     def make():
         return _random_block(np.random.default_rng(5), 1, (0.2, 0.0),
                              (0, 3), 6)
     x = np.random.default_rng(6).normal(size=9) + 0.5j
     block = make()
+    filled = _counting_recurrence(monkeypatch, block)
     for j in range(3):                        # the w axis, then z_i0, z_1
         low = block.rows(j, x, 0)
+        filled.clear()
         high = block.rows(j, x, order)
+        # the cached set keeps its arrays and gains only orders 1..order
+        assert filled == [(j, o) for o in range(1, order + 1)]
         fresh = make().rows(j, x, order)
         assert len(low) == 1 and len(high) == len(fresh) == order + 1
-        _assert_same_bits(high[0], low[0])
+        assert high[0] is low[0]
         for a, b in zip(high, fresh):
             _assert_same_bits(a, b)
         assert not any(M.flags.writeable for M in high)
+
+
+def test_sup_ops_fills_each_axis_and_order_once(monkeypatch):
+    block = _random_block(np.random.default_rng(7), 1, (0.2,), (0, 2), 5)
+    delta = BlockSum(Poly.zero(1, 1), [block])
+    wg = ProductCompact([Rectangle(-0.5, 0.5, -0.25, 0.25)]).sample(16)
+    zg = ProductCompact([Disk(0.0, 0.5)]).sample(24)
+    filled = _counting_recurrence(monkeypatch, block)
+    # the ops (0, 1) and (1, 0) raise the axes' orders in turn
+    sup_ops(delta, zg, wg, family_Fl(1, 1, 1))
+    assert sorted(filled) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def _no_recurrence(*args):

@@ -3,6 +3,7 @@ certificate replay, all pinned against naive loop oracles."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -672,6 +673,22 @@ def test_a_refusal_names_the_first_faulty_record():
         with pytest.raises(ValueError, match="disjoint_factor must be an "
                            f"integer, got {factor}"):
             certify_stages(stream, cert.header, records, None)
+
+
+def test_certify_stages_refuses_a_compact_of_the_wrong_arity():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                           "parameterized.json")) as fh:
+        stream, cert = run_construction(plan_from_scenario(json.load(fh)))
+    records = [{k: rec[k] for k in verify.STAGE_INPUTS}
+               for rec in cert.stages]
+    w = cert.header["w_compact"]
+    header = dict(cert.header, w_compact=dict(w, factors=w["factors"] * 2))
+    with pytest.raises(ValueError, match="^w_compact has 2 factors, r = 1$"):
+        certify_stages(stream, header, records, None)
+    inner = records[0]["inner"]
+    records[0]["inner"] = dict(inner, factors=inner["factors"] * 2)
+    with pytest.raises(ValueError, match="^inner has 2 factors, d = 1$"):
+        certify_stages(stream, cert.header, records, None)
 
 
 def test_predicate_record_shape():

@@ -25,6 +25,14 @@ One line per artifact, `sha256  name`, sorted by name:
   stages 1 and 2, under `mu:all` (lambda = 0, 1, 42: a zero block has no
   degree box, so lambda's floor is one past the previous lambda) and
   under `mu:list:0` (construct aborts at stage 2 with exit 1);
+- the same four digests of two scenarios written here, so that every
+  compact and domain type is constructed, written and replayed: one on an
+  open rectangle with rectangle, segment, arc and union compacts, and one
+  of the infty variant (l = 1) on an open disk of radius 2, whose inner
+  compacts are the clipped closures `{"family": "mp", "p": 1}` and whose
+  second outer compact is the slit annulus `{"family": "tm", "m": 1}`;
+  and the standard output of `predicates` on the hand-written candidate
+  with infty specs on that open rectangle;
 - for each seed, the same four digests of every construct unit of the
   `ladder` and `wide` benchmark workloads, and the standard output of
   every predicates unit, with the inputs that the checkout's own
@@ -51,6 +59,8 @@ import tempfile
 # one BLAS thread, as in the benchmark, set before numpy loads
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+# the benchmark workloads' seeds digested by default
+SEEDS = (0, 7)
 SHIPPED = ("alternating_three", "parameterized", "seleznev", "strong",
            "two_stage_conflict")
 ARTIFACTS = ("certificate.json", "stream.json", "history.csv")
@@ -87,6 +97,41 @@ ZERO_TARGETS = (("zero_targets", "mu:all"),
 HANDWRITTEN_SPECS = {"domain": [UNIT_DISK], "specs": [
     {"predicate": "F", "p": 1, "s": 10, "n": 2},
     {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 3}]}
+# the compact and domain types no shipped scenario uses, in two scenarios
+# that construct and verify with exit 0
+OPEN_RECT = {"type": "open-rect", "x": [-1.0, 1.0], "y": [-0.5, 0.5]}
+
+
+def _rect(x, y) -> dict:
+    return {"type": "rect", "x": x, "y": y}
+
+
+def _stage(sign: float, outer, inner, budgets) -> dict:
+    return {"target": {"constant": [sign, 0.0]}, "outer": outer,
+            "inner": inner, "tolerance": 0.05, "budgets": budgets}
+
+
+TYPED = {
+    "open_rect": {"name": "open_rect", "domain": [OPEN_RECT], "stages": [
+        _stage(1.0, _rect([2.0, 2.3], [-0.1, 0.1]),
+               _rect([-0.5, 0.5], [-0.25, 0.25]), [10, 20, 40]),
+        _stage(-1.0, {"type": "union", "parts": [
+            {"type": "segment", "a": [2.0, 0.6], "b": [2.3, 0.8]},
+            {"type": "arc", "center": [0.0, 0.0], "radius": 2.6,
+             "angles": [-0.2, 0.2]}]},
+            _rect([-0.75, 0.75], [-0.375, 0.375]), [10, 20, 40])]},
+    "infty": {"name": "infty", "variant": "infty", "l": 1, "domain": [
+        {"type": "open-disk", "center": [0.0, 0.0], "radius": 2.0}],
+        "stages": [
+            _stage(1.0, {"type": "disk", "center": [3.5, 0.0], "radius": 0.3},
+                   {"family": "mp", "p": 1}, [12, 16, 24, 32]),
+            _stage(-1.0, {"family": "tm", "m": 1}, {"family": "mp", "p": 1},
+                   [16, 32, 48, 64])]},
+}
+OPEN_RECT_SPECS = {"domain": [OPEN_RECT], "specs": [
+    {"predicate": "F", "p": 1, "s": 10, "n": 2, "variant": "infty", "l": 1},
+    {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 3, "variant": "infty",
+     "l": 1}]}
 
 
 def _digest(data: bytes) -> str:
@@ -157,6 +202,13 @@ def digests(checkout: str, seeds, work: str) -> dict:
         main, work, "bidisk", BIDISK_SQ, BIDISK_SPECS)
     out["predicates_handwritten.stdout"] = _predicates(
         main, work, "handwritten", HANDWRITTEN, HANDWRITTEN_SPECS)
+    out["predicates_open_rect_infty.stdout"] = _predicates(
+        main, work, "open_rect_infty", HANDWRITTEN, OPEN_RECT_SPECS)
+    for name, scenario in TYPED.items():
+        path = os.path.join(work, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(scenario, fh)
+        out.update(_construct(main, path, os.path.join(work, name), name))
     depth, outer, step = DEEP_LADDER
     deep = workloads.ladder_scenario(depth, outer)
     for s, stage in enumerate(deep["stages"]):
@@ -196,7 +248,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
-    parser.add_argument("--seeds", type=int, nargs="*", default=[0, 7])
+    parser.add_argument("--seeds", type=int, nargs="*", default=list(SEEDS))
     args = parser.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
     with tempfile.TemporaryDirectory() as work:
