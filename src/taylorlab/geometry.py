@@ -822,28 +822,38 @@ def factor_samples(K: ProductCompact, name: str) -> list:
 def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
                          inner: ProductCompact, variant: str, center):
     """Refuse a stage's compacts that break the construction's hypotheses,
-    tested on 128 boundary samples of each factor:
+    tested on 128 boundary samples of each factor: every factor passes
+    factor_samples, the outer compact check_outer and the inner one
+    check_inner, and factor i0 of (inner, outer) passes check_gluing, as
+    the stage's fit glues them.
+    """
+    samples = [factor_samples(outer, "outer"), factor_samples(inner, "inner")]
+    i0 = check_outer(domain, outer, samples[0], variant, center)
+    check_inner(domain, samples[1], variant)
+    check_gluing([inner.factors[i0], outer.factors[i0]],
+                 [samples[1][i0], samples[0][i0]], i0)
 
-    - every factor passes factor_samples;
-    - the flagged outer factor i0 stays off domain factor i0 and off the
-      divisor center center[i0], and contains none of its domain_probes;
-    - every inner factor stays inside its domain factor;
-    - factor i0 of (inner, outer) passes check_gluing, as the stage's fit
-      glues them.
+
+def check_outer(domain: DomainProduct, outer: ProductCompact, samples,
+                variant: str, center) -> int:
+    """Refuse an outer compact, given with per-factor boundary samples,
+    that flags no factor i0 or whose factor i0 reaches into domain factor
+    i0, touches the divisor center center[i0] or contains one of the
+    domain factor's domain_probes; return i0.
 
     The closure variant "infty" (seminorms on closure truncations) keeps
-    outer factors off the domain closure and lets inner ones touch it.
-    The plain variant lets an outer sample lie 4 float steps (at its own
-    magnitude) inside the domain: that is a boundary point, rounded.  A
-    ValueError names the factor and its first failing sample, a sample
-    inside the domain before one at the divisor center.
+    outer factors off the domain closure.  The plain variant lets an outer
+    sample lie 4 float steps (at its own magnitude) inside the domain: that
+    is a boundary point, rounded.  A ValueError names the factor and its
+    first failing sample, a sample inside the domain before one at the
+    divisor center.
     """
-    samples = {"outer": factor_samples(outer, "outer"),
-               "inner": factor_samples(inner, "inner")}
     i0 = outer.disjoint_factor
-    slack = -1e-9 if variant == "infty" else 0.0
-    zs, c0 = samples["outer"][i0], center[i0]
-    margin = slack if variant == "infty" else 4 * np.spacing(np.abs(zs))
+    if i0 is None:
+        raise ValueError("the outer compact needs a flagged factor that "
+                         "stays off the domain")
+    zs, c0 = samples[i0], center[i0]
+    margin = -1e-9 if variant == "infty" else 4 * np.spacing(np.abs(zs))
     into = domain.factors[i0].contains(zs, tol=margin)
     k = _first(into | (_dist(zs, c0) <= 1e-9))
     if k is not None:
@@ -856,14 +866,20 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
     if _first(outer.factors[i0].contains(probes)) is not None:
         raise ValueError(
             f"outer factor {i0} overlaps the domain factor interior")
-    for i, dom in enumerate(domain.factors):
-        zs = samples["inner"][i]
+    return i0
+
+
+def check_inner(domain: DomainProduct, samples, variant: str):
+    """Refuse an inner compact, given by per-factor boundary samples, with
+    a factor that leaves its open domain factor (the closure variant
+    "infty" lets it touch the boundary); a ValueError names the factor and
+    its first failing sample."""
+    slack = -1e-9 if variant == "infty" else 0.0
+    for i, (dom, zs) in enumerate(zip(domain.factors, samples)):
         k = _first(~dom.contains(zs, tol=slack))
         if k is not None:
             raise ValueError(f"inner factor {i} leaves the open domain near "
                              f"{complex(zs[k]):.4g}")
-    check_gluing([inner.factors[i0], outer.factors[i0]],
-                 [samples["inner"][i0], samples["outer"][i0]], i0)
 
 
 # --------------------------------------------------------------- utilities

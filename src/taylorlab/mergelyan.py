@@ -22,11 +22,18 @@ graded exponents of total degree <= budget, so budgets are nested and span
 what scaled monomials span; derivative rows come from the differentiated
 recurrence.  Sample grids are tensor products of axis samples, so each
 block of rows is a column subset of a Kronecker product of per-axis
-matrices; the dense (w, z) design is never formed.  Per budget, with two
-or more axes, every axis is replaced by the R of its QR and the rhs by Q^H
+matrices; the dense (w, z) design is never formed.  Rows are weighted
+by tol_min / tol_p on piece p, so the solve works in units of residual
+over tolerance.  Per budget one lstsq call solves the weighted problem,
+and its singular values give the recorded condition number.  With two or
+more axes, every axis is replaced by the R of its QR and the rhs by Q^H
 times it, an orthonormal change of rows that keeps the dense problem's
-minimizer and singular values; one lstsq call solves it, and its
-singular values give the recorded condition number.  Residuals are
+minimizer and singular values.  One axis without derivative rows runs
+its process in the weighted inner product instead, so its rows are the
+weighted design, orthonormal, and lstsq gets the K x K Gram system
+(K = degree + 1) with the square root of its singular-value ratio as the
+condition number; one axis with derivative rows is lstsq's own QR of the
+weighted rows.  Residuals are
 measured with the certificate's kernel (verify.sup_ops) on a grid twice as
 dense, and recorded, not replayed.  The result is a poly.Block: the
 Hessenberg matrices and the coefficients, never Taylor coefficients.
@@ -144,7 +151,9 @@ def check_design_size(grids, derivative_orders, top: int):
     would pass MAX_DESIGN_ENTRIES; grids are the pieces' (w grid, z grid)
     (fit_grids).  Per piece and operator (the identity and every other
     derivative order), with two or more axes every axis shrinks to its R
-    factor of min(n_j, top + 1) rows; a single axis keeps its n."""
+    factor of min(n_j, top + 1) rows; a single axis counts its n samples,
+    the weighted basis that, without derivative rows, the K x K Gram
+    system is reduced from."""
     shapes = [[len(a) for a in _axes(wg, zg)] for wg, zg in grids]
     k = len(shapes[0])
     n_ops = 1 + sum(not op.is_identity for op in derivative_orders)
@@ -188,16 +197,21 @@ class _Arnoldi:
     """One axis's Arnoldi process on the fit samples y, extended on demand.
 
     Row k of fit[o] holds the o-th derivative of q_k at the fit samples:
-    fit[0] is the process's own orthogonal basis (rows of norm
-    sqrt(len(y))), every other row comes from the recurrence (recur_rows)
-    through the Hessenberg matrix H.
+    fit[0] is the process's own orthogonal basis, every other row comes
+    from the recurrence (recur_rows) through the Hessenberg matrix H.
+    Without a weight, the rows of fit[0] have norm sqrt(len(y)).  With one
+    (only for order 0), the process runs in the weighted inner product:
+    fit[0] holds weight * q_k, rows of norm sqrt(len(y)), and since the
+    weight commutes with multiplying by t, H, scale and norm still define
+    the unweighted q_k that a Block evaluates.
     """
 
-    def __init__(self, y, start: int, order: int, top: int):
+    def __init__(self, y, start: int, order: int, top: int, weight=None):
         peak = float(np.abs(y).max())
         self.scale = peak if peak > 0 else 1.0
         self.t = y / self.scale
-        self.norm = float(np.linalg.norm(self.t ** start)) / math.sqrt(len(y))
+        q0 = self.t ** start if weight is None else weight * self.t ** start
+        self.norm = float(np.linalg.norm(q0)) / math.sqrt(len(y))
         if not self.norm > 0:
             raise ValueError("the divisor vanishes at every sample")
         # the degree cannot pass the number of samples less one
@@ -207,6 +221,8 @@ class _Arnoldi:
                     for _ in range(order + 1)]
         self.conj = np.empty_like(self.fit[0])    # fit[0]'s rows, conjugated
         start_rows(self.fit, self.t, self.scale, start, self.norm)
+        if weight is not None:
+            self.fit[0][0] *= weight
         np.conjugate(self.fit[0][0], out=self.conj[0])
         self.degree = 0
         self.exhausted = top == 0
@@ -240,6 +256,48 @@ class _Arnoldi:
         return Axis(self.scale, self.norm, self.H[:degree + 1, :degree])
 
 
+def _cond(svals) -> float:
+    return float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+
+
+def _gram_solve(proc: _Arnoldi, degree: int, y_w, exponent: int) -> tuple:
+    """Coefficients and condition number of the one-axis weighted fit
+    through `degree`: the process's rows Q are the weighted design, so
+    lstsq gets the (degree + 1)-square Gram system Q^H Q c = Q^H y_w, whose
+    singular values are the squares of the design's.  y_w comes scaled by
+    2^-exponent, exactly, so that Q^H y_w cannot overflow on a huge
+    target; the coefficients are scaled back, and may overflow to inf."""
+    Q, Qc = proc.fit[0][:degree + 1], proc.conj[:degree + 1]
+    coefs, _, _, svals = np.linalg.lstsq(Qc @ Q.T, Qc @ y_w)
+    with np.errstate(over="ignore"):
+        coefs = np.ldexp(coefs.view(float), exponent).view(complex)
+    return coefs, math.sqrt(_cond(svals))
+
+
+def _kron_solve(procs, spans, blocks, degs, cols, weights) -> tuple:
+    """Coefficients and condition number of the weighted fit on the graded
+    columns `cols`: per (piece, op) block, the columns of the Kronecker
+    product of the axis matrices; with two or more axes QR every one and
+    carry Q^H over to the rhs (one axis is lstsq's own QR)."""
+    rows, rhs = [], []
+    for p, op, y in blocks:
+        M = None
+        for j, (proc, (lo, hi)) in enumerate(zip(procs, spans[p])):
+            V = proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T
+            if len(procs) > 1:
+                q, V = np.linalg.qr(V)
+                y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
+            if j == 0:
+                V = V * weights[p]
+            F = V[:, cols[:, j]]
+            M = F if M is None else (M[:, None] * F).reshape(-1, len(cols))
+        rows.append(M)
+        rhs.append(y.reshape(-1))
+    coefs, _, _, svals = np.linalg.lstsq(np.concatenate(rows),
+                                         np.concatenate(rhs))
+    return coefs, _cond(svals)
+
+
 def fit(task: ApproxTask) -> FitResult:
     """Sweep the budgets and return the first fit inside tolerance.
 
@@ -264,6 +322,19 @@ def fit(task: ApproxTask) -> FitResult:
     top = task.budgets[-1]
     check_design_size(grids, task.derivative_orders, top)
     shapes = [[len(a) for a in ax] for ax in axes]
+    tols = task.tolerance
+    # weighted least squares: a piece with a tighter tolerance gets
+    # proportionally heavier rows, so the solver works in units of
+    # residual-over-tolerance (measurement below stays unweighted)
+    tol_min = min(tols)
+    # one axis and no derivative rows: the process itself runs in the
+    # weighted inner product, started from sqrt(w) t^e, sqrt(w) = tol_min /
+    # tol_p on piece p's samples; weighting commutes with multiplying by t,
+    # so its H, scale and norm still define the unweighted basis
+    gram = k == 1 and len(ops) == 1
+    weight = (np.concatenate([np.full(len(ax[0]), tol_min / tol)
+                              for ax, tol in zip(axes, tols)])
+              if gram else None)
 
     # one process per axis on the union of the pieces' samples (the pieces
     # share the w grid), in y = x - center; piece p owns the slice
@@ -277,13 +348,8 @@ def fit(task: ApproxTask) -> FitResult:
             lo += len(ax[j]) if j >= r else 0
         union = np.concatenate([ax[j] for ax in (axes if j >= r else axes[:1])])
         procs.append(_Arnoldi(union - shift[j], e if j == r + i0 else 0,
-                              max(op.orders[j] for op in ops), top))
+                              max(op.orders[j] for op in ops), top, weight))
 
-    tols = task.tolerance
-    # weighted least squares: a piece with a tighter tolerance gets
-    # proportionally heavier rows, so the solver works in units of
-    # residual-over-tolerance (measurement below stays unweighted)
-    tol_min = min(tols)
     blocks = []                       # (piece, op, weighted rhs)
     for p, ((wg, zg), gt, tol) in enumerate(zip(grids, targets, tols)):
         for op in ops:
@@ -295,32 +361,21 @@ def fit(task: ApproxTask) -> FitResult:
                                  "its fit samples")
             blocks.append((p, op, y * (tol_min / tol)))
 
+    if gram:                          # the weighted rhs, in union order
+        y_w = np.concatenate([y for _, _, y in blocks])
+        exponent = math.frexp(np.abs(y_w.view(float)).max())[1]
+        y_w = np.ldexp(y_w.view(float), -exponent).view(complex)
     history, best, best_score = [], None, math.inf
     for budget in task.budgets:
         for proc in procs:
             proc.extend(budget)
         degs = [min(budget, proc.degree) for proc in procs]
-        cols = graded_columns(degs, budget)
-        rows, rhs = [], []
-        for p, op, y in blocks:
-            # the block is the columns `cols` of the Kronecker product of
-            # the axis matrices; with two or more axes QR every one and
-            # carry Q^H over to the rhs (one axis is lstsq's own QR)
-            M = None
-            for j, (proc, (lo, hi)) in enumerate(zip(procs, spans[p])):
-                V = proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T
-                if k > 1:
-                    q, V = np.linalg.qr(V)
-                    y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
-                if j == 0:
-                    V = V * (tol_min / tols[p])
-                F = V[:, cols[:, j]]
-                M = F if M is None else (M[:, None] * F).reshape(-1, len(cols))
-            rows.append(M)
-            rhs.append(y.reshape(-1))
-        coefs, _, _, svals = np.linalg.lstsq(np.concatenate(rows),
-                                             np.concatenate(rhs))
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+        if gram:
+            coefs, cond = _gram_solve(procs[0], degs[0], y_w, exponent)
+        else:
+            coefs, cond = _kron_solve(procs, spans, blocks, degs,
+                                      graded_columns(degs, budget),
+                                      [tol_min / tol for tol in tols])
         block = Block(r, task.center, (i0, e), budget,
                       [proc.axis(g) for proc, g in zip(procs, degs)], coefs)
         # a non-finite coefficient scores inf or NaN here and is the

@@ -90,9 +90,6 @@ class StageRequest:
             raise ValueError("the target's arity does not match the plan")
         if self.outer.dim != d or self.inner.dim != d:
             raise ValueError("the compacts must match the domain dimension")
-        if self.outer.disjoint_factor is None:
-            raise ValueError("the outer compact needs a flagged factor that "
-                             "stays off the domain")
         if not all(map(cmath.isfinite, self.target.terms.values())):
             raise ValueError("the target's coefficients must be finite")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):

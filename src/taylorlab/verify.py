@@ -31,6 +31,8 @@ from .geometry import (
     DomainProduct,
     ProductCompact,
     center_grid,
+    check_inner,
+    check_outer,
     enumerate_Tm,
     exhaustion_M,
     grid_density,
@@ -188,12 +190,12 @@ def center_sups(f: Poly, centers, n: int, enum: Enumeration, side) -> float:
                  for v in sups(lanes if cut else lanes[:1]))
 
 
-def _sample(data, what: str, name: str, arity: int, n: int):
-    """The grid of a certificate's compact, refused unless of `arity`."""
+def _compact(data, what: str, name: str, arity: int) -> ProductCompact:
+    """A certificate's compact, refused unless of `arity`."""
     K = ProductCompact.from_json(data, what)
     if K.dim != arity:
         raise ValueError(f"{what} has {K.dim} factors, {name} = {arity}")
-    return K.sample(n_per_factor=n)
+    return K
 
 
 def certify_stages(stream: CoefficientStream, header: dict, stages: list,
@@ -201,9 +203,9 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     """Measure every stage record of a certificate on the finished stream
     and return the certificate's summary.
 
-    Inputs: the header's variant, r, d, l, mu, w_compact and cert_density
-    (numbers as ints), each record's STAGE_INPUTS (the tolerance a float),
-    and `aborted` (None, or why the schedule stopped early).  Record s's
+    Inputs: the header's variant, r, d, l, mu, domain, w_compact and
+    cert_density (numbers as ints), each record's STAGE_INPUTS (the
+    tolerance a float), and `aborted` (None, or why the schedule stopped early).  Record s's
     lambda must end stream block s and be mu's first member at or after
     the floor in block s's ledger.  The record gets its STAGE_MEASURED
     fields: block s's ledger (capture index, largest degree, 0 for zero
@@ -218,7 +220,10 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     Every record is read and checked, in order, before any is measured, so
     a refusal names the first faulty record.  Each distinct compact is
     sampled once, and refused unless it has d factors (the header's
-    w_compact, when r > 0: r factors).
+    w_compact, when r > 0: r factors) and, on its samples, passes
+    geometry.check_outer or check_inner (once a side) against the header's
+    domain (d factors) and the stream's center; that refusal names the
+    stage.
     """
     r, d, l, density = (check_int(header[key], key)
                         for key in ("r", "d", "l", "cert_density"))
@@ -226,19 +231,37 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
     mu = IndexSet.from_tag(header["mu"])
     nz = grid_density("certificate", "z", d, density)
     nw = grid_density("certificate", "w", r)
-    wg = _sample(header["w_compact"], "w_compact", "r", r, nw) if nw else None
+    wg = (_compact(header["w_compact"], "w_compact", "r", r).sample(nw)
+          if nw else None)
+    domain = DomainProduct.from_json(header["domain"])
+    if domain.dim != d:
+        raise ValueError(f"domain has {domain.dim} factors, d = {d}")
     blocks = [b.block for b in stream.blocks]
 
     # keyed by the compact's canonical JSON text, the form the hash covers:
     # there 1, 1.0 and true stay three values, so a compact that differs from
     # an earlier one only in a number's type is read, and refused, on its own
-    grids = {}
+    grids, placed = {}, set()
 
-    def sample(rec, side):
+    def sample(s, rec, side):
         key = json.dumps(rec[side], sort_keys=True)
         if key not in grids:
-            grids[key] = _sample(rec[side], side, "d", d, nz)
-        return grids[key]
+            K = _compact(rec[side], side, "d", d)
+            grids[key] = K, K.sample(nz)
+        K, grid = grids[key]
+        if (side, key) not in placed:
+            # the hypotheses the header's domain and center pose, on the
+            # certificate's samples: each compact once a side
+            try:
+                if side == "outer":
+                    check_outer(domain, K, grid.per_factor, header["variant"],
+                                stream.center)
+                else:
+                    check_inner(domain, grid.per_factor, header["variant"])
+            except ValueError as exc:
+                raise ValueError(f"stage {s}: {exc}") from None
+            placed.add((side, key))
+        return grid
 
     work = []
     for s, rec in enumerate(stages, start=1):
@@ -254,7 +277,7 @@ def certify_stages(stream: CoefficientStream, header: dict, stages: list,
                               f"{mu.tag} at or after {last.ledger.floor}, "
                               "the larger of the capture index and one past "
                               "the previous lambda")
-        zT, zI = sample(rec, "outer"), sample(rec, "inner")
+        zT, zI = sample(s, rec, "outer"), sample(s, rec, "inner")
         E = BlockSum(Poly.from_json(rec["target"]), blocks[:s])
         F = BlockSum(Poly.zero(r, d), blocks[s:])
         work.append((last, (E, zT, e_ops), (F, zI, f_ops)))

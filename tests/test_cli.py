@@ -1122,6 +1122,12 @@ REFUSALS = [
     ("certificate", ("stages", 0, "target", "terms", 0, "re"), True, 2,
      "artifact rejected: terms[0].re must be a number, got True"),
     ("certificate", ("header", "cert_density"), BIG, 2, "artifact rejected"),
+    # the stage compacts are checked against the header's domain: an open
+    # disk of radius 1.9 swallows seleznev's outer disk at |z - 2| <= 0.25
+    ("certificate", ("header", "domain"),
+     [{"type": "open-disk", "center": [0.0, 0.0], "radius": 1.9}], 2,
+     "artifact rejected: stage 1: outer factor 0 reaches into the domain "
+     "near 1.887+0.2228j"),
     # the stream's blocks 1..s give these record fields; verify derives
     # them with construct's function
     *[("certificate", ("stages", 0, key), value, 1,

@@ -1,19 +1,25 @@
 """Gluing-fit tests: exact reproduction, the two-disk indicator demo,
 divisor constraints and derivative matching."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from taylorlab import mergelyan
+from taylorlab.cli import main
 from taylorlab.geometry import (Disk, GridSizeError, ProductCompact, Rectangle,
                                 Segment, UnionCompact)
 from taylorlab.mergelyan import ApproxTask, FitResult, fit, glue_target
 from taylorlab.multiindex import DiffOp, family_Fl
-from taylorlab.poly import Poly, graded_columns
+from taylorlab.poly import Block, CoefficientStream, Poly, graded_columns
+from taylorlab.universal import plan_from_scenario
 
 from util import coeff_norm, isclose, random_point, random_poly
+
+SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def _disk_piece(center, radius, target):
@@ -392,14 +398,81 @@ def test_compressed_solve_matches_dense_design(make_task, monkeypatch):
         assert on_grid_dense > 1e-6 * np.linalg.norm(b)
 
 
-def test_single_axis_solve_is_the_dense_solve(monkeypatch):
+def _fit_samples(task):
+    """The union of the pieces' samples on the one axis of a one-axis task,
+    and sqrt(w) on it: tol_min / tol_p on piece p's samples."""
+    zs = [zg.per_factor[0] for _, zg in _fit_grids(task)]
+    tols = task.tolerance
+    return np.concatenate(zs), np.concatenate(
+        [np.full(len(z), min(tols) / tol) for z, tol in zip(zs, tols)])
+
+
+def test_single_axis_solve_is_the_weighted_gram_solve(monkeypatch):
     task = two_disk_task(budgets=(10, 20, 40), tol=[5e-4, 1e-3],
                          prefactor=(0, 5))
-    res, calls, procs = _spy_fit(task, monkeypatch)
-    sweep = _dense_sweep(task, procs)
-    assert len(calls) == len(res.residual_history) == len(sweep)
-    for (_, _, x_dense, _), (x, _) in zip(sweep, calls):
-        assert np.array_equal(x, x_dense)
+    systems = []
+
+    def spy(A, b, *args, **kwargs):
+        out = LSTSQ(A, b, *args, **kwargs)
+        systems.append((A.shape, out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(mergelyan, "_Arnoldi", _Recorded)
+    _Recorded.made = []
+    res = fit(task)
+    (proc,) = _Recorded.made
+    x, sqrt_w = _fit_samples(task)
+    y = np.concatenate([gt.eval_product(wg, zg).reshape(-1)
+                        for (wg, zg), (_, gt) in zip(_fit_grids(task),
+                                                     task.pieces)])
+    assert res.converged and len(systems) == len(res.residual_history) == 3
+    for (shape, coefs, svals), budget in zip(systems, task.budgets):
+        K = min(budget, proc.degree) + 1
+        # one (K, K) system a budget, from an orthonormal weighted basis
+        assert shape == (K, K)
+        Q = proc.fit[0][:K]
+        np.testing.assert_allclose(Q.conj() @ Q.T / len(x), np.eye(K),
+                                   rtol=0, atol=1e-12)
+        assert abs(math.sqrt(svals[0] / svals[-1]) - 1) <= 1e-9
+        # the dense weighted design: the block's own basis at the samples
+        block = Block(0, task.center, task.prefactor, budget,
+                      [proc.axis(K - 1)], np.zeros(K))
+        A = block.rows(0, x, 0)[0].T * sqrt_w[:, None]
+        dense = LSTSQ(A, y * sqrt_w)[0]
+        assert np.linalg.norm(coefs - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert abs(res.cond - 1) <= 1e-9
+
+
+def test_single_axis_weights_stay_inside_the_fit(monkeypatch, tmp_path):
+    # alternating_three's stage 2 fits pieces of unequal tolerances;
+    # the blocks it writes evaluate the unweighted basis
+    monkeypatch.setattr(mergelyan, "_Arnoldi", _Recorded)
+    _Recorded.made = []
+    path = os.path.join(SCEN, "alternating_three.json")
+    out = str(tmp_path)
+    assert main(["construct", path, "--out-dir", out]) == 0
+    assert main(["verify", os.path.join(out, "stream.json"),
+                 os.path.join(out, "certificate.json")]) == 0
+    with open(os.path.join(out, "stream.json")) as fh:
+        stream = CoefficientStream.from_json(json.load(fh))
+    with open(os.path.join(out, "certificate.json")) as fh:
+        records = json.load(fh)["stages"]
+    with open(path) as fh:
+        plan = plan_from_scenario(json.load(fh))
+    assert len(_Recorded.made) == len(stream.blocks) == len(records) == 3
+    for proc, sb, rec, req in zip(_Recorded.made, stream.blocks, records,
+                                  plan.requests):
+        tols = [rec["fit_tolerance_inner"], rec["fit_tolerance_outer"]]
+        task = ApproxTask([(req.inner, Poly.zero(0, 1)),
+                           (req.outer, Poly.zero(0, 1))], req.budgets, tols)
+        x, sqrt_w = _fit_samples(task)
+        K = sb.block.axes[0].degree + 1
+        rows = sb.block.rows(0, x, 0)[0]
+        np.testing.assert_allclose(rows, proc.fit[0][:K] / sqrt_w,
+                                   rtol=0, atol=1e-12 * np.abs(rows).max())
+    assert any(rec["fit_tolerance_inner"] != rec["fit_tolerance_outer"]
+               for rec in records)
 
 
 @pytest.mark.parametrize("make_task", [_strong_param_task, _bidisk_task])

@@ -675,6 +675,47 @@ def test_a_refusal_names_the_first_faulty_record():
             certify_stages(stream, cert.header, records, None)
 
 
+def test_certify_stages_checks_each_pair_against_the_domain(monkeypatch):
+    stream, cert = _ladder_artifacts(3)
+
+    def refusal(records, header=cert.header):
+        with pytest.raises(ValueError) as err:
+            certify_stages(stream, header, records, None)
+        return str(err.value)
+
+    def fresh():
+        return [{k: rec[k] for k in verify.STAGE_INPUTS}
+                for rec in cert.stages]
+    # a header domain that swallows the outer disk at |z - 2.5i| <= 0.15
+    wide = [{"type": "open-disk", "center": [0.0, 0.0], "radius": 2.6}]
+    assert refusal(fresh(), dict(cert.header, domain=wide)).startswith(
+        "stage 1: outer factor 0 reaches into the domain near ")
+    assert refusal(fresh(), dict(cert.header, domain=wide * 2)) == (
+        "domain has 2 factors, d = 1")
+    # the first faulty record is named; later ones are never reached
+    records = fresh()
+    for rec in records[1:]:
+        (disk,) = rec["inner"]["factors"]
+        rec["inner"] = dict(rec["inner"], factors=[dict(disk, radius=1.5)])
+    assert refusal(records).startswith(
+        "stage 2: inner factor 0 leaves the open domain near ")
+    records = fresh()
+    records[2]["outer"] = dict(records[2]["outer"], disjoint_factor=None)
+    assert refusal(records) == ("stage 3: the outer compact needs a flagged "
+                                "factor that stays off the domain")
+    # each distinct compact is checked once a side: the three stages share
+    # the outer disk, and stage 3's inner disk is stage 2's here
+    outers, inners = [], []
+    monkeypatch.setattr(verify, "check_outer",
+                        _counted(outers, verify.check_outer))
+    monkeypatch.setattr(verify, "check_inner",
+                        _counted(inners, verify.check_inner))
+    records = fresh()
+    records[2]["inner"] = records[1]["inner"]
+    certify_stages(stream, cert.header, records, None)
+    assert (len(outers), len(inners)) == (1, 2)
+
+
 def test_certify_stages_refuses_a_compact_of_the_wrong_arity():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                            "parameterized.json")) as fh:

@@ -1,6 +1,7 @@
 """Print the sha256 of every artifact a checkout's command line writes.
 
     python3 tools/artifact_digests.py [--checkout DIR] [--seeds 0 7 ...]
+        [--fields]
 
 One line per artifact, `sha256  name`, sorted by name:
 
@@ -38,6 +39,13 @@ One line per artifact, `sha256  name`, sorted by name:
   every predicates unit, with the inputs that the checkout's own
   `bench/workloads.py` and `bench/run.py` generate.
 
+With `--fields`, the lines are what the quality gate reads instead: for
+every certificate above, one line per stage, `name/stage s  budget ...`,
+with its budget, `pass_e`, `pass_f`, and `e_side_error`, `f_side_error`
+and `cond` to 6 significant digits, and one line with `verify`'s exit code
+and standard output; the predicates outputs are left out.  Two checkouts
+whose bytes differ on purpose are then compared with one `diff`.
+
 The program and the workload generators are imported from the checkout
 (default: the one this file is in); nothing in it is written, and the
 inputs and outputs live in a temporary directory removed at exit.  A
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -150,16 +159,34 @@ def _call(main, argv) -> tuple:
     return code, out.getvalue()
 
 
-def _construct(main, scenario: str, out_dir: str, name: str) -> dict:
+def _fields(rec: dict) -> str:
+    """A stage record's budget, pass flags, sups and cond, 6 digits."""
+    return (f"budget {rec['budget']} pass_e {rec['pass_e']} "
+            f"pass_f {rec['pass_f']} e {rec['e_side_error']:.6g} "
+            f"f {rec['f_side_error']:.6g} cond {rec['cond']:.6g}")
+
+
+def _construct(main, scenario: str, out_dir: str, name: str,
+               fields: bool) -> dict:
+    """Digests of what construct writes and of verify's exit code and
+    output, each under its name; with `fields`, the name/stage lines and
+    the verify line of --fields instead."""
     _call(main, ["construct", scenario, "--out-dir", out_dir])
-    digests = {}
-    for artifact in ARTIFACTS:
-        with open(os.path.join(out_dir, artifact), "rb") as fh:
-            digests[f"{name}/{artifact}"] = _digest(fh.read())
+    out = {}
+    if fields:
+        with open(os.path.join(out_dir, "certificate.json")) as fh:
+            for rec in json.load(fh)["stages"]:
+                out[f"{name}/stage {rec['stage']}"] = _fields(rec)
+    else:
+        for artifact in ARTIFACTS:
+            with open(os.path.join(out_dir, artifact), "rb") as fh:
+                out[f"{name}/{artifact}"] = _digest(fh.read())
     code, text = _call(main, ["verify", os.path.join(out_dir, "stream.json"),
                               os.path.join(out_dir, "certificate.json")])
-    digests[f"{name}/verify.out"] = _digest(f"exit {code}\n{text}".encode())
-    return digests
+    verified = f"exit {code}\n{text}"
+    out[f"{name}/verify.out"] = (verified.replace("\n", " ").strip()
+                                 if fields else _digest(verified.encode()))
+    return out
 
 
 def _predicates(main, work: str, tag: str, candidate: dict,
@@ -174,19 +201,20 @@ def _predicates(main, work: str, tag: str, candidate: dict,
     return _digest(_call(main, ["predicates", *paths])[1].encode())
 
 
-def digests(checkout: str, seeds, work: str) -> dict:
+def digests(checkout: str, seeds, work: str, fields: bool = False) -> dict:
     sys.path[:0] = [os.path.join(checkout, "src"),
                     os.path.join(checkout, "bench")]
     from taylorlab.cli import main
     import run
     import workloads
+    construct = functools.partial(_construct, main, fields=fields)
 
     scenarios = os.path.join(checkout, "scenarios")
     out = {}
     for name in SHIPPED:
-        out.update(_construct(main, os.path.join(scenarios, f"{name}.json"),
-                              os.path.join(work, "shipped", name),
-                              f"shipped/{name}"))
+        out.update(construct(os.path.join(scenarios, f"{name}.json"),
+                             os.path.join(work, "shipped", name),
+                             f"shipped/{name}"))
     _, demo = _call(main, ["predicates",
                            os.path.join(scenarios, "candidate_zsq.json"),
                            os.path.join(scenarios, "predicates_demo.json")])
@@ -208,7 +236,7 @@ def digests(checkout: str, seeds, work: str) -> dict:
         path = os.path.join(work, f"{name}.json")
         with open(path, "w") as fh:
             json.dump(scenario, fh)
-        out.update(_construct(main, path, os.path.join(work, name), name))
+        out.update(construct(path, os.path.join(work, name), name))
     depth, outer, step = DEEP_LADDER
     deep = workloads.ladder_scenario(depth, outer)
     for s, stage in enumerate(deep["stages"]):
@@ -216,8 +244,8 @@ def digests(checkout: str, seeds, work: str) -> dict:
     path = os.path.join(work, "deep_ladder.json")
     with open(path, "w") as fh:
         json.dump(deep, fh)
-    out.update(_construct(main, path, os.path.join(work, "deep_ladder"),
-                          "deep_ladder"))
+    out.update(construct(path, os.path.join(work, "deep_ladder"),
+                         "deep_ladder"))
     with open(os.path.join(scenarios, "alternating_three.json")) as fh:
         zeros = json.load(fh)
     for stage in zeros["stages"][:2]:
@@ -226,7 +254,7 @@ def digests(checkout: str, seeds, work: str) -> dict:
         path = os.path.join(work, f"{name}.json")
         with open(path, "w") as fh:
             json.dump(dict(zeros, mu=mu), fh)
-        out.update(_construct(main, path, os.path.join(work, name), name))
+        out.update(construct(path, os.path.join(work, name), name))
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             tag = f"{workload}/seed{seed}"
@@ -235,12 +263,14 @@ def digests(checkout: str, seeds, work: str) -> dict:
             units = workloads.construct_units(workload, seed, checkout,
                                               unit_dir)
             for unit in units:
-                out.update(_construct(main, unit.paths[0], unit.out_dir,
-                                      f"{tag}/{unit.name}"))
+                out.update(construct(unit.paths[0], unit.out_dir,
+                                     f"{tag}/{unit.name}"))
             for unit in workloads.predicate_units(workload, seed, units,
                                                   unit_dir, run._stream_poly):
                 _, text = _call(main, ["predicates", *unit.paths])
                 out[f"{tag}/{unit.name}.stdout"] = _digest(text.encode())
+    if fields:
+        return {k: v for k, v in out.items() if not k.endswith(".stdout")}
     return out
 
 
@@ -249,10 +279,13 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     parser.add_argument("--seeds", type=int, nargs="*", default=list(SEEDS))
+    parser.add_argument("--fields", action="store_true",
+                        help="print each certificate's stage fields and "
+                             "verify's output instead of digests")
     args = parser.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
     with tempfile.TemporaryDirectory() as work:
-        found = digests(checkout, args.seeds, work)
+        found = digests(checkout, args.seeds, work, args.fields)
     for name in sorted(found):
         print(f"{found[name]}  {name}")
     return 0
