@@ -450,31 +450,43 @@ def _bounds(data: dict, key: str) -> list:
     return [check_number(v, what) for v in pair]
 
 
+def _check_keys(data: dict, keys, what: str):
+    """Refuse the first key of data outside keys by name: read as nothing,
+    it would leave a default in place."""
+    unknown = sorted(data.keys() - keys)
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
 def compact_from_json(data: dict) -> PlanarCompact:
     """The compact a JSON record describes; a field that is not what its
-    type needs is refused by name (such as `rect x`)."""
+    type needs is refused by name (such as `rect x`), and so is a key
+    that its record (to_json) does not hold."""
     if not isinstance(data, dict):
         raise ValueError(f"a compact must be an object, got {data!r}")
     t = data["type"]
     if t == "disk":
-        return Disk(_point(data, "center"), _number(data, "radius"))
-    if t == "rect":
-        return Rectangle(*_bounds(data, "x"), *_bounds(data, "y"))
-    if t == "segment":
-        return Segment(_point(data, "a"), _point(data, "b"))
-    if t == "arc":
-        return Arc(_point(data, "center"), _number(data, "radius"),
-                   *_bounds(data, "angles"))
-    if t == "slit-annulus":
-        return SlitAnnulus(_point(data, "center"), *(
+        K = Disk(_point(data, "center"), _number(data, "radius"))
+    elif t == "rect":
+        K = Rectangle(*_bounds(data, "x"), *_bounds(data, "y"))
+    elif t == "segment":
+        K = Segment(_point(data, "a"), _point(data, "b"))
+    elif t == "arc":
+        K = Arc(_point(data, "center"), _number(data, "radius"),
+                *_bounds(data, "angles"))
+    elif t == "slit-annulus":
+        K = SlitAnnulus(_point(data, "center"), *(
             _number(data, key)
             for key in ("inner", "outer", "slit_angle", "half_width")))
-    if t == "union":
-        return UnionCompact([compact_from_json(p) for p in data["parts"]])
-    if t == "clipped":
-        return ClippedCompact(compact_from_json(data["base"]),
-                              _number(data, "bound"))
-    raise ValueError(f"unknown compact type {t!r}")
+    elif t == "union":
+        K = UnionCompact([compact_from_json(p) for p in data["parts"]])
+    elif t == "clipped":
+        K = ClippedCompact(compact_from_json(data["base"]),
+                           _number(data, "bound"))
+    else:
+        raise ValueError(f"unknown compact type {t!r}")
+    _check_keys(data, K.to_json().keys(), t)
+    return K
 
 
 # --------------------------------------------------------------- products
@@ -538,10 +550,11 @@ class ProductCompact:
     def from_json(cls, data: dict,
                   what: str = "product compact") -> "ProductCompact":
         """The product a JSON object describes; a value that is not an
-        object, or whose factors are not a list, is refused naming `what`
-        (the field it was read from)."""
+        object, whose factors are not a list or that holds another key is
+        refused naming `what` (the field it was read from)."""
         if not isinstance(data, dict):
             raise ValueError(f"{what} must be an object, got {data!r}")
+        _check_keys(data, {"factors", "disjoint_factor"}, what)
         if not isinstance(data["factors"], list):
             raise ValueError(f"{what} factors must be a list, got "
                              f"{data['factors']!r}")
@@ -554,10 +567,22 @@ class ProductCompact:
 # --------------------------------------------------------------- domains
 
 
+def _domain_probes(factor) -> np.ndarray:
+    """Points of an open domain factor that no outer compact may contain:
+    its center and the boundaries of its exhaustion factors 1, 3 and 6;
+    each factor's `probes`, sampled once and read-only."""
+    probes = np.concatenate([[factor.center_point()]] + [
+        factor.exhaustion_factor(p).sample_boundary(n=64) for p in (1, 3, 6)])
+    probes.flags.writeable = False
+    return probes
+
+
 @dataclass(frozen=True)
 class OpenDisk:
     center: complex
     radius: float
+
+    probes = functools.cached_property(_domain_probes)
 
     def closure(self) -> Disk:
         return Disk(self.center, self.radius)
@@ -586,6 +611,8 @@ class OpenRect:
     y0: float
     y1: float
 
+    probes = functools.cached_property(_domain_probes)
+
     def closure(self) -> Rectangle:
         return Rectangle(self.x0, self.x1, self.y0, self.y1)
 
@@ -611,14 +638,17 @@ class OpenRect:
 
 
 def domain_from_json(data: dict):
-    """The domain factor a JSON record describes, its fields read as
-    compact_from_json reads them."""
+    """The domain factor a JSON record describes, its fields and keys read
+    as compact_from_json reads them."""
     t = data["type"]
     if t == "open-disk":
-        return OpenDisk(_point(data, "center"), _number(data, "radius"))
-    if t == "open-rect":
-        return OpenRect(*_bounds(data, "x"), *_bounds(data, "y"))
-    raise ValueError(f"unknown domain type {t!r}")
+        D = OpenDisk(_point(data, "center"), _number(data, "radius"))
+    elif t == "open-rect":
+        D = OpenRect(*_bounds(data, "x"), *_bounds(data, "y"))
+    else:
+        raise ValueError(f"unknown domain type {t!r}")
+    _check_keys(data, D.to_json().keys(), t)
+    return D
 
 
 class DomainProduct:
@@ -766,13 +796,6 @@ def cofinality_index(domain: DomainProduct, K: ProductCompact,
     return m
 
 
-def domain_probes(factor) -> np.ndarray:
-    """Points of an open domain factor that no outer compact may contain:
-    its center and the boundaries of its exhaustion factors 1, 3 and 6."""
-    return np.concatenate([[factor.center_point()]] + [
-        factor.exhaustion_factor(p).sample_boundary(n=64) for p in (1, 3, 6)])
-
-
 def _first(mask):
     """The index of the first True in a bool array, None if it has none."""
     k = int(mask.argmax())
@@ -839,7 +862,7 @@ def check_outer(domain: DomainProduct, outer: ProductCompact, samples,
     """Refuse an outer compact, given with per-factor boundary samples,
     that flags no factor i0 or whose factor i0 reaches into domain factor
     i0, touches the divisor center center[i0] or contains one of the
-    domain factor's domain_probes; return i0.
+    domain factor's probes; return i0.
 
     The closure variant "infty" (seminorms on closure truncations) keeps
     outer factors off the domain closure.  The plain variant lets an outer
@@ -862,7 +885,7 @@ def check_outer(domain: DomainProduct, outer: ProductCompact, samples,
                              f"near {complex(zs[k]):.4g}")
         raise ValueError(f"the divisor center {c0:.4g} touches the outer "
                          "compact; its zero set would poison the fit")
-    probes = domain_probes(domain.factors[i0])
+    probes = domain.factors[i0].probes
     if _first(outer.factors[i0].contains(probes)) is not None:
         raise ValueError(
             f"outer factor {i0} overlaps the domain factor interior")

@@ -17,23 +17,22 @@ the pieces' samples, started from (y_i0 / rho)^e on the divisor axis (rho
 its largest sampled |y|) and from 1 on every other, with one
 re-orthogonalisation per step; it is extended only as far as the largest
 budget tried so far and stops early on an axis that runs out of distinct
-samples.  Columns are products of per-axis basis polynomials over the
-graded exponents of total degree <= budget, so budgets are nested and span
-what scaled monomials span; derivative rows come from the differentiated
-recurrence.  Sample grids are tensor products of axis samples, so each
-block of rows is a column subset of a Kronecker product of per-axis
-matrices; the dense (w, z) design is never formed.  Rows are weighted
-by tol_min / tol_p on piece p, so the solve works in units of residual
-over tolerance.  Per budget one lstsq call solves the weighted problem,
-and its singular values give the recorded condition number.  With two or
-more axes, every axis is replaced by the R of its QR and the rhs by Q^H
-times it, an orthonormal change of rows that keeps the dense problem's
-minimizer and singular values.  One axis without derivative rows runs
-its process in the weighted inner product instead, so its rows are the
-weighted design, orthonormal, and lstsq gets the K x K Gram system
-(K = degree + 1) with the square root of its singular-value ratio as the
-condition number; one axis with derivative rows is lstsq's own QR of the
-weighted rows.  Residuals are
+samples.  A process orthonormalises every derivative order the fit
+matches on its axis together, in one stacked inner product (as for
+Sobolev orthogonal polynomials), and the one on the first z axis is
+weighted by tol_min / tol_p on piece p, so the solve works in units of
+residual over tolerance.  Columns are products of per-axis basis
+polynomials over the graded exponents of total degree <= budget, so
+budgets are nested and span what scaled monomials span.  Per budget one
+lstsq call solves the weighted problem, and its singular values give the
+recorded condition number.  With one axis the process's stacked rows are
+the weighted design (the derivative family is downward closed), and
+lstsq gets their K x K Gram system (K = degree + 1).  With two or more
+axes the dense (w, z) design is never formed: sample grids are tensor
+products, so each (piece, op) block of rows is a column subset of a
+Kronecker product of per-axis matrices, each replaced by the R of its QR
+(the rhs by Q^H times it), which keeps the minimizer and the singular
+values.  Residuals are
 measured with the certificate's kernel (verify.sup_ops) on a grid twice as
 dense, and recorded, not replayed.  The result is a poly.Block: the
 Hessenberg matrices and the coefficients, never Taylor coefficients.
@@ -49,7 +48,7 @@ import numpy as np
 from .geometry import (GridSizeError, ProductCompact, check_gluing,
                        grid_density)
 from .multiindex import DiffOp
-from .poly import Axis, Block, BlockSum, graded_columns, recur_rows, start_rows
+from .poly import Axis, Block, BlockSum, graded_columns, start_rows
 from .verify import sup_ops, worst
 
 # entries of the reduced least-squares system at the top budget
@@ -108,9 +107,18 @@ class ApproxTask:
             raise ValueError("prefactor coordinate out of range")
         if e < 0:
             raise ValueError("prefactor exponent must be a natural number")
+        # downward closed, as a process stacks every order below its top:
+        # only then is a one-axis Gram system the fit's normal equations
+        listed = {DiffOp.identity(self.r + d), *self.derivative_orders}
         for op in self.derivative_orders:
             if len(op.orders) != self.r + d:
                 raise ValueError("derivative arity does not match the task")
+            for j, a in enumerate(op.orders):
+                lower = op.orders[:j] + (a - 1,) + op.orders[j + 1:]
+                if a and DiffOp(lower) not in listed:
+                    raise ValueError(
+                        "the derivative orders must be downward closed: "
+                        f"{op.orders} is listed but not {lower}")
 
     @property
     def d(self) -> int:
@@ -151,9 +159,7 @@ def check_design_size(grids, derivative_orders, top: int):
     would pass MAX_DESIGN_ENTRIES; grids are the pieces' (w grid, z grid)
     (fit_grids).  Per piece and operator (the identity and every other
     derivative order), with two or more axes every axis shrinks to its R
-    factor of min(n_j, top + 1) rows; a single axis counts its n samples,
-    the weighted basis that, without derivative rows, the K x K Gram
-    system is reduced from."""
+    factor of min(n_j, top + 1) rows; one axis counts its n samples."""
     shapes = [[len(a) for a in _axes(wg, zg)] for wg, zg in grids]
     k = len(shapes[0])
     n_ops = 1 + sum(not op.is_identity for op in derivative_orders)
@@ -196,43 +202,47 @@ def _axes(wg, zg) -> list:
 class _Arnoldi:
     """One axis's Arnoldi process on the fit samples y, extended on demand.
 
-    Row k of fit[o] holds the o-th derivative of q_k at the fit samples:
-    fit[0] is the process's own orthogonal basis, every other row comes
-    from the recurrence (recur_rows) through the Hessenberg matrix H.
-    Without a weight, the rows of fit[0] have norm sqrt(len(y)).  With one
-    (only for order 0), the process runs in the weighted inner product:
-    fit[0] holds weight * q_k, rows of norm sqrt(len(y)), and since the
-    weight commutes with multiplying by t, H, scale and norm still define
-    the unweighted q_k that a Block evaluates.
+    Row k of Q stacks weight * q_k^(o), o = 0 .. order, at the samples
+    (fit[o] views order o).  The stacked rows are orthonormal, of norm
+    sqrt(len(y)), and the next direction is t q_k differentiated o times,
+    t q_k^(o) + (o / scale) q_k^(o-1).  A weight constant on each piece
+    commutes with multiplying by t and with that recurrence
+    (poly.recur_rows), so H, scale and norm define the unweighted q_k
+    that a Block evaluates.
     """
 
-    def __init__(self, y, start: int, order: int, top: int, weight=None):
+    def __init__(self, y, start: int, order: int, top: int, weight=1.0):
+        n = len(y)
         peak = float(np.abs(y).max())
         self.scale = peak if peak > 0 else 1.0
         self.t = y / self.scale
-        q0 = self.t ** start if weight is None else weight * self.t ** start
-        self.norm = float(np.linalg.norm(q0)) / math.sqrt(len(y))
+        # the degree cannot pass the number of samples less one
+        top = min(top, n - 1)
+        self.H = np.zeros((top + 1, top), dtype=complex)
+        self.Q = np.empty((top + 1, (order + 1) * n), dtype=complex)
+        self.conj = np.empty_like(self.Q)         # Q's rows, conjugated
+        self.fit = self.Q.reshape(top + 1, order + 1, n).transpose(1, 0, 2)
+        # row 0 at norm 1 measures the stacked norm; then row 0 itself
+        start_rows(self.fit, self.t, self.scale, start, 1.0)
+        self.fit[:, 0] *= weight
+        self.norm = float(np.linalg.norm(self.Q[0])) / math.sqrt(n)
         if not self.norm > 0:
             raise ValueError("the divisor vanishes at every sample")
-        # the degree cannot pass the number of samples less one
-        top = min(top, len(y) - 1)
-        self.H = np.zeros((top + 1, top), dtype=complex)
-        self.fit = [np.empty((top + 1, len(y)), dtype=complex)
-                    for _ in range(order + 1)]
-        self.conj = np.empty_like(self.fit[0])    # fit[0]'s rows, conjugated
         start_rows(self.fit, self.t, self.scale, start, self.norm)
-        if weight is not None:
-            self.fit[0][0] *= weight
-        np.conjugate(self.fit[0][0], out=self.conj[0])
+        self.fit[:, 0] *= weight
+        np.conjugate(self.Q[0], out=self.conj[0])
+        self.tt = np.tile(self.t, order + 1) if order else self.t
+        self.step = np.arange(1, order + 1)[:, None] / self.scale
         self.degree = 0
         self.exhausted = top == 0
 
     def extend(self, budget: int):
-        Q, Qc, n = self.fit[0], self.conj, self.fit[0].shape[1]
-        k0 = self.degree
+        Q, Qc, n = self.Q, self.conj, len(self.t)
         while self.degree < budget and not self.exhausted:
             k = self.degree
-            v = self.t * Q[k]
+            v = self.tt * Q[k]
+            if len(self.step):
+                v.reshape(-1, n)[1:] += self.step * self.fit[:-1, k]
             before = np.linalg.norm(v)
             h = Qc[:k + 1] @ v / n
             v -= h @ Q[:k + 1]
@@ -248,9 +258,6 @@ class _Arnoldi:
             np.conjugate(Q[k + 1], out=Qc[k + 1])
             self.degree = k + 1
             self.exhausted = k + 1 == len(self.H) - 1
-        if len(self.fit) > 1:                  # derivative rows to extend
-            recur_rows(self.fit, self.t, self.scale, self.H, k0, self.degree,
-                       1)
 
     def axis(self, degree: int) -> Axis:
         return Axis(self.scale, self.norm, self.H[:degree + 1, :degree])
@@ -262,33 +269,29 @@ def _cond(svals) -> float:
 
 def _gram_solve(proc: _Arnoldi, degree: int, y_w, exponent: int) -> tuple:
     """Coefficients and condition number of the one-axis weighted fit
-    through `degree`: the process's rows Q are the weighted design, so
-    lstsq gets the (degree + 1)-square Gram system Q^H Q c = Q^H y_w, whose
-    singular values are the squares of the design's.  y_w comes scaled by
-    2^-exponent, exactly, so that Q^H y_w cannot overflow on a huge
+    through `degree`: the process's stacked rows Q are the weighted design,
+    so lstsq gets the Gram system Q^H Q c = Q^H y_w, whose singular values
+    are the squares of the design's.  y_w, stacked as Q is, comes scaled
+    by 2^-exponent, exactly, so that Q^H y_w cannot overflow on a huge
     target; the coefficients are scaled back, and may overflow to inf."""
-    Q, Qc = proc.fit[0][:degree + 1], proc.conj[:degree + 1]
+    Q, Qc = proc.Q[:degree + 1], proc.conj[:degree + 1]
     coefs, _, _, svals = np.linalg.lstsq(Qc @ Q.T, Qc @ y_w)
     with np.errstate(over="ignore"):
         coefs = np.ldexp(coefs.view(float), exponent).view(complex)
     return coefs, math.sqrt(_cond(svals))
 
 
-def _kron_solve(procs, spans, blocks, degs, cols, weights) -> tuple:
-    """Coefficients and condition number of the weighted fit on the graded
-    columns `cols`: per (piece, op) block, the columns of the Kronecker
-    product of the axis matrices; with two or more axes QR every one and
-    carry Q^H over to the rhs (one axis is lstsq's own QR)."""
+def _kron_solve(procs, spans, blocks, degs, cols) -> tuple:
+    """Coefficients and condition number of the fit with two or more axes
+    on the graded columns `cols`: per (piece, op) block, the columns of the
+    Kronecker product of the axis matrices, every one replaced by the R of
+    its QR and the rhs by Q^H times it."""
     rows, rhs = [], []
     for p, op, y in blocks:
         M = None
         for j, (proc, (lo, hi)) in enumerate(zip(procs, spans[p])):
-            V = proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T
-            if len(procs) > 1:
-                q, V = np.linalg.qr(V)
-                y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
-            if j == 0:
-                V = V * weights[p]
+            q, V = np.linalg.qr(proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T)
+            y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
             F = V[:, cols[:, j]]
             M = F if M is None else (M[:, None] * F).reshape(-1, len(cols))
         rows.append(M)
@@ -317,24 +320,17 @@ def fit(task: ApproxTask) -> FitResult:
     targets = [gt if isinstance(gt, BlockSum) else BlockSum(gt, [])
                for _, gt in task.pieces]
     i0, e = task.prefactor
-    ops = [DiffOp.identity(k)] + [op for op in task.derivative_orders
-                                  if not op.is_identity]
+    ops = sorted({DiffOp.identity(k), *task.derivative_orders},
+                 key=lambda op: op.orders)
     top = task.budgets[-1]
     check_design_size(grids, task.derivative_orders, top)
     shapes = [[len(a) for a in ax] for ax in axes]
     tols = task.tolerance
-    # weighted least squares: a piece with a tighter tolerance gets
-    # proportionally heavier rows, so the solver works in units of
-    # residual-over-tolerance (measurement below stays unweighted)
-    tol_min = min(tols)
-    # one axis and no derivative rows: the process itself runs in the
-    # weighted inner product, started from sqrt(w) t^e, sqrt(w) = tol_min /
-    # tol_p on piece p's samples; weighting commutes with multiplying by t,
-    # so its H, scale and norm still define the unweighted basis
-    gram = k == 1 and len(ops) == 1
-    weight = (np.concatenate([np.full(len(ax[0]), tol_min / tol)
-                              for ax, tol in zip(axes, tols)])
-              if gram else None)
+    # weighted least squares in units of residual over tolerance: the
+    # first z axis's process starts from sqrt(w) t^e, sqrt(w) = tol_min /
+    # tol_p on piece p (measurement below stays unweighted)
+    sqrt_w = [min(tols) / tol for tol in tols]
+    weight = np.repeat(sqrt_w, [len(ax[r]) for ax in axes])
 
     # one process per axis on the union of the pieces' samples (the pieces
     # share the w grid), in y = x - center; piece p owns the slice
@@ -348,20 +344,21 @@ def fit(task: ApproxTask) -> FitResult:
             lo += len(ax[j]) if j >= r else 0
         union = np.concatenate([ax[j] for ax in (axes if j >= r else axes[:1])])
         procs.append(_Arnoldi(union - shift[j], e if j == r + i0 else 0,
-                              max(op.orders[j] for op in ops), top, weight))
+                              max(op.orders[j] for op in ops), top,
+                              weight if j == r else 1.0))
 
-    blocks = []                       # (piece, op, weighted rhs)
-    for p, ((wg, zg), gt, tol) in enumerate(zip(grids, targets, tols)):
-        for op in ops:
+    blocks = []                       # (piece, op, weighted rhs), by op
+    for op in ops:
+        for p, ((wg, zg), gt, w) in enumerate(zip(grids, targets, sqrt_w)):
             # far outside its blocks' samples their recurrences overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 y = gt.diff(op).eval_product(wg, zg).reshape(shapes[p])
             if not np.isfinite(y).all():
                 raise ValueError(f"piece {p}: the target is not finite on "
                                  "its fit samples")
-            blocks.append((p, op, y * (tol_min / tol)))
+            blocks.append((p, op, y * w))
 
-    if gram:                          # the weighted rhs, in union order
+    if k == 1:                        # the weighted rhs, stacked as Q is
         y_w = np.concatenate([y for _, _, y in blocks])
         exponent = math.frexp(np.abs(y_w.view(float)).max())[1]
         y_w = np.ldexp(y_w.view(float), -exponent).view(complex)
@@ -370,12 +367,11 @@ def fit(task: ApproxTask) -> FitResult:
         for proc in procs:
             proc.extend(budget)
         degs = [min(budget, proc.degree) for proc in procs]
-        if gram:
+        if k == 1:
             coefs, cond = _gram_solve(procs[0], degs[0], y_w, exponent)
         else:
             coefs, cond = _kron_solve(procs, spans, blocks, degs,
-                                      graded_columns(degs, budget),
-                                      [tol_min / tol for tol in tols])
+                                      graded_columns(degs, budget))
         block = Block(r, task.center, (i0, e), budget,
                       [proc.axis(g) for proc, g in zip(procs, degs)], coefs)
         # a non-finite coefficient scores inf or NaN here and is the

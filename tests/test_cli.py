@@ -953,6 +953,14 @@ REFUSALS = [
      "scenario rejected: unknown scenario key 'varient'"),
     ("scenario", ("stages", 0, "budget"), [10], 2,
      "scenario rejected: stage 1: unknown key 'budget'"),
+    # and so would a stray key in a compact, a product or a domain factor:
+    # the certificate's inner disk would verify as the radius it had
+    ("scenario", ("stages", 0, "outer", "radus"), 0.3, 2,
+     "scenario rejected: stage 1: unknown disk key 'radus'"),
+    ("scenario", ("domain", 0, "closed"), True, 2,
+     "scenario rejected: unknown open-disk key 'closed'"),
+    ("certificate", ("stages", 0, "inner", "radius"), 1.5, 2,
+     "artifact rejected: unknown inner key 'radius'"),
     # a flagged factor is an integer: true is not factor 1, nor 0.0 factor 0
     *[("scenario", ("stages", 0, "outer"), {"factors": [
         {"type": "disk", "center": [2.0, 0.0], "radius": 0.25}],
@@ -1280,6 +1288,102 @@ def test_too_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys,
     stdout, stderr = capsys.readouterr()
     assert stdout == ""
     assert stderr == f"{path}: JSON nested too deeply to read\n"
+
+
+# what verify only records (README, "It only records these"): header
+# fields by their path, record fields by their path in the record;
+# header.w_compact only when r = 0, header.l only under the plain variant
+RECORDED_ONLY = ("header.name", "header.w_compact", "header.l",
+                 "header.w_compact.disjoint_factor", "inner.disjoint_factor",
+                 "cond", "converged", "fit_residual_inner",
+                 "fit_residual_outer", "fit_tolerance_inner",
+                 "fit_tolerance_outer")
+
+
+def _leaves(doc, path=()):
+    """The (path, value) of every scalar in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, doc
+
+
+def _changed(value):
+    """Another value of the same JSON type: a float moves and changes
+    sign (a tolerance tightens), 0.0 becomes 0.5, null becomes 0."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return -2 * value if value else 0.5
+    return 0 if value is None else value + "x"
+
+
+def _recorded_only(path, header) -> bool:
+    name = ".".join(map(str, path if path[0] == "header" else path[2:]))
+    if name == "header.w_compact":
+        return header["r"] == 0
+    if name == "header.l":
+        return header["variant"] == "plain"
+    return name in RECORDED_ONLY
+
+
+def _measured(doc) -> list:
+    return [[rec[k] for k in verify.STAGE_MEASURED]
+            for rec in doc["stages"]] + [doc["summary"]]
+
+
+def test_readme_lists_what_verify_only_records():
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("It only records these")[1].split("\n\n")[1]
+    heads = [re.split(r":\s", item)[0] for item in section.split("\n- ")]
+    assert [name for head in heads
+            for name in re.findall(r"`([^`]+)`", head)] == list(RECORDED_ONLY)
+
+
+@pytest.mark.parametrize("name", ["seleznev", "strong", "parameterized"])
+def test_a_forged_certificate_does_not_verify(tmp_path, capsys, name):
+    # a forger changes one leaf of the header or a record, re-derives the
+    # measured fields and the summary as construct would, and re-hashes
+    # (so a measured field, the summary or the hash forges nothing).
+    # verify passes it with its measurements unchanged exactly when it
+    # only records that leaf; a changed input that verify measures anew
+    # and that still passes (a w compact moved, on which w z is still
+    # fitted exactly) is a true certificate of other inputs
+    out = str(tmp_path / "out")
+    assert main(["construct", os.path.join(SCEN, f"{name}.json"),
+                 "--out-dir", out]) == 0
+    paths = [os.path.join(out, f) for f in ("stream.json",
+                                            "certificate.json")]
+    with open(paths[0]) as fh:
+        stream = CoefficientStream.from_json(json.load(fh))
+    with open(paths[1]) as fh:
+        original = json.load(fh)
+    inputs = [(path, value) for path, value in _leaves(
+        {k: original[k] for k in ("header", "stages")})
+        if path[0] == "header" or path[2] not in verify.STAGE_MEASURED]
+    only_recorded = []
+    for path, value in inputs:
+        doc = _edit(copy.deepcopy(original), path, _changed(value))
+        try:
+            doc["summary"] = verify.certify_stages(
+                stream, doc["header"], doc["stages"],
+                doc["summary"]["aborted"])
+        except universal.REFUSED:
+            pass                       # verify refuses it too
+        doc["sha256"] = Certificate(doc["header"], doc["stages"],
+                                    doc["summary"]).sha256
+        write_json(paths[1], doc)
+        if (main(["verify", *paths]) == 0
+                and _measured(doc) == _measured(original)):
+            only_recorded.append(path)
+        capsys.readouterr()
+    assert only_recorded == [path for path, _ in inputs
+                             if _recorded_only(path, original["header"])]
 
 
 def _old_stream_is_refused(tmp_path, capsys, artifacts, layout):

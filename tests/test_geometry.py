@@ -22,6 +22,7 @@ from taylorlab.geometry import (
     SlitAnnulus,
     UnionCompact,
     center_grid,
+    check_outer,
     cofinality_index,
     compact_from_json,
     complement_escape,
@@ -393,6 +394,46 @@ def test_domain_json_roundtrip():
 
 
 # ------------------------------------------------------- outer compacts
+
+
+def test_two_checks_on_one_domain_sample_its_probes_once(monkeypatch):
+    sampled = []
+
+    def counted(self, n, _sample=Disk.sample_boundary):
+        sampled.append(n)
+        return _sample(self, n)
+    monkeypatch.setattr(Disk, "sample_boundary", counted)
+    domain = DomainProduct([OpenDisk(0j, 1.0)])
+    for outer in (Disk(2.0, 0.25), Disk(-2.5, 0.5)):
+        K = ProductCompact([outer], disjoint_factor=0)
+        assert check_outer(domain, K, [outer.sample_boundary(64)], "plain",
+                           (0j,)) == 0
+    # two outer samples, and the domain factor's three probe boundaries
+    assert sampled == [64] * 5
+    probes = domain.factors[0].probes
+    assert probes is domain.factors[0].probes
+    assert not probes.flags.writeable
+    # a factor equal to it holds probes of its own, equal in value
+    other = OpenDisk(0j, 1.0)
+    assert other == domain.factors[0]
+    np.testing.assert_array_equal(other.probes, probes)
+    assert sampled == [64] * 8
+
+
+@pytest.mark.parametrize("read, data, message", [
+    (compact_from_json, {"type": "disk", "center": [0, 0], "radius": 1,
+                         "radus": 2}, "unknown disk key 'radus'"),
+    (compact_from_json, {"type": "union", "parts": [
+        {"type": "rect", "x": [0, 1], "y": [0, 1], "z": [0, 1]}]},
+     "unknown rect key 'z'"),
+    (domain_from_json, {"type": "open-disk", "center": [0, 0], "radius": 1,
+                        "closed": True}, "unknown open-disk key 'closed'"),
+    (ProductCompact.from_json, {"factors": [
+        {"type": "disk", "center": [0, 0], "radius": 1}], "radius": 1.5},
+     "unknown product compact key 'radius'")])
+def test_records_refuse_unknown_keys(read, data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(data)
 
 
 def test_outer_compact_ring_example():

@@ -151,8 +151,9 @@ def test_plan_draws_each_stage_factor_once_at_128_points(monkeypatch):
     monkeypatch.setattr(Disk, "sample_boundary", counted)
     with open(os.path.join(SCEN, "alternating_three.json")) as fh:
         plan_from_scenario(json.load(fh))
-    # per stage: 2 factors at 128 and at 200, 3 domain probes at 64
-    assert (sizes[128], sizes[200], sizes[64]) == (6, 6, 9)
+    # per stage: 2 factors at 128 and at 200; the domain's probes, 3
+    # boundaries at 64, once for all stages
+    assert (sizes[128], sizes[200], sizes[64]) == (6, 6, 3)
 
 
 def test_outer_touching_boundary_needs_open_variant():

@@ -22,6 +22,17 @@ One line per artifact, `sha256  name`, sorted by name:
   measured on more grids than a block keeps rows for (`poly.ROWS_KEPT`),
   so its row caches evict, which no shipped scenario or benchmark unit
   does;
+- the same four digests of two derivative fits at depth: the strong
+  variant (l = 2) on the checkout's `ladder_scenario(8, 2.5j)` at
+  tolerance 0.05, and a six-stage strong-w ladder extending its
+  `strong_param_scenario(2.5j)` (r = 1, l = 1, targets +wz and -wz
+  alternating, budgets to 32), whose pieces carry unequal fit
+  tolerances; both with inner radii min(0.5 + 0.05 (s + 1), 0.95);
+- the same four digests of a six-stage bidisk ladder extending the
+  checkout's `bidisk_scenario(2.5j)` (d = 2, targets +1 and -1
+  alternating, inner radii 0.5 + 0.05 s on both factors, budgets to 40):
+  a fit of two z axes without derivative rows whose pieces carry unequal
+  fit tolerances from stage 2 on;
 - the same four digests of `alternating_three` with zero targets at
   stages 1 and 2, under `mu:all` (lambda = 0, 1, 42: a zero block has no
   degree box, so lambda's floor is one past the previous lambda) and
@@ -100,6 +111,12 @@ HANDWRITTEN = {"r": 0, "d": 1, "terms": [
 # radii 0.5 + step (s + 1) (at the ladder's own 0.05, stage 10's inner disk
 # would reach the unit circle)
 DEEP_LADDER = (18, 2.5j, 0.025)
+# the derivative ladders: (depth, outer disk center, l, tolerance) of the
+# strong one and (depth, outer disk center, budgets) of the strong-w one
+STRONG_LADDER = (8, 2.5j, 2, 0.05)
+STRONG_W_LADDER = (6, 2.5j, [8, 12, 16, 20, 24, 32])
+# the bidisk ladder: depth, outer disk center, budgets
+BIDISK_LADDER = (6, 2.5j, [8, 12, 16, 20, 24, 32, 40])
 # alternating_three with zero targets at stages 1 and 2, by name and mu
 ZERO_TARGETS = (("zero_targets", "mu:all"),
                 ("zero_targets_abort", "mu:list:0"))
@@ -141,6 +158,42 @@ OPEN_RECT_SPECS = {"domain": [OPEN_RECT], "specs": [
     {"predicate": "F", "p": 1, "s": 10, "n": 2, "variant": "infty", "l": 1},
     {"predicate": "E", "m": 1, "j": 5, "s": 10, "n": 3, "variant": "infty",
      "l": 1}]}
+
+
+def _inner_radius(s: int) -> float:
+    return min(0.5 + 0.05 * (s + 1), 0.95)
+
+
+def _ladders(workloads) -> dict:
+    """name -> scenario of the two derivative ladders and the bidisk
+    ladder."""
+    depth, outer, l, tol = STRONG_LADDER
+    strong = dict(workloads.ladder_scenario(depth, outer), variant="strong",
+                  l=l)
+    for s, stage in enumerate(strong["stages"]):
+        stage["inner"]["radius"] = _inner_radius(s)
+        stage["tolerance"] = tol
+    depth, outer, budgets = STRONG_W_LADDER
+    strong_w = workloads.strong_param_scenario(outer)
+    (first,) = strong_w["stages"]
+    wz = first["target"]
+    strong_w["stages"] = [dict(
+        first, budgets=budgets,
+        target=dict(wz, terms=[dict(term, re=(-1.0) ** s * term["re"])
+                               for term in wz["terms"]]),
+        inner=dict(first["inner"], radius=_inner_radius(s)))
+        for s in range(depth)]
+    depth, outer, budgets = BIDISK_LADDER
+    bidisk = workloads.bidisk_scenario(outer)
+    pair = bidisk["stages"]
+    bidisk["stages"] = [dict(
+        pair[s % 2], budgets=budgets,
+        inner=dict(pair[0]["inner"], factors=[
+            dict(f, radius=0.5 + 0.05 * s)
+            for f in pair[0]["inner"]["factors"]]))
+        for s in range(depth)]
+    return {"strong_ladder": strong, "strong_w_ladder": strong_w,
+            "bidisk_ladder": bidisk}
 
 
 def _digest(data: bytes) -> str:
@@ -246,6 +299,11 @@ def digests(checkout: str, seeds, work: str, fields: bool = False) -> dict:
         json.dump(deep, fh)
     out.update(construct(path, os.path.join(work, "deep_ladder"),
                          "deep_ladder"))
+    for name, scenario in _ladders(workloads).items():
+        path = os.path.join(work, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(scenario, fh)
+        out.update(construct(path, os.path.join(work, name), name))
     with open(os.path.join(scenarios, "alternating_three.json")) as fh:
         zeros = json.load(fh)
     for stage in zeros["stages"][:2]:
