@@ -450,7 +450,7 @@ def _bounds(data: dict, key: str) -> list:
     return [check_number(v, what) for v in pair]
 
 
-def _check_keys(data: dict, keys, what: str):
+def check_keys(data: dict, keys, what: str):
     """Refuse the first key of data outside keys by name: read as nothing,
     it would leave a default in place."""
     unknown = sorted(data.keys() - keys)
@@ -485,7 +485,7 @@ def compact_from_json(data: dict) -> PlanarCompact:
                            _number(data, "bound"))
     else:
         raise ValueError(f"unknown compact type {t!r}")
-    _check_keys(data, K.to_json().keys(), t)
+    check_keys(data, K.to_json().keys(), t)
     return K
 
 
@@ -554,7 +554,7 @@ class ProductCompact:
         refused naming `what` (the field it was read from)."""
         if not isinstance(data, dict):
             raise ValueError(f"{what} must be an object, got {data!r}")
-        _check_keys(data, {"factors", "disjoint_factor"}, what)
+        check_keys(data, {"factors", "disjoint_factor"}, what)
         if not isinstance(data["factors"], list):
             raise ValueError(f"{what} factors must be a list, got "
                              f"{data['factors']!r}")
@@ -647,7 +647,7 @@ def domain_from_json(data: dict):
         D = OpenRect(*_bounds(data, "x"), *_bounds(data, "y"))
     else:
         raise ValueError(f"unknown domain type {t!r}")
-    _check_keys(data, D.to_json().keys(), t)
+    check_keys(data, D.to_json().keys(), t)
     return D
 
 
@@ -855,6 +855,14 @@ def check_stage_geometry(domain: DomainProduct, outer: ProductCompact,
     check_inner(domain, samples[1], variant)
     check_gluing([inner.factors[i0], outer.factors[i0]],
                  [samples[1][i0], samples[0][i0]], i0)
+
+
+def check_unflagged(K: ProductCompact, what: str):
+    """Refuse a flagged factor on a compact that is not an outer one: only
+    an outer compact's disjoint_factor is read."""
+    if K.disjoint_factor is not None:
+        raise ValueError("only an outer compact flags a disjoint factor, got "
+                         f"{what} disjoint_factor {K.disjoint_factor!r}")
 
 
 def check_outer(domain: DomainProduct, outer: ProductCompact, samples,

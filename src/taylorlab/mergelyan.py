@@ -32,10 +32,14 @@ axes the dense (w, z) design is never formed: sample grids are tensor
 products, so each (piece, op) block of rows is a column subset of a
 Kronecker product of per-axis matrices, each replaced by the R of its QR
 (the rhs by Q^H times it), which keeps the minimizer and the singular
-values.  Residuals are
-measured with the certificate's kernel (verify.sup_ops) on a grid twice as
-dense, and recorded, not replayed.  The result is a poly.Block: the
-Hessenberg matrices and the coefficients, never Taylor coefficients.
+values.  The R factors are triangular, so of their product only the rows
+(a_0 .. a_k-1) with sum a <= budget can be nonzero on the graded
+columns, and only those are formed, a share that falls to 1/k! of the
+box as the budget grows; the design bound (check_design_size) counts
+the same rows.  Residuals are measured with the certificate's kernel
+(verify.sup_ops) on a grid twice as dense, and recorded, not replayed.
+The result is a poly.Block: the Hessenberg matrices and the
+coefficients, never Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -158,14 +162,22 @@ def check_design_size(grids, derivative_orders, top: int):
     """Refuse a fit whose reduced least-squares system at the top budget
     would pass MAX_DESIGN_ENTRIES; grids are the pieces' (w grid, z grid)
     (fit_grids).  Per piece and operator (the identity and every other
-    derivative order), with two or more axes every axis shrinks to its R
-    factor of min(n_j, top + 1) rows; one axis counts its n samples."""
+    derivative order), one axis counts its n samples; with two or more
+    axes every axis shrinks to its R factor of min(n_j, top + 1) rows, and
+    of their Kronecker product _kron_solve keeps the rows (a_0 .. a_k-1)
+    with sum a <= top, graded_columns of the R shape."""
     shapes = [[len(a) for a in _axes(wg, zg)] for wg, zg in grids]
     k = len(shapes[0])
     n_ops = 1 + sum(not op.is_identity for op in derivative_orders)
-    reduced_rows = sum(math.prod(min(n, top + 1) if k > 1 else n
-                                 for n in shape) for shape in shapes)
-    if n_ops * reduced_rows * math.comb(top + k, k) > MAX_DESIGN_ENTRIES:
+    n_cols = math.comb(top + k, k)
+    # every piece keeps at least its row 0, so a design too wide for that
+    # is refused before its rows are listed
+    rows = len(shapes)
+    if n_ops * rows * n_cols <= MAX_DESIGN_ENTRIES:
+        rows = sum(len(graded_columns([min(n, top + 1) - 1 for n in shape],
+                                      top)) if k > 1 else shape[0]
+                   for shape in shapes)
+    if n_ops * rows * n_cols > MAX_DESIGN_ENTRIES:
         raise GridSizeError("design matrix would be too large; lower the "
                             "budget or the sampling density")
 
@@ -281,21 +293,29 @@ def _gram_solve(proc: _Arnoldi, degree: int, y_w, exponent: int) -> tuple:
     return coefs, math.sqrt(_cond(svals))
 
 
-def _kron_solve(procs, spans, blocks, degs, cols) -> tuple:
+def _kron_solve(procs, spans, blocks, degs, budget: int) -> tuple:
     """Coefficients and condition number of the fit with two or more axes
-    on the graded columns `cols`: per (piece, op) block, the columns of the
-    Kronecker product of the axis matrices, every one replaced by the R of
-    its QR and the rhs by Q^H times it."""
+    on the graded columns of `budget`: per (piece, op) block, the columns
+    of the Kronecker product of the axis matrices, every one replaced by
+    the R of its QR and the rhs by Q^H times it.  Each R is upper
+    triangular or trapezoidal, so the product's row (a_0 .. a_k-1) vanishes
+    on every graded column unless sum a <= budget: only those rows are
+    formed, with the rhs entries they match, which keeps the minimizer and
+    the singular values."""
+    cols = graded_columns(degs, budget)
     rows, rhs = [], []
     for p, op, y in blocks:
-        M = None
+        Rs = []
         for j, (proc, (lo, hi)) in enumerate(zip(procs, spans[p])):
-            q, V = np.linalg.qr(proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T)
+            q, R = np.linalg.qr(proc.fit[op.orders[j]][:degs[j] + 1, lo:hi].T)
             y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
-            F = V[:, cols[:, j]]
-            M = F if M is None else (M[:, None] * F).reshape(-1, len(cols))
+            Rs.append(R[:, cols[:, j]])
+        kept = graded_columns([len(R) - 1 for R in Rs], budget)
+        M = Rs[0][kept[:, 0]]
+        for R, a in zip(Rs[1:], kept.T[1:]):
+            M *= R[a]
         rows.append(M)
-        rhs.append(y.reshape(-1))
+        rhs.append(y[tuple(kept.T)])
     coefs, _, _, svals = np.linalg.lstsq(np.concatenate(rows),
                                          np.concatenate(rhs))
     return coefs, _cond(svals)
@@ -370,8 +390,7 @@ def fit(task: ApproxTask) -> FitResult:
         if k == 1:
             coefs, cond = _gram_solve(procs[0], degs[0], y_w, exponent)
         else:
-            coefs, cond = _kron_solve(procs, spans, blocks, degs,
-                                      graded_columns(degs, budget))
+            coefs, cond = _kron_solve(procs, spans, blocks, degs, budget)
         block = Block(r, task.center, (i0, e), budget,
                       [proc.axis(g) for proc, g in zip(procs, degs)], coefs)
         # a non-finite coefficient scores inf or NaN here and is the

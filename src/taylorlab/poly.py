@@ -619,11 +619,15 @@ def graded_columns(degrees, budget: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _graded_columns(degrees: tuple, budget: int) -> np.ndarray:
-    box = np.indices([min(m, budget) + 1 for m in degrees]).reshape(
-        len(degrees), -1).T
-    total = box.sum(axis=1)
-    order = np.argsort(total, kind="stable")
-    return _read_only(box[order[total[order] <= budget]])
+    # lexicographic, one axis at a time, each prefix extended only as far
+    # as its room under the budget: the work is the output's, never the
+    # box's; then a stable sort by total degree
+    out = np.zeros((1, 0), dtype=np.intp)
+    for m in degrees:
+        reps = np.minimum(budget - out.sum(axis=1), m) + 1
+        tail = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        out = np.column_stack([np.repeat(out, reps, axis=0), tail])
+    return _read_only(out[np.argsort(out.sum(axis=1), kind="stable")])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,9 @@ import numpy as np
 from .geometry import (
     DomainProduct,
     ProductCompact,
+    check_keys,
     check_stage_geometry,
+    check_unflagged,
     compact_from_json,
     enumerate_Tm,
     exhaustion_M,
@@ -95,6 +97,7 @@ class StageRequest:
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise ValueError("the tolerance must be positive and finite")
         check_budgets(self.budgets)
+        check_unflagged(self.inner, "inner")
         # the fit would quietly produce garbage on geometry that breaks the
         # sampled checks, and on samples that float64 rounding collapses
         check_stage_geometry(domain, self.outer, self.inner, variant, center)
@@ -153,6 +156,7 @@ def plan_stages(domain, requests, enum=None, mu=None, center=None, r=0,
     if not requests:
         raise ValueError("a plan needs at least one stage")
     if w_compact is not None:
+        check_unflagged(w_compact, "w_compact")
         factor_samples(w_compact, "w_compact")
     for idx, req in enumerate(requests, start=1):
         with naming_stage(idx):
@@ -333,8 +337,10 @@ def _scenario_compact(spec, domain: DomainProduct, variant: str,
     record, or a bare planar compact for one-dimensional domains."""
     closure = variant == "infty"
     if isinstance(spec, dict) and spec.get("family") == "tm":
+        check_keys(spec, {"family", "m"}, "tm")
         return enumerate_Tm(domain, check_int(spec["m"], "m"), closure)
     if isinstance(spec, dict) and spec.get("family") == "mp":
+        check_keys(spec, {"family", "p"}, "mp")
         return exhaustion_M(domain, check_int(spec["p"], "p"), closure)
     if isinstance(spec, dict) and "factors" in spec:
         K = ProductCompact.from_json(spec, "outer" if outer else "inner")

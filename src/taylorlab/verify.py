@@ -33,6 +33,7 @@ from .geometry import (
     center_grid,
     check_inner,
     check_outer,
+    check_unflagged,
     enumerate_Tm,
     exhaustion_M,
     grid_density,
@@ -125,11 +126,14 @@ def variant_ops(variant: str, r: int, d: int, l: int):
 
     strong takes the order-l family on both sides, infty on the F-side
     only, plain on neither; l = 0 means no derivatives either way.  A
-    variant outside VARIANTS, and a family past MAX_FAMILY_OPS, are
-    refused before anything is measured.
+    variant outside VARIANTS, a plain one with l > 0, and a family past
+    MAX_FAMILY_OPS, are refused before anything is measured.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if variant == "plain" and l > 0:
+        raise ValueError("the plain variant matches no derivatives, so l "
+                         f"must be 0, got {l}")
     if variant == "plain" or l <= 0:
         return [], []
     if math.comb(l + r + d, r + d) > MAX_FAMILY_OPS:
@@ -195,6 +199,8 @@ def _compact(data, what: str, name: str, arity: int) -> ProductCompact:
     K = ProductCompact.from_json(data, what)
     if K.dim != arity:
         raise ValueError(f"{what} has {K.dim} factors, {name} = {arity}")
+    if what != "outer":
+        check_unflagged(K, what)
     return K
 
 

@@ -7,6 +7,7 @@ import copy
 import json
 import os
 import re
+import runpy
 import time
 import tracemalloc
 import warnings
@@ -961,6 +962,28 @@ REFUSALS = [
      "scenario rejected: unknown open-disk key 'closed'"),
     ("certificate", ("stages", 0, "inner", "radius"), 1.5, 2,
      "artifact rejected: unknown inner key 'radius'"),
+    # and a stray key in the family shorthand: the radius would be ignored
+    ("scenario", ("stages", 0, "inner"), {"family": "mp", "p": 1,
+                                          "radius": 0.9}, 2,
+     "scenario rejected: stage 1: unknown mp key 'radius'"),
+    ("scenario", ("stages", 0, "outer"), {"family": "tm", "m": 1, "p": 1}, 2,
+     "scenario rejected: stage 1: unknown tm key 'p'"),
+    # what verify would not read is refused on both sides: l under the
+    # plain variant, and a flag on a compact that is not outer
+    ("scenario", ("l",), 1, 2, "scenario rejected: the plain variant "
+     "matches no derivatives, so l must be 0, got 1"),
+    ("certificate", ("header", "l"), 1, 2, "artifact rejected: the plain "
+     "variant matches no derivatives, so l must be 0, got 1"),
+    ("scenario", ("stages", 0, "inner"), {"factors": [
+        {"type": "disk", "center": [0.0, 0.0], "radius": 0.5}],
+        "disjoint_factor": 0}, 2, "scenario rejected: stage 1: only an "
+     "outer compact flags a disjoint factor, got inner disjoint_factor 0"),
+    ("certificate", ("stages", 0, "inner", "disjoint_factor"), 0, 2,
+     "artifact rejected: only an outer compact flags a disjoint factor, "
+     "got inner disjoint_factor 0"),
+    ("parameterized", ("w_compact", "disjoint_factor"), 0, 2,
+     "scenario rejected: only an outer compact flags a disjoint factor, "
+     "got w_compact disjoint_factor 0"),
     # a flagged factor is an integer: true is not factor 1, nor 0.0 factor 0
     *[("scenario", ("stages", 0, "outer"), {"factors": [
         {"type": "disk", "center": [2.0, 0.0], "radius": 0.25}],
@@ -1292,12 +1315,10 @@ def test_too_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys,
 
 # what verify only records (README, "It only records these"): header
 # fields by their path, record fields by their path in the record;
-# header.w_compact only when r = 0, header.l only under the plain variant
-RECORDED_ONLY = ("header.name", "header.w_compact", "header.l",
-                 "header.w_compact.disjoint_factor", "inner.disjoint_factor",
-                 "cond", "converged", "fit_residual_inner",
-                 "fit_residual_outer", "fit_tolerance_inner",
-                 "fit_tolerance_outer")
+# header.w_compact only when r = 0
+RECORDED_ONLY = ("header.name", "header.w_compact", "cond", "converged",
+                 "fit_residual_inner", "fit_residual_outer",
+                 "fit_tolerance_inner", "fit_tolerance_outer")
 
 
 def _leaves(doc, path=()):
@@ -1326,8 +1347,6 @@ def _recorded_only(path, header) -> bool:
     name = ".".join(map(str, path if path[0] == "header" else path[2:]))
     if name == "header.w_compact":
         return header["r"] == 0
-    if name == "header.l":
-        return header["variant"] == "plain"
     return name in RECORDED_ONLY
 
 
@@ -1516,8 +1535,8 @@ def _oversized(name, path, value):
         target={"r": 0, "d": 1, "terms": [
             {"w_exp": [], "z_exp": [300], "re": 1.0, "im": 0.0}]})),
      "stage 1: piece 1: the target is not finite"),
-    # 2 pieces x 6 derivative rows x 96 x 61 reduced rows x 1891 columns
-    # (1.3e8 entries), where one piece's dense (w, z) design has 1.7e7
+    # 2 pieces x 6 operators x 1891 kept rows x 1891 columns (4.3e7
+    # entries), where one piece's dense (w, z) design has 1.7e7
     (_bidisk("strong-bidisk", 0.5, variant="strong", l=2),
      "design matrix would be too large"),
     # w^2000 + z^500: each w-exponent's z-part spans at most 501 dense
@@ -1552,6 +1571,34 @@ def test_oversized_input_is_refused_before_it_allocates(tmp_path, capfd, doc,
     assert reason in stderr
     assert stderr.count("\n") == 1
     assert not caught
+
+
+# the benchmark's input generators
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                         "workloads.py")
+
+
+@pytest.mark.parametrize("top", [56, 62])
+def test_bidisk_design_cap_counts_the_kept_rows(tmp_path, capfd, top):
+    # the cap counts the Kronecker rows the solve keeps (sum a <= budget):
+    # at default densities the bidisk's top budget may reach 61 (51 when
+    # every row of the R factors' product counted)
+    doc = runpy.run_path(WORKLOADS)["bidisk_scenario"](2.5j)
+    for stage in doc["stages"]:
+        stage["budgets"] = [8, 12, 16, 20, 24, top]
+    code, stdout, stderr = _run_construct(capfd, tmp_path, doc)
+    if top > 61:
+        assert (code, stdout) == (2, "")
+        assert stderr == ("scenario rejected: stage 1: design matrix would "
+                          "be too large; lower the budget or the sampling "
+                          "density\n")
+        return
+    assert code == 0, stderr
+    out = tmp_path / "out"
+    with open(out / "certificate.json") as fh:
+        assert [rec["budget"] for rec in json.load(fh)["stages"]] == [12, 8]
+    assert main(["verify", str(out / "stream.json"),
+                 str(out / "certificate.json")]) == 0
 
 
 HOLED = {"type": "union", "parts": [

@@ -1,6 +1,7 @@
 """Gluing-fit tests: exact reproduction, the two-disk indicator demo,
 divisor constraints and derivative matching."""
 
+import itertools
 import json
 import math
 import os
@@ -240,9 +241,10 @@ def test_task_refuses_bad_tolerances_and_budgets(kw, message):
 def test_design_size_guard():
     zero2 = Poly.zero(0, 2)
     K = ProductCompact([Disk(0.0, 1.0), Disk(0.0, 1.0)])
-    # 300 samples per factor shrink to 65 rows each at budget 64:
-    # 65^2 rows x 2145 columns = 9.06e6 entries
-    task = ApproxTask([(K, zero2)], [64], tolerance=1e-3, n_per_factor=300)
+    # 300 samples per factor shrink to 81 rows each at budget 80, and the
+    # 3321 rows (a_0, a_1) with a_0 + a_1 <= 80 are kept: 3321 rows x 3321
+    # columns = 1.10e7 entries
+    task = ApproxTask([(K, zero2)], [80], tolerance=1e-3, n_per_factor=300)
     with pytest.raises(GridSizeError):
         fit(task)
 
@@ -551,9 +553,11 @@ def test_every_axis_shrinks_to_its_r_factor(make_task, monkeypatch):
                for wg, zg in _fit_grids(task)]
     for budget, shape in zip(task.budgets, shapes):
         degs = [min(budget, proc.degree) for proc in procs]
-        # each (piece, op) block: prod_j min(n_j, deg_j + 1) rows
-        rows = sum(math.prod(min(n, g + 1) for n, g in zip(ns, degs))
-                   for ns in samples)
+        # each (piece, op) block: the index tuples a of the box of R rows,
+        # a_j < min(n_j, deg_j + 1), with sum a <= budget
+        rows = sum(sum(sum(a) <= budget for a in itertools.product(
+            *(range(min(n, g + 1)) for n, g in zip(ns, degs))))
+            for ns in samples)
         assert shape == (ops * rows, len(graded_columns(degs, budget)))
     # at the top budget the design guard counts exactly what lstsq got
     size = math.prod(shapes[-1])
@@ -562,3 +566,66 @@ def test_every_axis_shrinks_to_its_r_factor(make_task, monkeypatch):
     monkeypatch.setattr(mergelyan, "MAX_DESIGN_ENTRIES", size - 1)
     with pytest.raises(GridSizeError):
         fit(task)
+
+
+@pytest.mark.parametrize("make_task", [_strong_param_task, _bidisk_task])
+def test_dropped_kronecker_rows_are_zero(make_task, monkeypatch):
+    # the full Kronecker product of the per-axis R factors, built here:
+    # the rows it drops are exactly zero, the rows it keeps are its other
+    # rows bit for bit, and both systems share the minimizer and the
+    # singular values
+    task = make_task()
+    systems = []
+
+    def spy(A, b, *args, **kwargs):
+        out = LSTSQ(A, b, *args, **kwargs)
+        systems.append((A, b, out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(mergelyan, "_Arnoldi", _Recorded)
+    _Recorded.made = []
+    fit(task)
+    procs = _Recorded.made
+    r, k = task.r, task.r + task.d
+    grids = _fit_grids(task)
+    axes = [mergelyan._axes(wg, zg) for wg, zg in grids]
+    ops = sorted({DiffOp.identity(k), *task.derivative_orders},
+                 key=lambda op: op.orders)
+    sqrt_w = [min(task.tolerance) / tol for tol in task.tolerance]
+    offsets = [[sum(len(ax[j]) for ax in axes[:p]) if j >= r else 0
+                for j in range(k)] for p in range(len(axes))]
+    assert len(systems) == len(procs[0].sweep) > 1
+    for budget, (A, b, coefs, svals) in zip(task.budgets, systems):
+        degs = [min(budget, proc.degree) for proc in procs]
+        cols = graded_columns(degs, budget)
+        full, full_rhs, kept, kept_rhs = [], [], [], []
+        for op in ops:
+            for ax, off, (wg, zg), (_, gt), w in zip(axes, offsets, grids,
+                                                    task.pieces, sqrt_w):
+                y = gt.diff(op).eval_product(wg, zg).reshape(
+                    [len(a) for a in ax]) * w
+                M = None
+                for j, proc in enumerate(procs):
+                    q, R = np.linalg.qr(proc.fit[op.orders[j]][
+                        :degs[j] + 1, off[j]:off[j] + len(ax[j])].T)
+                    y = np.moveaxis(np.tensordot(q.conj(), y, (0, j)), 0, j)
+                    F = R[:, cols[:, j]]
+                    M = F if M is None else (M[:, None] * F).reshape(
+                        -1, len(cols))
+                index = np.indices(y.shape).reshape(k, -1)
+                zero = index.sum(axis=0) > budget
+                assert zero.any() and not np.any(M[zero])
+                full.append(M)
+                full_rhs.append(y.reshape(-1))
+                # the kept rows, in the fit's order (graded_columns of the
+                # R shape)
+                order = graded_columns([n - 1 for n in y.shape], budget)
+                at = np.ravel_multi_index(tuple(order.T), y.shape)
+                kept.append(M[at])
+                kept_rhs.append(y.reshape(-1)[at])
+        np.testing.assert_array_equal(A, np.concatenate(kept))
+        np.testing.assert_array_equal(b, np.concatenate(kept_rhs))
+        x, _, _, sv = LSTSQ(np.concatenate(full), np.concatenate(full_rhs))
+        assert np.linalg.norm(coefs - x) <= 1e-10 * np.linalg.norm(x)
+        np.testing.assert_allclose(svals, sv, rtol=1e-12, atol=0)

@@ -234,7 +234,7 @@ def _per_center_sup(f, centers, n, enum, side):
 def _center_cases(variant):
     """(f, centers, enum, sides) for r in {0, 1} and d in {1, 2}: a target of
     higher degree than f, f itself and the zero polynomial, with the
-    variant's E-side or F-side ops at l = 2."""
+    variant's E-side or F-side ops at l = 2 (plain: l = 0)."""
     rng = np.random.default_rng(61)
     for r in (0, 1):
         for d in (1, 2):
@@ -245,7 +245,8 @@ def _center_cases(variant):
             wg = ProductCompact([Disk(0.2, 0.5)]).sample(5) if r else None
             centers = [random_point(rng, d, radius=0.3) for _ in range(4)]
             centers.append((0j,) * d)
-            e_ops, f_ops = verify.variant_ops(variant, r, d, 2)
+            e_ops, f_ops = verify.variant_ops(
+                variant, r, d, 0 if variant == "plain" else 2)
             yield f, centers, Enumeration(d, "graded-lex"), [
                 (target, zg, wg, e_ops), (f, zg, wg, f_ops),
                 (Poly.zero(r, d), zg, wg, f_ops)]

@@ -76,6 +76,8 @@ import os
 import sys
 import tempfile
 
+import depth_probe
+
 # one BLAS thread, as in the benchmark, set before numpy loads
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -111,12 +113,13 @@ HANDWRITTEN = {"r": 0, "d": 1, "terms": [
 # radii 0.5 + step (s + 1) (at the ladder's own 0.05, stage 10's inner disk
 # would reach the unit circle)
 DEEP_LADDER = (18, 2.5j, 0.025)
-# the derivative ladders: (depth, outer disk center, l, tolerance) of the
-# strong one and (depth, outer disk center, budgets) of the strong-w one
-STRONG_LADDER = (8, 2.5j, 2, 0.05)
-STRONG_W_LADDER = (6, 2.5j, [8, 12, 16, 20, 24, 32])
-# the bidisk ladder: depth, outer disk center, budgets
-BIDISK_LADDER = (6, 2.5j, [8, 12, 16, 20, 24, 32, 40])
+# the derivative ladders (tools/depth_probe.py's deep and strong-w
+# ladders): (depth, l, tolerance) of the strong one and (depth, budgets)
+# of the strong-w one
+STRONG_LADDER = (8, 2, 0.05)
+STRONG_W_LADDER = (6, [8, 12, 16, 20, 24, 32])
+# the bidisk ladder (depth_probe's): depth, budgets
+BIDISK_LADDER = (6, [8, 12, 16, 20, 24, 32, 40])
 # alternating_three with zero targets at stages 1 and 2, by name and mu
 ZERO_TARGETS = (("zero_targets", "mu:all"),
                 ("zero_targets_abort", "mu:list:0"))
@@ -160,40 +163,20 @@ OPEN_RECT_SPECS = {"domain": [OPEN_RECT], "specs": [
      "l": 1}]}
 
 
-def _inner_radius(s: int) -> float:
-    return min(0.5 + 0.05 * (s + 1), 0.95)
-
-
 def _ladders(workloads) -> dict:
     """name -> scenario of the two derivative ladders and the bidisk
     ladder."""
-    depth, outer, l, tol = STRONG_LADDER
-    strong = dict(workloads.ladder_scenario(depth, outer), variant="strong",
-                  l=l)
-    for s, stage in enumerate(strong["stages"]):
-        stage["inner"]["radius"] = _inner_radius(s)
+    depth, l, tol = STRONG_LADDER
+    strong = dict(depth_probe.ladder(workloads, "deep", depth,
+                                      workloads.LADDER_BUDGETS),
+                  variant="strong", l=l)
+    for stage in strong["stages"]:
         stage["tolerance"] = tol
-    depth, outer, budgets = STRONG_W_LADDER
-    strong_w = workloads.strong_param_scenario(outer)
-    (first,) = strong_w["stages"]
-    wz = first["target"]
-    strong_w["stages"] = [dict(
-        first, budgets=budgets,
-        target=dict(wz, terms=[dict(term, re=(-1.0) ** s * term["re"])
-                               for term in wz["terms"]]),
-        inner=dict(first["inner"], radius=_inner_radius(s)))
-        for s in range(depth)]
-    depth, outer, budgets = BIDISK_LADDER
-    bidisk = workloads.bidisk_scenario(outer)
-    pair = bidisk["stages"]
-    bidisk["stages"] = [dict(
-        pair[s % 2], budgets=budgets,
-        inner=dict(pair[0]["inner"], factors=[
-            dict(f, radius=0.5 + 0.05 * s)
-            for f in pair[0]["inner"]["factors"]]))
-        for s in range(depth)]
-    return {"strong_ladder": strong, "strong_w_ladder": strong_w,
-            "bidisk_ladder": bidisk}
+    return {"strong_ladder": strong,
+            "strong_w_ladder": depth_probe.ladder(workloads, "strong-w",
+                                                  *STRONG_W_LADDER),
+            "bidisk_ladder": depth_probe.ladder(workloads, "bidisk",
+                                                *BIDISK_LADDER)}
 
 
 def _digest(data: bytes) -> str:
